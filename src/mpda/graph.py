@@ -31,10 +31,6 @@ class NeighborLists:
     def n(self) -> int:
         return self.indices.shape[0]
 
-    def contains(self, i: int, j: int) -> bool:
-        """True when j is among the k nearest neighbors of i."""
-        return bool(np.any(self.indices[i] == j))
-
 
 def pairwise_euclidean(X: np.ndarray) -> np.ndarray:
     """Dense symmetric matrix of Euclidean distances with an exact zero diagonal."""
@@ -187,11 +183,3 @@ def laplacian(W):
     Wz = W.copy()
     np.fill_diagonal(Wz, 0.0)
     return np.diag(Wz.sum(axis=1)) - Wz
-
-
-def dump_weights_csv(W, path: str) -> None:
-    """Debug dump of any weight matrix as coordinate triplets ``i,j,w``."""
-    coo = sp.coo_matrix(W)
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, j, w in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i},{j},{w!r}\n")

@@ -11,9 +11,17 @@ where, with d_ij = x_i - x_j and T_p the patch bases,
     a_ij' f = t' d_ij - v_{p(j)}' T_{p(j)}' d_ij
     B_ij f  = v_{p(i)} - T_{p(i)}' T_{p(j)} v_{p(j)}.
 
-The between-class objective only sees t, so S' carries 2 X' L' X in its
-top-left block and zeros elsewhere.  The projection is read off the
+The between-class objective only sees t, so S' carries A = 2 X' L' X in
+its top-left block and zeros elsewhere.  The projection is read off the
 t-parts of the top eigenvectors of S' f = lambda (S + alpha I) f.
+
+Because S' vanishes outside the t-block, the v-rows of the pencil give
+v = -B_vv^-1 B_vt t with B = S + alpha I, which reduces it exactly to
+
+    A t = lambda (B_tt - B_tv B_vv^-1 B_vt) t.
+
+``solve_gep`` factors the sparse SPD block B_vv once, solves this d x d
+pencil in O(d^3) instead of O(total^3), and back-substitutes v.
 
 The pairwise variant uses the exact same assembly with one "patch" per
 point, whose basis comes from the point's within-class neighborhood.
@@ -27,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .dataset import LabeledDataset
 from .errors import (
@@ -163,39 +172,43 @@ def solve_gep(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-m eigenpairs of S' f = lambda (S + alpha I) f, lambda descending.
 
-    Each eigenvector is rescaled so its leading ``t_dim`` entries have unit
-    norm (the whole vector when that part vanishes), with the largest
-    component of the normalized part made positive.
+    Solved through the d x d reduction in the module docstring, with
+    d = ``t_dim`` (all of f when None).  Returns f = (t, -B_vv^-1 B_vt t)
+    scaled to a unit-norm t-part whose largest component is positive.
+
+    Degenerate cases: an empty v-block (e.g. every basis of dimension 0) is
+    a plain d x d solve.  With fewer than m positive reduced eigenvalues
+    (n < d, or A indefinite) the top-m reduced pairs are still returned,
+    lambda <= 0 included; each has t != 0 and is a genuine eigenpair of the
+    full pencil, unlike its other lambda = 0 vectors, whose t-part is 0.
+    Raises ``ValueError`` unless 0 < m <= t_dim and alpha > 0, or when
+    ``S_between`` is nonzero outside its leading t_dim block.
     """
     total = S_between.shape[0]
-    if not 0 < m <= total:
-        raise ValueError(f"m must lie in 1..{total}")
+    d = total if t_dim is None else t_dim
+    if not 0 < m <= d:
+        raise ValueError(f"m must lie in 1..{d}")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if t_dim is None:
-        t_dim = total
-    B = S_within + alpha * np.eye(total)
+    if np.any(S_between[d:]) or np.any(S_between[:d, d:]):
+        raise ValueError("S_between must vanish outside its leading t_dim block")
+    nv, S_vv = total - d, S_within[d:, d:]
+    # scanning a boolean mask is several times cheaper than sp.csc_matrix(S_vv)
+    r, c = np.divmod(np.flatnonzero(S_vv != 0), nv)
+    I_v = sp.identity(nv, format="csc")
+    B_vv = sp.csc_matrix((S_vv[r, c], (r, c)), shape=(nv, nv)) + alpha * I_v
     try:
-        vals, vecs = scipy.linalg.eigh(S_between, B, subset_by_index=(total - m, total - 1))
-    except scipy.linalg.LinAlgError as exc:
+        Z = splu(B_vv).solve(S_within[d:, :d])
+        schur = S_within[:d, :d] + alpha * np.eye(d) - S_within[:d, d:] @ Z
+        schur = 0.5 * (schur + schur.T)
+        vals, T = scipy.linalg.eigh(S_between[:d, :d], schur, subset_by_index=(d - m, d - 1))
+    except (RuntimeError, scipy.linalg.LinAlgError) as exc:
         raise SolverFailureError(f"generalized eigensolver failed: {exc}") from exc
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
-    for col in range(m):
-        f = vecs[:, col]
-        part = f[:t_dim]
-        norm = np.linalg.norm(part)
-        if norm > 1e-12 * np.linalg.norm(f):
-            f = f / norm
-            part = f[:t_dim]
-        else:
-            f = f / np.linalg.norm(f)
-            part = f
-        lead = int(np.argmax(np.abs(part)))
-        if part[lead] < 0:
-            f = -f
-        vecs[:, col] = f
-    return vals, vecs
+    vals, T = vals[::-1], T[:, ::-1]
+    T = T / np.linalg.norm(T, axis=0)
+    lead = T[np.argmax(np.abs(T), axis=0), np.arange(m)]
+    T = T * np.where(lead < 0, -1.0, 1.0)
+    return vals, np.vstack([T, -(Z @ T)])
 
 
 @dataclass(frozen=True)
@@ -278,6 +291,34 @@ def merge_class_partitions(
     return patch_of, members, per_class
 
 
+def _fit_stacked(
+    kind: str,
+    train: LabeledDataset,
+    patch_of: np.ndarray,
+    bases: list[TangentBasis],
+    hyperparams: dict,
+) -> EmbeddingModel:
+    """Graphs -> quadratic forms -> eigen-pencil; ``hyperparams`` gives m, k, gamma, alpha."""
+    X, y = train.features, train.labels
+    layout = layout_for(train.d, bases)
+    k_eff = min(hyperparams["k"], train.n - 1)
+    nb = knn_neighbors(X, k_eff)
+    W = within_class_graph(nb, y)
+    Wp = between_class_graph(X, y, k_eff)
+
+    S = assemble_within(X, W, patch_of, bases, hyperparams["gamma"], layout)
+    Sp = assemble_between(X, Wp, layout)
+    vals, vecs = solve_gep(Sp, S, hyperparams["alpha"], hyperparams["m"], t_dim=train.d)
+    return EmbeddingModel(
+        kind=kind,
+        projection=np.ascontiguousarray(vecs[: train.d, :]),
+        eigenvalues=vals,
+        hyperparams=hyperparams,
+        layout=layout,
+        eigenvectors=vecs,
+    )
+
+
 def fit_mpda(
     train: LabeledDataset,
     m: int,
@@ -294,32 +335,14 @@ def fit_mpda(
     Pipeline: per-class partition -> per-patch bases -> neighbor graphs ->
     quadratic forms -> eigen-pencil -> projection from the t-parts.
     """
-    X, y = train.features, train.labels
     if not 0 < m <= train.d:
         raise ValueError(f"m must lie in 1..{train.d}")
     patch_of, members, _ = merge_class_partitions(train, kprime, max_patch, approximate_partition)
-    bases = [fit_tangent_basis(X[mem], energy) for mem in members]
-    layout = layout_for(train.d, bases)
-
-    k_eff = min(k, train.n - 1)
-    nb = knn_neighbors(X, k_eff)
-    W = within_class_graph(nb, y)
-    Wp = between_class_graph(X, y, k_eff)
-
-    S = assemble_within(X, W, patch_of, bases, gamma, layout)
-    Sp = assemble_between(X, Wp, layout)
-    vals, vecs = solve_gep(Sp, S, alpha, m, t_dim=train.d)
-    return EmbeddingModel(
-        kind="mpda",
-        projection=np.ascontiguousarray(vecs[: train.d, :]),
-        eigenvalues=vals,
-        hyperparams={
-            "m": m, "k": k, "kprime": kprime, "max_patch": max_patch,
-            "gamma": gamma, "alpha": alpha, "energy": energy,
-        },
-        layout=layout,
-        eigenvectors=vecs,
-    )
+    bases = [fit_tangent_basis(train.features[mem], energy) for mem in members]
+    return _fit_stacked("mpda", train, patch_of, bases, {
+        "m": m, "k": k, "kprime": kprime, "max_patch": max_patch,
+        "gamma": gamma, "alpha": alpha, "energy": energy,
+    })
 
 
 def fit_pmpda(
@@ -333,36 +356,19 @@ def fit_pmpda(
 ) -> EmbeddingModel:
     """Pairwise variant: one tangent space per point, no partitioning.
 
-    The stacked problem has d + sum_i m_i unknowns; ``total_cap`` guards
-    against accidentally huge eigenproblems.
+    The stacked problem has d + sum_i m_i unknowns, and both quadratic forms
+    are assembled as dense total x total arrays; ``total_cap`` guards
+    against accidentally huge ones.
     """
-    X, y = train.features, train.labels
     if not 0 < m <= train.d:
         raise ValueError(f"m must lie in 1..{train.d}")
-    bases = per_point_bases(X, y, k, energy)
-    layout = layout_for(train.d, bases)
-    if layout.total > total_cap:
-        raise ResourceLimitError(
-            f"stacked dimension {layout.total} exceeds the cap {total_cap}"
-        )
-    patch_of = np.arange(train.n, dtype=np.int64)
-
-    k_eff = min(k, train.n - 1)
-    nb = knn_neighbors(X, k_eff)
-    W = within_class_graph(nb, y)
-    Wp = between_class_graph(X, y, k_eff)
-
-    S = assemble_within(X, W, patch_of, bases, gamma, layout)
-    Sp = assemble_between(X, Wp, layout)
-    vals, vecs = solve_gep(Sp, S, alpha, m, t_dim=train.d)
-    return EmbeddingModel(
-        kind="pmpda",
-        projection=np.ascontiguousarray(vecs[: train.d, :]),
-        eigenvalues=vals,
-        hyperparams={"m": m, "k": k, "gamma": gamma, "alpha": alpha, "energy": energy},
-        layout=layout,
-        eigenvectors=vecs,
-    )
+    bases = per_point_bases(train.features, train.labels, k, energy)
+    total = layout_for(train.d, bases).total
+    if total > total_cap:
+        raise ResourceLimitError(f"stacked dimension {total} exceeds the cap {total_cap}")
+    return _fit_stacked("pmpda", train, np.arange(train.n, dtype=np.int64), bases, {
+        "m": m, "k": k, "gamma": gamma, "alpha": alpha, "energy": energy,
+    })
 
 
 def edge_residuals(
