@@ -68,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--m", type=int, required=True, help="embedding dimensionality")
     _add_hyper_flags(p_fit)
     p_fit.add_argument("--out", required=True, help="model file to write")
-    p_fit.add_argument("--seed", type=int, default=0)
 
     p_tr = sub.add_parser("transform", help="embed data with a saved model")
     _add_data_flags(p_tr)
@@ -173,8 +172,8 @@ def _write_embeddings(path: str, B: np.ndarray) -> None:
     np.savetxt(path, B, delimiter=",", fmt="%.17g")
 
 
-def cmd_fit(args) -> int:
-    ds = load_dataset(args.data, args.format, args.header)
+def _hyperparams(args) -> dict:
+    """The fit keywords of ``args.algo`` taken from the hyperparameter flags."""
     params: dict = {}
     if args.algo in ("mpda", "pmpda"):
         params = {"k": args.k, "gamma": args.gamma, "alpha": args.alpha, "energy": args.energy}
@@ -183,7 +182,12 @@ def cmd_fit(args) -> int:
             kprime=args.kprime, max_patch=args.max_patch,
             approximate_partition=args.approximate_partition,
         )
-    model = fit_algorithm(args.algo, ds, args.m, params)
+    return params
+
+
+def cmd_fit(args) -> int:
+    ds = load_dataset(args.data, args.format, args.header)
+    model = fit_algorithm(args.algo, ds, args.m, _hyperparams(args))
     save_model(model, args.out)
     print(f"saved {args.algo} model ({model.d} -> {model.m}) to {args.out}")
     return EXIT_OK
@@ -244,11 +248,7 @@ def cmd_benchmark(args) -> int:
 
 def cmd_sweep(args) -> int:
     ds = load_dataset(args.data, args.format, args.header)
-    params: dict = {}
-    if args.algo in ("mpda", "pmpda"):
-        params = {"k": args.k, "gamma": args.gamma, "alpha": args.alpha, "energy": args.energy}
-    if args.algo == "mpda":
-        params.update(kprime=args.kprime, max_patch=args.max_patch)
+    params = _hyperparams(args)
     if args.param:
         if not args.values or args.m is None:
             raise DataError("--param needs --values and a fixed --m")

@@ -44,42 +44,41 @@ def neighbor_graph_matrix(nb: NeighborLists) -> sp.csr_matrix:
     rows = np.repeat(np.arange(n), nb.k)
     cols = nb.indices.ravel()
     vals = nb.distances.ravel()
-    both = sp.coo_matrix(
-        (np.concatenate([vals, vals]), (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-        shape=(n, n),
-    )
-    # duplicate entries would be summed by csr conversion; rebuild explicitly
-    seen = {}
-    for i, j, w in zip(both.row, both.col, both.data):
-        seen[(int(i), int(j))] = float(w)
-    if not seen:
-        return sp.csr_matrix((n, n))
-    ii, jj = zip(*seen.keys())
-    return sp.csr_matrix((list(seen.values()), (ii, jj)), shape=(n, n))
+    ii, jj = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    # a mutual pair is listed twice; keep one copy, since csr conversion
+    # would sum duplicates (both copies hold the same distance)
+    _, first = np.unique(ii * n + jj, return_index=True)
+    both = np.concatenate([vals, vals])
+    return sp.csr_matrix((both[first], (ii[first], jj[first])), shape=(n, n))
 
 
-def geodesic_distances(X: np.ndarray, nb: NeighborLists | None = None, k: int | None = None) -> GeodesicMatrix:
+def geodesic_distances(
+    X: np.ndarray,
+    nb: NeighborLists | None = None,
+    k: int | None = None,
+    graph: sp.csr_matrix | None = None,
+) -> GeodesicMatrix:
     """All-pairs shortest paths on the k-NN graph of X, plus Euclidean distances.
 
-    Provide either a prebuilt neighbor structure or a neighbor count k.
-    Unreachable pairs are +inf, which is data for the partitioner, not an
-    error.
+    Provide the graph's edge-length matrix (``neighbor_graph_matrix``), a
+    prebuilt neighbor structure or a neighbor count k.  Unreachable pairs
+    are +inf, which is data for the partitioner, not an error.
     """
     X = np.asarray(X, dtype=np.float64)
-    if nb is None:
-        if k is None:
-            raise ValueError("provide either neighbor lists or k")
-        nb = knn_neighbors(X, k)
-    G = neighbor_graph_matrix(nb)
-    DG = dijkstra(G, directed=False)
+    if graph is None:
+        if nb is None:
+            if k is None:
+                raise ValueError("provide an edge matrix, neighbor lists or k")
+            nb = knn_neighbors(X, k)
+        graph = neighbor_graph_matrix(nb)
+    DG = dijkstra(graph, directed=False)
     DE = pairwise_euclidean(X)
     return GeodesicMatrix(geodesic=DG, euclidean=DE)
 
 
-def graph_components(nb: NeighborLists) -> np.ndarray:
-    """Connected-component label per point of the undirected k-NN graph."""
-    G = neighbor_graph_matrix(nb)
-    _, comp = connected_components(G, directed=False)
+def graph_components(graph: sp.csr_matrix) -> np.ndarray:
+    """Connected-component label per point of an undirected edge-length matrix."""
+    _, comp = connected_components(graph, directed=False)
     return comp
 
 

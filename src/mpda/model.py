@@ -291,24 +291,59 @@ def merge_class_partitions(
     return patch_of, members, per_class
 
 
-def _fit_stacked(
+# --- fit stages ---------------------------------------------------------------
+#
+# A fit is three stages, each reading only the hyperparameters it takes: a
+# bases stage (``_patch_bases`` or ``_point_bases``), ``_graphs`` (k) and
+# ``_solve`` (gamma, alpha, m).  ``cross_validate`` runs each stage once per
+# fold and distinct input, so a stage must depend on nothing else.
+
+
+def _patch_bases(
+    train: LabeledDataset, kprime: int, max_patch: int, energy: float, approximate_partition: bool
+) -> tuple[np.ndarray, list[TangentBasis]]:
+    """MPDA bases stage: per-class partition, then one tangent basis per patch."""
+    patch_of, members, _ = merge_class_partitions(train, kprime, max_patch, approximate_partition)
+    return patch_of, [fit_tangent_basis(train.features[mem], energy) for mem in members]
+
+
+def _point_bases(
+    train: LabeledDataset, k: int, energy: float, total_cap: int
+) -> tuple[np.ndarray, list[TangentBasis]]:
+    """PMPDA bases stage: one tangent basis per point, under the stacked-size cap."""
+    bases = per_point_bases(train.features, train.labels, k, energy)
+    total = layout_for(train.d, bases).total
+    if total > total_cap:
+        raise ResourceLimitError(f"stacked dimension {total} exceeds the cap {total_cap}")
+    return np.arange(train.n, dtype=np.int64), bases
+
+
+def _graphs(train: LabeledDataset, k: int) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Graphs stage: the within-class and between-class graphs of the k-NN structure."""
+    k_eff = min(k, train.n - 1)
+    nb = knn_neighbors(train.features, k_eff)
+    return (
+        within_class_graph(nb, train.labels),
+        between_class_graph(train.features, train.labels, k_eff),
+    )
+
+
+def _solve(
     kind: str,
     train: LabeledDataset,
     patch_of: np.ndarray,
     bases: list[TangentBasis],
+    W,
+    S_between: np.ndarray,
     hyperparams: dict,
 ) -> EmbeddingModel:
-    """Graphs -> quadratic forms -> eigen-pencil; ``hyperparams`` gives m, k, gamma, alpha."""
-    X, y = train.features, train.labels
-    layout = layout_for(train.d, bases)
-    k_eff = min(hyperparams["k"], train.n - 1)
-    nb = knn_neighbors(X, k_eff)
-    W = within_class_graph(nb, y)
-    Wp = between_class_graph(X, y, k_eff)
+    """Solve stage: within form for gamma, eigen-pencil for alpha and m.
 
-    S = assemble_within(X, W, patch_of, bases, hyperparams["gamma"], layout)
-    Sp = assemble_between(X, Wp, layout)
-    vals, vecs = solve_gep(Sp, S, hyperparams["alpha"], hyperparams["m"], t_dim=train.d)
+    ``S_between`` is ``assemble_between`` over the layout of ``bases``.
+    """
+    layout = layout_for(train.d, bases)
+    S = assemble_within(train.features, W, patch_of, bases, hyperparams["gamma"], layout)
+    vals, vecs = solve_gep(S_between, S, hyperparams["alpha"], hyperparams["m"], t_dim=train.d)
     return EmbeddingModel(
         kind=kind,
         projection=np.ascontiguousarray(vecs[: train.d, :]),
@@ -317,6 +352,19 @@ def _fit_stacked(
         layout=layout,
         eigenvectors=vecs,
     )
+
+
+def _fit_stacked(
+    kind: str,
+    train: LabeledDataset,
+    patch_of: np.ndarray,
+    bases: list[TangentBasis],
+    hyperparams: dict,
+) -> EmbeddingModel:
+    """Graphs -> quadratic forms -> eigen-pencil; ``hyperparams`` gives m, k, gamma, alpha."""
+    W, Wp = _graphs(train, hyperparams["k"])
+    Sp = assemble_between(train.features, Wp, layout_for(train.d, bases))
+    return _solve(kind, train, patch_of, bases, W, Sp, hyperparams)
 
 
 def fit_mpda(
@@ -337,8 +385,7 @@ def fit_mpda(
     """
     if not 0 < m <= train.d:
         raise ValueError(f"m must lie in 1..{train.d}")
-    patch_of, members, _ = merge_class_partitions(train, kprime, max_patch, approximate_partition)
-    bases = [fit_tangent_basis(train.features[mem], energy) for mem in members]
+    patch_of, bases = _patch_bases(train, kprime, max_patch, energy, approximate_partition)
     return _fit_stacked("mpda", train, patch_of, bases, {
         "m": m, "k": k, "kprime": kprime, "max_patch": max_patch,
         "gamma": gamma, "alpha": alpha, "energy": energy,
@@ -362,11 +409,8 @@ def fit_pmpda(
     """
     if not 0 < m <= train.d:
         raise ValueError(f"m must lie in 1..{train.d}")
-    bases = per_point_bases(train.features, train.labels, k, energy)
-    total = layout_for(train.d, bases).total
-    if total > total_cap:
-        raise ResourceLimitError(f"stacked dimension {total} exceeds the cap {total_cap}")
-    return _fit_stacked("pmpda", train, np.arange(train.n, dtype=np.int64), bases, {
+    patch_of, bases = _point_bases(train, k, energy, total_cap)
+    return _fit_stacked("pmpda", train, patch_of, bases, {
         "m": m, "k": k, "gamma": gamma, "alpha": alpha, "energy": energy,
     })
 

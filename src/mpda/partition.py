@@ -18,7 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnreachablePairError
-from .geodesy import GeodesicMatrix, geodesic_distances, graph_components, patch_linearity
+from .geodesy import (
+    GeodesicMatrix,
+    geodesic_distances,
+    graph_components,
+    neighbor_graph_matrix,
+    patch_linearity,
+)
 from .graph import knn_neighbors, pairwise_euclidean
 
 DEFAULT_KPRIME = 6
@@ -146,8 +152,9 @@ def partition_class(
         dist = GeodesicMatrix(geodesic=DE, euclidean=DE)
         patches = [np.arange(n, dtype=np.int64)]
     else:
-        dist = geodesic_distances(Xc, nb=nb)
-        comp = graph_components(nb)
+        G = neighbor_graph_matrix(nb)
+        dist = geodesic_distances(Xc, graph=G)
+        comp = graph_components(G)
         patches = [np.flatnonzero(comp == c) for c in range(comp.max() + 1)]
 
     while True:

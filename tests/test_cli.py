@@ -162,3 +162,29 @@ def test_fit_libsvm_input(tmp_path, rng):
     rc = run(["fit", "--algo", "lda", "--data", str(path), "--format", "libsvm",
               "--m", "1", "--out", out])
     assert rc == 0
+
+
+def test_sweep_honours_approximate_partition(tmp_path, data_csv, monkeypatch):
+    import mpda.model
+    from mpda.partition import partition_class
+
+    seen = []
+
+    def spy(Xc, kprime, max_patch, approximate=False):
+        seen.append(approximate)
+        return partition_class(Xc, kprime, max_patch, approximate)
+
+    monkeypatch.setattr(mpda.model, "partition_class", spy)
+    path, _ = data_csv
+    rc = run(["sweep", "--algo", "mpda", "--data", path, "--splits", "1", "--m-max", "2",
+              "--approximate-partition", "--out", str(tmp_path / "dims.csv")])
+    assert rc == 0
+    assert seen and all(seen)
+
+
+def test_fit_has_no_seed_flag(tmp_path, data_csv):
+    path, _ = data_csv
+    with pytest.raises(SystemExit) as exc:
+        run(["fit", "--algo", "mpda", "--data", path, "--m", "1", "--seed", "3",
+             "--out", str(tmp_path / "m.bin")])
+    assert exc.value.code == 2

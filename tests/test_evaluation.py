@@ -126,6 +126,10 @@ def test_benchmark_deterministic_and_parallel_invariant(rng):
     assert a.per_split_errors == b.per_split_errors
     assert a.per_split_m == b.per_split_m
     assert a.mean_error == b.mean_error
+    for rep in (a, b):
+        assert rep.to_dict()["wall_seconds"] == rep.wall_seconds > 0.0
+    # one thread: the per-stage times are parts of the elapsed time
+    assert sum(a.stage_seconds.values()) <= a.wall_seconds + 1e-3
 
 
 def test_benchmark_fixed_params_skip_cv(rng):

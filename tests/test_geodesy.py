@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from mpda.errors import UnreachablePairError
-from mpda.geodesy import GeodesicMatrix, geodesic_distances, patch_linearity
+from mpda.geodesy import (
+    GeodesicMatrix,
+    geodesic_distances,
+    graph_components,
+    neighbor_graph_matrix,
+    patch_linearity,
+)
 from mpda.graph import knn_neighbors
 
 
@@ -27,6 +35,42 @@ def edges_of(nb):
         for j, w in zip(nb.indices[i], nb.distances[i]):
             out.append((i, int(j), float(w)))
     return out
+
+
+def dict_loop_graph_matrix(nb):
+    """Oracle: the edge-length matrix built one edge at a time (the former loop)."""
+    n = nb.n
+    rows = np.repeat(np.arange(n), nb.k)
+    cols = nb.indices.ravel()
+    vals = nb.distances.ravel()
+    both = sp.coo_matrix(
+        (np.concatenate([vals, vals]), (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+        shape=(n, n),
+    )
+    seen = {}
+    for i, j, w in zip(both.row, both.col, both.data):
+        seen[(int(i), int(j))] = float(w)
+    ii, jj = zip(*seen.keys())
+    return sp.csr_matrix((list(seen.values()), (ii, jj)), shape=(n, n))
+
+
+def test_edge_matrix_matches_dict_loop_on_duplicates_and_gaps(rng):
+    for trial in range(30):
+        n, d = int(rng.integers(4, 30)), int(rng.integers(1, 5))
+        X = rng.normal(size=(n, d))
+        X[n // 2 :] += 1e3  # two far groups: small k leaves them disconnected
+        X = np.vstack([X, X[rng.integers(0, n, size=3)], X[:1]])  # duplicates
+        nb = knn_neighbors(X, int(rng.integers(1, 5)))
+        old, new = dict_loop_graph_matrix(nb), neighbor_graph_matrix(nb)
+        assert np.any(new.data == 0.0)  # zero-length edges stay explicit
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(new, name), getattr(old, name))
+        gm = geodesic_distances(X, graph=new)
+        assert np.array_equal(gm.geodesic, dijkstra(old, directed=False))
+        assert np.array_equal(gm.geodesic, geodesic_distances(X, nb=nb).geodesic)
+        assert np.array_equal(graph_components(new), connected_components(old, directed=False)[1])
+        if trial == 0:
+            assert np.isinf(gm.geodesic).any()
 
 
 def test_chain_path_sum():
