@@ -9,14 +9,7 @@ from .baselines import fit_lda, fit_pca
 from .dataset import LabeledDataset, load_dataset, train_test_split
 from .evaluation import benchmark, cross_validate, error_rate, nn_classify
 from .geodesy import GeodesicMatrix, geodesic_distances, patch_linearity
-from .graph import (
-    NeighborLists,
-    between_class_graph,
-    knn_neighbors,
-    laplacian,
-    lda_graphs,
-    within_class_graph,
-)
+from .graph import NeighborLists, between_class_form, knn_neighbors, within_class_graph
 from .model import (
     EmbeddingModel,
     assemble_between,
@@ -43,7 +36,7 @@ __all__ = [
     "assemble_between",
     "assemble_within",
     "benchmark",
-    "between_class_graph",
+    "between_class_form",
     "cross_validate",
     "error_rate",
     "fit_lda",
@@ -53,8 +46,6 @@ __all__ = [
     "fit_tangent_basis",
     "geodesic_distances",
     "knn_neighbors",
-    "laplacian",
-    "lda_graphs",
     "load_dataset",
     "load_model",
     "nn_classify",

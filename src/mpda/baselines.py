@@ -1,11 +1,14 @@
-"""PCA and Laplacian-formulated LDA baselines.
+"""PCA and LDA baselines.
 
-LDA is posed on the graph weights from ``mpda.graph.lda_graphs``: the
-scatter pair (X' L^b X, X' L^w X) reproduces the classical mean-based
-matrices exactly, and the projection maximizes the between/within
-Rayleigh quotient by keeping the largest eigenvalues of
+LDA's scatter pair comes from class sums (``mpda.graph.class_scatters``):
+S_w = sum_c S_c and S_b = S_t - S_w, the scatter of the class means.  The
+pair equals X' L^b X and X' L^w X for the global graphs that weigh a
+same-class pair 1/n - 1/n_c (between) or 1/n_c (within) and a cross-class
+pair 1/n (between) or 0 (within), with no n x n array.  The projection
+maximizes the between/within Rayleigh quotient by keeping the largest
+eigenvalues of
 
-    (X' L^b X) t = lambda (X' L^w X + eps I) t.
+    S_b t = lambda (S_w + eps I) t.
 
 The within matrix gets a small trace-scaled Tikhonov shift so singular
 scatter never breaks the solve.
@@ -18,7 +21,7 @@ import scipy.linalg
 
 from .dataset import LabeledDataset
 from .errors import SolverFailureError
-from .graph import laplacian, lda_graphs
+from .graph import class_scatters
 from .model import EmbeddingModel
 from .tangent import _RANK_RTOL
 
@@ -75,12 +78,9 @@ def fit_pca(
 
 
 def lda_scatter(train: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Between/within scatter matrices via the graph-Laplacian route."""
-    X = train.features
-    Wb, Ww = lda_graphs(train.labels)
-    Sb = X.T @ (laplacian(Wb) @ X)
-    Sw = X.T @ (laplacian(Ww) @ X)
-    return Sb, Sw
+    """Between/within scatter matrices (S_b, S_w) from class sums."""
+    Sb, _, S_c = class_scatters(train.features, train.labels)
+    return Sb, S_c.sum(axis=0)
 
 
 def fit_lda(train: LabeledDataset, m: int) -> EmbeddingModel:

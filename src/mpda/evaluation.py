@@ -210,10 +210,10 @@ def _fold_errors(
 
     out: list = [None] * len(combos)
     for k, by_key in groups.items():
-        W, Wp = _graphs(tr, k)
+        W, XtLX = _graphs(tr, k)
         for key, idx in by_key.items():
             patch_of, B = bases[key]
-            Sp = assemble_between(tr.features, Wp, layout_for(tr.d, B))
+            Sp = assemble_between(XtLX, layout_for(tr.d, B))
 
             def solve(i: int) -> dict[int, float]:
                 return errors(_solve(algorithm, tr, patch_of, B, W, Sp, hp[i]))

@@ -57,12 +57,15 @@ def geodesic_distances(
     nb: NeighborLists | None = None,
     k: int | None = None,
     graph: sp.csr_matrix | None = None,
+    euclidean: np.ndarray | None = None,
 ) -> GeodesicMatrix:
     """All-pairs shortest paths on the k-NN graph of X, plus Euclidean distances.
 
     Provide the graph's edge-length matrix (``neighbor_graph_matrix``), a
-    prebuilt neighbor structure or a neighbor count k.  Unreachable pairs
-    are +inf, which is data for the partitioner, not an error.
+    prebuilt neighbor structure or a neighbor count k, and, if already
+    computed, X's ``pairwise_euclidean`` matrix as ``euclidean``.
+    Unreachable pairs are +inf, which is data for the partitioner, not an
+    error.
     """
     X = np.asarray(X, dtype=np.float64)
     if graph is None:
@@ -72,7 +75,7 @@ def geodesic_distances(
             nb = knn_neighbors(X, k)
         graph = neighbor_graph_matrix(nb)
     DG = dijkstra(graph, directed=False)
-    DE = pairwise_euclidean(X)
+    DE = pairwise_euclidean(X) if euclidean is None else euclidean
     return GeodesicMatrix(geodesic=DG, euclidean=DE)
 
 

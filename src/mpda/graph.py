@@ -1,7 +1,8 @@
-"""Neighbor graphs, discriminative weight matrices and graph Laplacians.
+"""Neighbor graphs, the between-class form and class scatter matrices.
 
 All constructions are deterministic: k-NN ties are broken by ascending
 point index, which makes every downstream matrix reproducible bit for bit.
+None holds an n x n array: k-NN reads row blocks of the distance matrix.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
-from .errors import AsymmetricInputError, KTooLargeError
+from .errors import KTooLargeError
+
+KNN_BLOCK_ROWS = 256  # distance rows held at once; cdist values do not depend on it
 
 
 @dataclass(frozen=True)
@@ -39,6 +42,29 @@ def pairwise_euclidean(X: np.ndarray) -> np.ndarray:
     return D
 
 
+def _nearest(D: np.ndarray, k: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The k nearest columns of each row of a distance block, by (distance, index).
+
+    Row r of ``D`` holds the distances from point ``start + r`` to every
+    point; that point's own entry is set to +inf in place.  The order equals
+    the first k entries of a stable full-row argsort.
+    """
+    rows = np.arange(D.shape[0])
+    D[rows, start + rows] = np.inf
+    near = np.sort(np.argpartition(D, k - 1, axis=1)[:, :k], axis=1)
+    dist = np.take_along_axis(D, near, axis=1)
+    order = np.argsort(dist, axis=1, kind="stable")  # near is index-sorted
+    near = np.take_along_axis(near, order, axis=1)
+    dist = np.take_along_axis(dist, order, axis=1)
+    # argpartition breaks ties at the k-th distance arbitrarily: a row with
+    # more than k entries up to that distance (or a NaN one) is sorted whole
+    kth = dist[:, -1:]
+    for r in np.flatnonzero((np.count_nonzero(D <= kth, axis=1) > k) | np.isnan(kth[:, 0])):
+        near[r] = np.argsort(D[r], kind="stable")[:k]
+        dist[r] = D[r, near[r]]
+    return near, dist
+
+
 def knn_neighbors(X: np.ndarray, k: int) -> NeighborLists:
     """Exact k nearest neighbors of every row of X by Euclidean distance.
 
@@ -51,12 +77,12 @@ def knn_neighbors(X: np.ndarray, k: int) -> NeighborLists:
         raise ValueError("k must be at least 1")
     if k >= n:
         raise KTooLargeError(f"k={k} must be smaller than the number of points n={n}")
-    D = pairwise_euclidean(X)
-    np.fill_diagonal(D, np.inf)
-    # stable sort keeps equal distances in ascending-index order
-    order = np.argsort(D, axis=1, kind="stable")[:, :k]
-    dists = np.take_along_axis(D, order, axis=1)
-    return NeighborLists(indices=order, distances=dists, k=k)
+    indices = np.empty((n, k), dtype=np.intp)
+    distances = np.empty((n, k))
+    for start in range(0, n, KNN_BLOCK_ROWS):
+        stop = min(start + KNN_BLOCK_ROWS, n)
+        indices[start:stop], distances[start:stop] = _nearest(cdist(X[start:stop], X), k, start)
+    return NeighborLists(indices=indices, distances=distances, k=k)
 
 
 def _mutual_edge_mask(nb: NeighborLists) -> sp.csr_matrix:
@@ -91,95 +117,69 @@ def within_class_graph(nb: NeighborLists, labels: np.ndarray) -> sp.csr_matrix:
 def _effective_sigma(nb: NeighborLists) -> np.ndarray:
     """Local scale sigma_i = distance to the k-th nearest neighbor.
 
-    Duplicate points can make sigma_i = 0; it is then replaced by the
-    smallest positive neighbor distance of i, or left at 0 when every
-    neighbor coincides with i (the kernel limit handles those pairs).
+    Distances ascend along each list, so sigma_i = 0 only when every
+    neighbor of i coincides with it; the kernel limit handles those pairs.
     """
-    sigma = nb.distances[:, -1].copy()
-    for i in np.flatnonzero(sigma == 0):
-        positive = nb.distances[i][nb.distances[i] > 0]
-        sigma[i] = positive.min() if positive.size else 0.0
-    return sigma
+    return nb.distances[:, -1].copy()
 
 
-def between_class_graph(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Dense graph pulling apart nearby points from different classes.
+def class_scatters(X: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Class-sum scatter matrices of the rows of X.
 
-    Cross-class pairs get weight 1/n.  A same-class pair in class c gets
-    A_ij * (1/n - 1/n_c), where A_ij is a locally scaled heat kernel that
-    is nonzero only for neighbor pairs.  Note 1/n - 1/n_c <= 0, so
-    same-class entries are nonpositive.
+    Returns ``(S_b, sizes, S_c)``: per class, in ascending label order, its
+    size n_c and scatter S_c = sum_{i in c} (x_i - mu_c)(x_i - mu_c)' stacked
+    in ``S_c``; and the scatter of the class means
+    S_b = sum_c n_c (mu_c - mu)(mu_c - mu)'.  S_b + sum_c S_c is the total
+    scatter S_t.  Every term is built from centred rows, so no difference of
+    large matrices cancels.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    _, inverse, sizes = np.unique(np.asarray(labels), return_inverse=True, return_counts=True)
+    Xc = X - X.mean(axis=0)
+    means = np.empty((sizes.size, X.shape[1]))
+    S_c = np.empty((sizes.size, X.shape[1], X.shape[1]))
+    for c in range(sizes.size):
+        Z = Xc[inverse == c]
+        means[c] = Z.mean(axis=0)
+        Z = Z - means[c]
+        S_c[c] = Z.T @ Z
+    return means.T @ (sizes[:, None] * means), sizes, S_c
+
+
+def between_class_form(X: np.ndarray, labels: np.ndarray, nb: NeighborLists) -> np.ndarray:
+    """X' L(W') X for the graph pulling apart nearby points of different classes.
+
+    W' gives every cross-class pair 1/n and a same-class pair in class c
+    A_ij * (1/n - 1/n_c) <= 0, where A_ij is a locally scaled heat kernel
+    (Zelnik-Manor & Perona 2004) that is nonzero only for pairs linked in
+    ``nb`` (i in N_k(j) or j in N_k(i)).  The cross-class part equals the
+    class-sum form S_t - sum_c (n_c/n) S_c = S_b + sum_c (1 - n_c/n) S_c,
+    and the kernel part is a sum over the neighbor edges, so the d x d
+    result costs O(nk + d^2) memory and no n x n graph.
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)
-    n = X.shape[0]
-    nb = knn_neighbors(X, k)
+    n = nb.n
+    if X.shape[0] != n or labels.shape[0] != n:
+        raise ValueError("X and labels must match the neighbor structure")
+    S_b, sizes, S_c = class_scatters(X, labels)
+    form = S_b + np.tensordot(1.0 - sizes / n, S_c, axes=1)
+
+    # each linked same-class pair once, with its distance from the lists
+    i = np.repeat(np.arange(n), nb.k)
+    j = nb.indices.ravel()
+    keep = labels[i] == labels[j]
+    lo, hi = np.minimum(i, j)[keep], np.maximum(i, j)[keep]
+    _, first = np.unique(lo * n + hi, return_index=True)
+    lo, hi, dist = lo[first], hi[first], nb.distances.ravel()[keep][first]
+
     sigma = _effective_sigma(nb)
-
-    same = labels[:, None] == labels[None, :]
-    uniq, counts = np.unique(labels, return_counts=True)
-    n_c = dict(zip(uniq, counts))
-    class_size = np.array([n_c[y] for y in labels], dtype=np.float64)
-
-    W = np.full((n, n), 1.0 / n)
-    W[same] = 0.0
-
-    D = pairwise_euclidean(X)
-    mask = _mutual_edge_mask(nb).toarray()
-    scale = np.outer(sigma, sigma)
-    A = np.zeros((n, n))
+    scale = sigma[lo] * sigma[hi]
     with np.errstate(divide="ignore", invalid="ignore"):
-        kernel = np.exp(-(D**2) / scale)
-    kernel[(scale == 0) & (D > 0)] = 0.0  # vanished scale, genuine distance
-    kernel[D == 0] = 1.0  # coincident points: kernel limit
-    A[mask & same] = kernel[mask & same]
-
-    coeff = (1.0 / n) - (1.0 / class_size)  # per-row class term
-    W += A * same * coeff[None, :]
-    np.fill_diagonal(W, 0.0)
-    return W
-
-
-def lda_graphs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Global between/within weight pair reproducing classical scatter matrices.
-
-    W^w_ij = 1/n_c for same-class pairs, else 0; W^b_ij = 1/n - 1/n_c for
-    same-class pairs and 1/n otherwise.  Diagonals are zeroed.
-    """
-    labels = np.asarray(labels)
-    n = labels.shape[0]
-    if n == 0:
-        raise ValueError("labels must be nonempty")
-    same = labels[:, None] == labels[None, :]
-    uniq, counts = np.unique(labels, return_counts=True)
-    n_c = dict(zip(uniq, counts))
-    class_size = np.array([n_c[y] for y in labels], dtype=np.float64)
-
-    Ww = np.where(same, 1.0 / class_size[None, :], 0.0)
-    Wb = np.where(same, 1.0 / n - 1.0 / class_size[None, :], 1.0 / n)
-    np.fill_diagonal(Ww, 0.0)
-    np.fill_diagonal(Wb, 0.0)
-    return Wb, Ww
-
-
-def laplacian(W):
-    """Graph Laplacian L = D - W with D_ii = sum_{j != i} W_ij.
-
-    Accepts a dense array or scipy sparse matrix and returns the same
-    container kind.  Raises ``AsymmetricInputError`` if W is not symmetric.
-    """
-    if sp.issparse(W):
-        diff = (W - W.T).tocoo()
-        if diff.nnz and np.max(np.abs(diff.data)) > 1e-10:
-            raise AsymmetricInputError("weight matrix is not symmetric")
-        Wz = W.copy().tolil()
-        Wz.setdiag(0.0)
-        Wz = Wz.tocsr()
-        deg = np.asarray(Wz.sum(axis=1)).ravel()
-        return (sp.diags(deg) - Wz).tocsr()
-    W = np.asarray(W, dtype=np.float64)
-    if not np.allclose(W, W.T, rtol=0.0, atol=1e-10):
-        raise AsymmetricInputError("weight matrix is not symmetric")
-    Wz = W.copy()
-    np.fill_diagonal(Wz, 0.0)
-    return np.diag(Wz.sum(axis=1)) - Wz
+        kernel = np.exp(-(dist**2) / scale)
+    kernel[(scale == 0) & (dist > 0)] = 0.0  # vanished scale, genuine distance
+    kernel[dist == 0] = 1.0  # coincident points: kernel limit
+    _, inverse = np.unique(labels, return_inverse=True)
+    w = kernel * (1.0 / n - 1.0 / sizes[inverse[lo]])
+    E = X[lo] - X[hi]
+    return form + E.T @ (w[:, None] * E)

@@ -15,6 +15,10 @@ The between-class objective only sees t, so S' carries A = 2 X' L' X in
 its top-left block and zeros elsewhere.  The projection is read off the
 t-parts of the top eigenvectors of S' f = lambda (S + alpha I) f.
 
+A fit runs one exact k-NN search, which feeds both the sparse within-class
+graph and X' L' X.  X' L' X comes from class sums plus the O(nk) neighbor
+edges (``graph.between_class_form``): O(nk + d^2) memory, no n x n array.
+
 Because S' vanishes outside the t-block, the v-rows of the pencil give
 v = -B_vv^-1 B_vt t with B = S + alpha I, which reduces it exactly to
 
@@ -45,7 +49,7 @@ from .errors import (
     ResourceLimitError,
     SolverFailureError,
 )
-from .graph import between_class_graph, knn_neighbors, laplacian, within_class_graph
+from .graph import between_class_form, knn_neighbors, within_class_graph
 from .partition import DEFAULT_KPRIME, DEFAULT_MAX_PATCH, Partition, partition_class
 from .tangent import DEFAULT_ENERGY, TangentBasis, fit_tangent_basis, per_point_bases
 
@@ -152,14 +156,15 @@ def assemble_within(
     return S
 
 
-def assemble_between(X: np.ndarray, W_between: np.ndarray, layout: BlockLayout) -> np.ndarray:
-    """Between-class form: 2 X' L' X in the projection block, zeros elsewhere."""
-    X = np.asarray(X, dtype=np.float64)
-    if layout.d != X.shape[1]:
-        raise LayoutMismatchError("layout dimension does not match X")
-    L = laplacian(W_between)
+def assemble_between(XtLX: np.ndarray, layout: BlockLayout) -> np.ndarray:
+    """Between-class form: 2 X' L' X in the projection block, zeros elsewhere.
+
+    ``XtLX`` is the d x d ``graph.between_class_form``.
+    """
+    if np.shape(XtLX) != (layout.d, layout.d):
+        raise LayoutMismatchError("between-class form does not match the layout dimension")
     S = np.zeros((layout.total, layout.total))
-    S[: layout.d, : layout.d] = 2.0 * (X.T @ (L @ X))
+    S[: layout.d, : layout.d] = 2.0 * XtLX
     return S
 
 
@@ -319,12 +324,12 @@ def _point_bases(
 
 
 def _graphs(train: LabeledDataset, k: int) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Graphs stage: the within-class and between-class graphs of the k-NN structure."""
-    k_eff = min(k, train.n - 1)
-    nb = knn_neighbors(train.features, k_eff)
+    """Graphs stage: the within-class graph and the d x d between-class form
+    X' L' X, both from one k-NN search."""
+    nb = knn_neighbors(train.features, min(k, train.n - 1))
     return (
         within_class_graph(nb, train.labels),
-        between_class_graph(train.features, train.labels, k_eff),
+        between_class_form(train.features, train.labels, nb),
     )
 
 
@@ -362,8 +367,8 @@ def _fit_stacked(
     hyperparams: dict,
 ) -> EmbeddingModel:
     """Graphs -> quadratic forms -> eigen-pencil; ``hyperparams`` gives m, k, gamma, alpha."""
-    W, Wp = _graphs(train, hyperparams["k"])
-    Sp = assemble_between(train.features, Wp, layout_for(train.d, bases))
+    W, XtLX = _graphs(train, hyperparams["k"])
+    Sp = assemble_between(XtLX, layout_for(train.d, bases))
     return _solve(kind, train, patch_of, bases, W, Sp, hyperparams)
 
 

@@ -25,7 +25,7 @@ from .geodesy import (
     neighbor_graph_matrix,
     patch_linearity,
 )
-from .graph import knn_neighbors, pairwise_euclidean
+from .graph import NeighborLists, _nearest, pairwise_euclidean
 
 DEFAULT_KPRIME = 6
 DEFAULT_MAX_PATCH = 10
@@ -144,16 +144,15 @@ def partition_class(
             patches=[np.array([0])], patch_of=np.zeros(1, dtype=np.int64), linearity=np.ones(1)
         )
 
-    k_eff = min(kprime, n - 1)
-    nb = knn_neighbors(Xc, k_eff)
+    DE = pairwise_euclidean(Xc)  # the one distance matrix of the class
     if approximate:
         # Euclidean distances double as "geodesics"; every ratio is 1
-        DE = pairwise_euclidean(Xc)
         dist = GeodesicMatrix(geodesic=DE, euclidean=DE)
         patches = [np.arange(n, dtype=np.int64)]
     else:
-        G = neighbor_graph_matrix(nb)
-        dist = geodesic_distances(Xc, graph=G)
+        k_eff = min(kprime, n - 1)
+        G = neighbor_graph_matrix(NeighborLists(*_nearest(DE.copy(), k_eff), k=k_eff))
+        dist = geodesic_distances(Xc, graph=G, euclidean=DE)
         comp = graph_components(G)
         patches = [np.flatnonzero(comp == c) for c in range(comp.max() + 1)]
 

@@ -18,6 +18,7 @@ import pytest
 import scipy.linalg
 
 from conftest import random_labeled
+from graph_oracles import laplacian
 from mpda.baselines import lda_scatter
 from mpda.dataset import LabeledDataset, load_dataset
 from mpda.evaluation import (
@@ -27,9 +28,8 @@ from mpda.evaluation import (
     parameter_sweep,
 )
 from mpda.geodesy import geodesic_distances, pair_tortuosity
-from mpda.graph import knn_neighbors, laplacian, lda_graphs, within_class_graph
+from mpda.graph import knn_neighbors
 from mpda.model import (
-    assemble_between,
     assemble_within,
     fit_mpda,
     solve_gep,
@@ -90,9 +90,8 @@ def test_criterion_1_quadratic_form_equivalence():
     for _ in range(25):
         ds = random_labeled(rng, n_max=40, d_max=8, c_max=3)
         gamma = float(rng.uniform(0.05, 5.0))
-        X, y, patch_of, bases, layout, W, Wp = build_instance(ds)
+        X, y, patch_of, bases, layout, W, Sp, Wp = build_instance(ds)
         S = assemble_within(X, W, patch_of, bases, gamma, layout)
-        Sp = assemble_between(X, Wp, layout)
         F = rng.normal(size=(200, layout.total))
         quad_w = np.einsum("fi,ij,fj->f", F, S, F)
         quad_b = np.einsum("fi,ij,fj->f", F, Sp, F)
@@ -115,7 +114,7 @@ def test_criterion_2_zero_order_reduction():
     worst = 0.0
     for _ in range(10):
         ds = random_labeled(rng)
-        X, y, patch_of, bases, layout, W, _ = build_instance(ds)
+        X, y, patch_of, bases, layout, W, _, _ = build_instance(ds)
         S = assemble_within(X, W, patch_of, bases, float(rng.uniform(0.1, 3.0)), layout)
         ref = 2.0 * X.T @ (laplacian(W) @ X)
         scale = max(np.max(np.abs(ref)), 1e-30)
@@ -182,9 +181,8 @@ def test_criterion_3_structural_invariants():
         ds = random_labeled(rng)
         Xs = (ds.features - ds.features.mean(axis=0)) / ds.features.std(axis=0)
         ds = LabeledDataset(Xs, ds.labels)
-        X, y, patch_of, bases, layout, W, Wp = build_instance(ds)
+        X, y, patch_of, bases, layout, W, Sp, _ = build_instance(ds)
         S = assemble_within(X, W, patch_of, bases, 1.0, layout)
-        Sp = assemble_between(X, Wp, layout)
         alpha, m = 1e-2, min(ds.d, 3)
         vals, vecs = solve_gep(Sp, S, alpha, m, t_dim=ds.d)
         B = S + alpha * np.eye(layout.total)

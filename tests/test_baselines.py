@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import random_labeled
+from graph_oracles import laplacian, lda_graphs
 from mpda.baselines import fit_lda, fit_pca, lda_scatter
 from mpda.dataset import LabeledDataset
-from mpda.graph import laplacian, lda_graphs
 from mpda.model import transform
 
 

@@ -3,11 +3,21 @@ import pytest
 import scipy.sparse as sp
 
 from mpda.errors import AsymmetricInputError, KTooLargeError
-from mpda.graph import (
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graph_oracles import (
     between_class_graph,
-    knn_neighbors,
+    effective_sigma_loop,
+    knn_argsort,
     laplacian,
     lda_graphs,
+)
+from mpda.graph import (
+    KNN_BLOCK_ROWS,
+    _effective_sigma,
+    between_class_form,
+    knn_neighbors,
     within_class_graph,
 )
 
@@ -50,6 +60,89 @@ def test_knn_tie_break_by_index():
     X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     nb = knn_neighbors(X, 1)
     assert nb.indices[0, 0] == 1
+
+
+@st.composite
+def tie_heavy_points(draw):
+    """Points on a coarse integer grid (many exact ties, duplicates), n up
+    to past two k-NN blocks, and any valid k up to n - 1."""
+    n = draw(st.one_of(st.integers(2, 40), st.integers(KNN_BLOCK_ROWS - 2, 2 * KNN_BLOCK_ROWS + 5)))
+    d = draw(st.integers(1, 3))
+    levels = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    k = draw(st.one_of(st.integers(1, min(7, n - 1)), st.just(n - 1)))
+    X = np.random.default_rng(seed).integers(0, levels, size=(n, d)).astype(np.float64)
+    return X, k
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(tie_heavy_points())
+def test_knn_bit_identical_to_full_stable_argsort(case):
+    X, k = case
+    nb, ref = knn_neighbors(X, k), knn_argsort(X, k)
+    assert nb.indices.dtype == ref.indices.dtype
+    assert np.array_equal(nb.indices, ref.indices)
+    assert np.array_equal(nb.distances, ref.distances)
+
+
+def test_knn_bit_identical_across_blocks_on_real_valued_data(rng):
+    X = rng.normal(size=(2 * KNN_BLOCK_ROWS + 37, 6))
+    X[100] = X[7]  # one duplicate pair
+    X[300, 2] = np.nan  # NaN distances sort last, after the row's own +inf
+    for k in (1, 3, 5, 7):
+        nb, ref = knn_neighbors(X, k), knn_argsort(X, k)
+        assert np.array_equal(nb.indices, ref.indices)
+        assert np.array_equal(nb.distances, ref.distances, equal_nan=True)
+
+
+def test_effective_sigma_matches_loop_with_duplicates():
+    # three copies and a fourth point: the copies' neighbors all coincide
+    X = np.array([[0.0, 0.0]] * 3 + [[1.0, 0.0], [4.0, 0.0], [4.0, 0.0]])
+    for k in (1, 2, 3):
+        nb = knn_neighbors(X, k)
+        assert np.array_equal(_effective_sigma(nb), effective_sigma_loop(nb))
+    assert np.array_equal(_effective_sigma(knn_neighbors(X, 2)), [0, 0, 0, 1, 3, 3])
+
+
+def dense_between_oracle(X, y, k):
+    """2 X' L(W') X from the dense graph, with X centred so the oracle's
+    own sum does not cancel."""
+    Xc = X - X.mean(axis=0)
+    return 2.0 * Xc.T @ (laplacian(between_class_graph(X, y, k)) @ Xc)
+
+
+def between_rel_err(X, y, k):
+    form = 2.0 * between_class_form(X, y, knn_neighbors(X, k))
+    ref = dense_between_oracle(X, y, k)
+    return np.max(np.abs(form - ref)) / np.max(np.abs(ref))
+
+
+def test_between_form_zero_sigma_and_singleton_class():
+    # class 1: three copies (sigma = 0) and a point whose neighbors are the
+    # copies, so its links have a vanished scale but a positive distance;
+    # class 3 is a singleton
+    X = np.array([[0.0, 0.0]] * 3 + [[1.0, 0.5], [5.0, 1.0], [5.5, 2.0], [6.0, 0.0], [2.0, 7.0]])
+    y = np.array([1, 1, 1, 1, 2, 2, 2, 3])
+    nb = knn_neighbors(X, 2)
+    sigma = _effective_sigma(nb)
+    assert sigma[0] == 0.0 and sigma[3] > 0.0 and set(nb.indices[3]) <= {0, 1, 2}
+    for offset in (0.0, 1e4):
+        assert between_rel_err(X + offset, y, 2) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(3, 40), st.integers(1, 5), st.integers(1, 4), st.integers(1, 6),
+    st.sampled_from([0.0, 1e4]), st.booleans(), st.integers(0, 2**32 - 1),
+)
+def test_between_form_matches_dense_oracle(n, d, n_classes, k, offset, duplicates, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    if duplicates:
+        X[rng.integers(0, n, size=n // 2)] = X[0]
+    y = rng.integers(1, n_classes + 1, size=n)
+    y[-1] = n_classes + 1  # a singleton class
+    assert between_rel_err(X + offset, y, min(k, n - 1)) <= 1e-12
 
 
 def test_within_graph_rules():

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from conftest import random_labeled
+from graph_oracles import between_class_graph, laplacian
 from mpda.dataset import LabeledDataset
 from mpda.errors import (
     DimensionMismatchError,
@@ -10,8 +13,9 @@ from mpda.errors import (
     ParseError,
     ResourceLimitError,
 )
-from mpda.graph import between_class_graph, knn_neighbors, laplacian, within_class_graph
+from mpda.graph import between_class_form, knn_neighbors, within_class_graph
 from mpda.model import (
+    _graphs,
     assemble_between,
     assemble_within,
     fit_mpda,
@@ -62,8 +66,9 @@ def build_instance(ds, k=3, kprime=3, max_patch=5, energy=0.95):
     layout = layout_for(ds.d, bases)
     nb = knn_neighbors(X, min(k, ds.n - 1))
     W = within_class_graph(nb, y)
-    Wp = between_class_graph(X, y, min(k, ds.n - 1))
-    return X, y, patch_of, bases, layout, W, Wp
+    Sp = assemble_between(between_class_form(X, y, nb), layout)
+    Wp = between_class_graph(X, y, min(k, ds.n - 1))  # dense oracle of Sp's graph
+    return X, y, patch_of, bases, layout, W, Sp, Wp
 
 
 def split_f(f, layout, n_blocks):
@@ -77,9 +82,8 @@ def test_quadratic_forms_match_direct_sums(rng):
     for _ in range(8):
         ds = random_labeled(rng)
         gamma = float(rng.uniform(0.05, 5.0))
-        X, y, patch_of, bases, layout, W, Wp = build_instance(ds)
+        X, y, patch_of, bases, layout, W, Sp, Wp = build_instance(ds)
         S = assemble_within(X, W, patch_of, bases, gamma, layout)
-        Sp = assemble_between(X, Wp, layout)
         Wd = W.toarray()
         for _ in range(30):
             f = rng.normal(size=layout.total)
@@ -98,7 +102,7 @@ def test_same_patch_pairs_skip_tangent_term(rng):
     X = rng.normal(size=(8, 3))
     y = np.ones(8, dtype=int)
     ds = LabeledDataset(X, y)
-    X_, y_, patch_of, bases, layout, W, _ = build_instance(ds, max_patch=100)
+    X_, y_, patch_of, bases, layout, W, _, _ = build_instance(ds, max_patch=100)
     assert len(bases) == 1
     S0 = assemble_within(X_, W, patch_of, bases, 0.0, layout)
     S9 = assemble_within(X_, W, patch_of, bases, 9.0, layout)
@@ -108,7 +112,7 @@ def test_same_patch_pairs_skip_tangent_term(rng):
 def test_zero_order_reduction(rng):
     # with v = 0 the quadratic collapses to the graph-Laplacian scatter
     ds = random_labeled(rng)
-    X, y, patch_of, bases, layout, W, _ = build_instance(ds, k=4)
+    X, y, patch_of, bases, layout, W, _, _ = build_instance(ds, k=4)
     S = assemble_within(X, W, patch_of, bases, 1.3, layout)
     ref = 2.0 * X.T @ (laplacian(W) @ X)
     scale = max(np.max(np.abs(ref)), 1e-30)
@@ -122,7 +126,7 @@ def test_zero_order_reduction(rng):
 
 def test_assemble_within_symmetric_psd(rng):
     ds = random_labeled(rng)
-    X, y, patch_of, bases, layout, W, _ = build_instance(ds)
+    X, y, patch_of, bases, layout, W, _, _ = build_instance(ds)
     S = assemble_within(X, W, patch_of, bases, 2.0, layout)
     assert np.allclose(S, S.T)
     assert np.linalg.eigvalsh(S).min() > -1e-8
@@ -131,7 +135,7 @@ def test_assemble_within_symmetric_psd(rng):
 
 def test_assemble_within_layout_mismatch(rng):
     ds = random_labeled(rng)
-    X, y, patch_of, bases, layout, W, _ = build_instance(ds)
+    X, y, patch_of, bases, layout, W, _, _ = build_instance(ds)
     with pytest.raises(LayoutMismatchError):
         assemble_within(X, W, patch_of[:-1], bases, 1.0, layout)
     with pytest.raises(LayoutMismatchError):
@@ -140,12 +144,29 @@ def test_assemble_within_layout_mismatch(rng):
 
 def test_assemble_between_block_structure(rng):
     ds = random_labeled(rng)
-    X, y, patch_of, bases, layout, W, Wp = build_instance(ds)
-    Sp = assemble_between(X, Wp, layout)
+    X, y, patch_of, bases, layout, W, Sp, Wp = build_instance(ds)
     d = ds.d
     assert np.all(Sp[d:, :] == 0.0) and np.all(Sp[:, d:] == 0.0)
-    zero = assemble_between(X, np.zeros((ds.n, ds.n)), layout)
+    zero = assemble_between(np.zeros((d, d)), layout)
     assert np.all(zero == 0.0)
+    with pytest.raises(LayoutMismatchError):
+        assemble_between(np.zeros((d + 1, d + 1)), layout)
+
+
+def test_graphs_stage_holds_no_n_by_n_array():
+    # the k-NN search works on row blocks and the between-class form on class
+    # sums and neighbor edges, so the stage peaks below one n x n float64 array
+    n = 6000
+    rng = np.random.default_rng(7)
+    ds = LabeledDataset(rng.normal(size=(n, 3)), rng.integers(1, 4, size=n))
+    tracemalloc.start()
+    try:
+        W, XtLX = _graphs(ds, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert W.shape == (n, n) and XtLX.shape == (3, 3)
+    assert peak < 8 * n * n
 
 
 def test_solve_gep_identity_pencil():
@@ -179,10 +200,9 @@ def test_solve_gep_matches_dense_oracle(rng):
 def test_gep_residuals_on_fitted_models(rng):
     for _ in range(5):
         ds = random_labeled(rng)
-        X, y, patch_of, bases, layout, W, Wp = build_instance(ds)
+        X, y, patch_of, bases, layout, W, Sp, _ = build_instance(ds)
         gamma, alpha = 1.0, 1e-3
         S = assemble_within(X, W, patch_of, bases, gamma, layout)
-        Sp = assemble_between(X, Wp, layout)
         m = min(ds.d, 3)
         vals, vecs = solve_gep(Sp, S, alpha, m, t_dim=ds.d)
         B = S + alpha * np.eye(layout.total)
@@ -330,7 +350,7 @@ def test_edge_residuals_diagnostic(rng):
     from mpda.model import edge_residuals
 
     ds = random_labeled(rng)
-    X, y, patch_of, bases, layout, W, Wp = build_instance(ds)
+    X, y, patch_of, bases, layout, W, _, _ = build_instance(ds)
     gamma = 1.0
     S = assemble_within(X, W, patch_of, bases, gamma, layout)
     f = rng.normal(size=layout.total)
@@ -403,7 +423,7 @@ def test_zero_variance_patch_in_fit(rng):
     ds = LabeledDataset(X, y)
     model = fit_mpda(ds, m=1, k=2)
     assert np.isfinite(model.projection).all()
-    X_, y_, patch_of, bases, layout, W, Wp = build_instance(ds, k=2)
+    X_, y_, patch_of, bases, layout, W, _, _ = build_instance(ds, k=2)
     assert any(b.dim == 0 for b in bases)
     S = assemble_within(X_, W, patch_of, bases, 1.5, layout)
     Wd = W.toarray()

@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+import mpda.graph
 from mpda.geodesy import geodesic_distances
 from mpda.partition import partition_class, split_patch
 
@@ -23,6 +27,15 @@ def test_small_class_single_patch(rng):
 def test_singleton_class():
     part = partition_class(np.array([[1.0, 2.0]]), kprime=3, max_patch=5)
     assert part.n_patches == 1 and part.linearity[0] == 1.0
+
+
+def test_partition_computes_one_distance_matrix(rng):
+    X = rng.normal(size=(30, 3))
+    for approximate in (False, True):
+        with mock.patch.object(mpda.graph, "cdist", wraps=cdist) as spy:
+            part = partition_class(X, kprime=4, max_patch=5, approximate=approximate)
+        check_invariants(part, 30, 5)
+        assert spy.call_count == 1
 
 
 def test_two_point_split():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import mpda.model
 from mpda.dataset import LabeledDataset
-from mpda.graph import between_class_graph, knn_neighbors, within_class_graph
+from mpda.graph import between_class_form, knn_neighbors, within_class_graph
 from mpda.model import (
     assemble_between,
     assemble_within,
@@ -75,9 +75,10 @@ def test_empty_vblock_is_plain_dxd_solve(rng):
     bases = [fit_tangent_basis(X[[i]]) for i in range(len(X))]
     layout = layout_for(4, bases)
     assert layout.total == 4
-    W = within_class_graph(knn_neighbors(X, 3), y)
+    nb = knn_neighbors(X, 3)
+    W = within_class_graph(nb, y)
     S = assemble_within(X, W, np.arange(len(X)), bases, 1.0, layout)
-    Sp = assemble_between(X, between_class_graph(X, y, 3), layout)
+    Sp = assemble_between(between_class_form(X, y, nb), layout)
     vals, vecs = solve_gep(Sp, S, 1e-3, 3, t_dim=4)
     vals_all, vecs_all = solve_gep(Sp, S, 1e-3, 3)
     assert np.array_equal(vals, vals_all) and np.array_equal(vecs, vecs_all)
