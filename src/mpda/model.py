@@ -437,14 +437,10 @@ def edge_residuals(
     X = np.asarray(X, dtype=np.float64)
     Wc = sp.coo_matrix(W)
     t = f[: layout.d]
-    vals = np.zeros(Wc.nnz)
-    for e, (i, j) in enumerate(zip(Wc.row, Wc.col)):
-        if i == j:
-            continue
-        dij = X[i] - X[j]
-        pj = int(patch_of[j])
-        vj = f[layout.v_slice(pj)]
-        vals[e] = (t @ dij - vj @ (bases[pj].basis.T @ dij)) ** 2
+    # U[p] = T_p v_p, so v_p' T_p'(x_i - x_j) = (x_i - x_j)' U[p]
+    U = np.stack([b.basis @ f[layout.v_slice(p)] for p, b in enumerate(bases)])
+    D = X[Wc.row] - X[Wc.col]  # a self-loop's row is 0, and so is its value
+    vals = (D @ t - np.einsum("ed,ed->e", D, U[patch_of[Wc.col]])) ** 2
     return sp.coo_matrix((vals, (Wc.row, Wc.col)), shape=Wc.shape)
 
 

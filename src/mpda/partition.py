@@ -9,6 +9,7 @@ stops once no patch exceeds the size cap M.
 
 All geodesic information is computed once on the whole class and never
 refreshed after splits; patch scores always read from that frozen matrix.
+Each patch's linearity is computed once, when the patch is formed.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnreachablePairError
 from .geodesy import (
     GeodesicMatrix,
     geodesic_distances,
     graph_components,
     neighbor_graph_matrix,
+    pair_tortuosity,
     patch_linearity,
 )
 from .graph import NeighborLists, _nearest, pairwise_euclidean
@@ -54,21 +55,20 @@ def split_patch(
     """Split one patch in two by growing from its most geodesically distant pair.
 
     Returns two disjoint sorted index arrays covering the input patch.
-    Ratio sums for the running linearity*size scores are maintained
-    incrementally, so one split costs O(size^2) overall.
+    Each side keeps every member's distance to its nearest point on that
+    side, lowered with the columns of the points it absorbs, and the ratio
+    sums for the running linearity*size scores grow with each absorption.
+    One split thus reads O(size^2) distances and ratios in all, plus one
+    sort of the remaining pool per growth round.
     """
     members = np.sort(np.asarray(members, dtype=np.int64))
     s = members.size
     if s < 2:
         raise ValueError("cannot split a patch with fewer than 2 points")
-    DG = dist.geodesic[np.ix_(members, members)]
-    DE = dist.euclidean[np.ix_(members, members)]
-    if np.any(np.isinf(DG)):
-        raise UnreachablePairError("patch contains mutually unreachable points")
-    R = np.ones_like(DG)
-    off = ~np.eye(s, dtype=bool)
-    positive = off & (DE > 0)
-    R[positive] = DG[positive] / DE[positive]
+    R = pair_tortuosity(dist, members)
+    block = np.ix_(members, members)
+    DG = dist.geodesic[block]
+    DE = dist.euclidean[block]
 
     flat = int(np.argmax(DG))  # row-major first occurrence = lowest (i, j)
     a, b = divmod(flat, s)
@@ -80,28 +80,39 @@ def split_patch(
     in_right = np.zeros(s, dtype=bool)
     in_left[seed_l] = True
     in_right[seed_r] = True
+    near_l = DE[:, seed_l].copy()  # distance to the nearest left point
+    near_r = DE[:, seed_r].copy()
     pool = np.ones(s, dtype=bool)
     pool[[seed_l, seed_r]] = False
     sum_l = sum_r = 1.0  # each side starts as one point with ratio 1
 
-    def absorb(side: np.ndarray, ratio_sum: float, new: np.ndarray) -> float:
-        ratio_sum += 2.0 * float(R[np.ix_(new, np.flatnonzero(side))].sum())
-        ratio_sum += float(R[np.ix_(new, new)].sum())
+    def absorb(side: np.ndarray, near: np.ndarray, ratio_sum: float, new: np.ndarray) -> float:
+        rows = R[new]
+        # compress/take keep the row-major layout of R[np.ix_(...)], so the
+        # sums add in the same order
+        ratio_sum += 2.0 * float(rows.compress(side, axis=1).sum())
+        ratio_sum += float(rows.take(new, axis=1).sum())
         side[new] = True
+        np.minimum(near, DE[:, new].min(axis=1), out=near)
         return ratio_sum
+
+    def nearest(near: np.ndarray, pool_idx: np.ndarray, take: int) -> np.ndarray:
+        pick = np.zeros(s, dtype=bool)
+        pick[pool_idx[np.argsort(near[pool_idx], kind="stable")[:take]]] = True
+        return pick
 
     while pool.any():
         pool_idx = np.flatnonzero(pool)
         take = min(kprime, pool_idx.size)
-        dl = DE[np.ix_(pool_idx, np.flatnonzero(in_left))].min(axis=1)
-        dr = DE[np.ix_(pool_idx, np.flatnonzero(in_right))].min(axis=1)
-        near_l = pool_idx[np.argsort(dl, kind="stable")[:take]]
-        near_r = pool_idx[np.argsort(dr, kind="stable")[:take]]
-        joint = np.intersect1d(near_l, near_r)
-        only_l = np.setdiff1d(near_l, joint)
-        only_r = np.setdiff1d(near_r, joint)
-        sum_l = absorb(in_left, sum_l, only_l)
-        sum_r = absorb(in_right, sum_r, only_r)
+        pick_l = nearest(near_l, pool_idx, take)
+        pick_r = nearest(near_r, pool_idx, take)
+        joint = np.flatnonzero(pick_l & pick_r)
+        only_l = np.flatnonzero(pick_l & ~pick_r)
+        only_r = np.flatnonzero(pick_r & ~pick_l)
+        if only_l.size:
+            sum_l = absorb(in_left, near_l, sum_l, only_l)
+        if only_r.size:
+            sum_r = absorb(in_right, near_r, sum_r, only_r)
         pool[only_l] = False
         pool[only_r] = False
         if joint.size:
@@ -110,9 +121,9 @@ def split_patch(
             score_l = sum_l / in_left.sum()  # (sum/n^2) * n
             score_r = sum_r / in_right.sum()
             if score_l > score_r:
-                sum_r = absorb(in_right, sum_r, joint)
+                sum_r = absorb(in_right, near_r, sum_r, joint)
             else:
-                sum_l = absorb(in_left, sum_l, joint)
+                sum_l = absorb(in_left, near_l, sum_l, joint)
             pool[joint] = False
     return members[in_left], members[in_right]
 
@@ -156,23 +167,26 @@ def partition_class(
         comp = graph_components(G)
         patches = [np.flatnonzero(comp == c) for c in range(comp.max() + 1)]
 
+    # one linearity per patch: the initial components, then both halves
+    # of each split
+    lin = [1.0 if approximate else patch_linearity(m, dist) for m in patches]
     while True:
         oversize = [p for p, m in enumerate(patches) if len(m) > max_patch]
         if not oversize:
             break
-        if approximate:
-            scores = {p: float(len(patches[p])) for p in oversize}
-        else:
-            scores = {p: patch_linearity(patches[p], dist) * len(patches[p]) for p in oversize}
-        best = max(oversize, key=lambda p: (scores[p], -p))  # ties: lowest patch id
+        # ties: lowest patch id
+        best = max(oversize, key=lambda p: (lin[p] * len(patches[p]), -p))
         left, right = split_patch(patches[best], dist, kprime)
         patches[best] = left
         patches.append(right)
+        if approximate:
+            lin.append(1.0)
+        else:
+            lin[best] = patch_linearity(left, dist)
+            lin.append(patch_linearity(right, dist))
 
     patch_of = np.empty(n, dtype=np.int64)
     for pid, m in enumerate(patches):
         patch_of[m] = pid
-    linearity = np.array(
-        [1.0 if approximate else patch_linearity(m, dist) for m in patches]
-    )
+    linearity = np.array(lin)
     return Partition(patches=patches, patch_of=patch_of, linearity=linearity)

@@ -1,0 +1,123 @@
+"""Reference partitioner the production one in ``mpda.partition`` is checked against.
+
+These are the former loops of ``split_patch`` and ``partition_class``:
+each growth round recomputes both sides' nearest distances from the
+patch's distance block, and every pass of the driver loop recomputes the
+linearity of every oversize patch.  The outputs define the partitions the
+production code must reproduce bit for bit.
+"""
+
+import numpy as np
+
+from mpda.errors import UnreachablePairError
+from mpda.geodesy import (
+    GeodesicMatrix,
+    geodesic_distances,
+    graph_components,
+    neighbor_graph_matrix,
+    patch_linearity,
+)
+from mpda.graph import NeighborLists, _nearest, pairwise_euclidean
+from mpda.partition import Partition
+
+
+def split_patch_loop(members, dist, kprime):
+    """Grow both sides from the most distant pair, rescanning the sides each round."""
+    members = np.sort(np.asarray(members, dtype=np.int64))
+    s = members.size
+    if s < 2:
+        raise ValueError("cannot split a patch with fewer than 2 points")
+    DG = dist.geodesic[np.ix_(members, members)]
+    DE = dist.euclidean[np.ix_(members, members)]
+    if np.any(np.isinf(DG)):
+        raise UnreachablePairError("patch contains mutually unreachable points")
+    R = np.ones_like(DG)
+    off = ~np.eye(s, dtype=bool)
+    positive = off & (DE > 0)
+    R[positive] = DG[positive] / DE[positive]
+
+    flat = int(np.argmax(DG))  # row-major first occurrence = lowest (i, j)
+    a, b = divmod(flat, s)
+    if a == b:  # all-zero geodesics (coincident points)
+        a, b = 0, 1
+    seed_l, seed_r = min(a, b), max(a, b)
+
+    in_left = np.zeros(s, dtype=bool)
+    in_right = np.zeros(s, dtype=bool)
+    in_left[seed_l] = True
+    in_right[seed_r] = True
+    pool = np.ones(s, dtype=bool)
+    pool[[seed_l, seed_r]] = False
+    sum_l = sum_r = 1.0  # each side starts as one point with ratio 1
+
+    def absorb(side, ratio_sum, new):
+        ratio_sum += 2.0 * float(R[np.ix_(new, np.flatnonzero(side))].sum())
+        ratio_sum += float(R[np.ix_(new, new)].sum())
+        side[new] = True
+        return ratio_sum
+
+    while pool.any():
+        pool_idx = np.flatnonzero(pool)
+        take = min(kprime, pool_idx.size)
+        dl = DE[np.ix_(pool_idx, np.flatnonzero(in_left))].min(axis=1)
+        dr = DE[np.ix_(pool_idx, np.flatnonzero(in_right))].min(axis=1)
+        near_l = pool_idx[np.argsort(dl, kind="stable")[:take]]
+        near_r = pool_idx[np.argsort(dr, kind="stable")[:take]]
+        joint = np.intersect1d(near_l, near_r)
+        only_l = np.setdiff1d(near_l, joint)
+        only_r = np.setdiff1d(near_r, joint)
+        sum_l = absorb(in_left, sum_l, only_l)
+        sum_r = absorb(in_right, sum_r, only_r)
+        pool[only_l] = False
+        pool[only_r] = False
+        if joint.size:
+            score_l = sum_l / in_left.sum()  # (sum/n^2) * n
+            score_r = sum_r / in_right.sum()
+            if score_l > score_r:
+                sum_r = absorb(in_right, sum_r, joint)
+            else:
+                sum_l = absorb(in_left, sum_l, joint)
+            pool[joint] = False
+    return members[in_left], members[in_right]
+
+
+def partition_class_loop(Xc, kprime, max_patch, approximate=False):
+    """Split the top-scoring oversize patch until none is left, rescoring every pass."""
+    Xc = np.atleast_2d(np.asarray(Xc, dtype=np.float64))
+    n = Xc.shape[0]
+    if n == 1:
+        return Partition(
+            patches=[np.array([0])], patch_of=np.zeros(1, dtype=np.int64), linearity=np.ones(1)
+        )
+
+    DE = pairwise_euclidean(Xc)
+    if approximate:
+        dist = GeodesicMatrix(geodesic=DE, euclidean=DE)
+        patches = [np.arange(n, dtype=np.int64)]
+    else:
+        k_eff = min(kprime, n - 1)
+        G = neighbor_graph_matrix(NeighborLists(*_nearest(DE.copy(), k_eff), k=k_eff))
+        dist = geodesic_distances(Xc, graph=G, euclidean=DE)
+        comp = graph_components(G)
+        patches = [np.flatnonzero(comp == c) for c in range(comp.max() + 1)]
+
+    while True:
+        oversize = [p for p, m in enumerate(patches) if len(m) > max_patch]
+        if not oversize:
+            break
+        if approximate:
+            scores = {p: float(len(patches[p])) for p in oversize}
+        else:
+            scores = {p: patch_linearity(patches[p], dist) * len(patches[p]) for p in oversize}
+        best = max(oversize, key=lambda p: (scores[p], -p))
+        left, right = split_patch_loop(patches[best], dist, kprime)
+        patches[best] = left
+        patches.append(right)
+
+    patch_of = np.empty(n, dtype=np.int64)
+    for pid, m in enumerate(patches):
+        patch_of[m] = pid
+    linearity = np.array(
+        [1.0 if approximate else patch_linearity(m, dist) for m in patches]
+    )
+    return Partition(patches=patches, patch_of=patch_of, linearity=linearity)

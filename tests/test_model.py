@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from conftest import random_labeled
 from graph_oracles import between_class_graph, laplacian
@@ -360,6 +361,41 @@ def test_edge_residuals_diagnostic(rng):
     # summing the per-edge pairwise terms recovers the gamma=0 quadratic
     S0 = assemble_within(X, W, patch_of, bases, 0.0, layout)
     assert np.isclose(res.data.sum(), f @ S0 @ f, rtol=1e-10)
+
+
+def edge_residuals_loop(X, W, patch_of, bases, layout, f):
+    """Per-edge oracle of ``edge_residuals``: one Python pass per edge."""
+    Wc = sp.coo_matrix(W)
+    t = f[: layout.d]
+    vals = np.zeros(Wc.nnz)
+    for e, (i, j) in enumerate(zip(Wc.row, Wc.col)):
+        if i == j:
+            continue
+        dij = X[i] - X[j]
+        pj = int(patch_of[j])
+        vj = f[layout.v_slice(pj)]
+        vals[e] = (t @ dij - vj @ (bases[pj].basis.T @ dij)) ** 2
+    return sp.coo_matrix((vals, (Wc.row, Wc.col)), shape=Wc.shape)
+
+
+def test_edge_residuals_match_per_edge_loop(rng):
+    from mpda.model import edge_residuals
+
+    for _ in range(5):
+        ds = random_labeled(rng)
+        X, y, patch_of, bases, layout, W, _, _ = build_instance(ds)
+        # one self-loop on top of the graph's edges: its residual stays 0
+        W = sp.coo_matrix(W)
+        W = sp.coo_matrix((np.append(W.data, 1.0), (np.append(W.row, 0), np.append(W.col, 0))),
+                          shape=W.shape)
+        f = rng.normal(size=layout.total)
+        got = edge_residuals(X, W, patch_of, bases, layout, f)
+        ref = edge_residuals_loop(X, W, patch_of, bases, layout, f)
+        assert np.array_equal(got.row, ref.row) and np.array_equal(got.col, ref.col)
+        assert got.data[-1] == 0.0
+        # (T_p v_p)'d replaces v_p'(T_p'd): the two orders of the products
+        # agree to rounding, 1e-12 of the largest residual
+        assert np.allclose(got.data, ref.data, rtol=0.0, atol=1e-12 * ref.data.max())
 
 
 def multimodal_xor(seed, n_per_cluster=30, d=6):

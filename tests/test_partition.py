@@ -2,11 +2,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 import mpda.graph
-from mpda.geodesy import geodesic_distances
+import mpda.partition
+from mpda.geodesy import geodesic_distances, graph_components, neighbor_graph_matrix
+from mpda.graph import knn_neighbors
 from mpda.partition import partition_class, split_patch
+from partition_oracles import partition_class_loop
 
 
 def check_invariants(part, n, max_patch):
@@ -115,3 +120,67 @@ def test_duplicate_points_partition(rng):
     X = np.zeros((23, 2))  # all coincident
     part = partition_class(X, kprime=6, max_patch=10)
     check_invariants(part, 23, 10)
+
+
+SHAPES = ("gaussian", "grid", "collinear", "coincident", "duplicates", "groups")
+
+
+@st.composite
+def class_points(draw):
+    """One class's points in a shape that stresses the partitioner's ties.
+
+    ``grid`` puts points on a coarse integer grid (tied distances),
+    ``duplicates`` repeats a few rows, ``coincident`` makes every point
+    the same, and ``groups`` places far-apart clusters so the k'-NN graph
+    falls into several components.  k' ranges past the class size.
+    """
+    shape = draw(st.sampled_from(SHAPES))
+    n = draw(st.integers(1, 60))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "gaussian":
+        X = rng.normal(size=(n, d))
+    elif shape == "grid":
+        X = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+    elif shape == "collinear":
+        X = np.outer(rng.integers(-5, 6, size=n), rng.normal(size=d))
+    elif shape == "coincident":
+        X = np.tile(rng.normal(size=d), (n, 1))
+    elif shape == "duplicates":
+        X = rng.normal(size=(max(1, n // 3), d))[rng.integers(0, max(1, n // 3), size=n)]
+    else:
+        groups = rng.integers(0, 3, size=n)
+        X = rng.normal(size=(n, d)) + 1e3 * groups[:, None]
+    kprime = draw(st.one_of(st.integers(1, 8), st.integers(n, n + 5)))
+    max_patch = draw(st.integers(1, 15))
+    return X, kprime, max_patch, draw(st.booleans())
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(class_points())
+def test_partition_bit_identical_to_rescanning_oracle(case):
+    X, kprime, max_patch, approximate = case
+    part = partition_class(X, kprime, max_patch, approximate)
+    ref = partition_class_loop(X, kprime, max_patch, approximate)
+    assert len(part.patches) == len(ref.patches)
+    for got, want in zip(part.patches, ref.patches):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(part.patch_of, ref.patch_of)
+    assert part.linearity.tobytes() == ref.linearity.tobytes()
+    check_invariants(part, X.shape[0], max_patch)
+
+
+def test_linearity_computed_once_per_patch(rng):
+    # two far-apart clusters: two components, each split many times
+    X = np.vstack([rng.normal(size=(100, 3)), rng.normal(size=(100, 3)) + 1e3])
+    kprime, max_patch = 6, 10
+    components = graph_components(neighbor_graph_matrix(knn_neighbors(X, kprime))).max() + 1
+    lin_spy = mock.patch.object(
+        mpda.partition, "patch_linearity", wraps=mpda.partition.patch_linearity
+    )
+    split_spy = mock.patch.object(mpda.partition, "split_patch", wraps=split_patch)
+    with lin_spy as lin, split_spy as split:
+        part = partition_class(X, kprime, max_patch)
+    check_invariants(part, 200, max_patch)
+    assert components == 2 and split.call_count == part.n_patches - components
+    assert lin.call_count == components + 2 * split.call_count
