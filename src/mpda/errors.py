@@ -50,10 +50,6 @@ class DegenerateFoldsError(DataError):
     """Cross-validation folds cannot be stratified (class smaller than fold count)."""
 
 
-class AsymmetricInputError(ComputeError):
-    """A weight matrix that must be symmetric is not."""
-
-
 class UnreachablePairError(ComputeError):
     """A patch contains points with infinite geodesic distance between them."""
 

@@ -8,17 +8,15 @@ Reproducibility contract
   over the folds (member j of the shuffled list goes to fold j mod folds).
 * ``benchmark`` expands its master seed into per-split seeds as
   ``split_seed = master_seed * 1000 + split_index`` (0-based); the same
-  value seeds that split's CV folds.  Parallel execution over splits or
-  grid points never changes any reported number.
+  value seeds that split's CV folds.  Parallel execution over splits
+  never changes any reported number.
 """
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,18 +30,7 @@ from .errors import (
     EmptyTrainSetError,
     LengthMismatchError,
 )
-from .model import (
-    EmbeddingModel,
-    _graphs,
-    _patch_bases,
-    _point_bases,
-    _solve,
-    assemble_between,
-    fit_mpda,
-    fit_pmpda,
-    layout_for,
-    transform,
-)
+from .model import EmbeddingModel, fit_mpda, fit_pmpda, staged_fits, transform
 
 ALGORITHMS = ("mpda", "pmpda", "lda", "pca")
 
@@ -157,69 +144,24 @@ class CVResult:
     table: list[dict] = field(default_factory=list)  # rows: params, m, mean_accuracy
 
 
-def _full_params(fit, m: int, params: dict) -> dict:
-    """Every hyperparameter ``fit(train, m, **params)`` would use, defaults included.
-
-    Raises ``TypeError`` for a name the fit does not take, as the call would.
-    """
-    bound = inspect.signature(fit).bind(None, m, **params)
-    bound.apply_defaults()
-    return {name: value for name, value in bound.arguments.items() if name != "train"}
-
-
-# algorithm -> its fit and its bases stage, which reads the hyperparameters
-# its signature names after ``train``
-_STAGED = {"mpda": (fit_mpda, _patch_bases), "pmpda": (fit_pmpda, _point_bases)}
-
-
 def _fold_errors(
     algorithm: str,
     tr: LabeledDataset,
     va: LabeledDataset,
     combos: list[dict],
     m_grid: list[int],
-    run,
 ) -> list[dict[int, float]]:
-    """Validation error at every m in ``m_grid`` of each combo fitted on one fold.
-
-    ``run`` maps a function over combo indices (``map`` or a pool's).  For
-    the staged algorithms the stages run here, in this thread, before the
-    combos that share them are handed to ``run``.
-    """
+    """Validation error at every m in ``m_grid`` of each combo fitted on one fold."""
     m_max = m_grid[-1]
-
-    def errors(model: EmbeddingModel) -> dict[int, float]:
-        return _nn_errors_over_dims(
+    if algorithm in ("mpda", "pmpda"):
+        fits = staged_fits(algorithm, tr, m_max, combos)
+    else:
+        fits = ((i, fit_algorithm(algorithm, tr, m_max, p)) for i, p in enumerate(combos))
+    out: list = [None] * len(combos)
+    for i, model in fits:
+        out[i] = _nn_errors_over_dims(
             transform(model, tr.features), tr.labels, transform(model, va.features), va.labels, m_grid
         )
-
-    if algorithm not in _STAGED:
-        return list(run(lambda p: errors(fit_algorithm(algorithm, tr, m_max, p)), combos))
-
-    fit, bases_stage = _STAGED[algorithm]
-    bases_keys = list(inspect.signature(bases_stage).parameters)[1:]
-    hp = [_full_params(fit, m_max, p) for p in combos]
-    groups: dict = {}  # k -> bases key -> combo indices, in grid order
-    for i, h in enumerate(hp):
-        groups.setdefault(h["k"], {}).setdefault(tuple(h[n] for n in bases_keys), []).append(i)
-    bases: dict = {}
-    for by_key in groups.values():
-        for key in by_key:
-            if key not in bases:
-                bases[key] = bases_stage(tr, *key)
-
-    out: list = [None] * len(combos)
-    for k, by_key in groups.items():
-        W, XtLX = _graphs(tr, k)
-        for key, idx in by_key.items():
-            patch_of, B = bases[key]
-            Sp = assemble_between(XtLX, layout_for(tr.d, B))
-
-            def solve(i: int) -> dict[int, float]:
-                return errors(_solve(algorithm, tr, patch_of, B, W, Sp, hp[i]))
-
-            for i, errs in zip(idx, run(solve, idx)):
-                out[i] = errs
     return out
 
 
@@ -230,7 +172,6 @@ def cross_validate(
     m_grid: list[int] | None = None,
     folds: int = 4,
     seed: int = 0,
-    jobs: int = 1,
 ) -> CVResult:
     """Pick hyperparameters (and the embedding width m) by stratified CV.
 
@@ -238,15 +179,16 @@ def cross_validate(
     evaluated at every m by truncation; mean validation accuracy decides.
     Ties keep the earliest grid combination, then the smallest m.
 
-    For ``mpda`` and ``pmpda`` each fold runs every fit stage once per
-    distinct input it reads: the partition and its tangent bases once per
+    For ``mpda`` and ``pmpda`` each fold fits the whole grid through
+    ``model.staged_fits``, which runs every fit stage once per distinct
+    input it reads: the partition and its tangent bases once per
     (kprime, max_patch, energy, approximate_partition), PMPDA's per-point
-    bases once per (k, energy), the k-NN graphs and the between-class form
-    once per k, and only the within-class form and the eigen-solve once
-    per combination.  Each stage computes exactly what a separate fit of
-    that combination computes, so the table is the same as fitting every
-    combination from scratch.  ``jobs > 1`` spreads the combinations that
-    share a fold's stages over that many threads; results do not change.
+    bases once per (k, energy), the k-NN graphs once per k, the
+    between-class form once per (k, bases), the within-class form once per
+    (k, bases, gamma), and only the eigen-solve once per combination.  Each
+    stage computes exactly what a separate fit of that combination
+    computes, so the table is the same as fitting every combination from
+    scratch.
     """
     if grid is None:
         grid = DEFAULT_GRIDS[algorithm]
@@ -258,16 +200,12 @@ def cross_validate(
     fold_of = stratified_folds(train.labels, folds, seed)
     combos = _grid_combos(grid)
     acc = [{m: [] for m in m_grid} for _ in combos]
-
-    parallel = jobs > 1 and len(combos) > 1
-    with ThreadPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
-        run = pool.map if parallel else map
-        for f in range(folds):
-            tr = train.subset(np.flatnonzero(fold_of != f))
-            va = train.subset(np.flatnonzero(fold_of == f))
-            for a, errs in zip(acc, _fold_errors(algorithm, tr, va, combos, m_grid, run)):
-                for m in m_grid:
-                    a[m].append(1.0 - errs[m])
+    for f in range(folds):
+        tr = train.subset(np.flatnonzero(fold_of != f))
+        va = train.subset(np.flatnonzero(fold_of == f))
+        for a, errs in zip(acc, _fold_errors(algorithm, tr, va, combos, m_grid)):
+            for m in m_grid:
+                a[m].append(1.0 - errs[m])
     table = [
         {"params": params, "m": m, "mean_accuracy": float(np.mean(a[m]))}
         for params, a in zip(combos, acc)

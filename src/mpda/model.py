@@ -33,6 +33,7 @@ point, whose basis comes from the point's within-class neighborhood.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field
 
@@ -50,7 +51,7 @@ from .errors import (
     SolverFailureError,
 )
 from .graph import between_class_form, knn_neighbors, within_class_graph
-from .partition import DEFAULT_KPRIME, DEFAULT_MAX_PATCH, Partition, partition_class
+from .partition import DEFAULT_KPRIME, DEFAULT_MAX_PATCH, partition_class
 from .tangent import DEFAULT_ENERGY, TangentBasis, fit_tangent_basis, per_point_bases
 
 DEFAULT_K = 5
@@ -275,40 +276,40 @@ def transform(model: EmbeddingModel, X: np.ndarray) -> np.ndarray:
 
 def merge_class_partitions(
     ds: LabeledDataset, kprime: int, max_patch: int, approximate: bool = False
-) -> tuple[np.ndarray, list[np.ndarray], list[Partition]]:
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Partition every class independently and merge into global patch ids.
 
-    Returns the per-point patch assignment, the global member lists, and
-    the per-class Partition objects (classes in ascending label order).
+    Returns the per-point patch assignment and the global member lists
+    (classes in ascending label order).
     """
     patch_of = np.full(ds.n, -1, dtype=np.int64)
     members: list[np.ndarray] = []
-    per_class: list[Partition] = []
     for c in np.unique(ds.labels):
         rows = ds.class_indices(int(c))
         part = partition_class(ds.features[rows], kprime, max_patch, approximate)
-        per_class.append(part)
         for local_members in part.patches:
             pid = len(members)
             global_members = rows[local_members]
             members.append(global_members)
             patch_of[global_members] = pid
-    return patch_of, members, per_class
+    return patch_of, members
 
 
 # --- fit stages ---------------------------------------------------------------
 #
-# A fit is three stages, each reading only the hyperparameters it takes: a
-# bases stage (``_patch_bases`` or ``_point_bases``), ``_graphs`` (k) and
-# ``_solve`` (gamma, alpha, m).  ``cross_validate`` runs each stage once per
-# fold and distinct input, so a stage must depend on nothing else.
+# A fit runs four stages, each reading only the hyperparameters it takes: a
+# bases stage (``_patch_bases`` or ``_point_bases``, reading the names its
+# signature gives after ``train``), ``_graphs`` (k) with the between form
+# over the bases' layout, ``assemble_within`` (gamma) and ``solve_gep``
+# (alpha, m).  ``staged_fits`` runs each once per distinct input, so a stage
+# must depend on nothing else.
 
 
 def _patch_bases(
     train: LabeledDataset, kprime: int, max_patch: int, energy: float, approximate_partition: bool
 ) -> tuple[np.ndarray, list[TangentBasis]]:
     """MPDA bases stage: per-class partition, then one tangent basis per patch."""
-    patch_of, members, _ = merge_class_partitions(train, kprime, max_patch, approximate_partition)
+    patch_of, members = merge_class_partitions(train, kprime, max_patch, approximate_partition)
     return patch_of, [fit_tangent_basis(train.features[mem], energy) for mem in members]
 
 
@@ -333,43 +334,62 @@ def _graphs(train: LabeledDataset, k: int) -> tuple[sp.csr_matrix, np.ndarray]:
     )
 
 
-def _solve(
-    kind: str,
-    train: LabeledDataset,
-    patch_of: np.ndarray,
-    bases: list[TangentBasis],
-    W,
-    S_between: np.ndarray,
-    hyperparams: dict,
-) -> EmbeddingModel:
-    """Solve stage: within form for gamma, eigen-pencil for alpha and m.
+# bases-stage inputs that a model does not record in its hyperparameters
+_UNRECORDED = ("approximate_partition", "total_cap")
 
-    ``S_between`` is ``assemble_between`` over the layout of ``bases``.
+
+def staged_fits(kind: str, train: LabeledDataset, m: int, params_list: list[dict]):
+    """Fit ``kind`` ("mpda" or "pmpda") at width m once per dict of ``params_list``.
+
+    Yields ``(index, EmbeddingModel)`` per entry, in stage order rather than
+    list order.  Each entry holds keyword hyperparameters of the kind's fit
+    function, whose defaults fill the rest; an unknown name raises
+    ``TypeError`` as that call would.  Entries share every stage whose input
+    they share: the bases stage runs once per distinct bases key, the graphs
+    once per k, the between form once per (k, bases key), the within form
+    once per (k, bases key, gamma) and the eigen-solve once per alpha within
+    that.  Each stage computes what a single fit computes, so every model is
+    bit-identical to fitting its entry alone.
     """
-    layout = layout_for(train.d, bases)
-    S = assemble_within(train.features, W, patch_of, bases, hyperparams["gamma"], layout)
-    vals, vecs = solve_gep(S_between, S, hyperparams["alpha"], hyperparams["m"], t_dim=train.d)
-    return EmbeddingModel(
-        kind=kind,
-        projection=np.ascontiguousarray(vecs[: train.d, :]),
-        eigenvalues=vals,
-        hyperparams=hyperparams,
-        layout=layout,
-        eigenvectors=vecs,
-    )
+    fit, bases_stage = {"mpda": (fit_mpda, _patch_bases), "pmpda": (fit_pmpda, _point_bases)}[kind]
+    fit_sig = inspect.signature(fit)
+    bases_names = list(inspect.signature(bases_stage).parameters)[1:]
+    hp = []
+    for params in params_list:
+        bound = fit_sig.bind(None, m, **params)
+        bound.apply_defaults()
+        hp.append({n: v for n, v in bound.arguments.items() if n != "train"})
 
+    tree: dict = {}  # bases key -> k -> gamma -> alpha -> entry indices
+    for i, h in enumerate(hp):
+        node = tree
+        for key in (tuple(h[n] for n in bases_names), h["k"], h["gamma"]):
+            node = node.setdefault(key, {})
+        node.setdefault(h["alpha"], []).append(i)
 
-def _fit_stacked(
-    kind: str,
-    train: LabeledDataset,
-    patch_of: np.ndarray,
-    bases: list[TangentBasis],
-    hyperparams: dict,
-) -> EmbeddingModel:
-    """Graphs -> quadratic forms -> eigen-pencil; ``hyperparams`` gives m, k, gamma, alpha."""
-    W, XtLX = _graphs(train, hyperparams["k"])
-    Sp = assemble_between(XtLX, layout_for(train.d, bases))
-    return _solve(kind, train, patch_of, bases, W, Sp, hyperparams)
+    graphs: dict = {}  # k -> (W, X' L' X), small beside a set of bases
+    for key, by_k in tree.items():
+        patch_of, B = bases_stage(train, *key)
+        layout = layout_for(train.d, B)
+        for k, by_gamma in by_k.items():
+            if k not in graphs:
+                graphs[k] = _graphs(train, k)
+            W, XtLX = graphs[k]
+            Sp = assemble_between(XtLX, layout)
+            for gamma, by_alpha in by_gamma.items():
+                S = assemble_within(train.features, W, patch_of, B, gamma, layout)
+                for alpha, idx in by_alpha.items():
+                    vals, vecs = solve_gep(Sp, S, alpha, m, t_dim=train.d)
+                    model = EmbeddingModel(
+                        kind=kind,
+                        projection=np.ascontiguousarray(vecs[: train.d, :]),
+                        eigenvalues=vals,
+                        hyperparams={n: v for n, v in hp[idx[0]].items() if n not in _UNRECORDED},
+                        layout=layout,
+                        eigenvectors=vecs,
+                    )
+                    for i in idx:
+                        yield i, model
 
 
 def fit_mpda(
@@ -390,11 +410,11 @@ def fit_mpda(
     """
     if not 0 < m <= train.d:
         raise ValueError(f"m must lie in 1..{train.d}")
-    patch_of, bases = _patch_bases(train, kprime, max_patch, energy, approximate_partition)
-    return _fit_stacked("mpda", train, patch_of, bases, {
-        "m": m, "k": k, "kprime": kprime, "max_patch": max_patch,
-        "gamma": gamma, "alpha": alpha, "energy": energy,
-    })
+    (_, model), = staged_fits("mpda", train, m, [{
+        "k": k, "kprime": kprime, "max_patch": max_patch, "gamma": gamma, "alpha": alpha,
+        "energy": energy, "approximate_partition": approximate_partition,
+    }])
+    return model
 
 
 def fit_pmpda(
@@ -414,10 +434,10 @@ def fit_pmpda(
     """
     if not 0 < m <= train.d:
         raise ValueError(f"m must lie in 1..{train.d}")
-    patch_of, bases = _point_bases(train, k, energy, total_cap)
-    return _fit_stacked("pmpda", train, patch_of, bases, {
-        "m": m, "k": k, "gamma": gamma, "alpha": alpha, "energy": energy,
-    })
+    (_, model), = staged_fits("pmpda", train, m, [{
+        "k": k, "gamma": gamma, "alpha": alpha, "energy": energy, "total_cap": total_cap,
+    }])
+    return model
 
 
 def edge_residuals(
@@ -473,6 +493,13 @@ def save_model(model: EmbeddingModel, path: str) -> None:
 
 
 def load_model(path: str) -> EmbeddingModel:
+    """Read a model written by ``save_model``.
+
+    The file holds the projection, eigenvalues, mean and hyperparameters
+    only.  A reloaded model carries no ``layout`` or ``eigenvectors``, so it
+    transforms exactly as the saved one but ``tangent_vectors()`` raises
+    ``ValueError``.
+    """
     with open(path, "rb") as fh:
         header_line = fh.readline()
         try:

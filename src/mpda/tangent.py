@@ -31,10 +31,6 @@ class TangentBasis:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def project(self, vectors: np.ndarray) -> np.ndarray:
-        """Tangent coordinates of row vectors (no mean subtraction)."""
-        return vectors @ self.basis
-
 
 def _fix_signs(V: np.ndarray) -> np.ndarray:
     """Make each column's largest-magnitude entry positive (determinism)."""

@@ -9,7 +9,6 @@ fit path no longer builds any of them.
 import numpy as np
 import scipy.sparse as sp
 
-from mpda.errors import AsymmetricInputError
 from mpda.graph import NeighborLists, _mutual_edge_mask, pairwise_euclidean
 
 
@@ -101,12 +100,12 @@ def laplacian(W):
     """Graph Laplacian L = D - W with D_ii = sum_{j != i} W_ij.
 
     Accepts a dense array or scipy sparse matrix and returns the same
-    container kind.  Raises ``AsymmetricInputError`` if W is not symmetric.
+    container kind.  Raises ``ValueError`` if W is not symmetric.
     """
     if sp.issparse(W):
         diff = (W - W.T).tocoo()
         if diff.nnz and np.max(np.abs(diff.data)) > 1e-10:
-            raise AsymmetricInputError("weight matrix is not symmetric")
+            raise ValueError("weight matrix is not symmetric")
         Wz = W.copy().tolil()
         Wz.setdiag(0.0)
         Wz = Wz.tocsr()
@@ -114,7 +113,7 @@ def laplacian(W):
         return (sp.diags(deg) - Wz).tocsr()
     W = np.asarray(W, dtype=np.float64)
     if not np.allclose(W, W.T, rtol=0.0, atol=1e-10):
-        raise AsymmetricInputError("weight matrix is not symmetric")
+        raise ValueError("weight matrix is not symmetric")
     Wz = W.copy()
     np.fill_diagonal(Wz, 0.0)
     return np.diag(Wz.sum(axis=1)) - Wz

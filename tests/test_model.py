@@ -62,7 +62,7 @@ def between_objective(X, Wp, t):
 
 def build_instance(ds, k=3, kprime=3, max_patch=5, energy=0.95):
     X, y = ds.features, ds.labels
-    patch_of, members, _ = merge_class_partitions(ds, kprime, max_patch)
+    patch_of, members = merge_class_partitions(ds, kprime, max_patch)
     bases = [fit_tangent_basis(X[m], energy) for m in members]
     layout = layout_for(ds.d, bases)
     nb = knn_neighbors(X, min(k, ds.n - 1))
@@ -268,7 +268,7 @@ def test_pmpda_matches_mpda_on_tiny_class(rng):
     X = rng.normal(size=(3, 4))
     y = np.ones(3, dtype=int)
     ds = LabeledDataset(X, y)
-    patch_of, members, _ = merge_class_partitions(ds, 2, 10)
+    patch_of, members = merge_class_partitions(ds, 2, 10)
     patch_bases = [fit_tangent_basis(X[m], 0.95) for m in members]
     point_bases = per_point_bases(X, y, k=2)
     for b in point_bases:
@@ -329,6 +329,20 @@ def test_model_roundtrip_bytes(tmp_path, rng):
     X = rng.normal(size=(5, ds.d))
     assert np.array_equal(transform(model, X), transform(loaded, X))
     assert loaded.hyperparams == model.hyperparams
+
+
+def test_reloaded_model_drops_tangent_diagnostics(tmp_path, rng):
+    ds = random_labeled(rng)
+    model = fit_mpda(ds, m=2)
+    path = str(tmp_path / "m.bin")
+    save_model(model, path)
+    loaded = load_model(path)
+    assert model.tangent_vectors(0).shape[1] == 2
+    assert loaded.layout is None and loaded.eigenvectors is None
+    with pytest.raises(ValueError):
+        loaded.tangent_vectors(0)
+    X = rng.normal(size=(5, ds.d))
+    assert np.array_equal(transform(loaded, X), transform(model, X))
 
 
 def test_model_file_rejects_garbage(tmp_path):

@@ -170,6 +170,18 @@ def test_partition_bit_identical_to_rescanning_oracle(case):
     check_invariants(part, X.shape[0], max_patch)
 
 
+def test_partition_joint_award_at_a_rounding_tie():
+    # a point set and its mirror image: the two sides of a split grow as
+    # mirror images, so their mean ratios agree up to rounding and the
+    # joint award turns on the order in which the ratio sums are added
+    P = np.array([[-1.0, 0.2], [0.3, -0.5], [-0.6, 0.5], [-1.7, -1.3], [0.2, 0.8], [0.6, -0.2]])
+    X = np.vstack([P, -P])
+    part = partition_class(X, kprime=2, max_patch=4)
+    ref = partition_class_loop(X, kprime=2, max_patch=4)
+    assert [p.tolist() for p in part.patches] == [p.tolist() for p in ref.patches]
+    assert part.linearity.tobytes() == ref.linearity.tobytes()
+
+
 def test_linearity_computed_once_per_patch(rng):
     # two far-apart clusters: two components, each split many times
     X = np.vstack([rng.normal(size=(100, 3)), rng.normal(size=(100, 3)) + 1e3])

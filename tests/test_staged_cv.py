@@ -1,5 +1,7 @@
 """Staged cross-validation against the loop that refits every grid combination."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,13 +78,13 @@ GRIDS = {
 CASES = [(algo, i) for algo, grids in GRIDS.items() for i in range(len(grids))]
 
 
-@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize("folds", [3, 4])
 @pytest.mark.parametrize("algorithm,grid_index", CASES)
-def test_staged_cv_equals_per_combo_refits(rng, algorithm, grid_index, jobs):
+def test_staged_cv_equals_per_combo_refits(rng, algorithm, grid_index, folds):
     ds = curved_classes(rng)
     grid = GRIDS[algorithm][grid_index]
-    staged = cross_validate(ds, algorithm, grid=grid, m_grid=[1, 2, 4], folds=4, seed=7, jobs=jobs)
-    oracle = per_combo_cross_validate(ds, algorithm, grid, [1, 2, 4], folds=4, seed=7)
+    staged = cross_validate(ds, algorithm, grid=grid, m_grid=[1, 2, 4], folds=folds, seed=7)
+    oracle = per_combo_cross_validate(ds, algorithm, grid, [1, 2, 4], folds=folds, seed=7)
     assert staged.table == oracle.table
     assert staged.best_params == oracle.best_params
     assert staged.best_accuracy == oracle.best_accuracy
@@ -142,3 +144,24 @@ def test_staged_cv_partitions_once_per_fold_and_class(rng, monkeypatch):
     ds = curved_classes(rng)
     cross_validate(ds, "mpda", grid=CORE_GRID, m_grid=[1], folds=4, seed=0)
     assert len(calls) == 4 * 3  # folds x classes, not x 12 grid combinations
+
+
+@pytest.mark.parametrize("algorithm,grid_index", CASES)
+def test_staged_cv_assembles_within_once_per_gamma(rng, algorithm, grid_index):
+    import mpda.model
+
+    ds = curved_classes(rng)
+    grid = {**GRIDS[algorithm][grid_index], "alpha": [1e-3, 1e-1]}
+    folds = 4
+    within = mock.patch.object(mpda.model, "assemble_within", wraps=mpda.model.assemble_within)
+    solve = mock.patch.object(mpda.model, "solve_gep", wraps=mpda.model.solve_gep)
+    with within as within_spy, solve as solve_spy:
+        cross_validate(ds, algorithm, grid=grid, m_grid=[1, 2], folds=folds, seed=0)
+    combos = _grid_combos(grid)
+    # the grid's names other than k, gamma and alpha key the bases stage
+    within_inputs = {
+        (c["k"], tuple(v for n, v in c.items() if n not in ("k", "gamma", "alpha")), c["gamma"])
+        for c in combos
+    }
+    assert within_spy.call_count == folds * len(within_inputs)  # folds x k x bases x gamma
+    assert solve_spy.call_count == folds * len(combos)
