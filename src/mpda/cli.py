@@ -27,8 +27,9 @@ from .evaluation import (
     fit_algorithm,
     parameter_sweep,
 )
-from .model import load_model, save_model, transform
+from .model import DEFAULT_ALPHA, DEFAULT_GAMMA, DEFAULT_K, load_model, save_model, transform
 from .partition import DEFAULT_KPRIME, DEFAULT_MAX_PATCH, partition_class
+from .tangent import DEFAULT_ENERGY
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -43,12 +44,12 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, default=5, help="neighbor count for the graphs")
+    p.add_argument("--k", type=int, default=DEFAULT_K, help="neighbor count for the graphs")
     p.add_argument("--kprime", type=int, default=DEFAULT_KPRIME, help="partition neighbor count")
     p.add_argument("--max-patch", type=int, default=DEFAULT_MAX_PATCH, help="patch size cap M")
-    p.add_argument("--gamma", type=float, default=1.0, help="tangent-consistency weight")
-    p.add_argument("--alpha", type=float, default=1e-3, help="Tikhonov regularizer")
-    p.add_argument("--energy", type=float, default=0.95, help="PCA energy for tangent bases")
+    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA, help="tangent-consistency weight")
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="Tikhonov regularizer")
+    p.add_argument("--energy", type=float, default=DEFAULT_ENERGY, help="PCA energy for tangent bases")
     p.add_argument(
         "--approximate-partition", action="store_true",
         help="skip geodesics and rank patches by size alone",

@@ -93,15 +93,15 @@ def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> np.ndarray:
 
 
 def fit_algorithm(algorithm: str, train: LabeledDataset, m: int, params: dict) -> EmbeddingModel:
-    """Dispatch a fit by algorithm id with keyword hyperparameters."""
+    """Dispatch a fit by algorithm id; a name its fit does not take raises TypeError."""
     if algorithm == "mpda":
         return fit_mpda(train, m=m, **params)
     if algorithm == "pmpda":
         return fit_pmpda(train, m=m, **params)
     if algorithm == "lda":
-        return fit_lda(train, m=m)
+        return fit_lda(train, m=m, **params)
     if algorithm == "pca":
-        return fit_pca(train.features, m=m)
+        return fit_pca(train.features, m=m, **params)
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
@@ -183,12 +183,12 @@ def cross_validate(
     ``model.staged_fits``, which runs every fit stage once per distinct
     input it reads: the partition and its tangent bases once per
     (kprime, max_patch, energy, approximate_partition), PMPDA's per-point
-    bases once per (k, energy), the k-NN graphs once per k, the
-    between-class form once per (k, bases), the within-class form once per
-    (k, bases, gamma), and only the eigen-solve once per combination.  Each
-    stage computes exactly what a separate fit of that combination
-    computes, so the table is the same as fitting every combination from
-    scratch.
+    bases once per (k, energy), the k-NN graphs once per k, the between
+    form and the within form's parts S_diff, S_tan once per (k, bases),
+    each gamma one sparse sum S_diff + gamma * S_tan, and only the
+    eigen-solve once per combination.  Each stage computes exactly what a
+    separate fit of that combination computes, so the table is the same as
+    fitting every combination from scratch.
     """
     if grid is None:
         grid = DEFAULT_GRIDS[algorithm]

@@ -11,8 +11,11 @@ where, with d_ij = x_i - x_j and T_p the patch bases,
     a_ij' f = t' d_ij - v_{p(j)}' T_{p(j)}' d_ij
     B_ij f  = v_{p(i)} - T_{p(i)}' T_{p(j)} v_{p(j)}.
 
+S = S_diff + gamma * S_tan splits the a_ij and B_ij terms, so one sparse
+assembly serves every gamma; the v-block only couples patches joined by an edge.
+
 The between-class objective only sees t, so S' carries A = 2 X' L' X in
-its top-left block and zeros elsewhere.  The projection is read off the
+its top-left block and nothing elsewhere.  The projection is read off the
 t-parts of the top eigenvectors of S' f = lambda (S + alpha I) f.
 
 A fit runs one exact k-NN search, which feeds both the sparse within-class
@@ -88,25 +91,40 @@ def layout_for(d: int, bases: list[TangentBasis]) -> BlockLayout:
     return BlockLayout(d=d, block_dims=tuple(b.dim for b in bases))
 
 
+def _triplets(row0: np.ndarray, col0: np.ndarray, blocks: np.ndarray, mask=None):
+    """(rows, cols, values) of the dense blocks[e] placed at (row0[e], col0[e]),
+    kept where ``mask`` (shaped like ``blocks``; all when None) holds."""
+    e, a, b = np.nonzero(np.ones(blocks.shape, dtype=bool) if mask is None else mask)
+    return row0[e] + a, col0[e] + b, blocks[e, a, b]
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Block masks: entry (e, i, j) holds where a[e, i] and b[e, j] do."""
+    return a[:, :, None] & b[:, None, :]
+
+
+def _sparse_form(total: int, parts: list) -> sp.csc_matrix:
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    return sp.csc_matrix((vals, (rows, cols)), shape=(total, total))
+
+
 def assemble_within(
     X: np.ndarray,
     W,
     patch_of: np.ndarray,
     bases: list[TangentBasis],
-    gamma: float,
     layout: BlockLayout | None = None,
-) -> np.ndarray:
-    """Accumulate the within-class quadratic form over all graph edges.
+) -> tuple[sp.csc_matrix, sp.csc_matrix]:
+    """The within-class form's two parts (S_diff, S_tan), S = S_diff + gamma * S_tan.
 
-    Both orderings of every edge contribute, matching the symmetric double
-    sum.  Same-patch pairs add nothing to the gamma term because the patch
-    basis is orthonormal.
+    S_diff sums W_ij a_ij a_ij' and S_tan sums W_ij B_ij' B_ij over both
+    orderings of every edge, matching the symmetric double sum.  Same-patch
+    pairs add nothing to S_tan because the patch basis is orthonormal.
+    Both are sparse total x total matrices.
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
     patch_of = np.asarray(patch_of, dtype=np.int64)
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
     if patch_of.shape[0] != n:
         raise LayoutMismatchError("patch assignment length does not match X")
     if patch_of.size and patch_of.max() >= len(bases):
@@ -116,70 +134,79 @@ def assemble_within(
     if layout.d != d or len(layout.block_dims) != len(bases):
         raise LayoutMismatchError("layout does not match X and bases")
 
-    S = np.zeros((layout.total, layout.total))
     Wc = sp.coo_matrix(W)
     keep = (Wc.data != 0.0) & (Wc.row != Wc.col)
     rows, cols, w = Wc.row[keep], Wc.col[keep], Wc.data[keep]
     p_i, p_j = patch_of[rows], patch_of[cols]
+    # bases padded to a common rank r; valid[p, a] marks the columns of T_p
+    P, total = len(bases), layout.total
+    dims = np.array(layout.block_dims, dtype=np.int64)
+    off = np.array(layout.offsets, dtype=np.int64)
+    r = int(dims.max(initial=0))
+    T = np.zeros((P, d, r))
+    for p, b in enumerate(bases):
+        T[p, :, : b.dim] = b.basis
+    valid = np.arange(r) < dims[:, None]
 
     # pairwise-difference term, batched over the reference point's patch:
     # every edge into patch q shares the same (t, v_q) coupling pattern
+    band = np.zeros((d, total))  # the t-rows of S_diff: [A, S_tv]
+    VV = np.zeros((P, r, r))  # its diagonal v-blocks T_q' M_q T_q
     for q in np.unique(p_j):
         sel = p_j == q
         D = X[rows[sel]] - X[cols[sel]]
         M = D.T @ (w[sel][:, None] * D)
-        S[:d, :d] += M
+        band[:, :d] += M
         Tq = bases[q].basis
         if Tq.shape[1]:
-            sq = layout.v_slice(q)
             MT = M @ Tq
-            S[:d, sq] -= MT
-            S[sq, :d] -= MT.T
-            S[sq, sq] += Tq.T @ MT
+            band[:, layout.v_slice(q)] = -MT
+            VV[q, : dims[q], : dims[q]] = Tq.T @ MT
+    S_diff = _sparse_form(total, [
+        _triplets(np.array([0]), np.array([0]), band[None]),
+        _triplets(np.array([d]), np.array([0]), band[None, :, d:].transpose(0, 2, 1)),
+        _triplets(off, off, VV, _outer(valid, valid)),
+    ])
 
-    if gamma:
-        # tangent-consistency term depends on the edge only through its
-        # ordered patch pair, so edges collapse to per-pair weight sums
-        pair_w: dict[tuple[int, int], float] = {}
-        for p, q, wv in zip(p_i, p_j, w):
-            if p != q and bases[p].dim:
-                key = (int(p), int(q))
-                pair_w[key] = pair_w.get(key, 0.0) + float(wv)
-        for (p, q), wsum in sorted(pair_w.items()):
-            gw = gamma * wsum
-            spp, sq = layout.v_slice(p), layout.v_slice(q)
-            S[spp, spp] += gw * np.eye(bases[p].dim)
-            if bases[q].dim:
-                C = bases[p].basis.T @ bases[q].basis
-                S[spp, sq] -= gw * C
-                S[sq, spp] -= gw * C.T
-                S[sq, sq] += gw * (C.T @ C)
-    return S
+    # tangent-consistency term: it depends on an edge only through its
+    # ordered patch pair, so edges collapse to per-pair weight sums
+    cross = (p_i != p_j) & (dims[p_i] > 0)
+    keys, inv = np.unique(p_i[cross] * P + p_j[cross], return_inverse=True)
+    ws = np.bincount(inv, weights=w[cross], minlength=keys.size)[:, None, None]
+    p, q = np.divmod(keys, P)
+    C = T[p].transpose(0, 2, 1) @ T[q]  # every C_pq = T_p' T_q at once
+    Ct = C.transpose(0, 2, 1)
+    vp, vq = valid[p], valid[q]
+    S_tan = _sparse_form(total, [
+        _triplets(off[p], off[p], ws * np.eye(r), _outer(vp, vp) & np.eye(r, dtype=bool)),
+        _triplets(off[p], off[q], -ws * C, _outer(vp, vq)),
+        _triplets(off[q], off[p], -ws * Ct, _outer(vq, vp)),
+        _triplets(off[q], off[q], ws * (Ct @ C), _outer(vq, vq)),
+    ])
+    return S_diff, S_tan
 
 
-def assemble_between(XtLX: np.ndarray, layout: BlockLayout) -> np.ndarray:
-    """Between-class form: 2 X' L' X in the projection block, zeros elsewhere.
-
-    ``XtLX`` is the d x d ``graph.between_class_form``.
-    """
+def assemble_between(XtLX: np.ndarray, layout: BlockLayout) -> sp.csc_matrix:
+    """Between-class form, sparse total x total: 2 X' L' X (``XtLX`` from
+    ``graph.between_class_form``) in the projection block, nothing elsewhere."""
     if np.shape(XtLX) != (layout.d, layout.d):
         raise LayoutMismatchError("between-class form does not match the layout dimension")
-    S = np.zeros((layout.total, layout.total))
-    S[: layout.d, : layout.d] = 2.0 * XtLX
-    return S
+    A = sp.coo_matrix(2.0 * XtLX)
+    return sp.csc_matrix((A.data, (A.row, A.col)), shape=(layout.total, layout.total))
 
 
 def solve_gep(
-    S_between: np.ndarray,
-    S_within: np.ndarray,
+    S_between,
+    S_within,
     alpha: float,
     m: int,
     t_dim: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-m eigenpairs of S' f = lambda (S + alpha I) f, lambda descending.
 
-    Solved through the d x d reduction in the module docstring, with
-    d = ``t_dim`` (all of f when None).  Returns f = (t, -B_vv^-1 B_vt t)
+    ``S_between`` and ``S_within`` may be dense arrays or scipy sparse
+    matrices.  Solved through the d x d reduction in the module docstring,
+    with d = ``t_dim`` (all of f when None).  Returns f = (t, -B_vv^-1 B_vt t)
     scaled to a unit-norm t-part whose largest component is positive.
 
     Degenerate cases: an empty v-block (e.g. every basis of dimension 0) is
@@ -190,24 +217,24 @@ def solve_gep(
     Raises ``ValueError`` unless 0 < m <= t_dim and alpha > 0, or when
     ``S_between`` is nonzero outside its leading t_dim block.
     """
-    total = S_between.shape[0]
+    S_within = sp.csc_matrix(S_within)
+    total = S_within.shape[0]
     d = total if t_dim is None else t_dim
     if not 0 < m <= d:
         raise ValueError(f"m must lie in 1..{d}")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if np.any(S_between[d:]) or np.any(S_between[:d, d:]):
+    Sb = sp.coo_matrix(S_between)
+    inside = (Sb.row < d) & (Sb.col < d)
+    if np.any(Sb.data[~inside]):
         raise ValueError("S_between must vanish outside its leading t_dim block")
-    nv, S_vv = total - d, S_within[d:, d:]
-    # scanning a boolean mask is several times cheaper than sp.csc_matrix(S_vv)
-    r, c = np.divmod(np.flatnonzero(S_vv != 0), nv)
-    I_v = sp.identity(nv, format="csc")
-    B_vv = sp.csc_matrix((S_vv[r, c], (r, c)), shape=(nv, nv)) + alpha * I_v
+    A = sp.coo_matrix((Sb.data[inside], (Sb.row[inside], Sb.col[inside])), shape=(d, d)).toarray()
+    B_vv = S_within[d:, d:] + alpha * sp.identity(total - d, format="csc")
     try:
-        Z = splu(B_vv).solve(S_within[d:, :d])
-        schur = S_within[:d, :d] + alpha * np.eye(d) - S_within[:d, d:] @ Z
+        Z = splu(B_vv).solve(S_within[d:, :d].toarray())
+        schur = S_within[:d, :d].toarray() + alpha * np.eye(d) - S_within[:d, d:] @ Z
         schur = 0.5 * (schur + schur.T)
-        vals, T = scipy.linalg.eigh(S_between[:d, :d], schur, subset_by_index=(d - m, d - 1))
+        vals, T = scipy.linalg.eigh(A, schur, subset_by_index=(d - m, d - 1))
     except (RuntimeError, scipy.linalg.LinAlgError) as exc:
         raise SolverFailureError(f"generalized eigensolver failed: {exc}") from exc
     vals, T = vals[::-1], T[:, ::-1]
@@ -246,20 +273,6 @@ class EmbeddingModel:
         if self.layout is None or self.eigenvectors is None:
             raise ValueError("model carries no tangent diagnostics")
         return self.eigenvectors[self.layout.v_slice(patch), :]
-
-    def truncated(self, m: int) -> "EmbeddingModel":
-        """Same model restricted to its leading m directions."""
-        if not 0 < m <= self.m:
-            raise ValueError(f"m must lie in 1..{self.m}")
-        return EmbeddingModel(
-            kind=self.kind,
-            projection=self.projection[:, :m],
-            eigenvalues=self.eigenvalues[:m],
-            hyperparams={**self.hyperparams, "m": m},
-            layout=self.layout,
-            eigenvectors=None if self.eigenvectors is None else self.eigenvectors[:, :m],
-            mean=self.mean,
-        )
 
 
 def transform(model: EmbeddingModel, X: np.ndarray) -> np.ndarray:
@@ -300,9 +313,9 @@ def merge_class_partitions(
 # A fit runs four stages, each reading only the hyperparameters it takes: a
 # bases stage (``_patch_bases`` or ``_point_bases``, reading the names its
 # signature gives after ``train``), ``_graphs`` (k) with the between form
-# over the bases' layout, ``assemble_within`` (gamma) and ``solve_gep``
-# (alpha, m).  ``staged_fits`` runs each once per distinct input, so a stage
-# must depend on nothing else.
+# over the bases' layout, ``assemble_within`` (no hyperparameter: gamma only
+# weighs its second part) and ``solve_gep`` (alpha, m).  ``staged_fits`` runs
+# each once per distinct input, so a stage must depend on nothing else.
 
 
 def _patch_bases(
@@ -346,10 +359,12 @@ def staged_fits(kind: str, train: LabeledDataset, m: int, params_list: list[dict
     function, whose defaults fill the rest; an unknown name raises
     ``TypeError`` as that call would.  Entries share every stage whose input
     they share: the bases stage runs once per distinct bases key, the graphs
-    once per k, the between form once per (k, bases key), the within form
-    once per (k, bases key, gamma) and the eigen-solve once per alpha within
-    that.  Each stage computes what a single fit computes, so every model is
-    bit-identical to fitting its entry alone.
+    once per k, the between form and both parts of the within form once per
+    (k, bases key), their sum S_diff + gamma * S_tan once per gamma within
+    that and the eigen-solve once per alpha.  Each stage computes what a
+    single fit computes, so every model is bit-identical to fitting its
+    entry alone.  A negative gamma raises ``ValueError`` before any stage
+    runs.
     """
     fit, bases_stage = {"mpda": (fit_mpda, _patch_bases), "pmpda": (fit_pmpda, _point_bases)}[kind]
     fit_sig = inspect.signature(fit)
@@ -358,6 +373,8 @@ def staged_fits(kind: str, train: LabeledDataset, m: int, params_list: list[dict
     for params in params_list:
         bound = fit_sig.bind(None, m, **params)
         bound.apply_defaults()
+        if bound.arguments["gamma"] < 0:
+            raise ValueError("gamma must be nonnegative")
         hp.append({n: v for n, v in bound.arguments.items() if n != "train"})
 
     tree: dict = {}  # bases key -> k -> gamma -> alpha -> entry indices
@@ -376,8 +393,9 @@ def staged_fits(kind: str, train: LabeledDataset, m: int, params_list: list[dict
                 graphs[k] = _graphs(train, k)
             W, XtLX = graphs[k]
             Sp = assemble_between(XtLX, layout)
+            S_diff, S_tan = assemble_within(train.features, W, patch_of, B, layout)
             for gamma, by_alpha in by_gamma.items():
-                S = assemble_within(train.features, W, patch_of, B, gamma, layout)
+                S = S_diff + gamma * S_tan
                 for alpha, idx in by_alpha.items():
                     vals, vecs = solve_gep(Sp, S, alpha, m, t_dim=train.d)
                     model = EmbeddingModel(
@@ -428,9 +446,9 @@ def fit_pmpda(
 ) -> EmbeddingModel:
     """Pairwise variant: one tangent space per point, no partitioning.
 
-    The stacked problem has d + sum_i m_i unknowns, and both quadratic forms
-    are assembled as dense total x total arrays; ``total_cap`` guards
-    against accidentally huge ones.
+    The stacked problem has d + sum_i m_i unknowns; ``total_cap`` bounds
+    that sum.  The forms are sparse, but the reduced solve still holds a
+    dense d x (total - d) block and its B_vv factor grows with the total.
     """
     if not 0 < m <= train.d:
         raise ValueError(f"m must lie in 1..{train.d}")
@@ -438,30 +456,6 @@ def fit_pmpda(
         "k": k, "gamma": gamma, "alpha": alpha, "energy": energy, "total_cap": total_cap,
     }])
     return model
-
-
-def edge_residuals(
-    X: np.ndarray,
-    W,
-    patch_of: np.ndarray,
-    bases: list[TangentBasis],
-    layout: BlockLayout,
-    f: np.ndarray,
-) -> sp.coo_matrix:
-    """Per-edge first-order mismatch of one stacked solution f (diagnostic).
-
-    Entry (i, j) holds (t'(x_i - x_j) - v_{p(j)}' T_{p(j)}'(x_i - x_j))^2
-    for every within-graph edge; large values flag pairs the tangent
-    representation explains poorly.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    Wc = sp.coo_matrix(W)
-    t = f[: layout.d]
-    # U[p] = T_p v_p, so v_p' T_p'(x_i - x_j) = (x_i - x_j)' U[p]
-    U = np.stack([b.basis @ f[layout.v_slice(p)] for p, b in enumerate(bases)])
-    D = X[Wc.row] - X[Wc.col]  # a self-loop's row is 0, and so is its value
-    vals = (D @ t - np.einsum("ed,ed->e", D, U[patch_of[Wc.col]])) ** 2
-    return sp.coo_matrix((vals, (Wc.row, Wc.col)), shape=Wc.shape)
 
 
 # --- model files ------------------------------------------------------------

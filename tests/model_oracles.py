@@ -1,0 +1,81 @@
+"""Reference constructions of the within-class form, kept as test oracles.
+
+``dense_within`` is the former production assembly: it accumulates the
+whole form for one gamma into a dense total x total array, batching the
+pairwise term per patch and the gamma term per ordered patch pair.
+``edge_within`` builds the form literally from the definition in the
+``mpda.model`` docstring, one edge at a time:
+
+    S = sum_ij W_ij [ a_ij a_ij' + gamma * B_ij' B_ij ].
+
+Neither touches the sparse assembly in ``mpda.model``.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+
+
+def dense_within(X, W, patch_of, bases, gamma, layout):
+    """The within-class form S for one gamma as a dense total x total array."""
+    X = np.asarray(X, dtype=np.float64)
+    d = X.shape[1]
+    S = np.zeros((layout.total, layout.total))
+    Wc = sp.coo_matrix(W)
+    keep = (Wc.data != 0.0) & (Wc.row != Wc.col)
+    rows, cols, w = Wc.row[keep], Wc.col[keep], Wc.data[keep]
+    p_i, p_j = patch_of[rows], patch_of[cols]
+
+    for q in np.unique(p_j):
+        sel = p_j == q
+        D = X[rows[sel]] - X[cols[sel]]
+        M = D.T @ (w[sel][:, None] * D)
+        S[:d, :d] += M
+        Tq = bases[q].basis
+        if Tq.shape[1]:
+            sq = layout.v_slice(q)
+            MT = M @ Tq
+            S[:d, sq] -= MT
+            S[sq, :d] -= MT.T
+            S[sq, sq] += Tq.T @ MT
+
+    if gamma:
+        pair_w: dict[tuple[int, int], float] = {}
+        for p, q, wv in zip(p_i, p_j, w):
+            if p != q and bases[p].dim:
+                key = (int(p), int(q))
+                pair_w[key] = pair_w.get(key, 0.0) + float(wv)
+        for (p, q), wsum in sorted(pair_w.items()):
+            gw = gamma * wsum
+            spp, sq = layout.v_slice(p), layout.v_slice(q)
+            S[spp, spp] += gw * np.eye(bases[p].dim)
+            if bases[q].dim:
+                C = bases[p].basis.T @ bases[q].basis
+                S[spp, sq] -= gw * C
+                S[sq, spp] -= gw * C.T
+                S[sq, sq] += gw * (C.T @ C)
+    return S
+
+
+def edge_within(X, W, patch_of, bases, gamma, layout):
+    """S from the docstring definition: one a_ij and one B_ij per graph edge.
+
+    a_ij' f = t' d_ij - v_{p(j)}' T_{p(j)}' d_ij and
+    B_ij f = v_{p(i)} - T_{p(i)}' T_{p(j)} v_{p(j)}, with d_ij = x_i - x_j.
+    A self-loop or a same-patch pair is not special-cased: its terms vanish
+    (up to rounding, for the orthonormal basis of one patch) by themselves.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    d = X.shape[1]
+    S = np.zeros((layout.total, layout.total))
+    Wc = sp.coo_matrix(W)
+    for i, j, w in zip(Wc.row, Wc.col, Wc.data):
+        pi, pj = int(patch_of[i]), int(patch_of[j])
+        dij = X[i] - X[j]
+        a = np.zeros(layout.total)
+        a[:d] = dij
+        a[layout.v_slice(pj)] -= bases[pj].basis.T @ dij
+        B = np.zeros((bases[pi].dim, layout.total))
+        B[:, layout.v_slice(pi)] += np.eye(bases[pi].dim)
+        B[:, layout.v_slice(pj)] -= bases[pi].basis.T @ bases[pj].basis
+        S += w * (np.outer(a, a) + gamma * B.T @ B)
+    return S

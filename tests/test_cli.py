@@ -188,3 +188,18 @@ def test_fit_has_no_seed_flag(tmp_path, data_csv):
         run(["fit", "--algo", "mpda", "--data", path, "--m", "1", "--seed", "3",
              "--out", str(tmp_path / "m.bin")])
     assert exc.value.code == 2
+
+
+def test_hyper_flag_defaults_are_the_fit_defaults():
+    import inspect
+
+    from mpda.cli import build_parser
+
+    fit_defaults = {n: p.default for n, p in inspect.signature(fit_mpda).parameters.items()}
+    names = ("k", "kprime", "max_patch", "gamma", "alpha", "energy", "approximate_partition")
+    for argv in (
+        ["fit", "--algo", "mpda", "--data", "x.csv", "--m", "1", "--out", "m.bin"],
+        ["sweep", "--algo", "mpda", "--data", "x.csv", "--out", "s.csv"],
+    ):
+        args = build_parser().parse_args(argv)
+        assert {n: getattr(args, n) for n in names} == {n: fit_defaults[n] for n in names}

@@ -81,6 +81,17 @@ def test_cv_single_point_grid(rng):
     assert len(res.table) == 1
 
 
+def test_cv_baselines_reject_names_their_fit_does_not_take(rng):
+    ds = two_gaussians(rng)
+    with pytest.raises(TypeError):
+        cross_validate(ds, "lda", grid={"k": [3, 5, 7], "nonsense": [1]}, m_grid=[1], seed=0)
+    with pytest.raises(TypeError):
+        cross_validate(ds, "pca", grid={"gamma": [1.0]}, m_grid=[1], seed=0)
+    for algorithm in ("lda", "pca"):  # the default grid is {}
+        res = cross_validate(ds, algorithm, m_grid=[1], seed=0)
+        assert res.best_params == {"m": 1} and len(res.table) == 1
+
+
 def test_cv_deterministic(rng):
     ds = two_gaussians(rng)
     a = cross_validate(ds, "mpda", grid={"gamma": [0.1, 1.0]}, m_grid=[1, 2], folds=4, seed=5)

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_labeled
 from graph_oracles import between_class_graph, laplacian
+from model_oracles import dense_within, edge_within
 from mpda.dataset import LabeledDataset
 from mpda.errors import (
     DimensionMismatchError,
@@ -29,6 +32,7 @@ from mpda.model import (
     transform,
 )
 from mpda.tangent import fit_tangent_basis, per_point_bases
+from test_solve import degenerate_datasets
 
 
 # --- independent objective oracles (never touch the assembly code) ----------
@@ -67,9 +71,15 @@ def build_instance(ds, k=3, kprime=3, max_patch=5, energy=0.95):
     layout = layout_for(ds.d, bases)
     nb = knn_neighbors(X, min(k, ds.n - 1))
     W = within_class_graph(nb, y)
-    Sp = assemble_between(between_class_form(X, y, nb), layout)
+    Sp = assemble_between(between_class_form(X, y, nb), layout).toarray()
     Wp = between_class_graph(X, y, min(k, ds.n - 1))  # dense oracle of Sp's graph
     return X, y, patch_of, bases, layout, W, Sp, Wp
+
+
+def within_form(X, W, patch_of, bases, gamma, layout=None):
+    """The within-class form S = S_diff + gamma * S_tan as a dense array."""
+    S_diff, S_tan = assemble_within(X, W, patch_of, bases, layout)
+    return (S_diff + gamma * S_tan).toarray()
 
 
 def split_f(f, layout, n_blocks):
@@ -84,7 +94,7 @@ def test_quadratic_forms_match_direct_sums(rng):
         ds = random_labeled(rng)
         gamma = float(rng.uniform(0.05, 5.0))
         X, y, patch_of, bases, layout, W, Sp, Wp = build_instance(ds)
-        S = assemble_within(X, W, patch_of, bases, gamma, layout)
+        S = within_form(X, W, patch_of, bases, gamma, layout)
         Wd = W.toarray()
         for _ in range(30):
             f = rng.normal(size=layout.total)
@@ -105,16 +115,15 @@ def test_same_patch_pairs_skip_tangent_term(rng):
     ds = LabeledDataset(X, y)
     X_, y_, patch_of, bases, layout, W, _, _ = build_instance(ds, max_patch=100)
     assert len(bases) == 1
-    S0 = assemble_within(X_, W, patch_of, bases, 0.0, layout)
-    S9 = assemble_within(X_, W, patch_of, bases, 9.0, layout)
-    assert np.allclose(S0, S9)
+    _, S_tan = assemble_within(X_, W, patch_of, bases, layout)
+    assert S_tan.nnz == 0
 
 
 def test_zero_order_reduction(rng):
     # with v = 0 the quadratic collapses to the graph-Laplacian scatter
     ds = random_labeled(rng)
     X, y, patch_of, bases, layout, W, _, _ = build_instance(ds, k=4)
-    S = assemble_within(X, W, patch_of, bases, 1.3, layout)
+    S = within_form(X, W, patch_of, bases, 1.3, layout)
     ref = 2.0 * X.T @ (laplacian(W) @ X)
     scale = max(np.max(np.abs(ref)), 1e-30)
     assert np.max(np.abs(S[: ds.d, : ds.d] - ref)) / scale < 1e-10
@@ -128,7 +137,7 @@ def test_zero_order_reduction(rng):
 def test_assemble_within_symmetric_psd(rng):
     ds = random_labeled(rng)
     X, y, patch_of, bases, layout, W, _, _ = build_instance(ds)
-    S = assemble_within(X, W, patch_of, bases, 2.0, layout)
+    S = within_form(X, W, patch_of, bases, 2.0, layout)
     assert np.allclose(S, S.T)
     assert np.linalg.eigvalsh(S).min() > -1e-8
     np.linalg.cholesky(S + 1e-3 * np.eye(layout.total))  # must not raise
@@ -138,18 +147,70 @@ def test_assemble_within_layout_mismatch(rng):
     ds = random_labeled(rng)
     X, y, patch_of, bases, layout, W, _, _ = build_instance(ds)
     with pytest.raises(LayoutMismatchError):
-        assemble_within(X, W, patch_of[:-1], bases, 1.0, layout)
+        assemble_within(X, W, patch_of[:-1], bases, layout)
     with pytest.raises(LayoutMismatchError):
-        assemble_within(X, W, patch_of, bases[:-1], 1.0)
+        assemble_within(X, W, patch_of, bases[:-1])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    data=degenerate_datasets(),
+    kind=st.sampled_from(["mpda", "pmpda"]),
+    max_patch=st.sampled_from([1, 2, 4]),
+    flat=st.booleans(),
+)
+def test_within_parts_match_dense_and_edge_oracles(data, kind, max_patch, flat):
+    # duplicates, singleton and zero-variance classes and k past the class
+    # sizes come from the strategy; max_patch = 1 makes every MPDA basis
+    # 0-dimensional, and ``flat`` does so for either kind: an empty v-block
+    ds, k = data
+    X, y = ds.features, ds.labels
+    if kind == "mpda":
+        patch_of, members = merge_class_partitions(ds, min(3, k), max_patch)
+        bases = [fit_tangent_basis(X[mem]) for mem in members]
+    else:
+        patch_of, bases = np.arange(ds.n), per_point_bases(X, y, k)
+    if flat:
+        bases = [fit_tangent_basis(X[:1])] * len(bases)
+    layout = layout_for(ds.d, bases)
+    W = within_class_graph(knn_neighbors(X, k), y)
+    S_diff, S_tan = assemble_within(X, W, patch_of, bases, layout)
+    assert sp.issparse(S_diff) and sp.issparse(S_tan)
+    assert np.array_equal(S_diff.toarray(), dense_within(X, W, patch_of, bases, 0.0, layout))
+    for gamma in (0.3, 1.0, 7.0):
+        S = (S_diff + gamma * S_tan).toarray()
+        for oracle in (dense_within, edge_within):
+            ref = oracle(X, W, patch_of, bases, gamma, layout)
+            assert np.max(np.abs(S - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_negative_gamma_fails_before_any_stage(rng, monkeypatch):
+    import mpda.model
+    from mpda.evaluation import cross_validate
+
+    def stage(*args, **kwargs):
+        raise AssertionError("a fit stage ran")
+
+    for name in ("_patch_bases", "_point_bases", "_graphs"):
+        monkeypatch.setattr(mpda.model, name, stage)
+    ds = random_labeled(rng, min_per_class=4)
+    with pytest.raises(ValueError, match="gamma must be nonnegative"):
+        fit_mpda(ds, m=1, gamma=-1)
+    with pytest.raises(ValueError, match="gamma must be nonnegative"):
+        fit_pmpda(ds, m=1, gamma=-1)
+    with pytest.raises(ValueError, match="gamma must be nonnegative"):
+        cross_validate(ds, "mpda", grid={"gamma": [1.0, -1.0]}, m_grid=[1])
 
 
 def test_assemble_between_block_structure(rng):
     ds = random_labeled(rng)
     X, y, patch_of, bases, layout, W, Sp, Wp = build_instance(ds)
     d = ds.d
+    S = assemble_between(between_class_form(X, y, knn_neighbors(X, 3)), layout)
+    assert sp.issparse(S) and S.shape == (layout.total, layout.total)
+    assert np.array_equal(S.toarray(), Sp)
     assert np.all(Sp[d:, :] == 0.0) and np.all(Sp[:, d:] == 0.0)
-    zero = assemble_between(np.zeros((d, d)), layout)
-    assert np.all(zero == 0.0)
+    assert assemble_between(np.zeros((d, d)), layout).nnz == 0
     with pytest.raises(LayoutMismatchError):
         assemble_between(np.zeros((d + 1, d + 1)), layout)
 
@@ -203,7 +264,7 @@ def test_gep_residuals_on_fitted_models(rng):
         ds = random_labeled(rng)
         X, y, patch_of, bases, layout, W, Sp, _ = build_instance(ds)
         gamma, alpha = 1.0, 1e-3
-        S = assemble_within(X, W, patch_of, bases, gamma, layout)
+        S = within_form(X, W, patch_of, bases, gamma, layout)
         m = min(ds.d, 3)
         vals, vecs = solve_gep(Sp, S, alpha, m, t_dim=ds.d)
         B = S + alpha * np.eye(layout.total)
@@ -276,8 +337,8 @@ def test_pmpda_matches_mpda_on_tiny_class(rng):
     nb = knn_neighbors(X, 2)
     W = within_class_graph(nb, y)
     gamma = 0.7
-    S_m = assemble_within(X, W, patch_of, patch_bases, gamma)
-    S_p = assemble_within(X, W, np.arange(3), point_bases, gamma)
+    S_m = within_form(X, W, patch_of, patch_bases, gamma)
+    S_p = within_form(X, W, np.arange(3), point_bases, gamma)
     for _ in range(10):
         t = rng.normal(size=4)
         v = rng.normal(size=patch_bases[0].dim)
@@ -352,66 +413,6 @@ def test_model_file_rejects_garbage(tmp_path):
         load_model(str(p))
 
 
-def test_truncated_model_prefix(rng):
-    ds = random_labeled(rng)
-    m = min(ds.d, 3)
-    model = fit_mpda(ds, m=m)
-    small = model.truncated(1)
-    assert np.array_equal(small.projection, model.projection[:, :1])
-    assert small.m == 1
-
-
-def test_edge_residuals_diagnostic(rng):
-    from mpda.model import edge_residuals
-
-    ds = random_labeled(rng)
-    X, y, patch_of, bases, layout, W, _, _ = build_instance(ds)
-    gamma = 1.0
-    S = assemble_within(X, W, patch_of, bases, gamma, layout)
-    f = rng.normal(size=layout.total)
-    res = edge_residuals(X, W, patch_of, bases, layout, f)
-    assert res.shape == W.shape
-    assert np.all(res.data >= 0.0)
-    # summing the per-edge pairwise terms recovers the gamma=0 quadratic
-    S0 = assemble_within(X, W, patch_of, bases, 0.0, layout)
-    assert np.isclose(res.data.sum(), f @ S0 @ f, rtol=1e-10)
-
-
-def edge_residuals_loop(X, W, patch_of, bases, layout, f):
-    """Per-edge oracle of ``edge_residuals``: one Python pass per edge."""
-    Wc = sp.coo_matrix(W)
-    t = f[: layout.d]
-    vals = np.zeros(Wc.nnz)
-    for e, (i, j) in enumerate(zip(Wc.row, Wc.col)):
-        if i == j:
-            continue
-        dij = X[i] - X[j]
-        pj = int(patch_of[j])
-        vj = f[layout.v_slice(pj)]
-        vals[e] = (t @ dij - vj @ (bases[pj].basis.T @ dij)) ** 2
-    return sp.coo_matrix((vals, (Wc.row, Wc.col)), shape=Wc.shape)
-
-
-def test_edge_residuals_match_per_edge_loop(rng):
-    from mpda.model import edge_residuals
-
-    for _ in range(5):
-        ds = random_labeled(rng)
-        X, y, patch_of, bases, layout, W, _, _ = build_instance(ds)
-        # one self-loop on top of the graph's edges: its residual stays 0
-        W = sp.coo_matrix(W)
-        W = sp.coo_matrix((np.append(W.data, 1.0), (np.append(W.row, 0), np.append(W.col, 0))),
-                          shape=W.shape)
-        f = rng.normal(size=layout.total)
-        got = edge_residuals(X, W, patch_of, bases, layout, f)
-        ref = edge_residuals_loop(X, W, patch_of, bases, layout, f)
-        assert np.array_equal(got.row, ref.row) and np.array_equal(got.col, ref.col)
-        assert got.data[-1] == 0.0
-        # (T_p v_p)'d replaces v_p'(T_p'd): the two orders of the products
-        # agree to rounding, 1e-12 of the largest residual
-        assert np.allclose(got.data, ref.data, rtol=0.0, atol=1e-12 * ref.data.max())
-
-
 def multimodal_xor(seed, n_per_cluster=30, d=6):
     """Two classes of two clusters each with coinciding class means."""
     rng = np.random.default_rng(seed)
@@ -475,7 +476,7 @@ def test_zero_variance_patch_in_fit(rng):
     assert np.isfinite(model.projection).all()
     X_, y_, patch_of, bases, layout, W, _, _ = build_instance(ds, k=2)
     assert any(b.dim == 0 for b in bases)
-    S = assemble_within(X_, W, patch_of, bases, 1.5, layout)
+    S = within_form(X_, W, patch_of, bases, 1.5, layout)
     Wd = W.toarray()
     for _ in range(10):
         f = rng.normal(size=layout.total)

@@ -77,12 +77,13 @@ def test_empty_vblock_is_plain_dxd_solve(rng):
     assert layout.total == 4
     nb = knn_neighbors(X, 3)
     W = within_class_graph(nb, y)
-    S = assemble_within(X, W, np.arange(len(X)), bases, 1.0, layout)
+    S_diff, S_tan = assemble_within(X, W, np.arange(len(X)), bases, layout)
+    assert S_tan.nnz == 0
     Sp = assemble_between(between_class_form(X, y, nb), layout)
-    vals, vecs = solve_gep(Sp, S, 1e-3, 3, t_dim=4)
-    vals_all, vecs_all = solve_gep(Sp, S, 1e-3, 3)
+    vals, vecs = solve_gep(Sp, S_diff, 1e-3, 3, t_dim=4)
+    vals_all, vecs_all = solve_gep(Sp, S_diff, 1e-3, 3)
     assert np.array_equal(vals, vals_all) and np.array_equal(vecs, vecs_all)
-    ref_vals, ref_vecs = dense_gep(Sp, S, 1e-3, 3)
+    ref_vals, ref_vecs = dense_gep(Sp.toarray(), S_diff.toarray(), 1e-3, 3)
     assert np.allclose(vals, ref_vals, rtol=1e-10)
     assert np.allclose(vecs, ref_vecs, atol=1e-8)
 
@@ -96,6 +97,7 @@ def test_fewer_positive_eigenvalues_than_m(rng):
     with mock.patch.object(mpda.model, "solve_gep", wraps=solve_gep) as spy:
         model = fit_mpda(ds, m=8, k=2, kprime=2)
     Sp, S, alpha, m = spy.call_args.args[:4]
+    Sp, S = Sp.toarray(), S.toarray()
     assert m == 8 and np.sum(model.eigenvalues > 1e-9 * model.eigenvalues[0]) <= 4
     assert np.allclose(np.linalg.norm(model.projection, axis=0), 1.0)
     assert np.all(backward_errors(Sp, S, alpha, model.eigenvalues, model.eigenvectors) <= 1e-12)
@@ -193,7 +195,7 @@ def test_reduced_solve_matches_dense_oracle(data, kind, gamma, alpha, m_frac):
     for name in ("projection", "eigenvalues", "eigenvectors"):
         assert np.array_equal(getattr(model, name), getattr(again, name))
 
-    Sp, S = spy.call_args.args[:2]
+    Sp, S = (form.toarray() for form in spy.call_args.args[:2])
     ref_vals, _ = dense_gep(Sp, S, alpha, m, t_dim=ds.d)
     scale = max(abs(ref_vals[0]), np.finfo(float).tiny)
     assert np.all(np.abs(model.eigenvalues - ref_vals) <= 1e-9 * scale)

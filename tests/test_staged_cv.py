@@ -147,7 +147,7 @@ def test_staged_cv_partitions_once_per_fold_and_class(rng, monkeypatch):
 
 
 @pytest.mark.parametrize("algorithm,grid_index", CASES)
-def test_staged_cv_assembles_within_once_per_gamma(rng, algorithm, grid_index):
+def test_staged_cv_assembles_within_once_per_k_and_bases(rng, algorithm, grid_index):
     import mpda.model
 
     ds = curved_classes(rng)
@@ -158,10 +158,10 @@ def test_staged_cv_assembles_within_once_per_gamma(rng, algorithm, grid_index):
     with within as within_spy, solve as solve_spy:
         cross_validate(ds, algorithm, grid=grid, m_grid=[1, 2], folds=folds, seed=0)
     combos = _grid_combos(grid)
-    # the grid's names other than k, gamma and alpha key the bases stage
+    # the grid's names other than k, gamma and alpha key the bases stage;
+    # gamma only weighs the second part of the within form
     within_inputs = {
-        (c["k"], tuple(v for n, v in c.items() if n not in ("k", "gamma", "alpha")), c["gamma"])
-        for c in combos
+        (c["k"], tuple(v for n, v in c.items() if n not in ("k", "gamma", "alpha"))) for c in combos
     }
-    assert within_spy.call_count == folds * len(within_inputs)  # folds x k x bases x gamma
+    assert within_spy.call_count == folds * len(within_inputs)  # folds x k x bases
     assert solve_spy.call_count == folds * len(combos)
