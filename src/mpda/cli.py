@@ -1,6 +1,7 @@
 """Command-line surface: fit, transform, benchmark, sweep, partition-inspect.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 compute error.
+Exit codes: 0 success, 2 usage error (a bad flag or a value out of its
+range), 3 data error, 4 compute error.
 Failures print one JSON line on stderr: {"error": <class>, "message": ...}.
 
 A ``--config key=value`` file can mirror any long flag (keys use the flag
@@ -82,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bm.add_argument("--train-fraction", type=float, default=0.5)
     p_bm.add_argument("--folds", type=int, default=4)
     p_bm.add_argument("--seed", type=int, default=0)
-    p_bm.add_argument("--jobs", type=int, default=1)
     p_bm.add_argument("--m", type=int, help="fix the dimensionality instead of CV")
     p_bm.add_argument("--grid-k", type=int, nargs="*", help="CV grid for k")
     p_bm.add_argument("--grid-gamma", type=float, nargs="*", help="CV grid for gamma")
@@ -100,12 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--seed", type=int, default=0)
     p_sw.add_argument("--pca-preprocess", choices=("auto", "on", "off"), default="auto")
     p_sw.add_argument("--param", help="hyperparameter name for a parameter sweep")
-    p_sw.add_argument("--values", type=float, nargs="*", help="values for --param")
+    p_sw.add_argument("--values", nargs="*", help="values for --param, typed as its flag")
     p_sw.add_argument("--m", type=int, help="fixed m for a parameter sweep")
     p_sw.add_argument("--m-min", type=int, default=1, help="dimension sweep start")
     p_sw.add_argument("--m-max", type=int, help="dimension sweep end")
     _add_hyper_flags(p_sw)
     p_sw.add_argument("--out", required=True, help="CSV to write")
+    # a flag without a type (a switch) takes its swept values as numbers
+    p_sw.set_defaults(value_type={a.dest: a.type or float for a in p_sw._actions})
 
     p_pi = sub.add_parser("partition-inspect", help="dump per-patch diagnostics as JSON")
     _add_data_flags(p_pi)
@@ -228,7 +230,6 @@ def cmd_benchmark(args) -> int:
         fixed_m=args.m,
         seed=args.seed,
         pca_mode=args.pca_preprocess,
-        jobs=args.jobs,
     )
     payload = report.to_dict()
     print(json.dumps({
@@ -256,8 +257,9 @@ def cmd_sweep(args) -> int:
         if args.param not in params:
             raise DataError(f"unknown sweep parameter {args.param!r} for {args.algo}")
         base = {k: v for k, v in params.items() if k != args.param}
+        values = [args.value_type[args.param](v) for v in args.values]
         rows = parameter_sweep(
-            ds, args.algo, args.param, list(args.values), args.m,
+            ds, args.algo, args.param, values, args.m,
             splits=args.splits, train_fraction=args.train_fraction,
             base_params=base, seed=args.seed, pca_mode=args.pca_preprocess,
         )
@@ -327,9 +329,12 @@ def run(argv: list[str]) -> int:
     except (ComputeError, MpdaError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return EXIT_COMPUTE
-    except OSError as exc:
-        print(json.dumps({"error": "OSError", "message": str(exc)}), file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:  # a file that cannot be read or decoded
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return EXIT_DATA
+    except ValueError as exc:  # a flag value out of its range
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main() -> None:

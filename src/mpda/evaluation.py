@@ -6,17 +6,16 @@ Reproducibility contract
   class's ascending row indices are shuffled by one
   ``numpy.random.default_rng(seed).permutation`` call and dealt round-robin
   over the folds (member j of the shuffled list goes to fold j mod folds).
-* ``benchmark`` expands its master seed into per-split seeds as
-  ``split_seed = master_seed * 1000 + split_index`` (0-based); the same
-  value seeds that split's CV folds.  Parallel execution over splits
-  never changes any reported number.
+* ``benchmark``, ``dimension_sweep`` and ``parameter_sweep`` share one
+  split walk: split ``s`` (0-based) is the stratified split seeded
+  ``split_seed = master_seed * 1000 + s``, followed by the optional PCA
+  pass; ``benchmark`` seeds that split's CV folds with the same value.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,15 +143,18 @@ class CVResult:
     table: list[dict] = field(default_factory=list)  # rows: params, m, mean_accuracy
 
 
-def _fold_errors(
+def _held_out_errors(
     algorithm: str,
     tr: LabeledDataset,
     va: LabeledDataset,
     combos: list[dict],
     m_grid: list[int],
 ) -> list[dict[int, float]]:
-    """Validation error at every m in ``m_grid`` of each combo fitted on one fold."""
-    m_max = m_grid[-1]
+    """1-NN error on ``va`` at every m in ``m_grid`` of each combo fitted on ``tr``.
+
+    ``va`` is a CV fold's validation part or a split's test set.
+    """
+    m_max = max(m_grid)
     if algorithm in ("mpda", "pmpda"):
         fits = staged_fits(algorithm, tr, m_max, combos)
     else:
@@ -203,7 +205,7 @@ def cross_validate(
     for f in range(folds):
         tr = train.subset(np.flatnonzero(fold_of != f))
         va = train.subset(np.flatnonzero(fold_of == f))
-        for a, errs in zip(acc, _fold_errors(algorithm, tr, va, combos, m_grid)):
+        for a, errs in zip(acc, _held_out_errors(algorithm, tr, va, combos, m_grid)):
             for m in m_grid:
                 a[m].append(1.0 - errs[m])
     table = [
@@ -249,7 +251,7 @@ class BenchmarkReport:
     per_split_errors: list[float]
     per_split_m: list[int]
     per_split_params: list[dict]
-    stage_seconds: dict[str, float]  # per stage, summed over splits (thread time)
+    stage_seconds: dict[str, float]  # per stage, summed over splits; parts of wall_seconds
     preprocessed_dim: list[int]
     wall_seconds: float  # elapsed time of the whole run
 
@@ -301,6 +303,22 @@ def _should_preprocess(mode: str, d: int) -> bool:
     return d > PCA_PREPROCESS_DIM
 
 
+def _split_walk(ds: LabeledDataset, splits: int, train_fraction: float, seed: int, pca_mode: str):
+    """Yield ``(split_seed, train, test, (split_s, preprocess_s))`` per split.
+
+    Split s is the stratified split seeded ``seed * 1000 + s``, then the
+    optional PCA pass; the pair times those two steps.
+    """
+    for s in range(splits):
+        split_seed = seed * 1000 + s
+        t0 = time.perf_counter()
+        tr, te = train_test_split(ds, train_fraction, split_seed)
+        t1 = time.perf_counter()
+        if _should_preprocess(pca_mode, ds.d):
+            tr, te, _ = pca_preprocess(tr, te)
+        yield split_seed, tr, te, (t1 - t0, time.perf_counter() - t1)
+
+
 def benchmark(
     ds: LabeledDataset,
     algorithm: str,
@@ -313,7 +331,6 @@ def benchmark(
     fixed_m: int | None = None,
     seed: int = 0,
     pca_mode: str = "auto",
-    jobs: int = 1,
 ) -> BenchmarkReport:
     """Repeated-split evaluation of one algorithm under the standard protocol.
 
@@ -322,24 +339,17 @@ def benchmark(
     ``fixed_params``/``fixed_m`` pin everything), a final fit on the full
     training set, then 1-NN error on the test embedding.
 
-    ``stage_seconds`` sums each stage's time over the splits, so with
-    ``jobs > 1`` it counts thread time and can exceed ``wall_seconds``.
+    Splits run one after another, so the per-stage ``stage_seconds`` sum
+    to at most ``wall_seconds``.
     """
     start = time.perf_counter()
-    timings = {"split": 0.0, "preprocess": 0.0, "cv": 0.0, "fit": 0.0, "score": 0.0}
-
-    def run_split(s: int) -> dict:
-        local = {}
-        split_seed = seed * 1000 + s
-        t0 = time.perf_counter()
-        tr, te = train_test_split(ds, train_fraction, split_seed)
-        t1 = time.perf_counter()
-        if _should_preprocess(pca_mode, ds.d):
-            tr, te, _ = pca_preprocess(tr, te)
+    stages = ("split", "preprocess", "cv", "fit", "score")
+    timings = dict.fromkeys(stages, 0.0)
+    errors, ms, chosen, dims = [], [], [], []
+    for split_seed, tr, te, walk_seconds in _split_walk(ds, splits, train_fraction, seed, pca_mode):
         t2 = time.perf_counter()
         if fixed_params is not None and fixed_m is not None:
             params, m = dict(fixed_params), min(int(fixed_m), tr.d)
-            best_table = []
         else:
             cv = cross_validate(
                 tr,
@@ -353,27 +363,16 @@ def benchmark(
             )
             params = {kk: vv for kk, vv in cv.best_params.items() if kk != "m"}
             m = int(cv.best_params["m"])
-            best_table = cv.table
         t3 = time.perf_counter()
         model = fit_algorithm(algorithm, tr, m, params)
         t4 = time.perf_counter()
         pred = nn_classify(transform(model, tr.features), tr.labels, transform(model, te.features))
-        err = error_rate(pred, te.labels)
+        errors.append(error_rate(pred, te.labels))
         t5 = time.perf_counter()
-        local.update(
-            error=err, m=m, params=params, dim=tr.d,
-            times=(t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4), table=best_table,
-        )
-        return local
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_split, range(splits)))
-    else:
-        results = [run_split(s) for s in range(splits)]
-
-    for r in results:
-        for key, dt in zip(("split", "preprocess", "cv", "fit", "score"), r["times"]):
+        ms.append(m)
+        chosen.append(params)
+        dims.append(tr.d)
+        for key, dt in zip(stages, (*walk_seconds, t3 - t2, t4 - t3, t5 - t4)):
             timings[key] += dt
     return BenchmarkReport(
         algorithm=algorithm,
@@ -381,11 +380,11 @@ def benchmark(
         train_fraction=train_fraction,
         folds=folds,
         master_seed=seed,
-        per_split_errors=[r["error"] for r in results],
-        per_split_m=[r["m"] for r in results],
-        per_split_params=[r["params"] for r in results],
+        per_split_errors=errors,
+        per_split_m=ms,
+        per_split_params=chosen,
         stage_seconds={k: round(v, 6) for k, v in timings.items()},
-        preprocessed_dim=[r["dim"] for r in results],
+        preprocessed_dim=dims,
         wall_seconds=round(time.perf_counter() - start, 6),
     )
 
@@ -400,20 +399,16 @@ def dimension_sweep(
     seed: int = 0,
     pca_mode: str = "auto",
 ) -> list[tuple[int, float]]:
-    """Mean 1-NN accuracy per embedding width, averaged over repeated splits."""
-    params = params or {}
+    """Mean 1-NN accuracy per embedding width, averaged over repeated splits.
+
+    Each split fits once at the largest width it can hold and scores every
+    smaller width by truncation.
+    """
     m_values = sorted(set(int(m) for m in m_values))
     acc: dict[int, list[float]] = {m: [] for m in m_values}
-    for s in range(splits):
-        tr, te = train_test_split(ds, train_fraction, seed * 1000 + s)
-        if _should_preprocess(pca_mode, ds.d):
-            tr, te, _ = pca_preprocess(tr, te)
+    for _, tr, te, _ in _split_walk(ds, splits, train_fraction, seed, pca_mode):
         usable = [m for m in m_values if m <= tr.d]
-        model = fit_algorithm(algorithm, tr, max(usable), params)
-        errs = _nn_errors_over_dims(
-            transform(model, tr.features), tr.labels,
-            transform(model, te.features), te.labels, usable,
-        )
+        (errs,) = _held_out_errors(algorithm, tr, te, [params or {}], usable)
         for m in usable:
             acc[m].append(1.0 - errs[m])
     return [(m, float(np.mean(acc[m]))) for m in m_values if acc[m]]
@@ -431,20 +426,16 @@ def parameter_sweep(
     seed: int = 0,
     pca_mode: str = "auto",
 ) -> list[tuple[float, float]]:
-    """Mean 1-NN accuracy as one hyperparameter varies, all else fixed."""
-    base = dict(base_params or {})
-    rows = []
-    for value in values:
-        errs = []
-        for s in range(splits):
-            tr, te = train_test_split(ds, train_fraction, seed * 1000 + s)
-            if _should_preprocess(pca_mode, ds.d):
-                tr, te, _ = pca_preprocess(tr, te)
-            params = {**base, param: value}
-            model = fit_algorithm(algorithm, tr, min(m, tr.d), params)
-            pred = nn_classify(
-                transform(model, tr.features), tr.labels, transform(model, te.features)
-            )
-            errs.append(error_rate(pred, te.labels))
-        rows.append((value, float(1.0 - np.mean(errs))))
-    return rows
+    """Mean 1-NN accuracy as one hyperparameter varies, all else fixed.
+
+    Each split fits every value in one pass, so for ``mpda`` and ``pmpda``
+    the stages a value does not read (the partition, bases and graphs for
+    a gamma or alpha sweep) run once per split, as in cross-validation.
+    """
+    combos = [{**(base_params or {}), param: value} for value in values]
+    errs: list[list[float]] = [[] for _ in values]
+    for _, tr, te, _ in _split_walk(ds, splits, train_fraction, seed, pca_mode):
+        width = min(m, tr.d)
+        for e, by_m in zip(errs, _held_out_errors(algorithm, tr, te, combos, [width])):
+            e.append(by_m[width])
+    return [(value, float(1.0 - np.mean(e))) for value, e in zip(values, errs)]

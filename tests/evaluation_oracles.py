@@ -1,0 +1,64 @@
+"""Reference sweeps, kept as test oracles: one split loop per sweep, one fit per value.
+
+These are the former ``dimension_sweep`` and ``parameter_sweep`` bodies.
+Each walks its own splits and fits every (value, split) pair from
+scratch through ``fit_algorithm``; the parameter sweep scores a split
+with ``nn_classify``.  The library shares one split walk between both
+sweeps and ``benchmark``, fits all values of a split through one
+``staged_fits`` call and scores through the cross-validation scorer.
+"""
+
+import numpy as np
+
+from mpda.dataset import train_test_split
+from mpda.evaluation import (
+    _nn_errors_over_dims,
+    _should_preprocess,
+    error_rate,
+    fit_algorithm,
+    nn_classify,
+    pca_preprocess,
+)
+from mpda.model import transform
+
+
+def per_fit_dimension_sweep(
+    ds, algorithm, m_values, splits=5, train_fraction=0.5, params=None, seed=0, pca_mode="auto"
+):
+    params = params or {}
+    m_values = sorted(set(int(m) for m in m_values))
+    acc = {m: [] for m in m_values}
+    for s in range(splits):
+        tr, te = train_test_split(ds, train_fraction, seed * 1000 + s)
+        if _should_preprocess(pca_mode, ds.d):
+            tr, te, _ = pca_preprocess(tr, te)
+        usable = [m for m in m_values if m <= tr.d]
+        model = fit_algorithm(algorithm, tr, max(usable), params)
+        errs = _nn_errors_over_dims(
+            transform(model, tr.features), tr.labels,
+            transform(model, te.features), te.labels, usable,
+        )
+        for m in usable:
+            acc[m].append(1.0 - errs[m])
+    return [(m, float(np.mean(acc[m]))) for m in m_values if acc[m]]
+
+
+def per_fit_parameter_sweep(
+    ds, algorithm, param, values, m, splits=5, train_fraction=0.5, base_params=None, seed=0,
+    pca_mode="auto",
+):
+    base = dict(base_params or {})
+    rows = []
+    for value in values:
+        errs = []
+        for s in range(splits):
+            tr, te = train_test_split(ds, train_fraction, seed * 1000 + s)
+            if _should_preprocess(pca_mode, ds.d):
+                tr, te, _ = pca_preprocess(tr, te)
+            model = fit_algorithm(algorithm, tr, min(m, tr.d), {**base, param: value})
+            pred = nn_classify(
+                transform(model, tr.features), tr.labels, transform(model, te.features)
+            )
+            errs.append(error_rate(pred, te.labels))
+        rows.append((value, float(1.0 - np.mean(errs))))
+    return rows

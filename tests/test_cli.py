@@ -117,6 +117,18 @@ def test_sweep_parameter_csv(tmp_path, data_csv):
     assert lines[0] == "gamma,mean_accuracy" and len(lines) == 3
 
 
+@pytest.mark.parametrize("param,values", [("k", ["3", "5"]), ("kprime", ["2", "4"])])
+def test_sweep_values_take_the_flag_type(tmp_path, data_csv, param, values):
+    path, _ = data_csv
+    out = tmp_path / "sweep.csv"
+    rc = run(["sweep", "--algo", "mpda", "--data", path, "--splits", "1",
+              "--param", param, "--values", *values, "--m", "1", "--out", str(out)])
+    assert rc == 0
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == f"{param},mean_accuracy"
+    assert [l.split(",")[0] for l in lines[1:]] == values
+
+
 def test_config_file_flags_win(tmp_path, data_csv):
     path, ds = data_csv
     cfg = tmp_path / "run.cfg"
@@ -188,6 +200,34 @@ def test_fit_has_no_seed_flag(tmp_path, data_csv):
         run(["fit", "--algo", "mpda", "--data", path, "--m", "1", "--seed", "3",
              "--out", str(tmp_path / "m.bin")])
     assert exc.value.code == 2
+
+
+def test_benchmark_has_no_jobs_flag(tmp_path, data_csv):
+    path, _ = data_csv
+    with pytest.raises(SystemExit) as exc:
+        run(["benchmark", "--algo", "lda", "--data", path, "--splits", "1", "--m", "1",
+             "--jobs", "2"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag,value", [("--m", "0"), ("--gamma", "-1"), ("--energy", "2")])
+def test_out_of_range_flag_value_is_usage_error(tmp_path, data_csv, capsys, flag, value):
+    path, _ = data_csv
+    argv = ["fit", "--algo", "mpda", "--data", path, "--m", "1", "--out", str(tmp_path / "m.bin")]
+    rc = run(argv + [flag, value])  # argparse keeps the last --m
+    assert rc == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "ValueError" and payload["message"]
+
+
+def test_undecodable_data_file_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xff\xfe1,2\n")
+    rc = run(["fit", "--algo", "mpda", "--data", str(bad), "--m", "1",
+              "--out", str(tmp_path / "m.bin")])
+    assert rc == 3
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "UnicodeDecodeError"
 
 
 def test_hyper_flag_defaults_are_the_fit_defaults():

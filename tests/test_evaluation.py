@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from conftest import curved_classes
+from evaluation_oracles import per_fit_dimension_sweep, per_fit_parameter_sweep
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpda.dataset import LabeledDataset
 from mpda.errors import (
@@ -126,21 +130,23 @@ def test_cv_selects_argmax_over_gamma(rng):
     assert max(r["mean_accuracy"] for r in chosen) == best
 
 
-def test_benchmark_deterministic_and_parallel_invariant(rng):
+def test_benchmark_deterministic_and_stage_times_within_wall(rng):
     ds = two_gaussians(rng, n_per=24)
     kwargs = dict(
         splits=3, train_fraction=0.5, folds=3,
         grid={"gamma": [1.0]}, m_grid=[1, 2], seed=9, pca_mode="off",
     )
-    a = benchmark(ds, "mpda", jobs=1, **kwargs)
-    b = benchmark(ds, "mpda", jobs=3, **kwargs)
-    assert a.per_split_errors == b.per_split_errors
-    assert a.per_split_m == b.per_split_m
-    assert a.mean_error == b.mean_error
+    a = benchmark(ds, "mpda", **kwargs)
+    b = benchmark(ds, "mpda", **kwargs)
+    timing = ("stage_seconds", "wall_seconds")
+    assert {k: v for k, v in a.to_dict().items() if k not in timing} == {
+        k: v for k, v in b.to_dict().items() if k not in timing
+    }
     for rep in (a, b):
         assert rep.to_dict()["wall_seconds"] == rep.wall_seconds > 0.0
-    # one thread: the per-stage times are parts of the elapsed time
-    assert sum(a.stage_seconds.values()) <= a.wall_seconds + 1e-3
+        assert set(rep.stage_seconds) == {"split", "preprocess", "cv", "fit", "score"}
+        # splits run in turn: the per-stage times are parts of the elapsed time
+        assert sum(rep.stage_seconds.values()) <= rep.wall_seconds + 1e-5
 
 
 def test_benchmark_fixed_params_skip_cv(rng):
@@ -208,6 +214,82 @@ def test_parameter_sweep_shape(rng):
     )
     assert [v for v, _ in rows] == [0.1, 1.0, 10.0]
     assert all(0.0 <= acc <= 1.0 for _, acc in rows)
+
+
+def arcs_with_duplicates(rng, sizes=(9, 7, 4), d=4, n_dup=3):
+    """Curved classes with duplicated rows; the last class is smaller than
+    the largest k the sweeps below use."""
+    return curved_classes(rng, sizes, d, n_dup)
+
+
+PARAMETER_SWEEPS = [
+    ("mpda", "gamma", [0.0, 0.5, 10.0], {"k": 3}),
+    ("mpda", "alpha", [1e-3, 1e-1, 1.0], {"kprime": 3, "max_patch": 4}),
+    ("mpda", "k", [2, 5, 12], {"gamma": 2.0}),
+    ("pmpda", "gamma", [0.0, 1.0, 7.0], {"k": 6}),
+]
+
+
+@pytest.mark.parametrize("pca_mode", ["off", "on"])
+@pytest.mark.parametrize("algorithm,param,values,base", PARAMETER_SWEEPS)
+def test_parameter_sweep_equals_per_fit_loop(rng, algorithm, param, values, base, pca_mode):
+    ds = arcs_with_duplicates(rng)
+    kwargs = dict(splits=3, train_fraction=0.6, base_params=base, seed=2, pca_mode=pca_mode)
+    for m in (2, 9):  # 9 exceeds the width: every split fits at its full width
+        got = parameter_sweep(ds, algorithm, param, values, m, **kwargs)
+        assert got == per_fit_parameter_sweep(ds, algorithm, param, values, m, **kwargs)
+
+
+@pytest.mark.parametrize("pca_mode", ["off", "on"])
+@pytest.mark.parametrize("algorithm", ["mpda", "pmpda", "lda", "pca"])
+def test_dimension_sweep_equals_per_fit_loop(rng, algorithm, pca_mode):
+    ds = arcs_with_duplicates(rng)
+    params = {"k": 8, "gamma": 0.5} if algorithm in ("mpda", "pmpda") else {}
+    kwargs = dict(splits=3, train_fraction=0.5, params=params, seed=5, pca_mode=pca_mode)
+    m_values = [3, 1, 2, 6] if algorithm != "lda" else [1, 2]  # 6 exceeds the width
+    got = dimension_sweep(ds, algorithm, m_values, **kwargs)
+    assert got == per_fit_dimension_sweep(ds, algorithm, m_values, **kwargs)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    algorithm=st.sampled_from(["mpda", "pmpda"]),
+    param=st.sampled_from(["k", "gamma", "alpha"]),
+)
+def test_parameter_sweep_equals_per_fit_loop_on_tiny_sets(seed, algorithm, param):
+    rng = np.random.default_rng(seed)
+    sizes = tuple(int(v) for v in rng.integers(2, 6, size=int(rng.integers(2, 4))))
+    d, n_dup = (int(v) for v in rng.integers((2, 0), (5, 4)))
+    ds = arcs_with_duplicates(rng, sizes=sizes, d=d, n_dup=n_dup)
+    values = {"k": [1, 3, ds.n], "gamma": [0.0, 1.0, 1.0], "alpha": [1e-3, 1.0]}[param]
+    kwargs = dict(splits=2, train_fraction=0.5, seed=seed % 97, pca_mode="off")
+    assert parameter_sweep(ds, algorithm, param, values, 2, **kwargs) == per_fit_parameter_sweep(
+        ds, algorithm, param, values, 2, **kwargs
+    )
+
+
+def test_parameter_sweep_walks_each_split_once(rng):
+    """A gamma sweep splits the data and builds the bases once per split, not per value."""
+    import mpda.evaluation
+    import mpda.model
+
+    calls = {"split": 0, "bases": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    split, bases = mpda.evaluation.train_test_split, mpda.model.merge_class_partitions
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mpda.evaluation, "train_test_split", counted("split", split))
+        mp.setattr(mpda.model, "merge_class_partitions", counted("bases", bases))
+        ds = arcs_with_duplicates(rng)
+        parameter_sweep(ds, "mpda", "gamma", [0.1, 1.0, 10.0, 100.0], m=2, splits=3)
+    assert calls == {"split": 3, "bases": 3}
 
 
 def test_nn_invariant_under_rotation(rng):

@@ -347,10 +347,13 @@ def test_pmpda_matches_mpda_on_tiny_class(rng):
         assert np.isclose(f_m @ S_m @ f_m, f_p @ S_p @ f_p, rtol=1e-10)
 
 
-def test_pmpda_resource_cap(rng):
+def test_pmpda_resource_cap(rng, monkeypatch):
+    import mpda.model
+
     ds = random_labeled(rng)
+    monkeypatch.setattr(mpda.model, "DEFAULT_TOTAL_CAP", ds.d)
     with pytest.raises(ResourceLimitError):
-        fit_pmpda(ds, m=1, k=3, total_cap=ds.d)
+        fit_pmpda(ds, m=1, k=3)
 
 
 def test_transform_identity_columns():

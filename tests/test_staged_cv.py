@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import curved_classes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,17 +49,6 @@ def per_combo_cross_validate(train, algorithm, grid, m_grid, folds=4, seed=0):
         best_accuracy=best["mean_accuracy"],
         table=table,
     )
-
-
-def curved_classes(rng, sizes=(14, 12, 13), d=4):
-    """Nearby noisy arcs, one per class, so every stage sees nontrivial input."""
-    parts, labels = [], []
-    for c, size in enumerate(sizes, start=1):
-        s = rng.uniform(-1.0, 1.0, size=size)
-        arc = np.stack([np.cos(2 * s + c), np.sin(2 * s + c), 0.3 * c * s, s**2], axis=1)[:, :d]
-        parts.append(arc + 0.1 * rng.normal(size=(size, d)))
-        labels.append(np.full(size, c))
-    return LabeledDataset(np.vstack(parts), np.concatenate(labels))
 
 
 CORE_GRID = {"k": [2, 5], "gamma": [0.0, 0.5, 10.0], "alpha": [1e-3, 1e-1]}
