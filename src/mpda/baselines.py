@@ -36,6 +36,10 @@ def fit_pca(
     Exactly one of ``m`` and ``energy`` must be given.  The energy rule
     mirrors the tangent module: smallest rank reaching the requested
     eigenvalue mass, capped at the numerical rank.
+
+    The SVD is thin (no n x n ``U``) unless there are fewer rows than
+    columns; then the full ``Vt`` supplies the null-space directions an
+    ``m`` above n reads.
     """
     if (m is None) == (energy is None):
         raise ValueError("specify exactly one of m and energy")
@@ -45,7 +49,7 @@ def fit_pca(
         raise ValueError("PCA needs at least two rows")
     mean = X.mean(axis=0)
     centered = X - mean
-    _, svals, Vt = np.linalg.svd(centered, full_matrices=True)
+    _, svals, Vt = np.linalg.svd(centered, full_matrices=n < d)
     lam = np.zeros(d)
     lam[: svals.size] = svals**2
     if energy is not None:

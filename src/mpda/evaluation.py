@@ -402,12 +402,17 @@ def dimension_sweep(
     """Mean 1-NN accuracy per embedding width, averaged over repeated splits.
 
     Each split fits once at the largest width it can hold and scores every
-    smaller width by truncation.
+    smaller width by truncation.  Widths above a split's width (its column
+    count after the optional PCA pass) are dropped for that split, and a
+    width no split holds is left out of the result; a split that holds none
+    of the widths raises ``ValueError``.
     """
     m_values = sorted(set(int(m) for m in m_values))
     acc: dict[int, list[float]] = {m: [] for m in m_values}
     for _, tr, te, _ in _split_walk(ds, splits, train_fraction, seed, pca_mode):
         usable = [m for m in m_values if m <= tr.d]
+        if not usable:
+            raise ValueError(f"no requested width {m_values} fits the split's width {tr.d}")
         (errs,) = _held_out_errors(algorithm, tr, te, [params or {}], usable)
         for m in usable:
             acc[m].append(1.0 - errs[m])

@@ -18,6 +18,7 @@ from .graph import knn_neighbors
 
 _RANK_RTOL = 1e-12  # relative eigenvalue cutoff for numerical rank
 DEFAULT_ENERGY = 0.95
+HOOD_BLOCK_ROWS = 256  # neighborhoods decomposed at once; bases do not depend on it
 
 
 @dataclass(frozen=True)
@@ -32,40 +33,48 @@ class TangentBasis:
         return self.basis.shape[1]
 
 
-def _fix_signs(V: np.ndarray) -> np.ndarray:
-    """Make each column's largest-magnitude entry positive (determinism)."""
-    if V.size == 0:
-        return V
-    lead = np.argmax(np.abs(V), axis=0)
-    signs = np.sign(V[lead, np.arange(V.shape[1])])
-    signs[signs == 0] = 1.0
-    return V * signs
+def _stacked_bases(H: np.ndarray, energy: float) -> list[TangentBasis]:
+    """Tangent bases of a stack of equal-sized point sets, one per row of H.
+
+    H has shape (N, n, d).  All N sets go through one centring and one
+    batched SVD; the rank, energy and ``n - 1`` caps and the sign rule
+    (each column's largest-magnitude entry positive) are applied per row.
+    Each basis is bit-identical to decomposing its set on its own.
+    """
+    if not 0.0 < energy <= 1.0:
+        raise ValueError("energy must lie in (0, 1]")
+    N, n, d = H.shape
+    if n == 1:
+        return [TangentBasis(basis=np.zeros((d, 0)), eigenvalues=np.zeros(0)) for _ in range(N)]
+    centered = H - H.mean(axis=1, keepdims=True)
+    _, svals, Vt = np.linalg.svd(centered, full_matrices=False)
+    lam = svals**2  # covariance eigenvalues up to the common 1/(n-1) factor
+    total = lam.sum(axis=1)
+    rank = np.sum(lam > _RANK_RTOL * lam[:, :1], axis=1)  # 0 for a zero-variance set
+    # count of cumulative masses below the target = searchsorted(..., side="left")
+    below = np.cumsum(lam, axis=1) < (energy * total - 1e-15)[:, None]
+    m = np.minimum(np.minimum(below.sum(axis=1) + 1, rank), min(d, n - 1))
+    r = int(m.max())  # the returned bases are views of these r rows per set
+    V = Vt[:, :r]
+    # rows of Vt are unit vectors, so no row's largest-magnitude entry is 0
+    lead = np.argmax(np.abs(V), axis=2)
+    signed = V * np.sign(V[np.arange(N)[:, None], np.arange(r), lead])[:, :, None]
+    eigenvalues = lam[:, :r] / (n - 1)
+    return [
+        TangentBasis(basis=v[:mb].T, eigenvalues=e[:mb])
+        for v, e, mb in zip(signed, eigenvalues, m.tolist())
+    ]
 
 
 def fit_tangent_basis(points: np.ndarray, energy: float = DEFAULT_ENERGY) -> TangentBasis:
     """Principal directions of a patch covering the requested energy fraction.
 
     A single point (or any zero-variance patch) yields an empty basis.
-    The rank never exceeds min(d, N_p - 1).
+    The rank never exceeds min(d, N_p - 1).  This is the stack-of-one case
+    of the kernel ``per_point_bases`` runs, so both follow the same rules.
     """
-    if not 0.0 < energy <= 1.0:
-        raise ValueError("energy must lie in (0, 1]")
     P = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    n, d = P.shape
-    if n == 1:
-        return TangentBasis(basis=np.zeros((d, 0)), eigenvalues=np.zeros(0))
-    centered = P - P.mean(axis=0)
-    _, svals, Vt = np.linalg.svd(centered, full_matrices=False)
-    lam = svals**2  # covariance eigenvalues up to the common 1/(n-1) factor
-    total = lam.sum()
-    if total <= 0.0:
-        return TangentBasis(basis=np.zeros((d, 0)), eigenvalues=np.zeros(0))
-    rank = int(np.sum(lam > _RANK_RTOL * lam[0]))
-    cumulative = np.cumsum(lam)
-    m = int(np.searchsorted(cumulative, energy * total - 1e-15) + 1)
-    m = min(m, rank, d, n - 1)
-    basis = _fix_signs(Vt[:m].T)
-    return TangentBasis(basis=basis, eigenvalues=lam[:m] / (n - 1))
+    return _stacked_bases(P[None], energy)[0]
 
 
 def per_point_bases(
@@ -75,7 +84,10 @@ def per_point_bases(
 
     The point itself joins its neighborhood, so each basis sees k+1 points
     and its rank is implicitly capped at k.  Classes smaller than k+1 use
-    all their members.
+    all their members.  Within a class every neighborhood has the same
+    size, so the class goes through one stacked SVD per block of
+    ``HOOD_BLOCK_ROWS`` points; each basis equals ``fit_tangent_basis`` of
+    its neighborhood bit for bit.
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)
@@ -85,11 +97,12 @@ def per_point_bases(
         idx = np.flatnonzero(labels == c)
         Xc = X[idx]
         if len(idx) == 1:
-            bases[idx[0]] = fit_tangent_basis(Xc, energy)
-            continue
-        k_eff = min(k, len(idx) - 1)
-        nb = knn_neighbors(Xc, k_eff)
-        for local, global_i in enumerate(idx):
-            hood = np.concatenate([[local], nb.indices[local]])
-            bases[global_i] = fit_tangent_basis(Xc[hood], energy)
+            hoods = np.zeros((1, 1), dtype=np.intp)
+        else:
+            nb = knn_neighbors(Xc, min(k, len(idx) - 1))
+            hoods = np.column_stack([np.arange(len(idx)), nb.indices])
+        for start in range(0, len(idx), HOOD_BLOCK_ROWS):
+            stop = start + HOOD_BLOCK_ROWS
+            for i, tb in zip(idx[start:stop], _stacked_bases(Xc[hoods[start:stop]], energy)):
+                bases[i] = tb
     return bases  # type: ignore[return-value]

@@ -1,0 +1,62 @@
+"""Per-patch reference constructions the stacked tangent kernel is checked against.
+
+These are the former one-SVD-per-call implementations of ``mpda.tangent``:
+``fit_tangent_basis`` with its own rank, energy and sign rules, and the
+per-point loop that fit one neighborhood at a time.  The library now runs
+every basis through one batched SVD per stack of equal-sized point sets.
+"""
+
+import numpy as np
+
+from mpda.graph import knn_neighbors
+from mpda.tangent import _RANK_RTOL, TangentBasis
+
+
+def fix_signs(V):
+    """Make each column's largest-magnitude entry positive (determinism)."""
+    if V.size == 0:
+        return V
+    lead = np.argmax(np.abs(V), axis=0)
+    signs = np.sign(V[lead, np.arange(V.shape[1])])
+    signs[signs == 0] = 1.0
+    return V * signs
+
+
+def fit_tangent_basis_loop(points, energy):
+    """Principal directions of one patch from its own SVD."""
+    if not 0.0 < energy <= 1.0:
+        raise ValueError("energy must lie in (0, 1]")
+    P = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    n, d = P.shape
+    if n == 1:
+        return TangentBasis(basis=np.zeros((d, 0)), eigenvalues=np.zeros(0))
+    centered = P - P.mean(axis=0)
+    _, svals, Vt = np.linalg.svd(centered, full_matrices=False)
+    lam = svals**2
+    total = lam.sum()
+    if total <= 0.0:
+        return TangentBasis(basis=np.zeros((d, 0)), eigenvalues=np.zeros(0))
+    rank = int(np.sum(lam > _RANK_RTOL * lam[0]))
+    cumulative = np.cumsum(lam)
+    m = int(np.searchsorted(cumulative, energy * total - 1e-15) + 1)
+    m = min(m, rank, d, n - 1)
+    basis = fix_signs(Vt[:m].T)
+    return TangentBasis(basis=basis, eigenvalues=lam[:m] / (n - 1))
+
+
+def per_point_bases_loop(X, labels, k, energy):
+    """One basis per point, fitting each within-class neighborhood in turn."""
+    X = np.asarray(X, dtype=np.float64)
+    labels = np.asarray(labels)
+    bases = [None] * X.shape[0]
+    for c in np.unique(labels):
+        idx = np.flatnonzero(labels == c)
+        Xc = X[idx]
+        if len(idx) == 1:
+            bases[idx[0]] = fit_tangent_basis_loop(Xc, energy)
+            continue
+        nb = knn_neighbors(Xc, min(k, len(idx) - 1))
+        for local, global_i in enumerate(idx):
+            hood = np.concatenate([[local], nb.indices[local]])
+            bases[global_i] = fit_tangent_basis_loop(Xc[hood], energy)
+    return bases

@@ -53,6 +53,34 @@ def test_pca_full_energy_gives_numerical_rank(rng):
     assert model.m == np.linalg.matrix_rank(centered)
 
 
+def fit_pca_full_svd(monkeypatch, X, **kw):
+    """Oracle: fit_pca with every SVD forced to full_matrices=True."""
+    svd = np.linalg.svd
+    with monkeypatch.context() as mp:
+        mp.setattr(np.linalg, "svd", lambda a, full_matrices=True: svd(a, full_matrices=True))
+        return fit_pca(X, **kw)
+
+
+@pytest.mark.parametrize("shape", [(40, 6), (7, 6), (6, 6)])
+def test_pca_thin_svd_bit_identical_to_full_svd(rng, monkeypatch, shape):
+    X = rng.normal(size=shape) * np.arange(1.0, shape[1] + 1)
+    X[:, -1] = X[:, 0] - X[:, 1]  # one null direction
+    for kw in ({"m": 1}, {"m": shape[1]}, {"energy": 0.9}, {"energy": 1.0}):
+        model, ref = fit_pca(X, **kw), fit_pca_full_svd(monkeypatch, X, **kw)
+        assert model.hyperparams == ref.hyperparams
+        assert model.projection.tobytes() == ref.projection.tobytes()
+        assert model.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+
+
+def test_pca_wide_data_keeps_null_space_directions(rng, monkeypatch):
+    X = rng.normal(size=(4, 7))
+    model, ref = fit_pca(X, m=6), fit_pca_full_svd(monkeypatch, X, m=6)
+    assert model.projection.shape == (7, 6)
+    assert model.projection.tobytes() == ref.projection.tobytes()
+    assert model.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+    assert np.linalg.norm(model.projection.T @ model.projection - np.eye(6)) < 1e-12
+
+
 def test_pca_transform_centers(rng):
     X = rng.normal(5.0, 1.0, size=(10, 3))
     model = fit_pca(X, m=2)

@@ -105,6 +105,16 @@ def test_sweep_dimension_csv(tmp_path, data_csv):
     assert [int(l.split(",")[0]) for l in lines[1:]] == [1, 2, 3]
 
 
+def test_sweep_with_no_width_that_fits_is_usage_error(tmp_path, data_csv, capsys):
+    path, _ = data_csv
+    rc = run(["sweep", "--algo", "pca", "--data", path, "--m-min", "5", "--m-max", "6",
+              "--out", str(tmp_path / "sweep.csv")])
+    assert rc == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "ValueError"
+    assert "[5, 6]" in payload["message"] and "width 3" in payload["message"]
+
+
 def test_sweep_parameter_csv(tmp_path, data_csv):
     path, _ = data_csv
     out = tmp_path / "gamma.csv"

@@ -1,6 +1,11 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mpda.tangent
 from mpda.tangent import fit_tangent_basis, per_point_bases
+from tangent_oracles import fit_tangent_basis_loop, per_point_bases_loop
 
 
 def principal_angles(A, B):
@@ -94,3 +99,63 @@ def test_per_point_bases_small_class():
     bases = per_point_bases(X, y, k=5)
     assert bases[2].dim == 0  # singleton class
     assert bases[0].dim == 1  # two collinear classmates
+
+
+def same_bytes(a, b):
+    """Two bases with the same shapes and the same basis and eigenvalue bytes."""
+    return (
+        a.basis.shape == b.basis.shape
+        and a.basis.tobytes() == b.basis.tobytes()
+        and a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+    )
+
+
+@st.composite
+def labeled_points(draw):
+    """Points with duplicate rows, singleton and small classes, and optionally
+    one class whose rows all coincide; d from 1 to past the neighborhood size."""
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 12))
+    n_classes = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) * rng.uniform(0.0, 3.0, size=d)
+    y = rng.integers(1, n_classes + 1, size=n)
+    if draw(st.booleans()):
+        X[rng.integers(0, n, size=n // 2)] = X[0]
+    if draw(st.booleans()):
+        X[y == y[0]] = X[0]  # a zero-variance class
+    if draw(st.booleans()):
+        y[-1] = n_classes + 1  # a singleton class
+    k = draw(st.one_of(st.integers(1, 4), st.integers(n, n + 3)))  # k >= class size too
+    return X, y, k
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(labeled_points(), st.sampled_from([0.5, 0.95, 1.0]))
+def test_stacked_bases_bit_identical_to_per_patch_oracle(case, energy):
+    X, y, k = case
+    bases, ref = per_point_bases(X, y, k, energy), per_point_bases_loop(X, y, k, energy)
+    assert len(bases) == len(ref)
+    assert all(same_bytes(a, b) for a, b in zip(bases, ref))
+    assert same_bytes(fit_tangent_basis(X, energy), fit_tangent_basis_loop(X, energy))
+
+
+def test_hood_block_size_does_not_change_bases(rng, monkeypatch):
+    X = rng.normal(size=(23, 5))
+    X[4] = X[9]
+    y = np.array([1] * 11 + [2] * 9 + [3] * 3)
+    for k in (2, 4, 11):
+        whole = per_point_bases(X, y, k)
+        monkeypatch.setattr(mpda.tangent, "HOOD_BLOCK_ROWS", 2)
+        blocked = per_point_bases(X, y, k)
+        monkeypatch.undo()
+        assert all(same_bytes(a, b) for a, b in zip(blocked, whole))
+        assert all(same_bytes(a, b) for a, b in zip(blocked, per_point_bases_loop(X, y, k, 0.95)))
+
+
+@pytest.mark.parametrize("energy", [0.0, -0.1, 1.5])
+def test_per_point_bases_rejects_energy_outside_unit_interval(rng, energy):
+    X = rng.normal(size=(6, 3))
+    with pytest.raises(ValueError):
+        per_point_bases(X, np.array([1, 1, 1, 2, 2, 3]), 2, energy)
