@@ -129,9 +129,15 @@ def _nn_errors_over_dims(
 
 
 def _grid_combos(grid: dict[str, list]) -> list[dict]:
-    """Expand a grid dict into combos, preserving key and value order."""
+    """Expand a grid dict into combos, preserving key and value order.
+
+    Raises ``ValueError`` naming an axis that has no values.
+    """
     if not grid:
         return [{}]
+    empty = [k for k, v in grid.items() if len(v) == 0]
+    if empty:
+        raise ValueError(f"grid axis {empty[0]!r} has no values")
     keys = list(grid.keys())
     return [dict(zip(keys, vals)) for vals in itertools.product(*(grid[k] for k in keys))]
 
@@ -307,8 +313,11 @@ def _split_walk(ds: LabeledDataset, splits: int, train_fraction: float, seed: in
     """Yield ``(split_seed, train, test, (split_s, preprocess_s))`` per split.
 
     Split s is the stratified split seeded ``seed * 1000 + s``, then the
-    optional PCA pass; the pair times those two steps.
+    optional PCA pass; the pair times those two steps.  Raises
+    ``ValueError`` on the first step unless splits >= 1.
     """
+    if splits < 1:
+        raise ValueError(f"splits must be at least 1, got {splits}")
     for s in range(splits):
         split_seed = seed * 1000 + s
         t0 = time.perf_counter()

@@ -9,6 +9,7 @@ the mean ratio of geodesic to straight-line distance over all its pairs
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,6 +33,21 @@ class GeodesicMatrix:
     @property
     def n(self) -> int:
         return self.geodesic.shape[0]
+
+    @cached_property
+    def tortuosity(self) -> np.ndarray:
+        """Geodesic/Euclidean ratio of every pair, built on first use.
+
+        1 on the diagonal and for coincident points (a zero-length path is
+        trivially straight), +inf wherever the geodesic is.
+        """
+        DG, DE = self.geodesic, self.euclidean
+        R = np.ones_like(DG)
+        positive = DE > 0
+        R[positive] = DG[positive] / DE[positive]
+        np.fill_diagonal(R, 1.0)
+        R[np.isinf(DG)] = np.inf
+        return R
 
 
 def neighbor_graph_matrix(nb: NeighborLists) -> sp.csr_matrix:
@@ -88,19 +104,17 @@ def graph_components(graph: sp.csr_matrix) -> np.ndarray:
 def pair_tortuosity(dist: GeodesicMatrix, members: np.ndarray) -> np.ndarray:
     """Matrix of geodesic/Euclidean ratios for one point set.
 
-    The diagonal is defined as 1 (straight-line limit) and coincident
-    distinct points also score 1, since a zero-length path is trivially
-    straight.  Raises ``UnreachablePairError`` on infinite geodesics.
+    The members' block of ``dist.tortuosity``: the diagonal and coincident
+    distinct points score 1.  Raises ``UnreachablePairError`` on infinite
+    geodesics.
     """
     members = np.asarray(members, dtype=np.int64)
-    DG = dist.geodesic[np.ix_(members, members)]
-    DE = dist.euclidean[np.ix_(members, members)]
-    if np.any(np.isinf(DG)):
+    block = np.ix_(members, members)
+    R = dist.tortuosity[block]
+    # a finite geodesic over a distance near the underflow limit can also
+    # give inf; only an infinite geodesic raises
+    if np.isinf(R).any() and np.isinf(dist.geodesic[block]).any():
         raise UnreachablePairError("patch contains mutually unreachable points")
-    R = np.ones_like(DG)
-    off = ~np.eye(len(members), dtype=bool)
-    positive = off & (DE > 0)
-    R[positive] = DG[positive] / DE[positive]
     return R
 
 

@@ -2,7 +2,10 @@
 
 All constructions are deterministic: k-NN ties are broken by ascending
 point index, which makes every downstream matrix reproducible bit for bit.
-None holds an n x n array: k-NN reads row blocks of the distance matrix.
+None holds an n x n array.  k-NN screens row blocks of squared distances
+from one matrix product, then re-ranks a candidate set with cdist's own
+arithmetic under a per-row rounding certificate, so its lists equal those
+of the full cdist matrix bit for bit, whatever the number of BLAS threads.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from scipy.spatial.distance import cdist
 
 from .errors import KTooLargeError
 
-KNN_BLOCK_ROWS = 256  # distance rows held at once; cdist values do not depend on it
+KNN_BLOCK_ROWS = 256  # distance rows held at once; results do not depend on it
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny  # smallest normal number
 
 
 @dataclass(frozen=True)
@@ -42,15 +47,15 @@ def pairwise_euclidean(X: np.ndarray) -> np.ndarray:
     return D
 
 
-def _nearest(D: np.ndarray, k: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def _nearest(D: np.ndarray, k: int, own: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The k nearest columns of each row of a distance block, by (distance, index).
 
-    Row r of ``D`` holds the distances from point ``start + r`` to every
-    point; that point's own entry is set to +inf in place.  The order equals
-    the first k entries of a stable full-row argsort.
+    Row r of ``D`` holds the distances from one point to every point; its
+    own column, ``own[r]`` (r when None), is set to +inf in place.  The
+    order equals the first k entries of a stable full-row argsort.
     """
     rows = np.arange(D.shape[0])
-    D[rows, start + rows] = np.inf
+    D[rows, rows if own is None else own] = np.inf
     near = np.sort(np.argpartition(D, k - 1, axis=1)[:, :k], axis=1)
     dist = np.take_along_axis(D, near, axis=1)
     order = np.argsort(dist, axis=1, kind="stable")  # near is index-sorted
@@ -65,23 +70,106 @@ def _nearest(D: np.ndarray, k: int, start: int = 0) -> tuple[np.ndarray, np.ndar
     return near, dist
 
 
+def _certified(
+    A: np.ndarray, X: np.ndarray, rows: np.ndarray, k: int, err: np.ndarray, shift: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact k-NN of the block ``rows`` of X from approximate squared distances.
+
+    ``A`` holds the block's approximate squared distances to every point
+    (own entries +inf); each differs from the squared distance of the
+    centred rows by at most ``err`` of its row, and centring moves a
+    distance by at most ``shift`` of its row.  Every column within that
+    bound of the row's k-th value is a candidate and gets cdist's own
+    distance; the candidates are ordered by (distance, index).  Returns
+    ``(kept, near, dist)``: the block positions of the certified rows, whose
+    every non-candidate is provably farther than their k-th distance (or
+    who have none), and their neighbors and distances.
+    """
+    n, d = X.shape
+    rel = (d + 5) * _EPS  # twice cdist's relative rounding error, at least
+    kth = np.partition(A, k - 1, axis=1)[:, k - 1]
+    reach = (np.sqrt(np.maximum(kth, 0.0) + err) + shift) * (1.0 + 3.0 * rel) + shift
+    tau = reach**2 + err
+    rr, cc = np.divmod(np.flatnonzero(A <= tau[:, None]), n)
+    count = np.bincount(rr, minlength=rows.size)
+    ok = np.isfinite(tau) & (count >= k)
+    keep = ok[rr]
+    rr, cc = rr[keep], cc[keep]
+    count[~ok] = 0
+    exact = np.empty(rr.size)
+    zero = np.zeros((1, d))
+    step = max(rows.size * n // max(d, 1), 1)  # candidate pairs per pass: O(block n) memory
+    for lo in range(0, rr.size, step):
+        pairs = slice(lo, lo + step)
+        exact[pairs] = cdist(X[rows[rr[pairs]]] - X[cc[pairs]], zero)[:, 0]
+    order = np.lexsort((cc, exact, rr))
+    sel = np.flatnonzero(ok)
+    pos = (np.cumsum(count) - count)[sel, None] + np.arange(k)
+    near, dist = cc[order][pos], exact[order][pos]
+    # every non-candidate's cdist distance exceeds this lower bound
+    floor = (1.0 - rel) * (np.sqrt(tau[sel] - err[sel]) - shift[sel])
+    good = (floor > dist[:, -1]) | (count[sel] == n - 1)
+    return sel[good], near[good], dist[good]
+
+
 def knn_neighbors(X: np.ndarray, k: int) -> NeighborLists:
     """Exact k nearest neighbors of every row of X by Euclidean distance.
 
     Ties are broken by ascending point index so the result does not depend
     on search order.  Raises ``KTooLargeError`` unless 1 <= k < n.
+
+    Indices and distances equal, bit for bit, the first k entries of a
+    stable argsort of each row of ``cdist(X, X)`` with the point's own
+    entry excluded (NaN distances last), whatever the number of BLAS
+    threads.  Each block of ``KNN_BLOCK_ROWS`` rows is searched in four
+    steps:
+
+    1. approximate squared distances ``|x|^2 + |y|^2 - 2 x.y`` from one
+       matrix product, on rows centred on the mean of the finite rows;
+    2. per row, the k-th smallest of them (``np.partition``);
+    3. candidates: every column within a rounding bound of that value,
+       bounded per row from the squared norms;
+    4. cdist's distances for the candidate pairs, from ``cdist(x - y, 0)``,
+       which does cdist's own subtraction and sequential sum of squares,
+       ordered by (distance, index).
+
+    A row is kept only with a certificate: every non-candidate is provably
+    farther than the row's k-th distance.  Any other row, such as one with
+    a non-finite value, is ranked from its full ``cdist`` row instead.
+    Memory is O(``KNN_BLOCK_ROWS`` n).
     """
     X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
+    n, d = X.shape
     if k < 1:
         raise ValueError("k must be at least 1")
     if k >= n:
         raise KTooLargeError(f"k={k} must be smaller than the number of points n={n}")
+    finite = np.isfinite(X).all(axis=1)
     indices = np.empty((n, k), dtype=np.intp)
     distances = np.empty((n, k))
-    for start in range(0, n, KNN_BLOCK_ROWS):
-        stop = min(start + KNN_BLOCK_ROWS, n)
-        indices[start:stop], distances[start:stop] = _nearest(cdist(X[start:stop], X), k, start)
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows fall back
+        Xc = X - (X[finite].mean(axis=0) if finite.any() else 0.0)
+        sq = np.einsum("ij,ij->i", Xc, Xc)
+        ones = np.ones((n, 1))
+        # left[i] . right[j] = |x_i|^2 + |x_j|^2 - 2 x_i.x_j in one product
+        left = np.hstack([-2.0 * Xc, sq[:, None], ones])
+        right = np.hstack([Xc, ones, sq[:, None]])
+        # per-row bounds, each at least twice the rounding error it covers:
+        # err of A against the centred rows' squared distances, shift of
+        # the centring on a distance; the tiny terms cover underflow, and
+        # shift's also cdist's.  No finite row's norm exceeds sq_max.
+        sq_max = sq[finite].max(initial=0.0)
+        err = (3 * d + 8) * (_EPS * (sq + sq_max) + _TINY)
+        shift = 2.0 * _EPS * (np.sqrt(sq) + np.sqrt(sq_max)) + np.sqrt(d * _TINY)
+        for start in range(0, n, KNN_BLOCK_ROWS):
+            rows = np.arange(start, min(start + KNN_BLOCK_ROWS, n))
+            A = left[rows] @ right.T
+            A[rows - start, rows] = np.inf
+            kept, near, dist = _certified(A, X, rows, k, err[rows], shift[rows])
+            indices[rows[kept]], distances[rows[kept]] = near, dist
+            rest = np.delete(rows, kept)
+            if rest.size:
+                indices[rest], distances[rest] = _nearest(cdist(X[rest], X), k, rest)
     return NeighborLists(indices=indices, distances=distances, k=k)
 
 

@@ -55,7 +55,7 @@ from .errors import (
 )
 from .graph import between_class_form, knn_neighbors, within_class_graph
 from .partition import DEFAULT_KPRIME, DEFAULT_MAX_PATCH, partition_class
-from .tangent import DEFAULT_ENERGY, TangentBasis, fit_tangent_basis, per_point_bases
+from .tangent import DEFAULT_ENERGY, TangentBasis, patch_bases, per_point_bases
 
 DEFAULT_K = 5
 DEFAULT_GAMMA = 1.0
@@ -325,7 +325,7 @@ def _patch_bases(
 ) -> tuple[np.ndarray, list[TangentBasis]]:
     """MPDA bases stage: per-class partition, then one tangent basis per patch."""
     patch_of, members = merge_class_partitions(train, kprime, max_patch, approximate_partition)
-    return patch_of, [fit_tangent_basis(train.features[mem], energy) for mem in members]
+    return patch_of, patch_bases(train.features, members, energy)
 
 
 def _point_bases(

@@ -71,10 +71,31 @@ def fit_tangent_basis(points: np.ndarray, energy: float = DEFAULT_ENERGY) -> Tan
 
     A single point (or any zero-variance patch) yields an empty basis.
     The rank never exceeds min(d, N_p - 1).  This is the stack-of-one case
-    of the kernel ``per_point_bases`` runs, so both follow the same rules.
+    of the kernel ``patch_bases`` and ``per_point_bases`` run, so all three
+    follow the same rules.
     """
     P = np.atleast_2d(np.asarray(points, dtype=np.float64))
     return _stacked_bases(P[None], energy)[0]
+
+
+def patch_bases(
+    X: np.ndarray, patches: list[np.ndarray], energy: float = DEFAULT_ENERGY
+) -> list[TangentBasis]:
+    """One tangent basis per patch, given as row indices of X.
+
+    Patches of equal size share one stacked SVD, so there is one kernel
+    call per distinct patch size; each basis equals ``fit_tangent_basis``
+    of its patch's rows bit for bit.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    sizes = np.array([len(m) for m in patches])
+    bases: list[TangentBasis | None] = [None] * len(patches)
+    for size in np.unique(sizes):
+        which = np.flatnonzero(sizes == size)
+        H = X[np.stack([patches[p] for p in which])]
+        for p, tb in zip(which, _stacked_bases(H, energy)):
+            bases[p] = tb
+    return bases  # type: ignore[return-value]
 
 
 def per_point_bases(

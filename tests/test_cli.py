@@ -115,6 +115,31 @@ def test_sweep_with_no_width_that_fits_is_usage_error(tmp_path, data_csv, capsys
     assert "[5, 6]" in payload["message"] and "width 3" in payload["message"]
 
 
+@pytest.mark.parametrize("command", [
+    ["benchmark", "--algo", "lda", "--m", "1"],
+    ["sweep", "--algo", "pca", "--m-min", "1", "--m-max", "2"],
+    ["sweep", "--algo", "mpda", "--param", "gamma", "--values", "1.0", "--m", "1"],
+])
+def test_zero_splits_is_usage_error(tmp_path, data_csv, capsys, command):
+    path, _ = data_csv
+    rc = run(command + ["--data", path, "--splits", "0", "--out", str(tmp_path / "out.csv")]
+             if command[0] == "sweep" else command + ["--data", path, "--splits", "0"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = json.loads(captured.err.strip().splitlines()[-1])
+    assert payload["error"] == "ValueError" and "splits must be at least 1" in payload["message"]
+
+
+def test_benchmark_empty_grid_flag_is_usage_error(data_csv, capsys):
+    path, _ = data_csv
+    rc = run(["benchmark", "--algo", "mpda", "--data", path, "--splits", "1", "--m-max", "2",
+              "--grid-k"])
+    assert rc == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "ValueError" and "'k'" in payload["message"]
+
+
 def test_sweep_parameter_csv(tmp_path, data_csv):
     path, _ = data_csv
     out = tmp_path / "gamma.csv"

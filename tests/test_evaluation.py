@@ -96,6 +96,25 @@ def test_cv_baselines_reject_names_their_fit_does_not_take(rng):
         assert res.best_params == {"m": 1} and len(res.table) == 1
 
 
+@pytest.mark.parametrize("algorithm", ["mpda", "pca"])
+def test_cv_empty_grid_axis_names_it(rng, algorithm):
+    ds = two_gaussians(rng)
+    grid = {"k": [3], "gamma": []} if algorithm == "mpda" else {"nonsense": []}
+    with pytest.raises(ValueError, match="'gamma'" if algorithm == "mpda" else "'nonsense'"):
+        cross_validate(ds, algorithm, grid=grid, m_grid=[1], seed=0)
+
+
+@pytest.mark.parametrize("splits", [0, -1])
+def test_split_walks_need_at_least_one_split(rng, splits):
+    ds = two_gaussians(rng, n_per=12)
+    with pytest.raises(ValueError, match="splits must be at least 1"):
+        benchmark(ds, "lda", splits=splits, fixed_params={}, fixed_m=1)
+    with pytest.raises(ValueError, match="splits must be at least 1"):
+        dimension_sweep(ds, "pca", [1, 2], splits=splits)
+    with pytest.raises(ValueError, match="splits must be at least 1"):
+        parameter_sweep(ds, "mpda", "gamma", [0.1, 1.0], m=1, splits=splits)
+
+
 def test_cv_deterministic(rng):
     ds = two_gaussians(rng)
     a = cross_validate(ds, "mpda", grid={"gamma": [0.1, 1.0]}, m_grid=[1, 2], folds=4, seed=5)

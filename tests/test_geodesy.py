@@ -9,6 +9,7 @@ from mpda.geodesy import (
     geodesic_distances,
     graph_components,
     neighbor_graph_matrix,
+    pair_tortuosity,
     patch_linearity,
 )
 from mpda.graph import knn_neighbors
@@ -147,6 +148,35 @@ def test_linearity_unreachable_raises():
     DE = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(UnreachablePairError):
         patch_linearity(np.arange(2), GeodesicMatrix(DG, DE))
+
+
+def test_tortuosity_matrix_is_the_pairwise_ratio_rule():
+    # two components: a chain 0-1-2 with a duplicate of 0 at 3, and a pair 4-5
+    X = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0], [9.0, 9.0], [9.0, 9.5]])
+    gm = geodesic_distances(X, k=1)
+    R = gm.tortuosity
+    assert R is gm.tortuosity  # built once
+    for i in range(6):
+        for j in range(6):
+            DG, DE = gm.geodesic[i, j], gm.euclidean[i, j]
+            want = np.inf if np.isinf(DG) else (DG / DE if i != j and DE > 0 else 1.0)
+            assert R[i, j] == want
+    assert R[0, 3] == 1.0 and np.isinf(R[0, 4])
+    assert pair_tortuosity(gm, np.array([2, 0])).tobytes() == R[np.ix_([2, 0], [2, 0])].tobytes()
+    with pytest.raises(UnreachablePairError):
+        pair_tortuosity(gm, np.array([1, 5]))
+    # hand-built: an unreachable coincident pair, and a diagonal that is 1
+    # whatever the Euclidean matrix holds there
+    hand = GeodesicMatrix(np.array([[0.0, np.inf], [np.inf, 0.0]]), np.array([[2.0, 0.0], [0.0, 2.0]]))
+    assert np.array_equal(hand.tortuosity, [[1.0, np.inf], [np.inf, 1.0]])
+    with pytest.raises(UnreachablePairError):
+        patch_linearity(np.arange(2), hand)
+    # a finite geodesic over a distance near the underflow limit overflows
+    # to an infinite ratio without raising
+    tiny = GeodesicMatrix(np.array([[0.0, 4.0], [4.0, 0.0]]), np.array([[0.0, 1e-308], [1e-308, 0.0]]))
+    with np.errstate(over="ignore"):
+        R = pair_tortuosity(tiny, np.arange(2))
+    assert np.array_equal(R, [[1.0, np.inf], [np.inf, 1.0]])
 
 
 def test_ratios_at_least_one(rng):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import mpda.graph
 from mpda.errors import KTooLargeError
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,6 +94,51 @@ def test_knn_bit_identical_across_blocks_on_real_valued_data(rng):
         nb, ref = knn_neighbors(X, k), knn_argsort(X, k)
         assert np.array_equal(nb.indices, ref.indices)
         assert np.array_equal(nb.distances, ref.distances, equal_nan=True)
+
+
+@st.composite
+def real_valued_points(draw):
+    """Real-valued points, optionally with duplicate rows, far from the
+    origin (where the squared-norm expansion cancels worst), n up to past
+    two k-NN blocks, and any valid k up to n - 1."""
+    n = draw(st.one_of(st.integers(2, 40), st.integers(2 * KNN_BLOCK_ROWS, 2 * KNN_BLOCK_ROWS + 9)))
+    d = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+    if draw(st.booleans()):
+        X[rng.integers(0, n, size=n // 3)] = X[rng.integers(0, n, size=n // 3)]
+    X += draw(st.sampled_from([0.0, 1e4, 1e8]))
+    k = draw(st.one_of(st.integers(1, min(7, n - 1)), st.just(n - 1)))
+    return X, k
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(real_valued_points())
+def test_knn_bit_identical_to_full_stable_argsort_on_real_valued_data(case):
+    X, k = case
+    nb, ref = knn_neighbors(X, k), knn_argsort(X, k)
+    assert nb.indices.tobytes() == ref.indices.tobytes()
+    assert nb.distances.tobytes() == ref.distances.tobytes()
+
+
+def test_knn_full_row_fallback_only_for_non_finite_rows(rng, monkeypatch):
+    X = rng.normal(size=(KNN_BLOCK_ROWS + 60, 5)) + 1e4
+    X[7, 1] = np.nan
+    X[KNN_BLOCK_ROWS + 3, 4] = np.inf
+    ranked_whole = []
+
+    def spy(D, k, own=None):
+        ranked_whole.extend(own.tolist())
+        return nearest(D, k, own)
+
+    nearest = mpda.graph._nearest
+    monkeypatch.setattr(mpda.graph, "_nearest", spy)
+    for k in (1, 4, 9):
+        ranked_whole.clear()
+        nb, ref = knn_neighbors(X, k), knn_argsort(X, k)
+        assert ranked_whole == [7, KNN_BLOCK_ROWS + 3]
+        assert nb.indices.tobytes() == ref.indices.tobytes()
+        assert nb.distances.tobytes() == ref.distances.tobytes()
 
 
 def test_effective_sigma_matches_loop_with_duplicates():

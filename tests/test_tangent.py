@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mpda.tangent
-from mpda.tangent import fit_tangent_basis, per_point_bases
+from mpda.tangent import fit_tangent_basis, patch_bases, per_point_bases
 from tangent_oracles import fit_tangent_basis_loop, per_point_bases_loop
 
 
@@ -139,6 +139,36 @@ def test_stacked_bases_bit_identical_to_per_patch_oracle(case, energy):
     assert len(bases) == len(ref)
     assert all(same_bytes(a, b) for a, b in zip(bases, ref))
     assert same_bytes(fit_tangent_basis(X, energy), fit_tangent_basis_loop(X, energy))
+
+
+@st.composite
+def patched_points(draw):
+    """Points cut into patches of mixed sizes (1-point patches among them),
+    with duplicate rows and optionally zero-variance patches."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d)) * rng.uniform(0.0, 3.0, size=d)
+    if draw(st.booleans()):
+        X[rng.integers(0, n, size=n // 2)] = X[0]
+    order = rng.permutation(n)
+    cuts = np.flatnonzero(rng.random(n - 1) < draw(st.sampled_from([0.2, 0.5, 0.9]))) + 1
+    patches = [np.sort(p) for p in np.split(order, cuts)]
+    if draw(st.booleans()):
+        for p in patches[:: 2]:
+            X[p] = X[p[0]]  # zero-variance patches
+    return X, patches
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(patched_points(), st.sampled_from([0.5, 0.95, 1.0]))
+def test_patch_bases_bit_identical_to_one_fit_per_patch(case, energy):
+    X, patches = case
+    bases = patch_bases(X, patches, energy)
+    assert len(bases) == len(patches)
+    for tb, p in zip(bases, patches):
+        assert same_bytes(tb, fit_tangent_basis(X[p], energy))
+        assert same_bytes(tb, fit_tangent_basis_loop(X[p], energy))
 
 
 def test_hood_block_size_does_not_change_bases(rng, monkeypatch):
