@@ -160,6 +160,7 @@ def knn_neighbors(X: np.ndarray, k: int) -> NeighborLists:
         # shift's also cdist's.  No finite row's norm exceeds sq_max.
         sq_max = sq[finite].max(initial=0.0)
         err = (3 * d + 8) * (_EPS * (sq + sq_max) + _TINY)
+        err[~np.isfinite(2.0 * (sq + sq_max))] = np.inf  # the product's sums may overflow
         shift = 2.0 * _EPS * (np.sqrt(sq) + np.sqrt(sq_max)) + np.sqrt(d * _TINY)
         for start in range(0, n, KNN_BLOCK_ROWS):
             rows = np.arange(start, min(start + KNN_BLOCK_ROWS, n))
