@@ -253,9 +253,9 @@ def cmd_sweep(args) -> int:
     params = _hyperparams(args)
     if args.param:
         if not args.values or args.m is None:
-            raise DataError("--param needs --values and a fixed --m")
+            raise ValueError("--param needs --values and a fixed --m")
         if args.param not in params:
-            raise DataError(f"unknown sweep parameter {args.param!r} for {args.algo}")
+            raise ValueError(f"unknown sweep parameter {args.param!r} for {args.algo}")
         base = {k: v for k, v in params.items() if k != args.param}
         values = [args.value_type[args.param](v) for v in args.values]
         rows = parameter_sweep(

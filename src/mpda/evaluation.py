@@ -446,7 +446,7 @@ def parameter_sweep(
     the stages a value does not read (the partition, bases and graphs for
     a gamma or alpha sweep) run once per split, as in cross-validation.
     """
-    combos = [{**(base_params or {}), param: value} for value in values]
+    combos = [{**(base_params or {}), **combo} for combo in _grid_combos({param: values})]
     errs: list[list[float]] = [[] for _ in values]
     for _, tr, te, _ in _split_walk(ds, splits, train_fraction, seed, pca_mode):
         width = min(m, tr.d)

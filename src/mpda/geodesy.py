@@ -1,9 +1,10 @@
 """Geodesic distances on neighbor graphs and patch linearity scores.
 
-Geodesics are approximated by exact shortest paths on the undirected
-k'-NN graph with Euclidean edge lengths.  The linearity of a point set is
-the mean ratio of geodesic to straight-line distance over all its pairs
-(1 means the set lies along a straight path, larger means more tortuous).
+Geodesics, from ``geodesic_distances(X, k)``, are exact shortest paths on
+the undirected k'-NN graph of ``NeighborLists.edges`` with Euclidean edge
+lengths.  The linearity of a point set is the mean ratio of geodesic to
+straight-line distance over all its pairs (1 means the set lies along a
+straight path, larger means more tortuous).
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import UnreachablePairError
-from .graph import NeighborLists, knn_neighbors, pairwise_euclidean
+from .graph import NeighborLists, _check_k, _nearest, pairwise_euclidean
 
 
 @dataclass(frozen=True)
@@ -29,10 +30,6 @@ class GeodesicMatrix:
 
     geodesic: np.ndarray
     euclidean: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.geodesic.shape[0]
 
     @cached_property
     def tortuosity(self) -> np.ndarray:
@@ -49,56 +46,39 @@ class GeodesicMatrix:
         R[np.isinf(DG)] = np.inf
         return R
 
+    def components(self) -> np.ndarray:
+        """Connected-component label per point: two points share one iff their
+        geodesic is finite; labels follow each component's lowest member."""
+        lowest = np.isfinite(self.geodesic).argmax(axis=1)
+        return np.unique(lowest, return_inverse=True)[1]
+
 
 def neighbor_graph_matrix(nb: NeighborLists) -> sp.csr_matrix:
-    """Sparse undirected edge-length matrix of the k-NN graph.
+    """Sparse symmetric edge-length matrix of the undirected k-NN graph.
 
     Zero-length edges (coincident points) are kept as explicit zeros so
     shortest-path routines treat them as traversable.
     """
-    n = nb.n
-    rows = np.repeat(np.arange(n), nb.k)
-    cols = nb.indices.ravel()
-    vals = nb.distances.ravel()
-    ii, jj = np.concatenate([rows, cols]), np.concatenate([cols, rows])
-    # a mutual pair is listed twice; keep one copy, since csr conversion
-    # would sum duplicates (both copies hold the same distance)
-    _, first = np.unique(ii * n + jj, return_index=True)
-    both = np.concatenate([vals, vals])
-    return sp.csr_matrix((both[first], (ii[first], jj[first])), shape=(n, n))
+    lo, hi, dist = nb.edges
+    return sp.csr_matrix(
+        (np.concatenate([dist, dist]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
+        shape=(nb.n, nb.n),
+    )
 
 
-def geodesic_distances(
-    X: np.ndarray,
-    nb: NeighborLists | None = None,
-    k: int | None = None,
-    graph: sp.csr_matrix | None = None,
-    euclidean: np.ndarray | None = None,
-) -> GeodesicMatrix:
+def geodesic_distances(X: np.ndarray, k: int) -> GeodesicMatrix:
     """All-pairs shortest paths on the k-NN graph of X, plus Euclidean distances.
 
-    Provide the graph's edge-length matrix (``neighbor_graph_matrix``), a
-    prebuilt neighbor structure or a neighbor count k, and, if already
-    computed, X's ``pairwise_euclidean`` matrix as ``euclidean``.
+    The k-NN lists come from X's one ``pairwise_euclidean`` matrix; the edge
+    matrix is symmetric, so a directed Dijkstra gives the undirected paths.
     Unreachable pairs are +inf, which is data for the partitioner, not an
-    error.
+    error.  Raises ``KTooLargeError`` unless 1 <= k < n.
     """
     X = np.asarray(X, dtype=np.float64)
-    if graph is None:
-        if nb is None:
-            if k is None:
-                raise ValueError("provide an edge matrix, neighbor lists or k")
-            nb = knn_neighbors(X, k)
-        graph = neighbor_graph_matrix(nb)
-    DG = dijkstra(graph, directed=False)
-    DE = pairwise_euclidean(X) if euclidean is None else euclidean
-    return GeodesicMatrix(geodesic=DG, euclidean=DE)
-
-
-def graph_components(graph: sp.csr_matrix) -> np.ndarray:
-    """Connected-component label per point of an undirected edge-length matrix."""
-    _, comp = connected_components(graph, directed=False)
-    return comp
+    _check_k(k, X.shape[0])
+    DE = pairwise_euclidean(X)
+    graph = neighbor_graph_matrix(NeighborLists(*_nearest(DE.copy(), k), k=k))
+    return GeodesicMatrix(geodesic=dijkstra(graph, directed=True), euclidean=DE)
 
 
 def pair_tortuosity(dist: GeodesicMatrix, members: np.ndarray) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 All constructions are deterministic: k-NN ties are broken by ascending
 point index, which makes every downstream matrix reproducible bit for bit.
+Every reader of the undirected k-NN graph takes its edges from
+``NeighborLists.edges``.
 None holds an n x n array.  k-NN screens row blocks of squared distances
 from one matrix product, then re-ranks a candidate set with cdist's own
 arithmetic under a per-row rounding certificate, so its lists equal those
@@ -11,6 +13,7 @@ of the full cdist matrix bit for bit, whatever the number of BLAS threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,12 +42,33 @@ class NeighborLists:
     def n(self) -> int:
         return self.indices.shape[0]
 
+    @cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each linked pair once as ``(lo, hi, distance)``, lo < hi, sorted by (lo, hi).
+
+        i and j are linked iff i in N_k(j) or j in N_k(i); a mutual pair keeps
+        its first listed copy, whose distance bit-equals the other copy's.
+        """
+        n = self.n
+        i = np.repeat(np.arange(n), self.k)
+        j = self.indices.ravel()
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        _, first = np.unique(lo * n + hi, return_index=True)
+        return lo[first], hi[first], self.distances.ravel()[first]
+
 
 def pairwise_euclidean(X: np.ndarray) -> np.ndarray:
     """Dense symmetric matrix of Euclidean distances with an exact zero diagonal."""
     D = cdist(X, X)
     np.fill_diagonal(D, 0.0)
     return D
+
+
+def _check_k(k: int, n: int) -> None:
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if k >= n:
+        raise KTooLargeError(f"k={k} must be smaller than the number of points n={n}")
 
 
 def _nearest(D: np.ndarray, k: int, own: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -140,10 +164,7 @@ def knn_neighbors(X: np.ndarray, k: int) -> NeighborLists:
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if k >= n:
-        raise KTooLargeError(f"k={k} must be smaller than the number of points n={n}")
+    _check_k(k, n)
     finite = np.isfinite(X).all(axis=1)
     indices = np.empty((n, k), dtype=np.intp)
     distances = np.empty((n, k))
@@ -174,16 +195,6 @@ def knn_neighbors(X: np.ndarray, k: int) -> NeighborLists:
     return NeighborLists(indices=indices, distances=distances, k=k)
 
 
-def _mutual_edge_mask(nb: NeighborLists) -> sp.csr_matrix:
-    """Boolean adjacency: edge iff i in N_k(j) or j in N_k(i)."""
-    n = nb.n
-    rows = np.repeat(np.arange(n), nb.k)
-    cols = nb.indices.ravel()
-    A = sp.csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)), shape=(n, n))
-    A = (A + A.T).astype(bool)
-    return A.tocsr()
-
-
 def within_class_graph(nb: NeighborLists, labels: np.ndarray) -> sp.csr_matrix:
     """Binary graph linking neighbor pairs that share a class label.
 
@@ -193,14 +204,13 @@ def within_class_graph(nb: NeighborLists, labels: np.ndarray) -> sp.csr_matrix:
     labels = np.asarray(labels)
     if labels.shape[0] != nb.n:
         raise ValueError("labels length must match the neighbor structure")
-    A = _mutual_edge_mask(nb).tocoo()
-    keep = labels[A.row] == labels[A.col]
-    W = sp.csr_matrix(
-        (np.ones(int(keep.sum())), (A.row[keep], A.col[keep])), shape=(nb.n, nb.n)
+    lo, hi, _ = nb.edges
+    keep = labels[lo] == labels[hi]
+    lo, hi = lo[keep], hi[keep]
+    return sp.csr_matrix(
+        (np.ones(2 * lo.size), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
+        shape=(nb.n, nb.n),
     )
-    W.setdiag(0.0)
-    W.eliminate_zeros()
-    return W
 
 
 def _effective_sigma(nb: NeighborLists) -> np.ndarray:
@@ -254,13 +264,9 @@ def between_class_form(X: np.ndarray, labels: np.ndarray, nb: NeighborLists) -> 
     S_b, sizes, S_c = class_scatters(X, labels)
     form = S_b + np.tensordot(1.0 - sizes / n, S_c, axes=1)
 
-    # each linked same-class pair once, with its distance from the lists
-    i = np.repeat(np.arange(n), nb.k)
-    j = nb.indices.ravel()
-    keep = labels[i] == labels[j]
-    lo, hi = np.minimum(i, j)[keep], np.maximum(i, j)[keep]
-    _, first = np.unique(lo * n + hi, return_index=True)
-    lo, hi, dist = lo[first], hi[first], nb.distances.ravel()[keep][first]
+    lo, hi, dist = nb.edges
+    keep = labels[lo] == labels[hi]
+    lo, hi, dist = lo[keep], hi[keep], dist[keep]
 
     sigma = _effective_sigma(nb)
     scale = sigma[lo] * sigma[hi]

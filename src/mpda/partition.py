@@ -7,8 +7,9 @@ their k'-nearest remaining points.  Jointly claimed neighbors are awarded
 each round to the side with the smaller linearity*size product.  The loop
 stops once no patch exceeds the size cap M.
 
-All geodesic information is computed once on the whole class and never
-refreshed after splits; patch scores always read from that frozen matrix.
+All geodesic information is computed once on the whole class, by one
+``geodesic_distances`` call, and never refreshed after splits; patch
+scores and the initial components always read from that frozen matrix.
 Each patch's linearity is computed once, when the patch is formed.
 """
 
@@ -18,15 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geodesy import (
-    GeodesicMatrix,
-    geodesic_distances,
-    graph_components,
-    neighbor_graph_matrix,
-    pair_tortuosity,
-    patch_linearity,
-)
-from .graph import NeighborLists, _nearest, pairwise_euclidean
+from .geodesy import GeodesicMatrix, geodesic_distances, pair_tortuosity, patch_linearity
+from .graph import pairwise_euclidean
 
 DEFAULT_KPRIME = 6
 DEFAULT_MAX_PATCH = 10
@@ -155,16 +149,14 @@ def partition_class(
             patches=[np.array([0])], patch_of=np.zeros(1, dtype=np.int64), linearity=np.ones(1)
         )
 
-    DE = pairwise_euclidean(Xc)  # the one distance matrix of the class
     if approximate:
         # Euclidean distances double as "geodesics"; every ratio is 1
+        DE = pairwise_euclidean(Xc)
         dist = GeodesicMatrix(geodesic=DE, euclidean=DE)
         patches = [np.arange(n, dtype=np.int64)]
     else:
-        k_eff = min(kprime, n - 1)
-        G = neighbor_graph_matrix(NeighborLists(*_nearest(DE.copy(), k_eff), k=k_eff))
-        dist = geodesic_distances(Xc, graph=G, euclidean=DE)
-        comp = graph_components(G)
+        dist = geodesic_distances(Xc, min(kprime, n - 1))
+        comp = dist.components()
         patches = [np.flatnonzero(comp == c) for c in range(comp.max() + 1)]
 
     # one linearity per patch: the initial components, then both halves

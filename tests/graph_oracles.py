@@ -1,15 +1,16 @@
 """Dense reference constructions the production graph code is checked against.
 
 These are the former n x n implementations of ``mpda.graph``: the full
-stable-argsort k-NN search, the per-point local-scale loop, the dense
-between-class graph, the LDA weight graphs and the graph Laplacian.  The
-fit path no longer builds any of them.
+stable-argsort k-NN search, the dense mutual-edge mask and within graph,
+the per-point local-scale loop, the dense between-class graph, the LDA
+weight graphs and the graph Laplacian.  The fit path no longer builds any
+of them.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from mpda.graph import NeighborLists, _mutual_edge_mask, pairwise_euclidean
+from mpda.graph import NeighborLists, pairwise_euclidean
 
 
 def knn_argsort(X, k):
@@ -20,6 +21,21 @@ def knn_argsort(X, k):
     order = np.argsort(D, axis=1, kind="stable")[:, :k]
     dists = np.take_along_axis(D, order, axis=1)
     return NeighborLists(indices=order, distances=dists, k=k)
+
+
+def mutual_edge_mask(nb):
+    """Dense boolean adjacency: edge iff i in N_k(j) or j in N_k(i)."""
+    A = np.zeros((nb.n, nb.n), dtype=bool)
+    for i in range(nb.n):
+        A[i, nb.indices[i]] = True
+    return A | A.T
+
+
+def within_class_graph_dense(nb, labels):
+    """Binary within graph: the mutual-edge mask restricted to same-class pairs."""
+    labels = np.asarray(labels)
+    same = labels[:, None] == labels[None, :]
+    return sp.csr_matrix((mutual_edge_mask(nb) & same).astype(np.float64))
 
 
 def effective_sigma_loop(nb):
@@ -59,7 +75,7 @@ def between_class_graph(X, labels, k):
     W[same] = 0.0
 
     D = pairwise_euclidean(X)
-    mask = _mutual_edge_mask(nb).toarray()
+    mask = mutual_edge_mask(nb)
     scale = np.outer(sigma, sigma)
     A = np.zeros((n, n))
     with np.errstate(divide="ignore", invalid="ignore"):

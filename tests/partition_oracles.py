@@ -3,22 +3,39 @@
 These are the former loops of ``split_patch`` and ``partition_class``:
 each growth round recomputes both sides' nearest distances from the
 patch's distance block, and every pass of the driver loop recomputes the
-linearity of every oversize patch.  The outputs define the partitions the
-production code must reproduce bit for bit.
+linearity of every oversize patch.  The geodesics come from a k'-NN graph
+built here, one edge at a time, from a stable argsort of each cdist row,
+and its components from scipy's ``connected_components``.  The outputs
+define the partitions the production code must reproduce bit for bit.
 """
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.spatial.distance import cdist
 
 from mpda.errors import UnreachablePairError
-from mpda.geodesy import (
-    GeodesicMatrix,
-    geodesic_distances,
-    graph_components,
-    neighbor_graph_matrix,
-    patch_linearity,
-)
-from mpda.graph import NeighborLists, _nearest, pairwise_euclidean
+from mpda.geodesy import GeodesicMatrix, patch_linearity
 from mpda.partition import Partition
+
+
+def knn_edge_matrix(D, k):
+    """Undirected k-NN edge-length matrix from a distance matrix, one edge at a time.
+
+    Each row's k nearest other points come from a stable argsort (ties to
+    the lower index); a pair listed by both ends is stored once.
+    """
+    n = D.shape[0]
+    edges = {}
+    for i in range(n):
+        row = D[i].copy()
+        row[i] = np.inf
+        for j in np.argsort(row, kind="stable")[:k]:
+            edges.setdefault((min(i, int(j)), max(i, int(j))), row[j])
+    (lo, hi), w = np.array(list(edges)).T, np.array(list(edges.values()))
+    return sp.csr_matrix(
+        (np.concatenate([w, w]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))), shape=(n, n)
+    )
 
 
 def split_patch_loop(members, dist, kprime):
@@ -90,15 +107,15 @@ def partition_class_loop(Xc, kprime, max_patch, approximate=False):
             patches=[np.array([0])], patch_of=np.zeros(1, dtype=np.int64), linearity=np.ones(1)
         )
 
-    DE = pairwise_euclidean(Xc)
+    DE = cdist(Xc, Xc)
+    np.fill_diagonal(DE, 0.0)
     if approximate:
         dist = GeodesicMatrix(geodesic=DE, euclidean=DE)
         patches = [np.arange(n, dtype=np.int64)]
     else:
-        k_eff = min(kprime, n - 1)
-        G = neighbor_graph_matrix(NeighborLists(*_nearest(DE.copy(), k_eff), k=k_eff))
-        dist = geodesic_distances(Xc, graph=G, euclidean=DE)
-        comp = graph_components(G)
+        G = knn_edge_matrix(DE, min(kprime, n - 1))
+        dist = GeodesicMatrix(geodesic=dijkstra(G, directed=False), euclidean=DE)
+        _, comp = connected_components(G, directed=False)
         patches = [np.flatnonzero(comp == c) for c in range(comp.max() + 1)]
 
     while True:

@@ -206,7 +206,7 @@ def test_criterion_4_oracle_equivalences():
         n = int(rng.integers(10, 41))
         X = rng.normal(size=(n, 3))
         nb = knn_neighbors(X, 4)
-        gm = geodesic_distances(X, nb=nb)
+        gm = geodesic_distances(X, 4)
         ref = floyd_warshall(edges_of(nb), n)
         finite = np.isfinite(ref)
         ok = ok and np.array_equal(np.isfinite(gm.geodesic), finite)

@@ -131,6 +131,23 @@ def test_zero_splits_is_usage_error(tmp_path, data_csv, capsys, command):
     assert payload["error"] == "ValueError" and "splits must be at least 1" in payload["message"]
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--param", "gamma", "--m", "1"], "--param needs --values and a fixed --m"),
+    (["--param", "gamma", "--values", "--m", "1"], "--param needs --values and a fixed --m"),
+    (["--param", "gamma", "--values", "1.0"], "--param needs --values and a fixed --m"),
+    (["--param", "nonsense", "--values", "1", "--m", "1"], "unknown sweep parameter 'nonsense'"),
+])
+def test_sweep_flag_mistakes_are_usage_errors(tmp_path, data_csv, capsys, flags, message):
+    path, _ = data_csv
+    out = tmp_path / "sweep.csv"
+    rc = run(["sweep", "--algo", "mpda", "--data", path, *flags, "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ValueError" and message in payload["message"]
+
+
 def test_benchmark_empty_grid_flag_is_usage_error(data_csv, capsys):
     path, _ = data_csv
     rc = run(["benchmark", "--algo", "mpda", "--data", path, "--splits", "1", "--m-max", "2",

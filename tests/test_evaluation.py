@@ -5,6 +5,7 @@ from evaluation_oracles import per_fit_dimension_sweep, per_fit_parameter_sweep
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mpda.evaluation
 from mpda.dataset import LabeledDataset
 from mpda.errors import (
     DegenerateFoldsError,
@@ -113,6 +114,17 @@ def test_split_walks_need_at_least_one_split(rng, splits):
         dimension_sweep(ds, "pca", [1, 2], splits=splits)
     with pytest.raises(ValueError, match="splits must be at least 1"):
         parameter_sweep(ds, "mpda", "gamma", [0.1, 1.0], m=1, splits=splits)
+
+
+def test_parameter_sweep_without_values_raises_before_any_split(rng, monkeypatch):
+    ds = two_gaussians(rng, n_per=12)
+
+    def no_split(*args, **kwargs):
+        raise AssertionError("a split ran")
+
+    monkeypatch.setattr(mpda.evaluation, "_split_walk", no_split)
+    with pytest.raises(ValueError, match="'gamma'"):
+        parameter_sweep(ds, "mpda", "gamma", [], m=1, splits=2)
 
 
 def test_cv_deterministic(rng):

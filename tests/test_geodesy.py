@@ -3,11 +3,10 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from mpda.errors import UnreachablePairError
+from mpda.errors import KTooLargeError, UnreachablePairError
 from mpda.geodesy import (
     GeodesicMatrix,
     geodesic_distances,
-    graph_components,
     neighbor_graph_matrix,
     pair_tortuosity,
     patch_linearity,
@@ -61,17 +60,27 @@ def test_edge_matrix_matches_dict_loop_on_duplicates_and_gaps(rng):
         X = rng.normal(size=(n, d))
         X[n // 2 :] += 1e3  # two far groups: small k leaves them disconnected
         X = np.vstack([X, X[rng.integers(0, n, size=3)], X[:1]])  # duplicates
-        nb = knn_neighbors(X, int(rng.integers(1, 5)))
+        if trial % 2:
+            X = X[rng.permutation(len(X))]  # interleave the components' members
+        k = int(rng.integers(1, 5))
+        nb = knn_neighbors(X, k)
         old, new = dict_loop_graph_matrix(nb), neighbor_graph_matrix(nb)
         assert np.any(new.data == 0.0)  # zero-length edges stay explicit
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(new, name), getattr(old, name))
-        gm = geodesic_distances(X, graph=new)
+        gm = geodesic_distances(X, k)
         assert np.array_equal(gm.geodesic, dijkstra(old, directed=False))
-        assert np.array_equal(gm.geodesic, geodesic_distances(X, nb=nb).geodesic)
-        assert np.array_equal(graph_components(new), connected_components(old, directed=False)[1])
+        assert np.array_equal(gm.components(), connected_components(old, directed=False)[1])
         if trial == 0:
             assert np.isinf(gm.geodesic).any()
+
+
+def test_k_out_of_range_raises():
+    X = np.zeros((4, 2))
+    with pytest.raises(KTooLargeError):
+        geodesic_distances(X, 4)
+    with pytest.raises(ValueError):
+        geodesic_distances(X, 0)
 
 
 def test_chain_path_sum():
@@ -91,7 +100,7 @@ def test_disconnected_is_infinite():
 def test_matches_floyd_warshall(rng):
     X = rng.normal(size=(30, 3))
     nb = knn_neighbors(X, 4)
-    gm = geodesic_distances(X, nb=nb)
+    gm = geodesic_distances(X, 4)
     ref = floyd_warshall(edges_of(nb), 30)
     finite = np.isfinite(ref)
     assert np.array_equal(np.isfinite(gm.geodesic), finite)

@@ -13,6 +13,8 @@ from graph_oracles import (
     knn_argsort,
     laplacian,
     lda_graphs,
+    mutual_edge_mask,
+    within_class_graph_dense,
 )
 from mpda.graph import (
     KNN_BLOCK_ROWS,
@@ -189,6 +191,38 @@ def test_between_form_matches_dense_oracle(n, d, n_classes, k, offset, duplicate
     y = rng.integers(1, n_classes + 1, size=n)
     y[-1] = n_classes + 1  # a singleton class
     assert between_rel_err(X + offset, y, min(k, n - 1)) <= 1e-12
+
+
+def test_edges_list_each_linked_pair_once_and_feed_the_within_graph(rng):
+    for trial in range(24):
+        n, d = int(rng.integers(4, 30)), int(rng.integers(1, 4))
+        X = rng.normal(size=(n, d))
+        X[n // 2 :] += 1e3  # two far groups: small k leaves them disconnected
+        X = np.vstack([X, X[rng.integers(0, n, size=3)]])  # duplicate rows
+        n = len(X)
+        k = (1, n - 1, int(rng.integers(1, 5)))[trial % 3]
+        y = rng.integers(1, 3, size=n)
+        y[-1] = 3  # a singleton class
+        nb = knn_neighbors(X, k)
+        lo, hi, dist = nb.edges
+        assert nb.edges is nb.edges  # built once
+        assert np.all(lo < hi)
+        key = lo * n + hi
+        assert np.all(np.diff(key) > 0)  # sorted by (lo, hi), each pair once
+        upper = np.triu(mutual_edge_mask(nb), 1)
+        assert np.array_equal(upper[lo, hi], np.ones(lo.size, dtype=bool))
+        assert lo.size == upper.sum()
+        # the distance bit-equals every list copy of the pair
+        for i in range(n):
+            for j, w in zip(nb.indices[i], nb.distances[i]):
+                e = np.searchsorted(key, min(i, j) * n + max(i, j))
+                assert dist[e].tobytes() == w.tobytes()
+        W, ref = within_class_graph(nb, y), within_class_graph_dense(nb, y)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(W, name).tobytes() == getattr(ref, name).tobytes()
+        if k == 1:
+            far = X[:, 0] > 500
+            assert not np.any(far[lo] != far[hi])
 
 
 def test_within_graph_rules():

@@ -8,8 +8,7 @@ from scipy.spatial.distance import cdist
 
 import mpda.graph
 import mpda.partition
-from mpda.geodesy import geodesic_distances, graph_components, neighbor_graph_matrix
-from mpda.graph import knn_neighbors
+from mpda.geodesy import geodesic_distances
 from mpda.partition import partition_class, split_patch
 from partition_oracles import partition_class_loop
 
@@ -186,7 +185,7 @@ def test_linearity_computed_once_per_patch(rng):
     # two far-apart clusters: two components, each split many times
     X = np.vstack([rng.normal(size=(100, 3)), rng.normal(size=(100, 3)) + 1e3])
     kprime, max_patch = 6, 10
-    components = graph_components(neighbor_graph_matrix(knn_neighbors(X, kprime))).max() + 1
+    components = geodesic_distances(X, kprime).components().max() + 1
     lin_spy = mock.patch.object(
         mpda.partition, "patch_linearity", wraps=mpda.partition.patch_linearity
     )
