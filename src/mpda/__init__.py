@@ -21,7 +21,7 @@ from .model import (
     solve_gep,
     transform,
 )
-from .partition import Partition, partition_class, split_patch
+from .partition import Partition, partition_class, partition_classes, split_patch
 from .tangent import TangentBasis, fit_tangent_basis
 
 __version__ = "0.1.0"
@@ -50,6 +50,7 @@ __all__ = [
     "load_model",
     "nn_classify",
     "partition_class",
+    "partition_classes",
     "patch_linearity",
     "save_model",
     "solve_gep",

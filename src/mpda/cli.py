@@ -29,7 +29,7 @@ from .evaluation import (
     parameter_sweep,
 )
 from .model import DEFAULT_ALPHA, DEFAULT_GAMMA, DEFAULT_K, load_model, save_model, transform
-from .partition import DEFAULT_KPRIME, DEFAULT_MAX_PATCH, partition_class
+from .partition import DEFAULT_KPRIME, DEFAULT_MAX_PATCH, partition_classes
 from .tangent import DEFAULT_ENERGY
 
 EXIT_OK = 0
@@ -282,12 +282,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_partition_inspect(args) -> int:
     ds = load_dataset(args.data, args.format, args.header)
+    classes = sorted(ds.class_counts)
+    class_rows = [ds.class_indices(c) for c in classes]
+    parts = partition_classes(
+        [ds.features[rows] for rows in class_rows],
+        args.kprime, args.max_patch, args.approximate_partition,
+    )
     out = []
-    for c in sorted(ds.class_counts):
-        rows = ds.class_indices(c)
-        part = partition_class(
-            ds.features[rows], args.kprime, args.max_patch, args.approximate_partition
-        )
+    for c, rows, part in zip(classes, class_rows, parts):
         out.append({
             "class": ds.label_names.get(c, c),
             "patches": [

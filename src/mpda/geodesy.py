@@ -39,9 +39,7 @@ class GeodesicMatrix:
         trivially straight), +inf wherever the geodesic is.
         """
         DG, DE = self.geodesic, self.euclidean
-        R = np.ones_like(DG)
-        positive = DE > 0
-        R[positive] = DG[positive] / DE[positive]
+        R = np.divide(DG, DE, out=np.ones_like(DG), where=DE > 0)
         np.fill_diagonal(R, 1.0)
         R[np.isinf(DG)] = np.inf
         return R
@@ -98,10 +96,20 @@ def pair_tortuosity(dist: GeodesicMatrix, members: np.ndarray) -> np.ndarray:
     return R
 
 
+def mean_ratios(blocks: np.ndarray) -> np.ndarray:
+    """Linearity of each of B same-size point sets from their B x N x N ratio blocks.
+
+    Each block is summed as one contiguous row of N^2 values, the order in
+    which the block's own ``.sum()`` adds them, so every value is bit-equal
+    to the one-block result.
+    """
+    B, N, _ = blocks.shape
+    return blocks.reshape(B, N * N).sum(axis=1) / (N * N)
+
+
 def patch_linearity(members: np.ndarray, dist: GeodesicMatrix) -> float:
     """Mean tortuosity of a point set: (1/N^2) * sum of all pairwise ratios."""
     members = np.asarray(members, dtype=np.int64)
     if members.size == 0:
         raise ValueError("patch must contain at least one point")
-    R = pair_tortuosity(dist, members)
-    return float(R.sum() / (len(members) ** 2))
+    return float(mean_ratios(pair_tortuosity(dist, members)[None])[0])

@@ -54,7 +54,7 @@ from .errors import (
     SolverFailureError,
 )
 from .graph import between_class_form, knn_neighbors, within_class_graph
-from .partition import DEFAULT_KPRIME, DEFAULT_MAX_PATCH, partition_class
+from .partition import DEFAULT_KPRIME, DEFAULT_MAX_PATCH, partition_classes
 from .tangent import DEFAULT_ENERGY, TangentBasis, patch_bases, per_point_bases
 
 DEFAULT_K = 5
@@ -299,9 +299,11 @@ def merge_class_partitions(
     """
     patch_of = np.full(ds.n, -1, dtype=np.int64)
     members: list[np.ndarray] = []
-    for c in np.unique(ds.labels):
-        rows = ds.class_indices(int(c))
-        part = partition_class(ds.features[rows], kprime, max_patch, approximate)
+    class_rows = [ds.class_indices(int(c)) for c in np.unique(ds.labels)]
+    parts = partition_classes(
+        [ds.features[rows] for rows in class_rows], kprime, max_patch, approximate
+    )
+    for rows, part in zip(class_rows, parts):
         for local_members in part.patches:
             pid = len(members)
             global_members = rows[local_members]

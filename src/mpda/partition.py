@@ -1,29 +1,44 @@
-"""Top-down divisive partitioning of one class into near-linear patches.
+"""Top-down divisive partitioning of each class into near-linear patches.
 
-The driver loop repeatedly picks the oversize patch with the largest
-linearity*size product and splits it in two around the pair of points at
-maximal geodesic distance, growing both sides by alternately absorbing
-their k'-nearest remaining points.  Jointly claimed neighbors are awarded
-each round to the side with the smaller linearity*size product.  The loop
-stops once no patch exceeds the size cap M.
+The driver rule repeatedly picks the oversize patch with the largest
+linearity*size product (ties to the lowest patch id) and splits it in two
+around the pair of points at maximal geodesic distance, growing both sides
+by alternately absorbing their k'-nearest remaining points; the left half
+keeps the patch's id and the right half is appended.  Jointly claimed
+neighbors are awarded each round to the side with the smaller
+linearity*size product.  Splitting stops once no patch exceeds the size
+cap M.
 
-All geodesic information is computed once on the whole class, by one
+All geodesic information is computed once per class, by one
 ``geodesic_distances`` call, and never refreshed after splits; patch
 scores and the initial components always read from that frozen matrix.
-Each patch's linearity is computed once, when the patch is formed.
+A split therefore reads only its own members and its class's matrices, so
+the final patches do not depend on the order of the splits, only their ids
+do.  ``partition_classes`` splits every oversize patch of every class
+together, one tree level at a time: the growth rounds run on padded
+(patches x 2 sides x size) arrays, and each level's new linearities are
+summed in bulk, once per patch.  The ids are then recovered by replaying
+the driver rule over the finished tree.  ``split_patch`` is the one-patch
+split; the batched growth hands it any joint award its rounding bound
+cannot decide (see ``_grow``), so every partition equals the one-patch
+loop's bit for bit.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geodesy import GeodesicMatrix, geodesic_distances, pair_tortuosity, patch_linearity
+from .geodesy import GeodesicMatrix, geodesic_distances, mean_ratios, pair_tortuosity
 from .graph import pairwise_euclidean
 
 DEFAULT_KPRIME = 6
 DEFAULT_MAX_PATCH = 10
+# n x n matrix values of the classes partitioned together (each class holds
+# three such matrices); results do not depend on it
+CLASS_BATCH_VALUES = 2**20
 
 
 @dataclass(frozen=True)
@@ -122,13 +137,325 @@ def split_patch(
     return members[in_left], members[in_right]
 
 
-def partition_class(
-    Xc: np.ndarray,
+class _ClassTree:
+    """One class's split tree: members and linearity per node, children per split node.
+
+    The roots are the class's initial patches (its components, or the whole
+    class when approximated); splitting node k appends its two halves and
+    records them in ``children[k]``.  Rows with a NaN or infinite value
+    make every split of the class go through ``split_patch``.
+    """
+
+    def __init__(self, Xc: np.ndarray, kprime: int, approximate: bool):
+        self.n = n = Xc.shape[0]
+        self.scalar = not np.isfinite(Xc).all()
+        self.children: dict[int, tuple[int, int]] = {}
+        self.dist: GeodesicMatrix | None = None
+        if n == 1:
+            self.members = [np.array([0])]
+            self.linearity = [1.0]
+            return
+        if approximate:
+            # Euclidean distances double as "geodesics"; every ratio is 1
+            DE = pairwise_euclidean(Xc)
+            self.dist = GeodesicMatrix(geodesic=DE, euclidean=DE)
+            self.members = [np.arange(n, dtype=np.int64)]
+        else:
+            self.dist = geodesic_distances(Xc, min(kprime, n - 1))
+            comp = self.dist.components()
+            self.members = [np.flatnonzero(comp == c) for c in range(comp.max() + 1)]
+        self.linearity = [1.0 if approximate else None] * len(self.members)
+
+    def flat(self, name: str) -> np.ndarray:
+        """Row-major view (not a copy) of one of the class's n x n matrices."""
+        return getattr(self.dist, name).reshape(-1)
+
+    def add_halves(self, node: int, halves: tuple[np.ndarray, np.ndarray], lin: float | None):
+        self.children[node] = (len(self.members), len(self.members) + 1)
+        self.members.extend(halves)
+        self.linearity.extend([lin, lin])
+
+    def partition(self, max_patch: int) -> Partition:
+        """Replay the driver over the finished tree to number the patches.
+
+        The oversize patch with the largest linearity*size goes first, ties
+        to the lowest id; its left half keeps the id and its right half is
+        appended.
+        """
+        nodes = list(range(len(self.members) - 2 * len(self.children)))  # patch id -> node
+
+        def entry(pid: int) -> tuple[float, int]:
+            node = nodes[pid]
+            return -(self.linearity[node] * len(self.members[node])), pid
+
+        def oversize(pid: int) -> bool:
+            return len(self.members[nodes[pid]]) > max_patch
+
+        heap = [entry(pid) for pid in range(len(nodes)) if oversize(pid)]
+        heapq.heapify(heap)
+        while heap:
+            _, pid = heapq.heappop(heap)
+            left, right = self.children[nodes[pid]]
+            nodes[pid] = left
+            nodes.append(right)
+            for p in (pid, len(nodes) - 1):
+                if oversize(p):
+                    heapq.heappush(heap, entry(p))
+        patches = [self.members[node] for node in nodes]
+        patch_of = np.empty(self.n, dtype=np.int64)
+        patch_of[np.concatenate(patches)] = np.repeat(
+            np.arange(len(patches)), [len(m) for m in patches]
+        )
+        linearity = np.array([self.linearity[node] for node in nodes])
+        return Partition(patches=patches, patch_of=patch_of, linearity=linearity)
+
+
+def _chunks(sizes: list[int], cost, budget: int) -> list[tuple[int, int]]:
+    """Consecutive runs of items whose padded cost, count * cost(largest), fits the budget.
+
+    A run always takes at least one item.
+    """
+    runs, start, top = [], 0, 0
+    for i, s in enumerate(sizes):
+        top = max(top, s)
+        if i > start and (i - start + 1) * cost(top) > budget:
+            runs.append((start, i))
+            start, top = i, s
+    if sizes:
+        runs.append((start, len(sizes)))
+    return runs
+
+
+def _spans(trees: list[_ClassTree]) -> list[tuple[_ClassTree, int, int]]:
+    """(tree, start, stop) of each run of consecutive items from one class."""
+    spans, start = [], 0
+    for i in range(1, len(trees) + 1):
+        if i == len(trees) or trees[i] is not trees[start]:
+            spans.append((trees[start], start, i))
+            start = i
+    return spans
+
+
+def _set_linearities(nodes: list[tuple[_ClassTree, int]], budget: int) -> None:
+    """Linearity of every listed node, one ``mean_ratios`` call per class and size."""
+    for tree, start, stop in _spans([t for t, _ in nodes]):
+        ids = np.array([k for _, k in nodes[start:stop]])
+        sizes = np.array([len(tree.members[k]) for k in ids])
+        R = tree.dist.tortuosity
+        for N in np.unique(sizes):
+            group = ids[sizes == N]
+            step = max(1, budget // (2 * N * N))
+            for lo in range(0, group.size, step):
+                if N == tree.n:  # the class's only patch
+                    lins = mean_ratios(R[None])
+                else:
+                    sub = np.stack([tree.members[k] for k in group[lo : lo + step]])
+                    lins = mean_ratios(R[sub[:, :, None], sub[:, None, :]])
+                for k, v in zip(group[lo : lo + step], lins):
+                    tree.linearity[k] = float(v)
+
+
+def _padded(members: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Member lists as rows of one array, padded by repeating each row's first member."""
+    sizes = np.array([m.size for m in members])
+    col = np.arange(sizes.max())
+    pos = np.where(col < sizes[:, None], col, 0)
+    return np.concatenate(members)[(np.cumsum(sizes) - sizes)[:, None] + pos], sizes
+
+
+def _seeds(spans, idx: np.ndarray, sizes: np.ndarray, budget: int):
+    """Each patch's two seed positions, as ``split_patch`` picks them, and
+    whether its block holds an infinite geodesic (``split_patch`` must then
+    decide).
+
+    The argmax runs over the padded block; a padded entry repeats an entry
+    earlier in its row, so the first maximum is a real one.  A patch that
+    is its whole class reads the class's matrix as it is.
+    """
+    P, S = idx.shape
+    seeds = np.empty((P, 2), dtype=np.int64)
+    top = np.empty(P)
+    step = max(1, budget // (2 * S * S))
+    for tree, a, b in spans:
+        G = tree.dist.geodesic
+        for lo in range(a, b, step):
+            hi = min(b, lo + step)
+            if sizes[lo] == tree.n:  # the class's only patch
+                block, width = G.reshape(1, -1), tree.n
+            else:
+                sub = idx[lo:hi]
+                block, width = G[sub[:, :, None], sub[:, None, :]].reshape(hi - lo, S * S), S
+            flat = block.argmax(axis=1)
+            top[lo:hi] = block[np.arange(hi - lo), flat]
+            seeds[lo:hi] = np.stack(np.divmod(flat, width), axis=1)
+    coincident = seeds[:, 0] == seeds[:, 1]  # all-zero geodesics
+    seeds.sort(axis=1)
+    seeds[coincident] = (0, 1)
+    return seeds, np.isinf(top)
+
+
+def _all_ones(tree: _ClassTree, members: np.ndarray) -> bool:
+    return bool((tree.dist.tortuosity[np.ix_(members, members)] == 1.0).all())
+
+
+def _grow(spans, idx: np.ndarray, sizes: np.ndarray, kprime: int, budget: int):
+    """Grow both sides of every patch of one chunk together, one round at a time.
+
+    Returns the (P, 2, S) side masks and the patches whose split must be
+    made by ``split_patch``.  Each round follows ``split_patch``'s round for
+    every patch: both sides pick their k' nearest pool members by
+    (distance, index), pool members before all others even at +inf; they
+    take their sole picks, then the joint picks go to the side with the
+    smaller linearity*size.  Only the picked rows of each class's ratio and
+    distance matrices are read; the distance matrix is bitwise symmetric,
+    so a row serves as the column ``split_patch`` reads.
+
+    The ratio sums add in another order than ``split_patch``'s.  For m
+    non-negative terms any order is within (m-1)*u of the exact sum, so two
+    orders give scores apart by at most eps*N^2*score on a side of N
+    points; an award is taken here only when the scores differ by more
+    than twice that, or when every ratio among each side's members is
+    exactly 1 (integer sums are exact in any order).  Any other award, or a
+    score that is not finite, hands the patch to ``split_patch``.
+    """
+    P, S = idx.shape
+    Q = 2 * P  # one row per side: row 2p + s is side s of patch p
+    kk = min(kprime, S - 1)  # picks per side (the pool never exceeds S - 2)
+    n = np.array([tree.n for tree, a, b in spans for _ in range(a, b)])
+    seeds, failed = _seeds(spans, idx, sizes, budget)
+    side = np.zeros((P, 2, S), dtype=bool)
+    side[np.arange(P)[:, None], [0, 1], seeds] = True
+    pool = (np.arange(S) < sizes[:, None]) & ~side.any(axis=1)
+    pool[failed] = False
+
+    # near[q]: each member's distance to the nearest point on side q
+    near = np.empty((Q, S))
+    own = np.repeat(idx, 2, axis=0)  # side q's patch members (class-local)
+    flat = (own.take(seeds.ravel() + np.arange(Q) * S) * np.repeat(n, 2))[:, None] + own
+    for tree, a, b in spans:
+        np.take(tree.flat("euclidean"), flat[2 * a : 2 * b], out=near[2 * a : 2 * b], mode="clip")
+    sums = np.ones(Q)  # each side starts as one point with ratio 1
+    counts = np.ones(Q, dtype=np.int64)
+
+    row_at = np.arange(Q)[:, None] * S  # offset of row q in a (Q, S) array
+    patch_at = row_at // 2 // S * S  # offset of row q's patch in a (P, S) array
+    scale = np.repeat(n, 2)[:, None, None]
+    flat = np.empty((Q, kk, S), dtype=np.int64)
+    ratios = np.empty((Q, kk, S))  # the picked rows of each side
+    dists = np.empty((Q, kk, S))
+    weights = np.empty((Q, S, 2))
+    eps = np.finfo(np.float64).eps
+    while pool.any():
+        key = np.where(pool[:, None], near.reshape(P, 2, S), np.nan).reshape(Q, S)
+        part = np.argpartition(key, kk, axis=1)
+        cand = part[:, :kk]
+        val = key.take(cand + row_at)
+        # argpartition breaks a tie at the boundary arbitrarily: such a row
+        # is sorted whole
+        for q in np.flatnonzero(val.max(axis=1) == key.take(part[:, kk] + row_at[:, 0])):
+            cand[q] = np.argsort(key[q], kind="stable")[:kk]
+            val[q] = key[q, cand[q]]
+        picked = ~np.isnan(val)  # fewer than k' left: the whole pool
+        mark = np.zeros((P, 2, S), dtype=bool)
+        np.put(mark, cand + row_at, picked)
+        joint = mark[:, 0] & mark[:, 1]
+        only = mark & ~joint[:, None]
+        at = cand + patch_at
+        joint_row = picked & joint.take(at)
+        only_row = picked & ~joint_row
+
+        np.add((idx.take(at) * scale[:, :, 0])[:, :, None], own[:, None, :], out=flat)
+        for tree, a, b in spans:
+            rows = slice(2 * a, 2 * b)
+            np.take(tree.flat("tortuosity"), flat[rows], out=ratios[rows], mode="clip")
+            np.take(tree.flat("euclidean"), flat[rows], out=dists[rows], mode="clip")
+        # sole picks add 2*R[new, side] + R[new, new]; joint picks, if
+        # awarded, add 2*R[joint, side + sole picks] + R[joint, joint]
+        now = side | only
+        weights[:, :, 0] = (side + 1.0 * now).reshape(Q, S)
+        weights[:, :, 1] = (2.0 * now + joint[:, None]).reshape(Q, S)
+        added = np.where(np.stack((only_row, joint_row), axis=2), ratios @ weights, 0.0).sum(axis=1)
+        sums += added[:, 0]
+        counts += only.sum(axis=2).ravel()
+
+        n_joint = joint.sum(axis=1)
+        score = (sums / counts).reshape(P, 2)
+        gap = score[:, 0] - score[:, 1]
+        bound = 2.0 * eps * ((counts * counts + 1) * sums / counts).reshape(P, 2).sum(axis=1)
+        certain = (np.abs(gap) > bound) & (sums < 2.0**1000).reshape(P, 2).all(axis=1)
+        fail = np.zeros(P, dtype=bool)
+        for p in np.flatnonzero((n_joint > 0) & ~certain):
+            tree = next(t for t, a, b in spans if a <= p < b)
+            fail[p] = not all(_all_ones(tree, idx[p, now[p, s]]) for s in (0, 1))
+        win = (n_joint > 0) & ~fail
+        win = np.stack((win & (gap <= 0), win & (gap > 0)), axis=1)
+        sums += np.where(win.ravel(), added[:, 1], 0.0)
+        counts += (win * n_joint[:, None]).ravel()
+        side = now | (joint[:, None] & win[:, :, None])
+
+        dists[~(only_row | (joint_row & win.reshape(Q, 1)))] = np.inf
+        np.minimum(near, dists.min(axis=1), out=near)
+        pool &= ~mark.any(axis=1)
+        pool[fail] = False
+        failed |= fail
+    return side, failed
+
+
+def _split_level(jobs: list[tuple[_ClassTree, int]], kprime: int, budget: int):
+    """Both halves of every listed node, as ``split_patch`` returns them."""
+    halves: list = [None] * len(jobs)
+    batch = []
+    for j, (tree, node) in enumerate(jobs):
+        if tree.scalar:
+            halves[j] = split_patch(tree.members[node], tree.dist, kprime)
+        else:
+            batch.append(j)
+    sizes = [len(jobs[j][0].members[jobs[j][1]]) for j in batch]
+    # a round holds, per padded patch of size S, three (2, k', S) row
+    # buffers and about sixteen size-S rows of values
+    for a, b in _chunks(sizes, lambda s: (6 * min(kprime, s) + 16) * s, budget):
+        chunk = [jobs[j] for j in batch[a:b]]
+        idx, n_members = _padded([tree.members[node] for tree, node in chunk])
+        spans = _spans([tree for tree, _ in chunk])
+        side, failed = _grow(spans, idx, n_members, kprime, budget)
+        p, s, c = np.nonzero(side)
+        parts = np.split(idx[p, c], np.cumsum(side.sum(axis=2).ravel())[:-1])
+        for i, (j, (tree, node)) in enumerate(zip(batch[a:b], chunk)):
+            if failed[i]:
+                halves[j] = split_patch(tree.members[node], tree.dist, kprime)
+            else:
+                halves[j] = (parts[2 * i], parts[2 * i + 1])
+    return halves
+
+
+def _grow_trees(trees: list[_ClassTree], kprime: int, max_patch: int, approximate: bool) -> None:
+    """Split every oversize patch of the classes, one tree level at a time."""
+    # the most any step holds at once: what the largest class's three
+    # n x n matrices take
+    budget = 3 * max(tree.n for tree in trees) ** 2
+    new = [(tree, k) for tree in trees for k in range(len(tree.members)) if tree.dist is not None]
+    while new:
+        if not approximate:
+            _set_linearities(new, budget)
+        jobs = [(tree, k) for tree, k in new if len(tree.members[k]) > max_patch]
+        new = []
+        for (tree, node), halves in zip(jobs, _split_level(jobs, kprime, budget)):
+            new += [(tree, len(tree.members)), (tree, len(tree.members) + 1)]
+            tree.add_halves(node, halves, 1.0 if approximate else None)
+
+
+def partition_classes(
+    blocks: list[np.ndarray],
     kprime: int = DEFAULT_KPRIME,
     max_patch: int = DEFAULT_MAX_PATCH,
     approximate: bool = False,
-) -> Partition:
-    """Partition one class's points into patches of at most ``max_patch`` members.
+) -> list[Partition]:
+    """Partition each class's points into patches of at most ``max_patch`` members.
+
+    ``blocks`` holds one feature matrix per class; the result holds one
+    ``Partition`` per block, each equal to partitioning that class alone.
+    Consecutive classes whose n x n matrices hold at most
+    ``CLASS_BATCH_VALUES`` values in all are split together.
 
     ``approximate=True`` skips geodesic computation entirely (treating every
     ratio as 1, a valid limit at high sampling density) and ranks patches by
@@ -137,48 +464,30 @@ def partition_class(
     Disconnected components of the k'-NN graph are separated up front, since
     tortuosity is meaningless across components.
     """
-    Xc = np.atleast_2d(np.asarray(Xc, dtype=np.float64))
-    n = Xc.shape[0]
     if kprime < 1:
         raise ValueError("kprime must be at least 1")
     if max_patch < 1:
         raise ValueError("max_patch must be at least 1")
+    blocks = [np.atleast_2d(np.asarray(Xc, dtype=np.float64)) for Xc in blocks]
+    parts: list[Partition] = []
+    start = 0
+    while start < len(blocks):
+        stop, values = start + 1, blocks[start].shape[0] ** 2
+        while stop < len(blocks) and values + blocks[stop].shape[0] ** 2 <= CLASS_BATCH_VALUES:
+            values += blocks[stop].shape[0] ** 2
+            stop += 1
+        trees = [_ClassTree(Xc, kprime, approximate) for Xc in blocks[start:stop]]
+        _grow_trees(trees, kprime, max_patch, approximate)
+        parts += [tree.partition(max_patch) for tree in trees]
+        start = stop
+    return parts
 
-    if n == 1:
-        return Partition(
-            patches=[np.array([0])], patch_of=np.zeros(1, dtype=np.int64), linearity=np.ones(1)
-        )
 
-    if approximate:
-        # Euclidean distances double as "geodesics"; every ratio is 1
-        DE = pairwise_euclidean(Xc)
-        dist = GeodesicMatrix(geodesic=DE, euclidean=DE)
-        patches = [np.arange(n, dtype=np.int64)]
-    else:
-        dist = geodesic_distances(Xc, min(kprime, n - 1))
-        comp = dist.components()
-        patches = [np.flatnonzero(comp == c) for c in range(comp.max() + 1)]
-
-    # one linearity per patch: the initial components, then both halves
-    # of each split
-    lin = [1.0 if approximate else patch_linearity(m, dist) for m in patches]
-    while True:
-        oversize = [p for p, m in enumerate(patches) if len(m) > max_patch]
-        if not oversize:
-            break
-        # ties: lowest patch id
-        best = max(oversize, key=lambda p: (lin[p] * len(patches[p]), -p))
-        left, right = split_patch(patches[best], dist, kprime)
-        patches[best] = left
-        patches.append(right)
-        if approximate:
-            lin.append(1.0)
-        else:
-            lin[best] = patch_linearity(left, dist)
-            lin.append(patch_linearity(right, dist))
-
-    patch_of = np.empty(n, dtype=np.int64)
-    for pid, m in enumerate(patches):
-        patch_of[m] = pid
-    linearity = np.array(lin)
-    return Partition(patches=patches, patch_of=patch_of, linearity=linearity)
+def partition_class(
+    Xc: np.ndarray,
+    kprime: int = DEFAULT_KPRIME,
+    max_patch: int = DEFAULT_MAX_PATCH,
+    approximate: bool = False,
+) -> Partition:
+    """Partition one class's points: ``partition_classes`` on a single block."""
+    return partition_classes([Xc], kprime, max_patch, approximate)[0]

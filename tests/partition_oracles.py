@@ -1,12 +1,13 @@
-"""Reference partitioner the production one in ``mpda.partition`` is checked against.
+"""Reference partitioners the production one in ``mpda.partition`` is checked against.
 
-These are the former loops of ``split_patch`` and ``partition_class``:
-each growth round recomputes both sides' nearest distances from the
-patch's distance block, and every pass of the driver loop recomputes the
-linearity of every oversize patch.  The geodesics come from a k'-NN graph
-built here, one edge at a time, from a stable argsort of each cdist row,
-and its components from scipy's ``connected_components``.  The outputs
-define the partitions the production code must reproduce bit for bit.
+``split_patch_loop`` and ``partition_class_loop`` are the former loops of
+``split_patch`` and ``partition_class``: each growth round recomputes both
+sides' nearest distances from the patch's distance block, and every pass
+of the driver loop recomputes the linearity of every oversize patch.  The
+geodesics come from a k'-NN graph built here, one edge at a time, from a
+stable argsort of each cdist row, and its components from scipy's
+``connected_components``.  The outputs define the partitions the
+production code must reproduce bit for bit.
 """
 
 import numpy as np
@@ -15,8 +16,9 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial.distance import cdist
 
 from mpda.errors import UnreachablePairError
-from mpda.geodesy import GeodesicMatrix, patch_linearity
-from mpda.partition import Partition
+from mpda.geodesy import GeodesicMatrix, geodesic_distances, patch_linearity
+from mpda.graph import pairwise_euclidean
+from mpda.partition import Partition, split_patch
 
 
 def knn_edge_matrix(D, k):
@@ -138,3 +140,42 @@ def partition_class_loop(Xc, kprime, max_patch, approximate=False):
         [1.0 if approximate else patch_linearity(m, dist) for m in patches]
     )
     return Partition(patches=patches, patch_of=patch_of, linearity=linearity)
+
+
+def partition_class_driver(Xc, kprime, max_patch, approximate=False):
+    """The former production driver: ``split_patch`` on the top-scoring oversize
+    patch until none is left, one ``patch_linearity`` per patch.
+
+    Unlike ``partition_class_loop`` it reads the production geodesics and
+    components, so it also defines the result for rows with NaN or
+    infinite values, where the oracle's own graph differs.
+    """
+    Xc = np.atleast_2d(np.asarray(Xc, dtype=np.float64))
+    n = Xc.shape[0]
+    if n == 1:
+        return Partition(
+            patches=[np.array([0])], patch_of=np.zeros(1, dtype=np.int64), linearity=np.ones(1)
+        )
+    if approximate:
+        DE = pairwise_euclidean(Xc)
+        dist = GeodesicMatrix(geodesic=DE, euclidean=DE)
+        patches = [np.arange(n, dtype=np.int64)]
+    else:
+        dist = geodesic_distances(Xc, min(kprime, n - 1))
+        comp = dist.components()
+        patches = [np.flatnonzero(comp == c) for c in range(comp.max() + 1)]
+    lin = [1.0 if approximate else patch_linearity(m, dist) for m in patches]
+    while True:
+        oversize = [p for p, m in enumerate(patches) if len(m) > max_patch]
+        if not oversize:
+            break
+        best = max(oversize, key=lambda p: (lin[p] * len(patches[p]), -p))
+        left, right = split_patch(patches[best], dist, kprime)
+        patches[best] = left
+        patches.append(right)
+        lin[best] = 1.0 if approximate else patch_linearity(left, dist)
+        lin.append(1.0 if approximate else patch_linearity(right, dist))
+    patch_of = np.empty(n, dtype=np.int64)
+    for pid, m in enumerate(patches):
+        patch_of[m] = pid
+    return Partition(patches=patches, patch_of=patch_of, linearity=np.array(lin))

@@ -74,6 +74,47 @@ def test_partition_inspect_json(tmp_path, data_csv):
         assert all(p["linearity"] >= 1.0 - 1e-9 for p in entry["patches"])
 
 
+def test_partition_inspect_makes_one_call_with_the_per_class_output(tmp_path, rng, monkeypatch):
+    # three interleaved classes with labels that are not 1..C; the JSON must
+    # be what partitioning each class alone gives, through one call
+    import mpda.cli
+    from mpda.dataset import load_dataset
+    from mpda.partition import partition_classes
+    from partition_oracles import partition_class_loop
+
+    labels = rng.permutation(np.repeat([7, 2, 5], [30, 25, 12]))
+    X = rng.normal(size=(labels.size, 3)) + labels[:, None]
+    path = tmp_path / "three.csv"
+    path.write_text("".join(
+        ",".join([str(c)] + [repr(float(v)) for v in row]) + "\n" for c, row in zip(labels, X)
+    ))
+    calls = []
+
+    def spy(blocks, *args):
+        calls.append(len(blocks))
+        return partition_classes(blocks, *args)
+
+    monkeypatch.setattr(mpda.cli, "partition_classes", spy)
+    out = tmp_path / "patches.json"
+    assert run(["partition-inspect", "--data", str(path), "--kprime", "3", "--max-patch", "4",
+                "--out", str(out)]) == 0
+    assert calls == [3]
+    ds = load_dataset(str(path))
+    expected = []
+    for c in sorted(ds.class_counts):
+        rows = ds.class_indices(c)
+        part = partition_class_loop(ds.features[rows], 3, 4)
+        expected.append({
+            "class": ds.label_names.get(c, c),
+            "patches": [
+                {"size": int(len(m)), "linearity": float(part.linearity[pid]),
+                 "members": [int(rows[i]) for i in m]}
+                for pid, m in enumerate(part.patches)
+            ],
+        })
+    assert out.read_text() == json.dumps(expected, indent=2) + "\n"
+
+
 def test_benchmark_json_csv(tmp_path, data_csv, capsys):
     path, _ = data_csv
     out_json = tmp_path / "report.json"
@@ -230,15 +271,15 @@ def test_fit_libsvm_input(tmp_path, rng):
 
 def test_sweep_honours_approximate_partition(tmp_path, data_csv, monkeypatch):
     import mpda.model
-    from mpda.partition import partition_class
+    from mpda.partition import partition_classes
 
     seen = []
 
-    def spy(Xc, kprime, max_patch, approximate=False):
+    def spy(blocks, kprime, max_patch, approximate=False):
         seen.append(approximate)
-        return partition_class(Xc, kprime, max_patch, approximate)
+        return partition_classes(blocks, kprime, max_patch, approximate)
 
-    monkeypatch.setattr(mpda.model, "partition_class", spy)
+    monkeypatch.setattr(mpda.model, "partition_classes", spy)
     path, _ = data_csv
     rc = run(["sweep", "--algo", "mpda", "--data", path, "--splits", "1", "--m-max", "2",
               "--approximate-partition", "--out", str(tmp_path / "dims.csv")])

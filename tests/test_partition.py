@@ -8,9 +8,19 @@ from scipy.spatial.distance import cdist
 
 import mpda.graph
 import mpda.partition
-from mpda.geodesy import geodesic_distances
-from mpda.partition import partition_class, split_patch
-from partition_oracles import partition_class_loop
+from mpda.errors import UnreachablePairError
+from mpda.geodesy import geodesic_distances, mean_ratios
+from mpda.graph import pairwise_euclidean
+from mpda.partition import partition_class, partition_classes, split_patch
+from partition_oracles import partition_class_driver, partition_class_loop
+
+
+def assert_same_partition(part, ref):
+    assert len(part.patches) == len(ref.patches)
+    for got, want in zip(part.patches, ref.patches):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(part.patch_of, ref.patch_of)
+    assert part.linearity.tobytes() == ref.linearity.tobytes()
 
 
 def check_invariants(part, n, max_patch):
@@ -186,12 +196,102 @@ def test_linearity_computed_once_per_patch(rng):
     X = np.vstack([rng.normal(size=(100, 3)), rng.normal(size=(100, 3)) + 1e3])
     kprime, max_patch = 6, 10
     components = geodesic_distances(X, kprime).components().max() + 1
-    lin_spy = mock.patch.object(
-        mpda.partition, "patch_linearity", wraps=mpda.partition.patch_linearity
-    )
-    split_spy = mock.patch.object(mpda.partition, "split_patch", wraps=split_patch)
-    with lin_spy as lin, split_spy as split:
+    with mock.patch.object(mpda.partition, "mean_ratios", wraps=mean_ratios) as lin:
         part = partition_class(X, kprime, max_patch)
     check_invariants(part, 200, max_patch)
-    assert components == 2 and split.call_count == part.n_patches - components
-    assert lin.call_count == components + 2 * split.call_count
+    splits = part.n_patches - components
+    assert components == 2 and splits > 0
+    # one linearity per patch ever formed: the components, then both halves
+    # of each split
+    assert sum(call.args[0].shape[0] for call in lin.call_args_list) == components + 2 * splits
+
+
+@st.composite
+def class_sets(draw):
+    """1-4 classes from ``class_points`` sharing the first one's k', M and mode,
+    sometimes with a singleton class added."""
+    cases = draw(st.lists(class_points(), min_size=1, max_size=4))
+    blocks = [X for X, *_ in cases]
+    if draw(st.booleans()):
+        blocks.insert(draw(st.integers(0, len(blocks))), np.ones((1, blocks[0].shape[1])))
+    return blocks, *cases[0][1:]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(class_sets())
+def test_partition_classes_equals_per_class_oracle(case):
+    blocks, kprime, max_patch, approximate = case
+    parts = partition_classes(blocks, kprime, max_patch, approximate)
+    assert len(parts) == len(blocks)
+    for X, part in zip(blocks, parts):
+        assert_same_partition(part, partition_class_loop(X, kprime, max_patch, approximate))
+        check_invariants(part, X.shape[0], max_patch)
+
+
+def test_rounding_tie_takes_the_exact_split():
+    # the mirrored input's joint award falls inside the rounding bound, so
+    # split_patch decides it; the result is the oracle's
+    P = np.array([[-1.0, 0.2], [0.3, -0.5], [-0.6, 0.5], [-1.7, -1.3], [0.2, 0.8], [0.6, -0.2]])
+    X = np.vstack([P, -P])
+    with mock.patch.object(mpda.partition, "split_patch", wraps=split_patch) as split:
+        part = partition_class(X, kprime=2, max_patch=4)
+    assert split.call_count >= 1
+    assert_same_partition(part, partition_class_loop(X, kprime=2, max_patch=4))
+    # approximated, every ratio is 1: the sides' integer sums decide even
+    # the tied awards of the mirror image exactly
+    with mock.patch.object(mpda.partition, "split_patch", wraps=split_patch) as split:
+        part = partition_class(X, kprime=2, max_patch=2, approximate=True)
+    assert split.call_count == 0
+    assert_same_partition(part, partition_class_loop(X, kprime=2, max_patch=2, approximate=True))
+
+
+def test_overflowing_distances_give_the_oracle_patches(rng):
+    # a noisy chain with steps near 5e153: neighbours are finite apart but
+    # most pairs overflow to +inf in cdist, so the growth compares pool
+    # members at +inf; the approximate mode still refuses such a class
+    for _ in range(6):
+        n = int(rng.integers(15, 50))
+        chain = np.column_stack([np.arange(n) + rng.normal(0, 0.2, n), rng.normal(0, 0.3, n)])
+        X = chain[rng.permutation(n)] * 5e153
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isinf(pairwise_euclidean(X)).any()
+            part = partition_class(X, kprime=3, max_patch=5)
+            assert_same_partition(part, partition_class_loop(X, kprime=3, max_patch=5))
+            with pytest.raises(UnreachablePairError):
+                partition_class(X, kprime=3, max_patch=5, approximate=True)
+
+
+def test_non_finite_rows_split_like_the_former_driver(rng):
+    # a NaN or infinite entry makes the class's distances NaN: its splits go
+    # through split_patch, and the result (or the error) is the former one
+    for _ in range(8):
+        n = int(rng.integers(10, 40))
+        X = rng.normal(size=(n, 3))
+        X[rng.integers(n), rng.integers(3)] = rng.choice([np.nan, np.inf])
+        for approximate in (False, True):
+            with np.errstate(invalid="ignore"):
+                try:
+                    want = partition_class_driver(X, 3, 5, approximate)
+                except UnreachablePairError:
+                    with pytest.raises(UnreachablePairError):
+                        partition_class(X, 3, 5, approximate)
+                    continue
+                assert_same_partition(partition_class(X, 3, 5, approximate), want)
+
+
+@pytest.mark.parametrize("batch_values", [None, 40_000])
+def test_three_curved_classes_match_the_oracle(rng, monkeypatch, batch_values):
+    # several tree levels with many patches each, across classes of
+    # different sizes; 40,000 matrix values split the classes into the
+    # batches (120, 150) and (135)
+    if batch_values is not None:
+        monkeypatch.setattr(mpda.partition, "CLASS_BATCH_VALUES", batch_values)
+    blocks = []
+    for n in (120, 150, 135):
+        t = rng.uniform(0, 3 * np.pi, n)
+        curve = np.column_stack([np.cos(t), np.sin(t), 0.3 * t])
+        blocks.append(curve + rng.normal(0, 0.05, (n, 3)))
+    parts = partition_classes(blocks, kprime=5, max_patch=8)
+    for X, part in zip(blocks, parts):
+        assert part.n_patches >= 15
+        assert_same_partition(part, partition_class_loop(X, 5, 8))

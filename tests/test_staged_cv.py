@@ -122,18 +122,19 @@ def test_staged_cv_equals_per_combo_on_tiny_folds(problem, algorithm):
 
 def test_staged_cv_partitions_once_per_fold_and_class(rng, monkeypatch):
     import mpda.model
-    from mpda.partition import partition_class
+    from mpda.partition import partition_classes
 
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return partition_class(*args, **kwargs)
+    def counting(blocks, *args, **kwargs):
+        calls.append(len(blocks))
+        return partition_classes(blocks, *args, **kwargs)
 
-    monkeypatch.setattr(mpda.model, "partition_class", counting)
+    monkeypatch.setattr(mpda.model, "partition_classes", counting)
     ds = curved_classes(rng)
     cross_validate(ds, "mpda", grid=CORE_GRID, m_grid=[1], folds=4, seed=0)
-    assert len(calls) == 4 * 3  # folds x classes, not x 12 grid combinations
+    # one call per fold covering its 3 classes, not one per 12 grid combinations
+    assert calls == [3] * 4
 
 
 @pytest.mark.parametrize("algorithm,grid_index", CASES)
