@@ -8,34 +8,33 @@ pair 1/n (between) or 0 (within), with no n x n array.  The projection
 maximizes the between/within Rayleigh quotient by keeping the largest
 eigenvalues of
 
-    S_b t = lambda (S_w + eps I) t.
+    S_b t = lambda (S_w + eps I) t,
 
-The within matrix gets a small trace-scaled Tikhonov shift so singular
-scatter never breaks the solve.
+solved by ``mpda.model.solve_gep``: LDA's pencil is its case with no
+tangent block.  The within matrix gets a small trace-scaled Tikhonov
+shift so singular scatter never breaks the solve.
+
+PCA picks its rank by the tangent bases' energy rule.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .dataset import LabeledDataset
-from .errors import SolverFailureError
 from .graph import class_scatters
-from .model import EmbeddingModel
-from .tangent import _RANK_RTOL
+from .model import EmbeddingModel, solve_gep
+from .tangent import _energy_rank
 
 LDA_SHRINKAGE = 1e-6  # eps = LDA_SHRINKAGE * trace(S_w) / d
 
 
-def fit_pca(
-    X: np.ndarray, m: int | None = None, energy: float | None = None
-) -> EmbeddingModel:
+def fit_pca(X: np.ndarray, m: int | None = None, energy: float | None = None) -> EmbeddingModel:
     """Principal component model with a fixed rank or an energy target.
 
-    Exactly one of ``m`` and ``energy`` must be given.  The energy rule
-    mirrors the tangent module: smallest rank reaching the requested
-    eigenvalue mass, capped at the numerical rank.
+    Exactly one of ``m`` and ``energy`` must be given.  The energy rule is
+    the tangent bases' own (``tangent._energy_rank``): smallest rank
+    reaching the requested eigenvalue mass, capped at the numerical rank.
 
     The SVD is thin (no n x n ``U``) unless there are fewer rows than
     columns; then the full ``Vt`` supplies the null-space directions an
@@ -48,30 +47,18 @@ def fit_pca(
     if n < 2:
         raise ValueError("PCA needs at least two rows")
     mean = X.mean(axis=0)
-    centered = X - mean
-    _, svals, Vt = np.linalg.svd(centered, full_matrices=n < d)
+    _, svals, Vt = np.linalg.svd(X - mean, full_matrices=n < d)
     lam = np.zeros(d)
     lam[: svals.size] = svals**2
     if energy is not None:
-        total = lam.sum()
-        if total <= 0:
-            rank = 0
-        else:
-            rank = int(np.sum(lam > _RANK_RTOL * lam[0]))
-        if rank == 0:
-            m = 1  # degenerate data still yields a (meaningless) direction
-        else:
-            cumulative = np.cumsum(lam)
-            m = int(np.searchsorted(cumulative, energy * total - 1e-15) + 1)
-            m = min(m, rank)
+        # degenerate data still yields a (meaningless) direction
+        m = max(int(_energy_rank(lam[None], energy)[0]), 1)
     if not 0 < m <= d:
         raise ValueError(f"m must lie in 1..{d}")
     proj = Vt[:m].T
-    # deterministic column signs
+    # deterministic column signs; rows of Vt are unit vectors, so none is 0
     lead = np.argmax(np.abs(proj), axis=0)
-    signs = np.sign(proj[lead, np.arange(m)])
-    signs[signs == 0] = 1.0
-    proj = proj * signs
+    proj = proj * np.sign(proj[lead, np.arange(m)])
     return EmbeddingModel(
         kind="pca",
         projection=np.ascontiguousarray(proj),
@@ -89,28 +76,7 @@ def lda_scatter(train: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
 
 def fit_lda(train: LabeledDataset, m: int) -> EmbeddingModel:
     """Discriminant projection onto the top-m generalized eigenvectors."""
-    d = train.d
-    if not 0 < m <= d:
-        raise ValueError(f"m must lie in 1..{d}")
     Sb, Sw = lda_scatter(train)
-    eps = LDA_SHRINKAGE * max(np.trace(Sw), 1e-300) / d
-    B = Sw + eps * np.eye(d)
-    try:
-        vals, vecs = scipy.linalg.eigh(Sb, B, subset_by_index=(d - m, d - 1))
-    except scipy.linalg.LinAlgError as exc:
-        raise SolverFailureError(f"LDA eigensolver failed: {exc}") from exc
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1].copy()
-    for col in range(m):
-        t = vecs[:, col]
-        t /= np.linalg.norm(t)
-        lead = int(np.argmax(np.abs(t)))
-        if t[lead] < 0:
-            t = -t
-        vecs[:, col] = t
-    return EmbeddingModel(
-        kind="lda",
-        projection=np.ascontiguousarray(vecs),
-        eigenvalues=vals,
-        hyperparams={"m": int(m)},
-    )
+    eps = LDA_SHRINKAGE * max(np.trace(Sw), 1e-300) / train.d
+    vals, vecs = solve_gep(Sb, Sw, eps, m)
+    return EmbeddingModel(kind="lda", projection=vecs, eigenvalues=vals, hyperparams={"m": int(m)})

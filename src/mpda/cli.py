@@ -28,8 +28,10 @@ from .evaluation import (
     fit_algorithm,
     parameter_sweep,
 )
-from .model import DEFAULT_ALPHA, DEFAULT_GAMMA, DEFAULT_K, load_model, save_model, transform
-from .partition import DEFAULT_KPRIME, DEFAULT_MAX_PATCH, partition_classes
+from .model import (
+    DEFAULT_ALPHA, DEFAULT_GAMMA, DEFAULT_K, load_model, merge_class_partitions, save_model, transform
+)
+from .partition import DEFAULT_KPRIME, DEFAULT_MAX_PATCH
 from .tangent import DEFAULT_ENERGY
 
 EXIT_OK = 0
@@ -282,25 +284,20 @@ def cmd_sweep(args) -> int:
 
 def cmd_partition_inspect(args) -> int:
     ds = load_dataset(args.data, args.format, args.header)
-    classes = sorted(ds.class_counts)
-    class_rows = [ds.class_indices(c) for c in classes]
-    parts = partition_classes(
-        [ds.features[rows] for rows in class_rows],
-        args.kprime, args.max_patch, args.approximate_partition,
+    _, members, linearity = merge_class_partitions(
+        ds, args.kprime, args.max_patch, args.approximate_partition
     )
-    out = []
-    for c, rows, part in zip(classes, class_rows, parts):
-        out.append({
+    out = [
+        {
             "class": ds.label_names.get(c, c),
             "patches": [
-                {
-                    "size": int(len(members)),
-                    "linearity": float(part.linearity[pid]),
-                    "members": [int(rows[i]) for i in members],
-                }
-                for pid, members in enumerate(part.patches)
+                {"size": len(m), "linearity": float(lin), "members": m.tolist()}
+                for m, lin in zip(members, linearity)
+                if ds.labels[m[0]] == c
             ],
-        })
+        }
+        for c in sorted(ds.class_counts)
+    ]
     text = json.dumps(out, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -115,14 +115,13 @@ def assemble_within(
     W,
     patch_of: np.ndarray,
     bases: list[TangentBasis],
-    layout: BlockLayout | None = None,
 ) -> tuple[sp.csc_matrix, sp.csc_matrix]:
     """The within-class form's two parts (S_diff, S_tan), S = S_diff + gamma * S_tan.
 
     S_diff sums W_ij a_ij a_ij' and S_tan sums W_ij B_ij' B_ij over both
     orderings of every edge, matching the symmetric double sum.  Same-patch
     pairs add nothing to S_tan because the patch basis is orthonormal.
-    Both are sparse total x total matrices.
+    Both are sparse total x total matrices over ``layout_for(d, bases)``.
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
@@ -131,10 +130,7 @@ def assemble_within(
         raise LayoutMismatchError("patch assignment length does not match X")
     if patch_of.size and patch_of.max() >= len(bases):
         raise LayoutMismatchError("patch assignment references a missing basis")
-    if layout is None:
-        layout = layout_for(d, bases)
-    if layout.d != d or len(layout.block_dims) != len(bases):
-        raise LayoutMismatchError("layout does not match X and bases")
+    layout = layout_for(d, bases)
 
     Wc = sp.coo_matrix(W)
     keep = (Wc.data != 0.0) & (Wc.row != Wc.col)
@@ -239,6 +235,8 @@ def solve_gep(
         vals, T = scipy.linalg.eigh(A, schur, subset_by_index=(d - m, d - 1))
     except (RuntimeError, scipy.linalg.LinAlgError) as exc:
         raise SolverFailureError(f"generalized eigensolver failed: {exc}") from exc
+    if vals.size < m:  # LAPACK's subset driver can stop short on a near-singular pencil
+        raise SolverFailureError(f"generalized eigensolver found {vals.size} of {m} eigenpairs")
     vals, T = vals[::-1], T[:, ::-1]
     T = T / np.linalg.norm(T, axis=0)
     lead = T[np.argmax(np.abs(T), axis=0), np.arange(m)]
@@ -291,25 +289,22 @@ def transform(model: EmbeddingModel, X: np.ndarray) -> np.ndarray:
 
 def merge_class_partitions(
     ds: LabeledDataset, kprime: int, max_patch: int, approximate: bool = False
-) -> tuple[np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """Partition every class independently and merge into global patch ids.
 
-    Returns the per-point patch assignment and the global member lists
-    (classes in ascending label order).
+    Returns the per-point patch assignment, the global member lists
+    (classes in ascending label order, each list ascending) and each
+    patch's linearity.
     """
-    patch_of = np.full(ds.n, -1, dtype=np.int64)
-    members: list[np.ndarray] = []
     class_rows = [ds.class_indices(int(c)) for c in np.unique(ds.labels)]
     parts = partition_classes(
         [ds.features[rows] for rows in class_rows], kprime, max_patch, approximate
     )
-    for rows, part in zip(class_rows, parts):
-        for local_members in part.patches:
-            pid = len(members)
-            global_members = rows[local_members]
-            members.append(global_members)
-            patch_of[global_members] = pid
-    return patch_of, members
+    members = [rows[p] for rows, part in zip(class_rows, parts) for p in part.patches]
+    patch_of = np.full(ds.n, -1, dtype=np.int64)
+    for pid, m in enumerate(members):
+        patch_of[m] = pid
+    return patch_of, members, np.concatenate([part.linearity for part in parts])
 
 
 # --- fit stages ---------------------------------------------------------------
@@ -326,7 +321,7 @@ def _patch_bases(
     train: LabeledDataset, kprime: int, max_patch: int, energy: float, approximate_partition: bool
 ) -> tuple[np.ndarray, list[TangentBasis]]:
     """MPDA bases stage: per-class partition, then one tangent basis per patch."""
-    patch_of, members = merge_class_partitions(train, kprime, max_patch, approximate_partition)
+    patch_of, members, _ = merge_class_partitions(train, kprime, max_patch, approximate_partition)
     return patch_of, patch_bases(train.features, members, energy)
 
 
@@ -397,7 +392,7 @@ def staged_fits(kind: str, train: LabeledDataset, m: int, params_list: list[dict
                 graphs[k] = _graphs(train, k)
             W, XtLX = graphs[k]
             Sp = assemble_between(XtLX, layout)
-            S_diff, S_tan = assemble_within(train.features, W, patch_of, B, layout)
+            S_diff, S_tan = assemble_within(train.features, W, patch_of, B)
             for gamma, by_alpha in by_gamma.items():
                 S = S_diff + gamma * S_tan
                 for alpha, idx in by_alpha.items():

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -137,6 +138,15 @@ def split_patch(
     return members[in_left], members[in_right]
 
 
+class _StraightPaths(GeodesicMatrix):
+    """The approximate mode's Euclidean stand-in for geodesics: every ratio is
+    exactly 1 and every pair reachable, also where cdist overflows to +inf."""
+
+    @cached_property
+    def tortuosity(self) -> np.ndarray:
+        return np.ones_like(self.euclidean)
+
+
 class _ClassTree:
     """One class's split tree: members and linearity per node, children per split node.
 
@@ -156,9 +166,8 @@ class _ClassTree:
             self.linearity = [1.0]
             return
         if approximate:
-            # Euclidean distances double as "geodesics"; every ratio is 1
             DE = pairwise_euclidean(Xc)
-            self.dist = GeodesicMatrix(geodesic=DE, euclidean=DE)
+            self.dist = _StraightPaths(geodesic=DE, euclidean=DE)
             self.members = [np.arange(n, dtype=np.int64)]
         else:
             self.dist = geodesic_distances(Xc, min(kprime, n - 1))
@@ -458,8 +467,9 @@ def partition_classes(
     ``CLASS_BATCH_VALUES`` values in all are split together.
 
     ``approximate=True`` skips geodesic computation entirely (treating every
-    ratio as 1, a valid limit at high sampling density) and ranks patches by
-    size alone; splitting then seeds from the largest Euclidean distance.
+    ratio as 1, a valid limit at high sampling density, and every pair as
+    reachable) and ranks patches by size alone; splitting then seeds from
+    the largest Euclidean distance.
 
     Disconnected components of the k'-NN graph are separated up front, since
     tortuosity is meaningless across components.

@@ -3,9 +3,11 @@
 A patch's basis consists of the leading principal directions of its
 mean-centered points.  The retained rank is the smallest one whose
 eigenvalue mass reaches the requested energy fraction, further capped at
-the numerical rank so that zero-variance directions are never included.
-Projections downstream use the basis without mean subtraction; centering
-only fixes the origin of the local chart.
+the numerical rank so that zero-variance directions are never included
+(``_energy_rank``, which the PCA baseline applies too).  Projections
+downstream use the basis without mean subtraction; centering only fixes
+the origin of the local chart.  ``patch_bases`` is the one stacked-SVD
+driver: ``per_point_bases`` hands it one neighborhood per point.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .graph import knn_neighbors
 
 _RANK_RTOL = 1e-12  # relative eigenvalue cutoff for numerical rank
 DEFAULT_ENERGY = 0.95
-HOOD_BLOCK_ROWS = 256  # neighborhoods decomposed at once; bases do not depend on it
+HOOD_BLOCK_ROWS = 256  # equal-sized point sets decomposed at once; bases do not depend on it
 
 
 @dataclass(frozen=True)
@@ -31,6 +33,14 @@ class TangentBasis:
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
+
+
+def _energy_rank(lam: np.ndarray, energy: float) -> np.ndarray:
+    """Per row of descending eigenvalues (N, r): the smallest rank reaching ``energy``
+    of the row's mass, capped at the numerical rank (0 for an all-zero row)."""
+    # count of cumulative masses below the target = searchsorted(..., side="left")
+    below = np.cumsum(lam, axis=1) < (energy * lam.sum(axis=1) - 1e-15)[:, None]
+    return np.minimum(below.sum(axis=1) + 1, np.sum(lam > _RANK_RTOL * lam[:, :1], axis=1))
 
 
 def _stacked_bases(H: np.ndarray, energy: float) -> list[TangentBasis]:
@@ -49,11 +59,7 @@ def _stacked_bases(H: np.ndarray, energy: float) -> list[TangentBasis]:
     centered = H - H.mean(axis=1, keepdims=True)
     _, svals, Vt = np.linalg.svd(centered, full_matrices=False)
     lam = svals**2  # covariance eigenvalues up to the common 1/(n-1) factor
-    total = lam.sum(axis=1)
-    rank = np.sum(lam > _RANK_RTOL * lam[:, :1], axis=1)  # 0 for a zero-variance set
-    # count of cumulative masses below the target = searchsorted(..., side="left")
-    below = np.cumsum(lam, axis=1) < (energy * total - 1e-15)[:, None]
-    m = np.minimum(np.minimum(below.sum(axis=1) + 1, rank), min(d, n - 1))
+    m = np.minimum(_energy_rank(lam, energy), min(d, n - 1))
     r = int(m.max())  # the returned bases are views of these r rows per set
     V = Vt[:, :r]
     # rows of Vt are unit vectors, so no row's largest-magnitude entry is 0
@@ -83,18 +89,20 @@ def patch_bases(
 ) -> list[TangentBasis]:
     """One tangent basis per patch, given as row indices of X.
 
-    Patches of equal size share one stacked SVD, so there is one kernel
-    call per distinct patch size; each basis equals ``fit_tangent_basis``
-    of its patch's rows bit for bit.
+    Patches of equal size share one stacked SVD per block of
+    ``HOOD_BLOCK_ROWS`` patches; each basis equals ``fit_tangent_basis`` of
+    its patch's rows bit for bit.
     """
     X = np.asarray(X, dtype=np.float64)
     sizes = np.array([len(m) for m in patches])
     bases: list[TangentBasis | None] = [None] * len(patches)
     for size in np.unique(sizes):
         which = np.flatnonzero(sizes == size)
-        H = X[np.stack([patches[p] for p in which])]
-        for p, tb in zip(which, _stacked_bases(H, energy)):
-            bases[p] = tb
+        for start in range(0, which.size, HOOD_BLOCK_ROWS):
+            block = which[start : start + HOOD_BLOCK_ROWS]
+            H = X[np.stack([patches[p] for p in block])]
+            for p, tb in zip(block, _stacked_bases(H, energy)):
+                bases[p] = tb
     return bases  # type: ignore[return-value]
 
 
@@ -105,25 +113,18 @@ def per_point_bases(
 
     The point itself joins its neighborhood, so each basis sees k+1 points
     and its rank is implicitly capped at k.  Classes smaller than k+1 use
-    all their members.  Within a class every neighborhood has the same
-    size, so the class goes through one stacked SVD per block of
-    ``HOOD_BLOCK_ROWS`` points; each basis equals ``fit_tangent_basis`` of
-    its neighborhood bit for bit.
+    all their members.  The neighborhoods are ``patch_bases``' patches, so
+    each basis equals ``fit_tangent_basis`` of its neighborhood bit for bit.
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)
-    n = X.shape[0]
-    bases: list[TangentBasis | None] = [None] * n
+    hoods: list[np.ndarray | None] = [None] * labels.shape[0]
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
-        Xc = X[idx]
-        if len(idx) == 1:
-            hoods = np.zeros((1, 1), dtype=np.intp)
-        else:
-            nb = knn_neighbors(Xc, min(k, len(idx) - 1))
-            hoods = np.column_stack([np.arange(len(idx)), nb.indices])
-        for start in range(0, len(idx), HOOD_BLOCK_ROWS):
-            stop = start + HOOD_BLOCK_ROWS
-            for i, tb in zip(idx[start:stop], _stacked_bases(Xc[hoods[start:stop]], energy)):
-                bases[i] = tb
-    return bases  # type: ignore[return-value]
+        local = np.zeros((1, 1), dtype=np.intp)
+        if len(idx) > 1:
+            nb = knn_neighbors(X[idx], min(k, len(idx) - 1))
+            local = np.column_stack([np.arange(len(idx)), nb.indices])
+        for i, hood in zip(idx, idx[local]):
+            hoods[i] = hood
+    return patch_bases(X, hoods, energy)  # type: ignore[arg-type]

@@ -6,9 +6,13 @@ sides' nearest distances from the patch's distance block, and every pass
 of the driver loop recomputes the linearity of every oversize patch.  The
 geodesics come from a k'-NN graph built here, one edge at a time, from a
 stable argsort of each cdist row, and its components from scipy's
-``connected_components``.  The outputs define the partitions the
+``connected_components``, and each patch's linearity is the sum of its
+own ratio block over N^2.  In the approximate mode every ratio is exactly
+1 and every pair reachable.  The outputs define the partitions the
 production code must reproduce bit for bit.
 """
+
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -16,7 +20,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial.distance import cdist
 
 from mpda.errors import UnreachablePairError
-from mpda.geodesy import GeodesicMatrix, geodesic_distances, patch_linearity
+from mpda.geodesy import GeodesicMatrix, geodesic_distances
 from mpda.graph import pairwise_euclidean
 from mpda.partition import Partition, split_patch
 
@@ -40,7 +44,33 @@ def knn_edge_matrix(D, k):
     )
 
 
-def split_patch_loop(members, dist, kprime):
+def ratio_block(members, dist):
+    """Geodesic/Euclidean ratio of every pair of members: 1 on the diagonal
+    and for coincident points; an infinite geodesic raises."""
+    DG = dist.geodesic[np.ix_(members, members)]
+    DE = dist.euclidean[np.ix_(members, members)]
+    if np.any(np.isinf(DG)):
+        raise UnreachablePairError("patch contains mutually unreachable points")
+    R = np.ones_like(DG)
+    positive = ~np.eye(len(members), dtype=bool) & (DE > 0)
+    R[positive] = DG[positive] / DE[positive]
+    return R
+
+
+def mean_ratio(members, dist):
+    """Mean ratio over all N^2 ordered pairs of a patch."""
+    return float(ratio_block(members, dist).sum() / len(members) ** 2)
+
+
+class StraightPaths(GeodesicMatrix):
+    """The approximate mode's distances: every ratio is 1, every pair reachable."""
+
+    @cached_property
+    def tortuosity(self):
+        return np.ones_like(self.euclidean)
+
+
+def split_patch_loop(members, dist, kprime, approximate=False):
     """Grow both sides from the most distant pair, rescanning the sides each round."""
     members = np.sort(np.asarray(members, dtype=np.int64))
     s = members.size
@@ -48,12 +78,7 @@ def split_patch_loop(members, dist, kprime):
         raise ValueError("cannot split a patch with fewer than 2 points")
     DG = dist.geodesic[np.ix_(members, members)]
     DE = dist.euclidean[np.ix_(members, members)]
-    if np.any(np.isinf(DG)):
-        raise UnreachablePairError("patch contains mutually unreachable points")
-    R = np.ones_like(DG)
-    off = ~np.eye(s, dtype=bool)
-    positive = off & (DE > 0)
-    R[positive] = DG[positive] / DE[positive]
+    R = np.ones((s, s)) if approximate else ratio_block(members, dist)
 
     flat = int(np.argmax(DG))  # row-major first occurrence = lowest (i, j)
     a, b = divmod(flat, s)
@@ -127,9 +152,9 @@ def partition_class_loop(Xc, kprime, max_patch, approximate=False):
         if approximate:
             scores = {p: float(len(patches[p])) for p in oversize}
         else:
-            scores = {p: patch_linearity(patches[p], dist) * len(patches[p]) for p in oversize}
+            scores = {p: mean_ratio(patches[p], dist) * len(patches[p]) for p in oversize}
         best = max(oversize, key=lambda p: (scores[p], -p))
-        left, right = split_patch_loop(patches[best], dist, kprime)
+        left, right = split_patch_loop(patches[best], dist, kprime, approximate)
         patches[best] = left
         patches.append(right)
 
@@ -137,14 +162,14 @@ def partition_class_loop(Xc, kprime, max_patch, approximate=False):
     for pid, m in enumerate(patches):
         patch_of[m] = pid
     linearity = np.array(
-        [1.0 if approximate else patch_linearity(m, dist) for m in patches]
+        [1.0 if approximate else mean_ratio(m, dist) for m in patches]
     )
     return Partition(patches=patches, patch_of=patch_of, linearity=linearity)
 
 
 def partition_class_driver(Xc, kprime, max_patch, approximate=False):
     """The former production driver: ``split_patch`` on the top-scoring oversize
-    patch until none is left, one ``patch_linearity`` per patch.
+    patch until none is left, one linearity per patch.
 
     Unlike ``partition_class_loop`` it reads the production geodesics and
     components, so it also defines the result for rows with NaN or
@@ -158,13 +183,13 @@ def partition_class_driver(Xc, kprime, max_patch, approximate=False):
         )
     if approximate:
         DE = pairwise_euclidean(Xc)
-        dist = GeodesicMatrix(geodesic=DE, euclidean=DE)
+        dist = StraightPaths(geodesic=DE, euclidean=DE)
         patches = [np.arange(n, dtype=np.int64)]
     else:
         dist = geodesic_distances(Xc, min(kprime, n - 1))
         comp = dist.components()
         patches = [np.flatnonzero(comp == c) for c in range(comp.max() + 1)]
-    lin = [1.0 if approximate else patch_linearity(m, dist) for m in patches]
+    lin = [1.0 if approximate else mean_ratio(m, dist) for m in patches]
     while True:
         oversize = [p for p, m in enumerate(patches) if len(m) > max_patch]
         if not oversize:
@@ -173,8 +198,8 @@ def partition_class_driver(Xc, kprime, max_patch, approximate=False):
         left, right = split_patch(patches[best], dist, kprime)
         patches[best] = left
         patches.append(right)
-        lin[best] = 1.0 if approximate else patch_linearity(left, dist)
-        lin.append(1.0 if approximate else patch_linearity(right, dist))
+        lin[best] = 1.0 if approximate else mean_ratio(left, dist)
+        lin.append(1.0 if approximate else mean_ratio(right, dist))
     patch_of = np.empty(n, dtype=np.int64)
     for pid, m in enumerate(patches):
         patch_of[m] = pid

@@ -90,7 +90,7 @@ def test_criterion_1_quadratic_form_equivalence():
         ds = random_labeled(rng, n_max=40, d_max=8, c_max=3)
         gamma = float(rng.uniform(0.05, 5.0))
         X, y, patch_of, bases, layout, W, Sp, Wp = build_instance(ds)
-        S = within_form(X, W, patch_of, bases, gamma, layout)
+        S = within_form(X, W, patch_of, bases, gamma)
         F = rng.normal(size=(200, layout.total))
         quad_w = np.einsum("fi,ij,fj->f", F, S, F)
         quad_b = np.einsum("fi,ij,fj->f", F, Sp, F)
@@ -114,7 +114,7 @@ def test_criterion_2_zero_order_reduction():
     for _ in range(10):
         ds = random_labeled(rng)
         X, y, patch_of, bases, layout, W, _, _ = build_instance(ds)
-        S = within_form(X, W, patch_of, bases, float(rng.uniform(0.1, 3.0)), layout)
+        S = within_form(X, W, patch_of, bases, float(rng.uniform(0.1, 3.0)))
         ref = 2.0 * X.T @ (laplacian(W) @ X)
         scale = max(np.max(np.abs(ref)), 1e-30)
         worst = max(worst, float(np.max(np.abs(S[: ds.d, : ds.d] - ref)) / scale))
@@ -181,7 +181,7 @@ def test_criterion_3_structural_invariants():
         Xs = (ds.features - ds.features.mean(axis=0)) / ds.features.std(axis=0)
         ds = LabeledDataset(Xs, ds.labels)
         X, y, patch_of, bases, layout, W, Sp, _ = build_instance(ds)
-        S = within_form(X, W, patch_of, bases, 1.0, layout)
+        S = within_form(X, W, patch_of, bases, 1.0)
         alpha, m = 1e-2, min(ds.d, 3)
         vals, vecs = solve_gep(Sp, S, alpha, m, t_dim=ds.d)
         B = S + alpha * np.eye(layout.total)

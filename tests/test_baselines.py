@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_labeled
 from graph_oracles import laplacian, lda_graphs
-from mpda.baselines import fit_lda, fit_pca, lda_scatter
+from mpda.baselines import LDA_SHRINKAGE, fit_lda, fit_pca, lda_scatter
 from mpda.dataset import LabeledDataset
+from mpda.errors import SolverFailureError
 from mpda.model import transform
 
 
@@ -131,6 +133,40 @@ def test_lda_residual_bound(rng):
         t = model.projection[:, i]
         r = Sb @ t - model.eigenvalues[i] * (B @ t)
         assert np.linalg.norm(r) <= 1e-8 * np.linalg.norm(B @ t)
+
+
+def lda_oracle(Sb, Sw, m):
+    """Top-m pairs of the dense pencil (Sb, Sw + eps I), each vector scaled to
+    unit norm with its largest-magnitude entry positive."""
+    d = Sb.shape[0]
+    eps = LDA_SHRINKAGE * max(np.trace(Sw), 1e-300) / d
+    vals, vecs = scipy.linalg.eigh(Sb, Sw + eps * np.eye(d), subset_by_index=(d - m, d - 1))
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    vecs = np.column_stack([t / np.linalg.norm(t) for t in vecs.T])
+    return vals, vecs * np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(m)])
+
+
+def test_lda_matches_dense_pencil_oracle(rng):
+    # well-posed, singular within scatter (a repeated column) and n < d
+    for case in range(30):
+        n, d = int(rng.integers(4, 40)), int(rng.integers(1, 9))
+        y = np.concatenate([[1, 2], rng.integers(1, 4, size=n - 2)])
+        X = rng.normal(size=(n, d)) + y[:, None] * rng.normal(size=d)
+        if case % 3 == 0 and d > 1:
+            X[:, -1] = X[:, 0]
+        m = int(rng.integers(1, d + 1))
+        model = fit_lda(LabeledDataset(X, y), m)
+        vals, vecs = lda_oracle(*lda_scatter(LabeledDataset(X, y)), m)
+        assert model.eigenvalues.tobytes() == vals.tobytes()
+        assert np.max(np.abs(model.projection - vecs)) <= 4 * np.finfo(float).eps
+
+
+def test_lda_raises_when_the_solver_finds_too_few_pairs(rng):
+    # singleton classes leave S_w = 0 and eps ~ 1e-307: the eigenvalues
+    # overflow and LAPACK returns no pair; a typed error, not an IndexError
+    X = rng.normal(size=(4, 3)) * 100.0
+    with pytest.raises(SolverFailureError):
+        fit_lda(LabeledDataset(X, np.array([1, 2, 3, 4])), 2)
 
 
 def test_lda_identical_classes_near_zero_eigenvalue(rng):

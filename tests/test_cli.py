@@ -76,8 +76,9 @@ def test_partition_inspect_json(tmp_path, data_csv):
 
 def test_partition_inspect_makes_one_call_with_the_per_class_output(tmp_path, rng, monkeypatch):
     # three interleaved classes with labels that are not 1..C; the JSON must
-    # be what partitioning each class alone gives, through one call
-    import mpda.cli
+    # be what partitioning each class alone gives, through the one
+    # partitioner call that merge_class_partitions makes
+    import mpda.model
     from mpda.dataset import load_dataset
     from mpda.partition import partition_classes
     from partition_oracles import partition_class_loop
@@ -94,7 +95,7 @@ def test_partition_inspect_makes_one_call_with_the_per_class_output(tmp_path, rn
         calls.append(len(blocks))
         return partition_classes(blocks, *args)
 
-    monkeypatch.setattr(mpda.cli, "partition_classes", spy)
+    monkeypatch.setattr(mpda.model, "partition_classes", spy)
     out = tmp_path / "patches.json"
     assert run(["partition-inspect", "--data", str(path), "--kprime", "3", "--max-patch", "4",
                 "--out", str(out)]) == 0
@@ -113,6 +114,23 @@ def test_partition_inspect_makes_one_call_with_the_per_class_output(tmp_path, rn
             ],
         })
     assert out.read_text() == json.dumps(expected, indent=2) + "\n"
+
+
+def test_partition_inspect_approximate_matches_the_per_class_oracle(tmp_path, data_csv):
+    from mpda.dataset import load_dataset
+    from partition_oracles import partition_class_loop
+
+    path, _ = data_csv
+    out = tmp_path / "patches.json"
+    assert run(["partition-inspect", "--data", path, "--max-patch", "6",
+                "--approximate-partition", "--out", str(out)]) == 0
+    ds = load_dataset(path)
+    for entry, c in zip(json.loads(out.read_text()), sorted(ds.class_counts)):
+        rows = ds.class_indices(c)
+        part = partition_class_loop(ds.features[rows], 6, 6, approximate=True)
+        assert entry["patches"] == [
+            {"size": len(m), "linearity": 1.0, "members": rows[m].tolist()} for m in part.patches
+        ]
 
 
 def test_benchmark_json_csv(tmp_path, data_csv, capsys):

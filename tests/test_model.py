@@ -66,7 +66,7 @@ def between_objective(X, Wp, t):
 
 def build_instance(ds, k=3, kprime=3, max_patch=5, energy=0.95):
     X, y = ds.features, ds.labels
-    patch_of, members = merge_class_partitions(ds, kprime, max_patch)
+    patch_of, members, _ = merge_class_partitions(ds, kprime, max_patch)
     bases = [fit_tangent_basis(X[m], energy) for m in members]
     layout = layout_for(ds.d, bases)
     nb = knn_neighbors(X, min(k, ds.n - 1))
@@ -76,9 +76,9 @@ def build_instance(ds, k=3, kprime=3, max_patch=5, energy=0.95):
     return X, y, patch_of, bases, layout, W, Sp, Wp
 
 
-def within_form(X, W, patch_of, bases, gamma, layout=None):
+def within_form(X, W, patch_of, bases, gamma):
     """The within-class form S = S_diff + gamma * S_tan as a dense array."""
-    S_diff, S_tan = assemble_within(X, W, patch_of, bases, layout)
+    S_diff, S_tan = assemble_within(X, W, patch_of, bases)
     return (S_diff + gamma * S_tan).toarray()
 
 
@@ -94,7 +94,7 @@ def test_quadratic_forms_match_direct_sums(rng):
         ds = random_labeled(rng)
         gamma = float(rng.uniform(0.05, 5.0))
         X, y, patch_of, bases, layout, W, Sp, Wp = build_instance(ds)
-        S = within_form(X, W, patch_of, bases, gamma, layout)
+        S = within_form(X, W, patch_of, bases, gamma)
         Wd = W.toarray()
         for _ in range(30):
             f = rng.normal(size=layout.total)
@@ -115,7 +115,7 @@ def test_same_patch_pairs_skip_tangent_term(rng):
     ds = LabeledDataset(X, y)
     X_, y_, patch_of, bases, layout, W, _, _ = build_instance(ds, max_patch=100)
     assert len(bases) == 1
-    _, S_tan = assemble_within(X_, W, patch_of, bases, layout)
+    _, S_tan = assemble_within(X_, W, patch_of, bases)
     assert S_tan.nnz == 0
 
 
@@ -123,7 +123,7 @@ def test_zero_order_reduction(rng):
     # with v = 0 the quadratic collapses to the graph-Laplacian scatter
     ds = random_labeled(rng)
     X, y, patch_of, bases, layout, W, _, _ = build_instance(ds, k=4)
-    S = within_form(X, W, patch_of, bases, 1.3, layout)
+    S = within_form(X, W, patch_of, bases, 1.3)
     ref = 2.0 * X.T @ (laplacian(W) @ X)
     scale = max(np.max(np.abs(ref)), 1e-30)
     assert np.max(np.abs(S[: ds.d, : ds.d] - ref)) / scale < 1e-10
@@ -137,7 +137,7 @@ def test_zero_order_reduction(rng):
 def test_assemble_within_symmetric_psd(rng):
     ds = random_labeled(rng)
     X, y, patch_of, bases, layout, W, _, _ = build_instance(ds)
-    S = within_form(X, W, patch_of, bases, 2.0, layout)
+    S = within_form(X, W, patch_of, bases, 2.0)
     assert np.allclose(S, S.T)
     assert np.linalg.eigvalsh(S).min() > -1e-8
     np.linalg.cholesky(S + 1e-3 * np.eye(layout.total))  # must not raise
@@ -147,7 +147,7 @@ def test_assemble_within_layout_mismatch(rng):
     ds = random_labeled(rng)
     X, y, patch_of, bases, layout, W, _, _ = build_instance(ds)
     with pytest.raises(LayoutMismatchError):
-        assemble_within(X, W, patch_of[:-1], bases, layout)
+        assemble_within(X, W, patch_of[:-1], bases)
     with pytest.raises(LayoutMismatchError):
         assemble_within(X, W, patch_of, bases[:-1])
 
@@ -166,7 +166,7 @@ def test_within_parts_match_dense_and_edge_oracles(data, kind, max_patch, flat):
     ds, k = data
     X, y = ds.features, ds.labels
     if kind == "mpda":
-        patch_of, members = merge_class_partitions(ds, min(3, k), max_patch)
+        patch_of, members, _ = merge_class_partitions(ds, min(3, k), max_patch)
         bases = [fit_tangent_basis(X[mem]) for mem in members]
     else:
         patch_of, bases = np.arange(ds.n), per_point_bases(X, y, k)
@@ -174,7 +174,7 @@ def test_within_parts_match_dense_and_edge_oracles(data, kind, max_patch, flat):
         bases = [fit_tangent_basis(X[:1])] * len(bases)
     layout = layout_for(ds.d, bases)
     W = within_class_graph(knn_neighbors(X, k), y)
-    S_diff, S_tan = assemble_within(X, W, patch_of, bases, layout)
+    S_diff, S_tan = assemble_within(X, W, patch_of, bases)
     assert sp.issparse(S_diff) and sp.issparse(S_tan)
     assert np.array_equal(S_diff.toarray(), dense_within(X, W, patch_of, bases, 0.0, layout))
     for gamma in (0.3, 1.0, 7.0):
@@ -264,7 +264,7 @@ def test_gep_residuals_on_fitted_models(rng):
         ds = random_labeled(rng)
         X, y, patch_of, bases, layout, W, Sp, _ = build_instance(ds)
         gamma, alpha = 1.0, 1e-3
-        S = within_form(X, W, patch_of, bases, gamma, layout)
+        S = within_form(X, W, patch_of, bases, gamma)
         m = min(ds.d, 3)
         vals, vecs = solve_gep(Sp, S, alpha, m, t_dim=ds.d)
         B = S + alpha * np.eye(layout.total)
@@ -329,7 +329,7 @@ def test_pmpda_matches_mpda_on_tiny_class(rng):
     X = rng.normal(size=(3, 4))
     y = np.ones(3, dtype=int)
     ds = LabeledDataset(X, y)
-    patch_of, members = merge_class_partitions(ds, 2, 10)
+    patch_of, members, _ = merge_class_partitions(ds, 2, 10)
     patch_bases = [fit_tangent_basis(X[m], 0.95) for m in members]
     point_bases = per_point_bases(X, y, k=2)
     for b in point_bases:
@@ -479,7 +479,7 @@ def test_zero_variance_patch_in_fit(rng):
     assert np.isfinite(model.projection).all()
     X_, y_, patch_of, bases, layout, W, _, _ = build_instance(ds, k=2)
     assert any(b.dim == 0 for b in bases)
-    S = within_form(X_, W, patch_of, bases, 1.5, layout)
+    S = within_form(X_, W, patch_of, bases, 1.5)
     Wd = W.toarray()
     for _ in range(10):
         f = rng.normal(size=layout.total)

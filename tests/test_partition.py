@@ -248,17 +248,20 @@ def test_rounding_tie_takes_the_exact_split():
 def test_overflowing_distances_give_the_oracle_patches(rng):
     # a noisy chain with steps near 5e153: neighbours are finite apart but
     # most pairs overflow to +inf in cdist, so the growth compares pool
-    # members at +inf; the approximate mode still refuses such a class
+    # members at +inf; the approximate mode, whose ratios are all exactly 1
+    # and whose pairs are all reachable, splits such a class without a
+    # warning
     for _ in range(6):
         n = int(rng.integers(15, 50))
         chain = np.column_stack([np.arange(n) + rng.normal(0, 0.2, n), rng.normal(0, 0.3, n)])
         X = chain[rng.permutation(n)] * 5e153
+        assert np.isinf(pairwise_euclidean(X)).any()
         with np.errstate(over="ignore", invalid="ignore"):
-            assert np.isinf(pairwise_euclidean(X)).any()
             part = partition_class(X, kprime=3, max_patch=5)
             assert_same_partition(part, partition_class_loop(X, kprime=3, max_patch=5))
-            with pytest.raises(UnreachablePairError):
-                partition_class(X, kprime=3, max_patch=5, approximate=True)
+        with np.errstate(all="raise"):
+            part = partition_class(X, kprime=3, max_patch=5, approximate=True)
+        assert_same_partition(part, partition_class_loop(X, 3, 5, approximate=True))
 
 
 def test_non_finite_rows_split_like_the_former_driver(rng):

@@ -77,7 +77,7 @@ def test_empty_vblock_is_plain_dxd_solve(rng):
     assert layout.total == 4
     nb = knn_neighbors(X, 3)
     W = within_class_graph(nb, y)
-    S_diff, S_tan = assemble_within(X, W, np.arange(len(X)), bases, layout)
+    S_diff, S_tan = assemble_within(X, W, np.arange(len(X)), bases)
     assert S_tan.nnz == 0
     Sp = assemble_between(between_class_form(X, y, nb), layout)
     vals, vecs = solve_gep(Sp, S_diff, 1e-3, 3, t_dim=4)

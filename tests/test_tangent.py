@@ -184,6 +184,23 @@ def test_hood_block_size_does_not_change_bases(rng, monkeypatch):
         assert all(same_bytes(a, b) for a, b in zip(blocked, per_point_bases_loop(X, y, k, 0.95)))
 
 
+def test_patch_bases_in_blocks_bit_identical_to_one_fit_per_patch(rng, monkeypatch):
+    # blocks of 3 over size groups of 1 to 8 patches: full, partial and
+    # single-patch blocks, 1-point and zero-variance patches among them
+    X = rng.normal(size=(80, 4))
+    X[40:44] = X[40]
+    sizes = [1] * 5 + [2] * 7 + [4] * 8 + [5] * 3 + [6]
+    members = rng.permutation(80)[: sum(sizes)]
+    patches = [np.sort(p) for p in np.split(members, np.cumsum(sizes)[:-1])]
+    patches.append(np.arange(40, 44))
+    monkeypatch.setattr(mpda.tangent, "HOOD_BLOCK_ROWS", 3)
+    bases = patch_bases(X, patches, 0.9)
+    assert len(bases) == len(patches)
+    for tb, p in zip(bases, patches):
+        assert same_bytes(tb, fit_tangent_basis(X[p], 0.9))
+    assert bases[-1].dim == 0
+
+
 @pytest.mark.parametrize("energy", [0.0, -0.1, 1.5])
 def test_per_point_bases_rejects_energy_outside_unit_interval(rng, energy):
     X = rng.normal(size=(6, 3))
