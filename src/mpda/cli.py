@@ -12,16 +12,17 @@ explicit command-line flags win on conflict.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
 import numpy as np
 
-from . import evaluation
 from .dataset import load_dataset
-from .errors import ComputeError, DataError, MpdaError
+from .errors import DataError, MpdaError
 from .evaluation import (
     ALGORITHMS,
+    DEFAULT_GRIDS,
     benchmark,
     default_m_grid,
     dimension_sweep,
@@ -29,7 +30,8 @@ from .evaluation import (
     parameter_sweep,
 )
 from .model import (
-    DEFAULT_ALPHA, DEFAULT_GAMMA, DEFAULT_K, load_model, merge_class_partitions, save_model, transform
+    DEFAULT_ALPHA, DEFAULT_GAMMA, DEFAULT_K, fit_mpda, fit_pmpda, load_model,
+    merge_class_partitions, save_model, transform,
 )
 from .partition import DEFAULT_KPRIME, DEFAULT_MAX_PATCH
 from .tangent import DEFAULT_ENERGY
@@ -46,17 +48,21 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--header", action="store_true", help="skip one CSV header line")
 
 
-def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, default=DEFAULT_K, help="neighbor count for the graphs")
+def _add_partition_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kprime", type=int, default=DEFAULT_KPRIME, help="partition neighbor count")
     p.add_argument("--max-patch", type=int, default=DEFAULT_MAX_PATCH, help="patch size cap M")
-    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA, help="tangent-consistency weight")
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="Tikhonov regularizer")
-    p.add_argument("--energy", type=float, default=DEFAULT_ENERGY, help="PCA energy for tangent bases")
     p.add_argument(
         "--approximate-partition", action="store_true",
         help="skip geodesics and rank patches by size alone",
     )
+
+
+def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--k", type=int, default=DEFAULT_K, help="neighbor count for the graphs")
+    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA, help="tangent-consistency weight")
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="Tikhonov regularizer")
+    p.add_argument("--energy", type=float, default=DEFAULT_ENERGY, help="PCA energy for tangent bases")
+    _add_partition_flags(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,12 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pi = sub.add_parser("partition-inspect", help="dump per-patch diagnostics as JSON")
     _add_data_flags(p_pi)
-    p_pi.add_argument("--kprime", type=int, default=DEFAULT_KPRIME)
-    p_pi.add_argument("--max-patch", type=int, default=DEFAULT_MAX_PATCH)
-    p_pi.add_argument(
-        "--approximate-partition", action="store_true",
-        help="skip geodesics and rank patches by size alone",
-    )
+    _add_partition_flags(p_pi)
     p_pi.add_argument("--out", help="output path (default: stdout)")
     return parser
 
@@ -167,27 +168,18 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
         elif action.nargs in ("*", "+"):
             inject.append(flag)
             inject.extend(value.split())
-        else:
-            inject.extend([flag, value])
+        else:  # one token, so a value such as -1e-3 is not read as a flag
+            inject.append(f"{flag}={value}")
     ci = rest.index(command)
     return rest[: ci + 1] + inject + rest[ci + 1 :]
 
 
-def _write_embeddings(path: str, B: np.ndarray) -> None:
-    np.savetxt(path, B, delimiter=",", fmt="%.17g")
-
-
 def _hyperparams(args) -> dict:
-    """The fit keywords of ``args.algo`` taken from the hyperparameter flags."""
-    params: dict = {}
-    if args.algo in ("mpda", "pmpda"):
-        params = {"k": args.k, "gamma": args.gamma, "alpha": args.alpha, "energy": args.energy}
-    if args.algo == "mpda":
-        params.update(
-            kprime=args.kprime, max_patch=args.max_patch,
-            approximate_partition=args.approximate_partition,
-        )
-    return params
+    """The fit keywords of ``args.algo``, named by its fit's parameters after
+    ``(train, m)``; LDA and PCA take none."""
+    fit = {"mpda": fit_mpda, "pmpda": fit_pmpda}.get(args.algo)
+    names = list(inspect.signature(fit).parameters)[2:] if fit else []
+    return {name: getattr(args, name) for name in names}
 
 
 def cmd_fit(args) -> int:
@@ -202,25 +194,19 @@ def cmd_transform(args) -> int:
     model = load_model(args.model)
     ds = load_dataset(args.data, args.format, args.header)
     B = transform(model, ds.features)
-    _write_embeddings(args.out, B)
+    np.savetxt(args.out, B, delimiter=",", fmt="%.17g")
     print(f"wrote {B.shape[0]}x{B.shape[1]} embeddings to {args.out}")
     return EXIT_OK
 
 
 def cmd_benchmark(args) -> int:
     ds = load_dataset(args.data, args.format, args.header)
-    grid = None
-    if args.algo in ("mpda", "pmpda"):
-        grid = dict(evaluation.DEFAULT_GRIDS[args.algo])
-        if args.grid_k is not None:
-            grid["k"] = list(args.grid_k)
-        if args.grid_gamma is not None:
-            grid["gamma"] = list(args.grid_gamma)
-        if args.grid_alpha is not None:
-            grid["alpha"] = list(args.grid_alpha)
-    m_grid = None
-    if args.m_max is not None:
-        m_grid = list(range(1, args.m_max + 1))
+    grid = dict(DEFAULT_GRIDS[args.algo])
+    for axis in grid:
+        values = getattr(args, f"grid_{axis}")
+        if values is not None:
+            grid[axis] = values
+    m_grid = None if args.m_max is None else list(range(1, args.m_max + 1))
     report = benchmark(
         ds,
         args.algo,
@@ -234,12 +220,8 @@ def cmd_benchmark(args) -> int:
         pca_mode=args.pca_preprocess,
     )
     payload = report.to_dict()
-    print(json.dumps({
-        "algorithm": payload["algorithm"],
-        "mean_error": payload["mean_error"],
-        "std_error": payload["std_error"],
-        "mean_dimensionality": payload["mean_dimensionality"],
-    }))
+    summary = ("algorithm", "mean_error", "std_error", "mean_dimensionality")
+    print(json.dumps({key: payload[key] for key in summary}))
     if args.out_json:
         with open(args.out_json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -267,7 +249,7 @@ def cmd_sweep(args) -> int:
         )
         header = (args.param, "mean_accuracy")
     else:
-        top = args.m_max or default_m_grid(args.algo, ds)[-1]
+        top = default_m_grid(args.algo, ds)[-1] if args.m_max is None else args.m_max
         rows = dimension_sweep(
             ds, args.algo, list(range(args.m_min, top + 1)),
             splits=args.splits, train_fraction=args.train_fraction,
@@ -322,18 +304,12 @@ def run(argv: list[str]) -> int:
         argv = _apply_config(parser, list(argv))
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except DataError as exc:
+    except (MpdaError, OSError, ValueError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return EXIT_DATA
-    except (ComputeError, MpdaError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return EXIT_COMPUTE
-    except (OSError, UnicodeDecodeError) as exc:  # a file that cannot be read or decoded
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:  # a flag value out of its range
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return EXIT_USAGE
+        # unreadable or undecodable input is a data error, any other ValueError a usage error
+        if isinstance(exc, (DataError, OSError, UnicodeDecodeError)):
+            return EXIT_DATA
+        return EXIT_COMPUTE if isinstance(exc, MpdaError) else EXIT_USAGE
 
 
 def main() -> None:

@@ -5,16 +5,16 @@ Split reproducibility contract
 ``train_test_split`` is pinned to the following procedure so that splits
 can be regenerated by any implementation:
 
-1. ``rng = numpy.random.default_rng(seed)`` (PCG64 bit generator).
-2. Classes are visited in ascending order of their internal label
-   ``1..C``.  For each class, its row indices are listed in ascending
-   order and shuffled by one call to ``rng.permutation``.
-3. The first ``floor(n_c * train_fraction + 0.5)`` shuffled indices go to
+1. ``class_permutations(labels, seed)`` visits classes in ascending order
+   of their internal label ``1..C`` and shuffles each class's ascending row
+   indices by one ``rng.permutation`` call on one
+   ``numpy.random.default_rng(seed)`` stream (PCG64 bit generator).
+2. The first ``floor(n_c * train_fraction + 0.5)`` shuffled indices go to
    the training set, the rest to the test set (rounding half up).
-4. Both output datasets keep rows in ascending original-row order.
+3. Both output datasets keep rows in ascending original-row order.
 
-The same generator and per-class round-robin rule are reused for
-cross-validation folds (see ``mpda.evaluation``).
+``class_permutations`` owns the shuffle: cross-validation folds deal the
+same shuffled rows round-robin (see ``mpda.evaluation``).
 """
 
 from __future__ import annotations
@@ -190,25 +190,30 @@ def load_dataset(path: str, format: str = "csv", header: bool = False) -> Labele
     return LabeledDataset(X, labels, names)
 
 
+def class_permutations(labels: np.ndarray, seed: int):
+    """Yield ``(label, rows)`` per class, shuffled as step 1 above pins."""
+    labels = np.asarray(labels)
+    rng = np.random.default_rng(seed)
+    for c in np.unique(labels):
+        idx = np.flatnonzero(labels == c)
+        yield c, idx[rng.permutation(len(idx))]
+
+
 def split_indices(
     labels: np.ndarray, train_fraction: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stratified train/test row indices per the pinned procedure above."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie in (0, 1)")
-    labels = np.asarray(labels)
-    rng = np.random.default_rng(seed)
     train_parts, test_parts = [], []
-    for c in np.unique(labels):
-        idx = np.flatnonzero(labels == c)
-        n_train = int(np.floor(len(idx) * train_fraction + 0.5))
+    for c, rows in class_permutations(labels, seed):
+        n_train = int(np.floor(len(rows) * train_fraction + 0.5))
         if n_train == 0:
             raise DegenerateSplitError(
                 f"class {int(c)} would have no training points at fraction {train_fraction}"
             )
-        perm = rng.permutation(len(idx))
-        train_parts.append(idx[perm[:n_train]])
-        test_parts.append(idx[perm[n_train:]])
+        train_parts.append(rows[:n_train])
+        test_parts.append(rows[n_train:])
     train = np.sort(np.concatenate(train_parts))
     test = np.sort(np.concatenate(test_parts))
     return train, test

@@ -2,10 +2,10 @@
 
 Reproducibility contract
 ------------------------
-* Fold assignment: classes are visited in ascending label order; each
-  class's ascending row indices are shuffled by one
-  ``numpy.random.default_rng(seed).permutation`` call and dealt round-robin
-  over the folds (member j of the shuffled list goes to fold j mod folds).
+* Fold assignment: ``dataset.class_permutations(labels, seed)``, the
+  shuffle that train/test splits use, gives each class's rows in shuffled
+  order; they are dealt round-robin over the folds (member j of the
+  shuffled list goes to fold j mod folds).
 * ``benchmark``, ``dimension_sweep`` and ``parameter_sweep`` share one
   split walk: split ``s`` (0-based) is the stratified split seeded
   ``split_seed = master_seed * 1000 + s``, followed by the optional PCA
@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .baselines import fit_lda, fit_pca
-from .dataset import LabeledDataset, train_test_split
+from .dataset import LabeledDataset, class_permutations, train_test_split
 from .errors import (
     DegenerateFoldsError,
     DimensionMismatchError,
@@ -33,10 +33,11 @@ from .model import EmbeddingModel, fit_mpda, fit_pmpda, staged_fits, transform
 
 ALGORITHMS = ("mpda", "pmpda", "lda", "pca")
 
-# default hyperparameter grids for cross-validation
+# default hyperparameter grids for cross-validation; mpda and pmpda share one
 DEFAULT_GRIDS: dict[str, dict[str, list]] = {
-    "mpda": {"k": [3, 5, 7, 10], "gamma": [1e-2, 1e-1, 1.0, 1e1, 1e2], "alpha": [1e-4, 1e-3, 1e-2]},
-    "pmpda": {"k": [3, 5, 7, 10], "gamma": [1e-2, 1e-1, 1.0, 1e1, 1e2], "alpha": [1e-4, 1e-3, 1e-2]},
+    **dict.fromkeys(("mpda", "pmpda"), {
+        "k": [3, 5, 7, 10], "gamma": [1e-2, 1e-1, 1.0, 1e1, 1e2], "alpha": [1e-4, 1e-3, 1e-2],
+    }),
     "lda": {},
     "pca": {},
 }
@@ -78,16 +79,13 @@ def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> np.ndarray:
     labels = np.asarray(labels)
     if folds < 2:
         raise ValueError("need at least 2 folds")
-    rng = np.random.default_rng(seed)
     fold_of = np.empty(labels.shape[0], dtype=np.int64)
-    for c in np.unique(labels):
-        idx = np.flatnonzero(labels == c)
-        if len(idx) < folds:
+    for c, rows in class_permutations(labels, seed):
+        if len(rows) < folds:
             raise DegenerateFoldsError(
-                f"class {int(c)} has {len(idx)} members, fewer than {folds} folds"
+                f"class {int(c)} has {len(rows)} members, fewer than {folds} folds"
             )
-        perm = rng.permutation(len(idx))
-        fold_of[idx[perm]] = np.arange(len(idx)) % folds
+        fold_of[rows] = np.arange(len(rows)) % folds
     return fold_of
 
 
@@ -203,8 +201,8 @@ def cross_validate(
     if m_grid is None:
         m_grid = default_m_grid(algorithm, train)
     m_grid = sorted(set(int(m) for m in m_grid))
-    if m_grid[0] < 1 or m_grid[-1] > train.d:
-        raise ValueError("m grid must lie within 1..d")
+    if not m_grid or m_grid[0] < 1 or m_grid[-1] > train.d:
+        raise ValueError(f"m grid must be non-empty and lie within 1..{train.d}")
     fold_of = stratified_folds(train.labels, folds, seed)
     combos = _grid_combos(grid)
     acc = [{m: [] for m in m_grid} for _ in combos]
@@ -276,20 +274,10 @@ class BenchmarkReport:
 
     def to_dict(self) -> dict:
         return {
-            "algorithm": self.algorithm,
-            "splits": self.splits,
-            "train_fraction": self.train_fraction,
-            "folds": self.folds,
-            "master_seed": self.master_seed,
+            **asdict(self),
             "mean_error": self.mean_error,
             "std_error": self.std_error,
             "mean_dimensionality": self.mean_m,
-            "per_split_errors": self.per_split_errors,
-            "per_split_m": self.per_split_m,
-            "per_split_params": self.per_split_params,
-            "stage_seconds": self.stage_seconds,
-            "wall_seconds": self.wall_seconds,
-            "preprocessed_dim": self.preprocessed_dim,
         }
 
     def csv_rows(self) -> list[tuple]:
@@ -365,7 +353,7 @@ def benchmark(
                 algorithm,
                 grid=grid if fixed_params is None else {k: [v] for k, v in fixed_params.items()},
                 m_grid=[min(fixed_m, tr.d)] if fixed_m is not None else (
-                    [mm for mm in (m_grid or default_m_grid(algorithm, tr)) if mm <= tr.d]
+                    None if m_grid is None else [mm for mm in m_grid if mm <= tr.d]
                 ),
                 folds=folds,
                 seed=split_seed,
@@ -417,6 +405,8 @@ def dimension_sweep(
     of the widths raises ``ValueError``.
     """
     m_values = sorted(set(int(m) for m in m_values))
+    if m_values and m_values[0] < 1:
+        raise ValueError(f"widths must be at least 1, got {m_values}")
     acc: dict[int, list[float]] = {m: [] for m in m_values}
     for _, tr, te, _ in _split_walk(ds, splits, train_fraction, seed, pca_mode):
         usable = [m for m in m_values if m <= tr.d]

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import UnreachablePairError
-from .graph import NeighborLists, _check_k, _nearest, pairwise_euclidean
+from .graph import NeighborLists, _check_k, _nearest, _symmetric, pairwise_euclidean
 
 
 @dataclass(frozen=True)
@@ -57,11 +57,7 @@ def neighbor_graph_matrix(nb: NeighborLists) -> sp.csr_matrix:
     Zero-length edges (coincident points) are kept as explicit zeros so
     shortest-path routines treat them as traversable.
     """
-    lo, hi, dist = nb.edges
-    return sp.csr_matrix(
-        (np.concatenate([dist, dist]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
-        shape=(nb.n, nb.n),
-    )
+    return _symmetric(*nb.edges, nb.n)
 
 
 def geodesic_distances(X: np.ndarray, k: int) -> GeodesicMatrix:

@@ -206,10 +206,14 @@ def within_class_graph(nb: NeighborLists, labels: np.ndarray) -> sp.csr_matrix:
         raise ValueError("labels length must match the neighbor structure")
     lo, hi, _ = nb.edges
     keep = labels[lo] == labels[hi]
-    lo, hi = lo[keep], hi[keep]
+    return _symmetric(lo[keep], hi[keep], np.ones(np.count_nonzero(keep)), nb.n)
+
+
+def _symmetric(lo: np.ndarray, hi: np.ndarray, values: np.ndarray, n: int) -> sp.csr_matrix:
+    """Sparse n x n matrix holding ``values`` at both (lo, hi) and (hi, lo)."""
     return sp.csr_matrix(
-        (np.ones(2 * lo.size), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
-        shape=(nb.n, nb.n),
+        (np.concatenate([values, values]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
+        shape=(n, n),
     )
 
 

@@ -74,11 +74,8 @@ class BlockLayout:
     offsets: tuple[int, ...] = ()
 
     def __post_init__(self):
-        out, pos = [], self.d
-        for m in self.block_dims:
-            out.append(pos)
-            pos += m
-        object.__setattr__(self, "offsets", tuple(out))
+        starts = np.cumsum((self.d, *self.block_dims))[:-1]
+        object.__setattr__(self, "offsets", tuple(starts.tolist()))
 
     @property
     def total(self) -> int:
@@ -212,15 +209,15 @@ def solve_gep(
     (n < d, or A indefinite) the top-m reduced pairs are still returned,
     lambda <= 0 included; each has t != 0 and is a genuine eigenpair of the
     full pencil, unlike its other lambda = 0 vectors, whose t-part is 0.
-    Raises ``ValueError`` unless 0 < m <= t_dim and alpha > 0, or when
-    ``S_between`` is nonzero outside its leading t_dim block.
+    Raises ``ValueError`` unless 0 < m <= t_dim and 0 < alpha < inf, or
+    when ``S_between`` is nonzero outside its leading t_dim block.
     """
     S_within = sp.csc_matrix(S_within)
     total = S_within.shape[0]
     d = total if t_dim is None else t_dim
     if not 0 < m <= d:
         raise ValueError(f"m must lie in 1..{d}")
-    if alpha <= 0:
+    if not 0 < alpha < np.inf:
         raise ValueError("alpha must be positive")
     Sb = sp.coo_matrix(S_between)
     inside = (Sb.row < d) & (Sb.col < d)
@@ -362,9 +359,11 @@ def staged_fits(kind: str, train: LabeledDataset, m: int, params_list: list[dict
     (k, bases key), their sum S_diff + gamma * S_tan once per gamma within
     that and the eigen-solve once per alpha.  Each stage computes what a
     single fit computes, so every model is bit-identical to fitting its
-    entry alone.  A negative gamma raises ``ValueError`` before any stage
-    runs.
+    entry alone.  A width m outside 1..d, or a gamma that is negative or
+    not finite, raises ``ValueError`` before any stage runs.
     """
+    if not 0 < m <= train.d:
+        raise ValueError(f"m must lie in 1..{train.d}")
     fit, bases_stage = {"mpda": (fit_mpda, _patch_bases), "pmpda": (fit_pmpda, _point_bases)}[kind]
     fit_sig = inspect.signature(fit)
     bases_names = list(inspect.signature(bases_stage).parameters)[1:]
@@ -372,7 +371,7 @@ def staged_fits(kind: str, train: LabeledDataset, m: int, params_list: list[dict
     for params in params_list:
         bound = fit_sig.bind(None, m, **params)
         bound.apply_defaults()
-        if bound.arguments["gamma"] < 0:
+        if not 0 <= bound.arguments["gamma"] < np.inf:
             raise ValueError("gamma must be nonnegative")
         hp.append({n: v for n, v in bound.arguments.items() if n != "train"})
 
@@ -425,8 +424,6 @@ def fit_mpda(
     Pipeline: per-class partition -> per-patch bases -> neighbor graphs ->
     quadratic forms -> eigen-pencil -> projection from the t-parts.
     """
-    if not 0 < m <= train.d:
-        raise ValueError(f"m must lie in 1..{train.d}")
     (_, model), = staged_fits("mpda", train, m, [{
         "k": k, "kprime": kprime, "max_patch": max_patch, "gamma": gamma, "alpha": alpha,
         "energy": energy, "approximate_partition": approximate_partition,
@@ -449,8 +446,6 @@ def fit_pmpda(
     sparse, but the reduced solve still holds a dense d x (total - d) block
     and its B_vv factor grows with the total.
     """
-    if not 0 < m <= train.d:
-        raise ValueError(f"m must lie in 1..{train.d}")
     params = {"k": k, "gamma": gamma, "alpha": alpha, "energy": energy}
     (_, model), = staged_fits("pmpda", train, m, [params])
     return model

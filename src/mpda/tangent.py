@@ -37,7 +37,10 @@ class TangentBasis:
 
 def _energy_rank(lam: np.ndarray, energy: float) -> np.ndarray:
     """Per row of descending eigenvalues (N, r): the smallest rank reaching ``energy``
-    of the row's mass, capped at the numerical rank (0 for an all-zero row)."""
+    of the row's mass, capped at the numerical rank (0 for an all-zero row).
+    Raises ``ValueError`` unless 0 < energy <= 1."""
+    if not 0.0 < energy <= 1.0:
+        raise ValueError("energy must lie in (0, 1]")
     # count of cumulative masses below the target = searchsorted(..., side="left")
     below = np.cumsum(lam, axis=1) < (energy * lam.sum(axis=1) - 1e-15)[:, None]
     return np.minimum(below.sum(axis=1) + 1, np.sum(lam > _RANK_RTOL * lam[:, :1], axis=1))
@@ -51,11 +54,7 @@ def _stacked_bases(H: np.ndarray, energy: float) -> list[TangentBasis]:
     (each column's largest-magnitude entry positive) are applied per row.
     Each basis is bit-identical to decomposing its set on its own.
     """
-    if not 0.0 < energy <= 1.0:
-        raise ValueError("energy must lie in (0, 1]")
     N, n, d = H.shape
-    if n == 1:
-        return [TangentBasis(basis=np.zeros((d, 0)), eigenvalues=np.zeros(0)) for _ in range(N)]
     centered = H - H.mean(axis=1, keepdims=True)
     _, svals, Vt = np.linalg.svd(centered, full_matrices=False)
     lam = svals**2  # covariance eigenvalues up to the common 1/(n-1) factor

@@ -181,6 +181,14 @@ def test_lda_identical_classes_near_zero_eigenvalue(rng):
     assert abs(model.eigenvalues[0]) < 1e-8 * max(scale, 1.0)
 
 
+@pytest.mark.parametrize("energy", [0.0, -0.1, 1.5, np.nan])
+def test_pca_rejects_energy_outside_unit_interval(rng, energy):
+    # the rule PCA shares with the tangent bases, range check included
+    X = rng.normal(size=(8, 3))
+    with pytest.raises(ValueError, match=r"energy must lie in \(0, 1\]"):
+        fit_pca(X, energy=energy)
+
+
 def test_pca_rejects_bad_args(rng):
     X = rng.normal(size=(5, 3))
     with pytest.raises(ValueError):

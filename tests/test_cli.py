@@ -174,6 +174,32 @@ def test_sweep_with_no_width_that_fits_is_usage_error(tmp_path, data_csv, capsys
     assert "[5, 6]" in payload["message"] and "width 3" in payload["message"]
 
 
+def test_sweep_width_below_one_is_usage_error(tmp_path, data_csv, capsys):
+    path, _ = data_csv
+    rc = run(["sweep", "--algo", "pca", "--data", path, "--m-min", "0", "--m-max", "2",
+              "--out", str(tmp_path / "sweep.csv")])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ValueError" and "at least 1" in payload["message"]
+
+
+@pytest.mark.parametrize("command", [
+    ["benchmark", "--algo", "lda", "--splits", "1"],
+    ["sweep", "--algo", "pca", "--splits", "1"],
+])
+def test_zero_width_grid_is_usage_error(tmp_path, data_csv, capsys, command):
+    # --m-max 0 asks for no width at all; it must not fall back to the default grid
+    path, _ = data_csv
+    out = ["--out", str(tmp_path / "out.csv")] if command[0] == "sweep" else []
+    rc = run(command + ["--data", path, "--m-max", "0", *out])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error"] == "ValueError"
+
+
 @pytest.mark.parametrize("command", [
     ["benchmark", "--algo", "lda", "--m", "1"],
     ["sweep", "--algo", "pca", "--m-min", "1", "--m-max", "2"],
@@ -255,6 +281,18 @@ def test_config_file_flags_win(tmp_path, data_csv):
     assert model.hyperparams["gamma"] == 0.5
 
 
+@pytest.mark.parametrize("value", ["-1e-3", "-inf"])
+def test_config_negative_value_reaches_the_range_check(tmp_path, data_csv, capsys, value):
+    path, _ = data_csv
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"gamma = {value}\n")
+    rc = run(["--config", str(cfg), "fit", "--algo", "mpda", "--data", path, "--m", "1",
+              "--out", str(tmp_path / "m.bin")])
+    assert rc == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload == {"error": "ValueError", "message": "gamma must be nonnegative"}
+
+
 def test_config_unknown_key_rejected(tmp_path, data_csv):
     path, _ = data_csv
     cfg = tmp_path / "run.cfg"
@@ -321,13 +359,19 @@ def test_benchmark_has_no_jobs_flag(tmp_path, data_csv):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("flag,value", [("--m", "0"), ("--gamma", "-1"), ("--energy", "2")])
+@pytest.mark.parametrize("flag,value", [
+    ("--m", "0"), ("--gamma", "-1"), ("--energy", "2"),
+    ("--gamma", "nan"), ("--gamma", "inf"), ("--alpha", "nan"), ("--alpha", "inf"),
+    ("--energy", "nan"),
+])
 def test_out_of_range_flag_value_is_usage_error(tmp_path, data_csv, capsys, flag, value):
     path, _ = data_csv
     argv = ["fit", "--algo", "mpda", "--data", path, "--m", "1", "--out", str(tmp_path / "m.bin")]
     rc = run(argv + [flag, value])  # argparse keeps the last --m
     assert rc == 2
-    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
     assert payload["error"] == "ValueError" and payload["message"]
 
 

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from mpda.dataset import LabeledDataset, load_dataset, split_indices, train_test_split
+from mpda.dataset import (
+    LabeledDataset,
+    class_permutations,
+    load_dataset,
+    split_indices,
+    train_test_split,
+)
+from mpda.evaluation import stratified_folds
 from mpda.errors import DegenerateSplitError, EmptyDatasetError, ParseError
 
 
@@ -74,6 +81,23 @@ def test_split_matches_documented_permutation_oracle():
     train_idx, test_idx = split_indices(ds.labels, 0.5, seed)
     assert np.array_equal(train_idx, expected_train)
     assert np.array_equal(np.sort(np.concatenate([train_idx, test_idx])), np.arange(4))
+
+
+def test_splits_and_folds_deal_the_one_class_shuffle(rng):
+    # oracle: classes ascending, one rng.permutation per class, one stream
+    y = rng.permutation(np.repeat([3, 1, 2], [9, 7, 12]))
+    for seed in (0, 11):
+        stream = np.random.default_rng(seed)
+        shuffled = list(class_permutations(y, seed))
+        assert [int(c) for c, _ in shuffled] == [1, 2, 3]
+        train, _ = split_indices(y, 0.4, seed)
+        fold_of = stratified_folds(y, 3, seed)
+        for c, rows in shuffled:
+            idx = np.flatnonzero(y == c)
+            assert np.array_equal(rows, idx[stream.permutation(len(idx))])
+            n_train = int(np.floor(len(rows) * 0.4 + 0.5))
+            assert np.array_equal(np.sort(rows[:n_train]), train[y[train] == c])
+            assert np.array_equal(fold_of[rows], np.arange(len(rows)) % 3)
 
 
 def test_split_deterministic(rng):

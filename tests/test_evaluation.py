@@ -116,6 +116,21 @@ def test_split_walks_need_at_least_one_split(rng, splits):
         parameter_sweep(ds, "mpda", "gamma", [0.1, 1.0], m=1, splits=splits)
 
 
+def test_dimension_sweep_rejects_width_below_one(rng):
+    ds = two_gaussians(rng, n_per=12)
+    with pytest.raises(ValueError, match="at least 1"):
+        dimension_sweep(ds, "pca", [0, 1, 2], splits=1)
+
+
+def test_empty_width_grid_raises(rng):
+    ds = two_gaussians(rng, n_per=12, d=3)
+    with pytest.raises(ValueError, match="m grid must be non-empty"):
+        cross_validate(ds, "pca", grid={}, m_grid=[], seed=0)
+    # every requested width exceeds the split's 3 columns
+    with pytest.raises(ValueError, match="m grid must be non-empty"):
+        benchmark(ds, "pca", splits=1, m_grid=[9])
+
+
 def test_parameter_sweep_without_values_raises_before_any_split(rng, monkeypatch):
     ds = two_gaussians(rng, n_per=12)
 

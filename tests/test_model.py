@@ -194,12 +194,13 @@ def test_negative_gamma_fails_before_any_stage(rng, monkeypatch):
     for name in ("_patch_bases", "_point_bases", "_graphs"):
         monkeypatch.setattr(mpda.model, name, stage)
     ds = random_labeled(rng, min_per_class=4)
-    with pytest.raises(ValueError, match="gamma must be nonnegative"):
-        fit_mpda(ds, m=1, gamma=-1)
-    with pytest.raises(ValueError, match="gamma must be nonnegative"):
-        fit_pmpda(ds, m=1, gamma=-1)
-    with pytest.raises(ValueError, match="gamma must be nonnegative"):
-        cross_validate(ds, "mpda", grid={"gamma": [1.0, -1.0]}, m_grid=[1])
+    for gamma in (-1, np.nan, np.inf):  # NaN compares false, so it needs the same check
+        with pytest.raises(ValueError, match="gamma must be nonnegative"):
+            fit_mpda(ds, m=1, gamma=gamma)
+        with pytest.raises(ValueError, match="gamma must be nonnegative"):
+            fit_pmpda(ds, m=1, gamma=gamma)
+        with pytest.raises(ValueError, match="gamma must be nonnegative"):
+            cross_validate(ds, "mpda", grid={"gamma": [1.0, gamma]}, m_grid=[1])
 
 
 def test_assemble_between_block_structure(rng):
@@ -299,6 +300,14 @@ def test_fit_rejects_bad_m(rng):
     ds = random_labeled(rng)
     with pytest.raises(ValueError):
         fit_mpda(ds, m=ds.d + 1)
+    with pytest.raises(ValueError, match=f"m must lie in 1..{ds.d}"):
+        fit_pmpda(ds, m=0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf])
+def test_solve_gep_rejects_alpha_outside_positive_reals(alpha):
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        solve_gep(np.eye(3), np.eye(3), alpha, 1)
 
 
 def test_label_permutation_leaves_span(rng):

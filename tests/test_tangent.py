@@ -206,3 +206,13 @@ def test_per_point_bases_rejects_energy_outside_unit_interval(rng, energy):
     X = rng.normal(size=(6, 3))
     with pytest.raises(ValueError):
         per_point_bases(X, np.array([1, 1, 1, 2, 2, 3]), 2, energy)
+
+
+@pytest.mark.parametrize("energy", [0.0, 1.5, np.nan])
+def test_single_point_sets_check_the_energy_too(rng, energy):
+    # a one-point set has an empty basis, but its energy is still checked
+    assert fit_tangent_basis(rng.normal(size=(1, 3))).dim == 0
+    with pytest.raises(ValueError):
+        fit_tangent_basis(rng.normal(size=(1, 3)), energy)
+    with pytest.raises(ValueError):
+        patch_bases(rng.normal(size=(4, 3)), [np.array([i]) for i in range(4)], energy)
