@@ -65,8 +65,13 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
     _add_partition_flags(p)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # ``run`` prints it as one JSON line, exit 2
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mpda", description="Supervised dimensionality reduction toolkit"
     )
     parser.add_argument("--config", help="key=value file mirroring the flags")

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import UnreachablePairError
-from .graph import NeighborLists, _check_k, _nearest, _symmetric, pairwise_euclidean
+from .graph import NeighborLists, _check_k, _finite, _nearest, _symmetric, pairwise_euclidean
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,9 @@ def geodesic_distances(X: np.ndarray, k: int) -> GeodesicMatrix:
     The k-NN lists come from X's one ``pairwise_euclidean`` matrix; the edge
     matrix is symmetric, so a directed Dijkstra gives the undirected paths.
     Unreachable pairs are +inf, which is data for the partitioner, not an
-    error.  Raises ``KTooLargeError`` unless 1 <= k < n.
+    error.  Raises ``KTooLargeError`` unless 1 <= k < n; X must be finite.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = _finite(X)
     _check_k(k, X.shape[0])
     DE = pairwise_euclidean(X)
     graph = neighbor_graph_matrix(NeighborLists(*_nearest(DE.copy(), k), k=k))

@@ -8,6 +8,7 @@ None holds an n x n array.  k-NN screens row blocks of squared distances
 from one matrix product, then re-ranks a candidate set with cdist's own
 arithmetic under a per-row rounding certificate, so its lists equal those
 of the full cdist matrix bit for bit, whatever the number of BLAS threads.
+Every kernel takes finite points: ``_finite`` rejects NaN and Inf for all.
 """
 
 from __future__ import annotations
@@ -64,6 +65,14 @@ def pairwise_euclidean(X: np.ndarray) -> np.ndarray:
     return D
 
 
+def _finite(X: np.ndarray) -> np.ndarray:
+    """X as a float64 array; raises ``ValueError`` unless every value is finite."""
+    X = np.asarray(X, dtype=np.float64)
+    if not np.isfinite(X).all():
+        raise ValueError("X contains NaN or Inf")
+    return X
+
+
 def _check_k(k: int, n: int) -> None:
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -86,9 +95,9 @@ def _nearest(D: np.ndarray, k: int, own: np.ndarray | None = None) -> tuple[np.n
     near = np.take_along_axis(near, order, axis=1)
     dist = np.take_along_axis(dist, order, axis=1)
     # argpartition breaks ties at the k-th distance arbitrarily: a row with
-    # more than k entries up to that distance (or a NaN one) is sorted whole
+    # more than k entries up to that distance is sorted whole
     kth = dist[:, -1:]
-    for r in np.flatnonzero((np.count_nonzero(D <= kth, axis=1) > k) | np.isnan(kth[:, 0])):
+    for r in np.flatnonzero(np.count_nonzero(D <= kth, axis=1) > k):
         near[r] = np.argsort(D[r], kind="stable")[:k]
         dist[r] = D[r, near[r]]
     return near, dist
@@ -140,16 +149,16 @@ def knn_neighbors(X: np.ndarray, k: int) -> NeighborLists:
     """Exact k nearest neighbors of every row of X by Euclidean distance.
 
     Ties are broken by ascending point index so the result does not depend
-    on search order.  Raises ``KTooLargeError`` unless 1 <= k < n.
+    on search order.  Raises ``KTooLargeError`` unless 1 <= k < n, and
+    ``ValueError`` if X holds a NaN or infinite value.
 
     Indices and distances equal, bit for bit, the first k entries of a
     stable argsort of each row of ``cdist(X, X)`` with the point's own
-    entry excluded (NaN distances last), whatever the number of BLAS
-    threads.  Each block of ``KNN_BLOCK_ROWS`` rows is searched in four
-    steps:
+    entry excluded, whatever the number of BLAS threads.  Each block of
+    ``KNN_BLOCK_ROWS`` rows is searched in four steps:
 
     1. approximate squared distances ``|x|^2 + |y|^2 - 2 x.y`` from one
-       matrix product, on rows centred on the mean of the finite rows;
+       matrix product, on rows centred on their mean;
     2. per row, the k-th smallest of them (``np.partition``);
     3. candidates: every column within a rounding bound of that value,
        bounded per row from the squared norms;
@@ -158,18 +167,17 @@ def knn_neighbors(X: np.ndarray, k: int) -> NeighborLists:
        ordered by (distance, index).
 
     A row is kept only with a certificate: every non-candidate is provably
-    farther than the row's k-th distance.  Any other row, such as one with
-    a non-finite value, is ranked from its full ``cdist`` row instead.
+    farther than the row's k-th distance.  Any other row, such as one whose
+    squared distances overflow, is ranked from its full ``cdist`` row instead.
     Memory is O(``KNN_BLOCK_ROWS`` n).
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = _finite(X)
     n, d = X.shape
     _check_k(k, n)
-    finite = np.isfinite(X).all(axis=1)
     indices = np.empty((n, k), dtype=np.intp)
     distances = np.empty((n, k))
-    with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows fall back
-        Xc = X - (X[finite].mean(axis=0) if finite.any() else 0.0)
+    with np.errstate(invalid="ignore", over="ignore"):  # overflowing rows fall back
+        Xc = X - X.mean(axis=0)
         sq = np.einsum("ij,ij->i", Xc, Xc)
         ones = np.ones((n, 1))
         # left[i] . right[j] = |x_i|^2 + |x_j|^2 - 2 x_i.x_j in one product
@@ -178,8 +186,8 @@ def knn_neighbors(X: np.ndarray, k: int) -> NeighborLists:
         # per-row bounds, each at least twice the rounding error it covers:
         # err of A against the centred rows' squared distances, shift of
         # the centring on a distance; the tiny terms cover underflow, and
-        # shift's also cdist's.  No finite row's norm exceeds sq_max.
-        sq_max = sq[finite].max(initial=0.0)
+        # shift's also cdist's.  No row's norm exceeds sq_max.
+        sq_max = sq.max()
         err = (3 * d + 8) * (_EPS * (sq + sq_max) + _TINY)
         err[~np.isfinite(2.0 * (sq + sq_max))] = np.inf  # the product's sums may overflow
         shift = 2.0 * _EPS * (np.sqrt(sq) + np.sqrt(sq_max)) + np.sqrt(d * _TINY)

@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .geodesy import GeodesicMatrix, geodesic_distances, mean_ratios, pair_tortuosity
-from .graph import pairwise_euclidean
+from .graph import _finite, pairwise_euclidean
 
 DEFAULT_KPRIME = 6
 DEFAULT_MAX_PATCH = 10
@@ -152,13 +152,11 @@ class _ClassTree:
 
     The roots are the class's initial patches (its components, or the whole
     class when approximated); splitting node k appends its two halves and
-    records them in ``children[k]``.  Rows with a NaN or infinite value
-    make every split of the class go through ``split_patch``.
+    records them in ``children[k]``.
     """
 
     def __init__(self, Xc: np.ndarray, kprime: int, approximate: bool):
         self.n = n = Xc.shape[0]
-        self.scalar = not np.isfinite(Xc).all()
         self.children: dict[int, tuple[int, int]] = {}
         self.dist: GeodesicMatrix | None = None
         if n == 1:
@@ -410,35 +408,10 @@ def _grow(spans, idx: np.ndarray, sizes: np.ndarray, kprime: int, budget: int):
     return side, failed
 
 
-def _split_level(jobs: list[tuple[_ClassTree, int]], kprime: int, budget: int):
-    """Both halves of every listed node, as ``split_patch`` returns them."""
-    halves: list = [None] * len(jobs)
-    batch = []
-    for j, (tree, node) in enumerate(jobs):
-        if tree.scalar:
-            halves[j] = split_patch(tree.members[node], tree.dist, kprime)
-        else:
-            batch.append(j)
-    sizes = [len(jobs[j][0].members[jobs[j][1]]) for j in batch]
-    # a round holds, per padded patch of size S, three (2, k', S) row
-    # buffers and about sixteen size-S rows of values
-    for a, b in _chunks(sizes, lambda s: (6 * min(kprime, s) + 16) * s, budget):
-        chunk = [jobs[j] for j in batch[a:b]]
-        idx, n_members = _padded([tree.members[node] for tree, node in chunk])
-        spans = _spans([tree for tree, _ in chunk])
-        side, failed = _grow(spans, idx, n_members, kprime, budget)
-        p, s, c = np.nonzero(side)
-        parts = np.split(idx[p, c], np.cumsum(side.sum(axis=2).ravel())[:-1])
-        for i, (j, (tree, node)) in enumerate(zip(batch[a:b], chunk)):
-            if failed[i]:
-                halves[j] = split_patch(tree.members[node], tree.dist, kprime)
-            else:
-                halves[j] = (parts[2 * i], parts[2 * i + 1])
-    return halves
-
-
 def _grow_trees(trees: list[_ClassTree], kprime: int, max_patch: int, approximate: bool) -> None:
-    """Split every oversize patch of the classes, one tree level at a time."""
+    """Split every oversize patch of the classes, one tree level at a time, as
+    ``split_patch`` would: ``_grow`` grows a level's patches together in
+    chunks, and ``split_patch`` makes any split that it leaves undecided."""
     # the most any step holds at once: what the largest class's three
     # n x n matrices take
     budget = 3 * max(tree.n for tree in trees) ** 2
@@ -448,9 +421,21 @@ def _grow_trees(trees: list[_ClassTree], kprime: int, max_patch: int, approximat
             _set_linearities(new, budget)
         jobs = [(tree, k) for tree, k in new if len(tree.members[k]) > max_patch]
         new = []
-        for (tree, node), halves in zip(jobs, _split_level(jobs, kprime, budget)):
-            new += [(tree, len(tree.members)), (tree, len(tree.members) + 1)]
-            tree.add_halves(node, halves, 1.0 if approximate else None)
+        # a round holds, per padded patch of size S, three (2, k', S) row
+        # buffers and about sixteen size-S rows of values
+        sizes = [len(tree.members[k]) for tree, k in jobs]
+        for a, b in _chunks(sizes, lambda s: (6 * min(kprime, s) + 16) * s, budget):
+            chunk = jobs[a:b]
+            idx, n_members = _padded([tree.members[k] for tree, k in chunk])
+            side, failed = _grow(_spans([tree for tree, _ in chunk]), idx, n_members, kprime, budget)
+            p, s, c = np.nonzero(side)
+            parts = np.split(idx[p, c], np.cumsum(side.sum(axis=2).ravel())[:-1])
+            for i, (tree, k) in enumerate(chunk):
+                halves = parts[2 * i : 2 * i + 2]
+                if failed[i]:
+                    halves = split_patch(tree.members[k], tree.dist, kprime)
+                new += [(tree, len(tree.members)), (tree, len(tree.members) + 1)]
+                tree.add_halves(k, halves, 1.0 if approximate else None)
 
 
 def partition_classes(
@@ -472,13 +457,13 @@ def partition_classes(
     the largest Euclidean distance.
 
     Disconnected components of the k'-NN graph are separated up front, since
-    tortuosity is meaningless across components.
+    tortuosity is meaningless across components.  Every block must be finite.
     """
     if kprime < 1:
         raise ValueError("kprime must be at least 1")
     if max_patch < 1:
         raise ValueError("max_patch must be at least 1")
-    blocks = [np.atleast_2d(np.asarray(Xc, dtype=np.float64)) for Xc in blocks]
+    blocks = [np.atleast_2d(_finite(Xc)) for Xc in blocks]
     parts: list[Partition] = []
     start = 0
     while start < len(blocks):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import knn_neighbors
+from .graph import _finite, knn_neighbors
 
 _RANK_RTOL = 1e-12  # relative eigenvalue cutoff for numerical rank
 DEFAULT_ENERGY = 0.95
@@ -90,9 +90,9 @@ def patch_bases(
 
     Patches of equal size share one stacked SVD per block of
     ``HOOD_BLOCK_ROWS`` patches; each basis equals ``fit_tangent_basis`` of
-    its patch's rows bit for bit.
+    its patch's rows bit for bit.  X must be finite.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = _finite(X)
     sizes = np.array([len(m) for m in patches])
     bases: list[TangentBasis | None] = [None] * len(patches)
     for size in np.unique(sizes):

@@ -12,17 +12,14 @@ own ratio block over N^2.  In the approximate mode every ratio is exactly
 production code must reproduce bit for bit.
 """
 
-from functools import cached_property
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial.distance import cdist
 
 from mpda.errors import UnreachablePairError
-from mpda.geodesy import GeodesicMatrix, geodesic_distances
-from mpda.graph import pairwise_euclidean
-from mpda.partition import Partition, split_patch
+from mpda.geodesy import GeodesicMatrix
+from mpda.partition import Partition
 
 
 def knn_edge_matrix(D, k):
@@ -60,14 +57,6 @@ def ratio_block(members, dist):
 def mean_ratio(members, dist):
     """Mean ratio over all N^2 ordered pairs of a patch."""
     return float(ratio_block(members, dist).sum() / len(members) ** 2)
-
-
-class StraightPaths(GeodesicMatrix):
-    """The approximate mode's distances: every ratio is 1, every pair reachable."""
-
-    @cached_property
-    def tortuosity(self):
-        return np.ones_like(self.euclidean)
 
 
 def split_patch_loop(members, dist, kprime, approximate=False):
@@ -165,42 +154,3 @@ def partition_class_loop(Xc, kprime, max_patch, approximate=False):
         [1.0 if approximate else mean_ratio(m, dist) for m in patches]
     )
     return Partition(patches=patches, patch_of=patch_of, linearity=linearity)
-
-
-def partition_class_driver(Xc, kprime, max_patch, approximate=False):
-    """The former production driver: ``split_patch`` on the top-scoring oversize
-    patch until none is left, one linearity per patch.
-
-    Unlike ``partition_class_loop`` it reads the production geodesics and
-    components, so it also defines the result for rows with NaN or
-    infinite values, where the oracle's own graph differs.
-    """
-    Xc = np.atleast_2d(np.asarray(Xc, dtype=np.float64))
-    n = Xc.shape[0]
-    if n == 1:
-        return Partition(
-            patches=[np.array([0])], patch_of=np.zeros(1, dtype=np.int64), linearity=np.ones(1)
-        )
-    if approximate:
-        DE = pairwise_euclidean(Xc)
-        dist = StraightPaths(geodesic=DE, euclidean=DE)
-        patches = [np.arange(n, dtype=np.int64)]
-    else:
-        dist = geodesic_distances(Xc, min(kprime, n - 1))
-        comp = dist.components()
-        patches = [np.flatnonzero(comp == c) for c in range(comp.max() + 1)]
-    lin = [1.0 if approximate else mean_ratio(m, dist) for m in patches]
-    while True:
-        oversize = [p for p, m in enumerate(patches) if len(m) > max_patch]
-        if not oversize:
-            break
-        best = max(oversize, key=lambda p: (lin[p] * len(patches[p]), -p))
-        left, right = split_patch(patches[best], dist, kprime)
-        patches[best] = left
-        patches.append(right)
-        lin[best] = 1.0 if approximate else mean_ratio(left, dist)
-        lin.append(1.0 if approximate else mean_ratio(right, dist))
-    patch_of = np.empty(n, dtype=np.int64)
-    for pid, m in enumerate(patches):
-        patch_of[m] = pid
-    return Partition(patches=patches, patch_of=patch_of, linearity=np.array(lin))

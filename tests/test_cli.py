@@ -33,11 +33,32 @@ def test_fit_then_transform_roundtrip(tmp_path, data_csv, capsys):
     assert np.array_equal(emb, direct)  # %.17g round-trips float64 exactly
 
 
-def test_unknown_algo_is_usage_error(tmp_path, data_csv):
+def usage_error(capsys, argv):
+    """Run argv, require exit 2 with one JSON line on stderr, return its message."""
+    rc = run(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ValueError"
+    return payload["message"]
+
+
+def test_unknown_algo_is_usage_error(tmp_path, data_csv, capsys):
     path, _ = data_csv
-    with pytest.raises(SystemExit) as exc:
-        run(["fit", "--algo", "unknown", "--data", path, "--m", "2", "--out", "x.bin"])
-    assert exc.value.code == 2
+    message = usage_error(capsys, ["fit", "--algo", "unknown", "--data", path, "--m", "2",
+                                   "--out", "x.bin"])
+    assert message.startswith("argument --algo: invalid choice: 'unknown'")
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "the following arguments are required: command"),
+    (["nope"], "argument command: invalid choice: 'nope'"),
+    (["--config"], "--config needs a path"),
+])
+def test_parser_rejections_without_a_subcommand_are_usage_errors(capsys, argv, message):
+    assert usage_error(capsys, argv).startswith(message)
 
 
 def test_missing_data_file_is_data_error(tmp_path, capsys):
@@ -343,36 +364,31 @@ def test_sweep_honours_approximate_partition(tmp_path, data_csv, monkeypatch):
     assert seen and all(seen)
 
 
-def test_fit_has_no_seed_flag(tmp_path, data_csv):
+def test_fit_has_no_seed_flag(tmp_path, data_csv, capsys):
     path, _ = data_csv
-    with pytest.raises(SystemExit) as exc:
-        run(["fit", "--algo", "mpda", "--data", path, "--m", "1", "--seed", "3",
-             "--out", str(tmp_path / "m.bin")])
-    assert exc.value.code == 2
+    message = usage_error(capsys, ["fit", "--algo", "mpda", "--data", path, "--m", "1",
+                                   "--seed", "3", "--out", str(tmp_path / "m.bin")])
+    assert message == "unrecognized arguments: --seed 3"
 
 
-def test_benchmark_has_no_jobs_flag(tmp_path, data_csv):
+def test_benchmark_has_no_jobs_flag(tmp_path, data_csv, capsys):
     path, _ = data_csv
-    with pytest.raises(SystemExit) as exc:
-        run(["benchmark", "--algo", "lda", "--data", path, "--splits", "1", "--m", "1",
-             "--jobs", "2"])
-    assert exc.value.code == 2
+    message = usage_error(capsys, ["benchmark", "--algo", "lda", "--data", path, "--splits",
+                                   "1", "--m", "1", "--jobs", "2"])
+    assert message == "unrecognized arguments: --jobs 2"
 
 
 @pytest.mark.parametrize("flag,value", [
     ("--m", "0"), ("--gamma", "-1"), ("--energy", "2"),
     ("--gamma", "nan"), ("--gamma", "inf"), ("--alpha", "nan"), ("--alpha", "inf"),
     ("--energy", "nan"),
+    # argparse's own rejections: an untyped value, a value read as a flag
+    ("--k", "nan"), ("--gamma", "-1e-3"),
 ])
 def test_out_of_range_flag_value_is_usage_error(tmp_path, data_csv, capsys, flag, value):
     path, _ = data_csv
     argv = ["fit", "--algo", "mpda", "--data", path, "--m", "1", "--out", str(tmp_path / "m.bin")]
-    rc = run(argv + [flag, value])  # argparse keeps the last --m
-    assert rc == 2
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1
-    payload = json.loads(lines[0])
-    assert payload["error"] == "ValueError" and payload["message"]
+    assert usage_error(capsys, argv + [flag, value])  # argparse keeps the last --m
 
 
 def test_undecodable_data_file_is_data_error(tmp_path, capsys):

@@ -16,6 +16,7 @@ from graph_oracles import (
     mutual_edge_mask,
     within_class_graph_dense,
 )
+from mpda.geodesy import geodesic_distances
 from mpda.graph import (
     KNN_BLOCK_ROWS,
     _effective_sigma,
@@ -23,6 +24,8 @@ from mpda.graph import (
     knn_neighbors,
     within_class_graph,
 )
+from mpda.partition import partition_classes
+from mpda.tangent import patch_bases, per_point_bases
 
 
 def brute_force_knn(X, k):
@@ -91,11 +94,10 @@ def test_knn_bit_identical_to_full_stable_argsort(case):
 def test_knn_bit_identical_across_blocks_on_real_valued_data(rng):
     X = rng.normal(size=(2 * KNN_BLOCK_ROWS + 37, 6))
     X[100] = X[7]  # one duplicate pair
-    X[300, 2] = np.nan  # NaN distances sort last, after the row's own +inf
     for k in (1, 3, 5, 7):
         nb, ref = knn_neighbors(X, k), knn_argsort(X, k)
         assert np.array_equal(nb.indices, ref.indices)
-        assert np.array_equal(nb.distances, ref.distances, equal_nan=True)
+        assert np.array_equal(nb.distances, ref.distances)
 
 
 @st.composite
@@ -123,10 +125,8 @@ def test_knn_bit_identical_to_full_stable_argsort_on_real_valued_data(case):
     assert nb.distances.tobytes() == ref.distances.tobytes()
 
 
-def test_knn_full_row_fallback_only_for_non_finite_rows(rng, monkeypatch):
+def test_knn_full_row_fallback_only_for_overflowing_rows(rng, monkeypatch):
     X = rng.normal(size=(KNN_BLOCK_ROWS + 60, 5)) + 1e4
-    X[7, 1] = np.nan
-    X[KNN_BLOCK_ROWS + 3, 4] = np.inf
     ranked_whole = []
 
     def spy(D, k, own=None):
@@ -138,9 +138,45 @@ def test_knn_full_row_fallback_only_for_non_finite_rows(rng, monkeypatch):
     for k in (1, 4, 9):
         ranked_whole.clear()
         nb, ref = knn_neighbors(X, k), knn_argsort(X, k)
-        assert ranked_whole == [7, KNN_BLOCK_ROWS + 3]
+        assert ranked_whole == []  # every row certified from the matrix product
         assert nb.indices.tobytes() == ref.indices.tobytes()
         assert nb.distances.tobytes() == ref.distances.tobytes()
+    # a finite row whose squared norm overflows voids the product's bounds:
+    # the full cdist rows still give the lists
+    X[KNN_BLOCK_ROWS + 3] *= 1e151
+    for k in (1, 4, 9):
+        ranked_whole.clear()
+        nb, ref = knn_neighbors(X, k), knn_argsort(X, k)
+        assert KNN_BLOCK_ROWS + 3 in ranked_whole
+        assert nb.indices.tobytes() == ref.indices.tobytes()
+        assert nb.distances.tobytes() == ref.distances.tobytes()
+
+
+@pytest.mark.parametrize("kernel,value", [
+    ("knn_neighbors", np.nan),
+    ("geodesic_distances", np.inf),
+    ("partition_classes", -np.inf),
+    ("partition_classes_approximate", np.nan),
+    ("patch_bases", np.inf),
+    ("per_point_bases", -np.inf),
+])
+def test_kernels_reject_non_finite_input(rng, kernel, value):
+    X = rng.normal(size=(KNN_BLOCK_ROWS + 40, 3))
+    bad = KNN_BLOCK_ROWS + 7  # in the second k-NN block and the second class
+    X[bad, 1] = value
+    labels = (np.arange(len(X)) >= KNN_BLOCK_ROWS).astype(int)
+    calls = {
+        "knn_neighbors": lambda: knn_neighbors(X, 3),
+        "geodesic_distances": lambda: geodesic_distances(X, 3),
+        "partition_classes": lambda: partition_classes([X[labels == 0], X[labels == 1]]),
+        "partition_classes_approximate": lambda: partition_classes(
+            [X[labels == 0], X[labels == 1]], approximate=True
+        ),
+        "patch_bases": lambda: patch_bases(X, [np.arange(0, bad), np.arange(bad, len(X))]),
+        "per_point_bases": lambda: per_point_bases(X, labels, 3),
+    }
+    with pytest.raises(ValueError, match="^X contains NaN or Inf$"):
+        calls[kernel]()
 
 
 def test_effective_sigma_matches_loop_with_duplicates():

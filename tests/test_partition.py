@@ -8,11 +8,10 @@ from scipy.spatial.distance import cdist
 
 import mpda.graph
 import mpda.partition
-from mpda.errors import UnreachablePairError
 from mpda.geodesy import geodesic_distances, mean_ratios
 from mpda.graph import pairwise_euclidean
 from mpda.partition import partition_class, partition_classes, split_patch
-from partition_oracles import partition_class_driver, partition_class_loop
+from partition_oracles import partition_class_loop
 
 
 def assert_same_partition(part, ref):
@@ -262,24 +261,6 @@ def test_overflowing_distances_give_the_oracle_patches(rng):
         with np.errstate(all="raise"):
             part = partition_class(X, kprime=3, max_patch=5, approximate=True)
         assert_same_partition(part, partition_class_loop(X, 3, 5, approximate=True))
-
-
-def test_non_finite_rows_split_like_the_former_driver(rng):
-    # a NaN or infinite entry makes the class's distances NaN: its splits go
-    # through split_patch, and the result (or the error) is the former one
-    for _ in range(8):
-        n = int(rng.integers(10, 40))
-        X = rng.normal(size=(n, 3))
-        X[rng.integers(n), rng.integers(3)] = rng.choice([np.nan, np.inf])
-        for approximate in (False, True):
-            with np.errstate(invalid="ignore"):
-                try:
-                    want = partition_class_driver(X, 3, 5, approximate)
-                except UnreachablePairError:
-                    with pytest.raises(UnreachablePairError):
-                        partition_class(X, 3, 5, approximate)
-                    continue
-                assert_same_partition(partition_class(X, 3, 5, approximate), want)
 
 
 @pytest.mark.parametrize("batch_values", [None, 40_000])
