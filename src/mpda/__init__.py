@@ -8,7 +8,7 @@ benchmark harness in ``mpda.evaluation``.
 from .baselines import fit_lda, fit_pca
 from .dataset import LabeledDataset, load_dataset, train_test_split
 from .evaluation import benchmark, cross_validate, error_rate, nn_classify
-from .geodesy import GeodesicMatrix, geodesic_distances, patch_linearity
+from .geodesy import GeodesicMatrix, geodesic_distances
 from .graph import NeighborLists, between_class_form, knn_neighbors, within_class_graph
 from .model import (
     EmbeddingModel,
@@ -21,8 +21,8 @@ from .model import (
     solve_gep,
     transform,
 )
-from .partition import Partition, partition_class, partition_classes, split_patch
-from .tangent import TangentBasis, fit_tangent_basis
+from .partition import Partition, partition_classes, split_patch
+from .tangent import TangentBasis
 
 __version__ = "0.1.0"
 
@@ -43,15 +43,12 @@ __all__ = [
     "fit_mpda",
     "fit_pca",
     "fit_pmpda",
-    "fit_tangent_basis",
     "geodesic_distances",
     "knn_neighbors",
     "load_dataset",
     "load_model",
     "nn_classify",
-    "partition_class",
     "partition_classes",
-    "patch_linearity",
     "save_model",
     "solve_gep",
     "split_patch",

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import LabeledDataset
-from .graph import class_scatters
+from .graph import _finite, class_scatters
 from .model import EmbeddingModel, solve_gep
 from .tangent import _energy_rank
 
@@ -38,11 +38,11 @@ def fit_pca(X: np.ndarray, m: int | None = None, energy: float | None = None) ->
 
     The SVD is thin (no n x n ``U``) unless there are fewer rows than
     columns; then the full ``Vt`` supplies the null-space directions an
-    ``m`` above n reads.
+    ``m`` above n reads.  X must be finite.
     """
     if (m is None) == (energy is None):
         raise ValueError("specify exactly one of m and energy")
-    X = np.asarray(X, dtype=np.float64)
+    X = _finite(X)
     n, d = X.shape
     if n < 2:
         raise ValueError("PCA needs at least two rows")
@@ -68,15 +68,10 @@ def fit_pca(X: np.ndarray, m: int | None = None, energy: float | None = None) ->
     )
 
 
-def lda_scatter(train: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Between/within scatter matrices (S_b, S_w) from class sums."""
-    Sb, _, S_c = class_scatters(train.features, train.labels)
-    return Sb, S_c.sum(axis=0)
-
-
 def fit_lda(train: LabeledDataset, m: int) -> EmbeddingModel:
     """Discriminant projection onto the top-m generalized eigenvectors."""
-    Sb, Sw = lda_scatter(train)
+    Sb, _, S_c = class_scatters(train.features, train.labels)
+    Sw = S_c.sum(axis=0)
     eps = LDA_SHRINKAGE * max(np.trace(Sw), 1e-300) / train.d
     vals, vecs = solve_gep(Sb, Sw, eps, m)
     return EmbeddingModel(kind="lda", projection=vecs, eigenvalues=vals, hyperparams={"m": int(m)})

@@ -104,7 +104,7 @@ def _parse_int(token: str, lineno: int) -> int:
             v = float(token)
         except ValueError:
             raise ParseError(f"line {lineno}: label {token!r} is not an integer") from None
-        if v != int(v):
+        if not v.is_integer():  # false for nan and inf too
             raise ParseError(f"line {lineno}: label {token!r} is not an integer")
         return int(v)
 

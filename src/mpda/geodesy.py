@@ -4,7 +4,8 @@ Geodesics, from ``geodesic_distances(X, k)``, are exact shortest paths on
 the undirected k'-NN graph of ``NeighborLists.edges`` with Euclidean edge
 lengths.  The linearity of a point set is the mean ratio of geodesic to
 straight-line distance over all its pairs (1 means the set lies along a
-straight path, larger means more tortuous).
+straight path, larger means more tortuous): ``mean_ratios`` of the
+members' block of ``GeodesicMatrix.tortuosity``, for many sets at once.
 """
 
 from __future__ import annotations
@@ -13,10 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import UnreachablePairError
 from .graph import NeighborLists, _check_k, _finite, _nearest, _symmetric, pairwise_euclidean
 
 
@@ -51,15 +50,6 @@ class GeodesicMatrix:
         return np.unique(lowest, return_inverse=True)[1]
 
 
-def neighbor_graph_matrix(nb: NeighborLists) -> sp.csr_matrix:
-    """Sparse symmetric edge-length matrix of the undirected k-NN graph.
-
-    Zero-length edges (coincident points) are kept as explicit zeros so
-    shortest-path routines treat them as traversable.
-    """
-    return _symmetric(*nb.edges, nb.n)
-
-
 def geodesic_distances(X: np.ndarray, k: int) -> GeodesicMatrix:
     """All-pairs shortest paths on the k-NN graph of X, plus Euclidean distances.
 
@@ -71,25 +61,11 @@ def geodesic_distances(X: np.ndarray, k: int) -> GeodesicMatrix:
     X = _finite(X)
     _check_k(k, X.shape[0])
     DE = pairwise_euclidean(X)
-    graph = neighbor_graph_matrix(NeighborLists(*_nearest(DE.copy(), k), k=k))
+    nb = NeighborLists(*_nearest(DE.copy(), k), k=k)
+    # zero-length edges (coincident points) stay as explicit zeros, so
+    # Dijkstra treats them as traversable
+    graph = _symmetric(*nb.edges, nb.n)
     return GeodesicMatrix(geodesic=dijkstra(graph, directed=True), euclidean=DE)
-
-
-def pair_tortuosity(dist: GeodesicMatrix, members: np.ndarray) -> np.ndarray:
-    """Matrix of geodesic/Euclidean ratios for one point set.
-
-    The members' block of ``dist.tortuosity``: the diagonal and coincident
-    distinct points score 1.  Raises ``UnreachablePairError`` on infinite
-    geodesics.
-    """
-    members = np.asarray(members, dtype=np.int64)
-    block = np.ix_(members, members)
-    R = dist.tortuosity[block]
-    # a finite geodesic over a distance near the underflow limit can also
-    # give inf; only an infinite geodesic raises
-    if np.isinf(R).any() and np.isinf(dist.geodesic[block]).any():
-        raise UnreachablePairError("patch contains mutually unreachable points")
-    return R
 
 
 def mean_ratios(blocks: np.ndarray) -> np.ndarray:
@@ -101,11 +77,3 @@ def mean_ratios(blocks: np.ndarray) -> np.ndarray:
     """
     B, N, _ = blocks.shape
     return blocks.reshape(B, N * N).sum(axis=1) / (N * N)
-
-
-def patch_linearity(members: np.ndarray, dist: GeodesicMatrix) -> float:
-    """Mean tortuosity of a point set: (1/N^2) * sum of all pairwise ratios."""
-    members = np.asarray(members, dtype=np.int64)
-    if members.size == 0:
-        raise ValueError("patch must contain at least one point")
-    return float(mean_ratios(pair_tortuosity(dist, members)[None])[0])

@@ -493,21 +493,26 @@ def load_model(path: str) -> EmbeddingModel:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ParseError(f"{path}: not a model file") from exc
-        if header.get("format") != _FORMAT_NAME:
+        if not isinstance(header, dict) or header.get("format") != _FORMAT_NAME:
             raise ParseError(f"{path}: not a model file")
         if header.get("version") != _FORMAT_VERSION:
             raise ParseError(f"{path}: unsupported model version {header.get('version')}")
-        d, m = int(header["d"]), int(header["m"])
         blob = fh.read()
-    need = d * m + int(header["n_eigenvalues"]) + (d if header["has_mean"] else 0)
+    try:
+        d, m, n_eig = int(header["d"]), int(header["m"]), int(header["n_eigenvalues"])
+        has_mean, kind = bool(header["has_mean"]), header["kind"]
+        if d < 1 or m < 1 or n_eig < 0:
+            raise ValueError
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise ParseError(f"{path}: malformed model header") from None
     arr = np.frombuffer(blob, dtype="<f8")
-    if arr.size != need:
+    if arr.size != d * m + n_eig + (d if has_mean else 0):
         raise ParseError(f"{path}: truncated model payload")
     proj = arr[: d * m].reshape(d, m).copy()
-    eig = arr[d * m : d * m + int(header["n_eigenvalues"])].copy()
-    mean = arr[d * m + eig.size :].copy() if header["has_mean"] else None
+    eig = arr[d * m : d * m + n_eig].copy()
+    mean = arr[d * m + n_eig :].copy() if has_mean else None
     return EmbeddingModel(
-        kind=header["kind"],
+        kind=kind,
         projection=proj,
         eigenvalues=eig,
         hyperparams=header.get("hyperparams", {}),

@@ -14,7 +14,8 @@ All geodesic information is computed once per class, by one
 scores and the initial components always read from that frozen matrix.
 A split therefore reads only its own members and its class's matrices, so
 the final patches do not depend on the order of the splits, only their ids
-do.  ``partition_classes`` splits every oversize patch of every class
+do.  ``partition_classes`` is the one entry point (one class is a
+one-block list).  It splits every oversize patch of every class
 together, one tree level at a time: the growth rounds run on padded
 (patches x 2 sides x size) arrays, and each level's new linearities are
 summed in bulk, once per patch.  The ids are then recovered by replaying
@@ -32,7 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .geodesy import GeodesicMatrix, geodesic_distances, mean_ratios, pair_tortuosity
+from .errors import UnreachablePairError
+from .geodesy import GeodesicMatrix, geodesic_distances, mean_ratios
 from .graph import _finite, pairwise_euclidean
 
 DEFAULT_KPRIME = 6
@@ -69,15 +71,20 @@ def split_patch(
     side, lowered with the columns of the points it absorbs, and the ratio
     sums for the running linearity*size scores grow with each absorption.
     One split thus reads O(size^2) distances and ratios in all, plus one
-    sort of the remaining pool per growth round.
+    sort of the remaining pool per growth round.  Raises
+    ``UnreachablePairError`` if the patch holds an infinite geodesic.
     """
     members = np.sort(np.asarray(members, dtype=np.int64))
     s = members.size
     if s < 2:
         raise ValueError("cannot split a patch with fewer than 2 points")
-    R = pair_tortuosity(dist, members)
     block = np.ix_(members, members)
+    R = dist.tortuosity[block]
     DG = dist.geodesic[block]
+    # a finite geodesic over a distance near the underflow limit can also
+    # give an infinite ratio; only an infinite geodesic raises
+    if np.isinf(R).any() and np.isinf(DG).any():
+        raise UnreachablePairError("patch contains mutually unreachable points")
     DE = dist.euclidean[block]
 
     flat = int(np.argmax(DG))  # row-major first occurrence = lowest (i, j)
@@ -476,13 +483,3 @@ def partition_classes(
         parts += [tree.partition(max_patch) for tree in trees]
         start = stop
     return parts
-
-
-def partition_class(
-    Xc: np.ndarray,
-    kprime: int = DEFAULT_KPRIME,
-    max_patch: int = DEFAULT_MAX_PATCH,
-    approximate: bool = False,
-) -> Partition:
-    """Partition one class's points: ``partition_classes`` on a single block."""
-    return partition_classes([Xc], kprime, max_patch, approximate)[0]

@@ -6,8 +6,9 @@ eigenvalue mass reaches the requested energy fraction, further capped at
 the numerical rank so that zero-variance directions are never included
 (``_energy_rank``, which the PCA baseline applies too).  Projections
 downstream use the basis without mean subtraction; centering only fixes
-the origin of the local chart.  ``patch_bases`` is the one stacked-SVD
-driver: ``per_point_bases`` hands it one neighborhood per point.
+the origin of the local chart.  ``patch_bases`` is the one entry point
+and the one stacked-SVD driver (one point set is a one-patch list):
+``per_point_bases`` hands it one neighborhood per point.
 """
 
 from __future__ import annotations
@@ -71,26 +72,16 @@ def _stacked_bases(H: np.ndarray, energy: float) -> list[TangentBasis]:
     ]
 
 
-def fit_tangent_basis(points: np.ndarray, energy: float = DEFAULT_ENERGY) -> TangentBasis:
-    """Principal directions of a patch covering the requested energy fraction.
-
-    A single point (or any zero-variance patch) yields an empty basis.
-    The rank never exceeds min(d, N_p - 1).  This is the stack-of-one case
-    of the kernel ``patch_bases`` and ``per_point_bases`` run, so all three
-    follow the same rules.
-    """
-    P = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    return _stacked_bases(P[None], energy)[0]
-
-
 def patch_bases(
     X: np.ndarray, patches: list[np.ndarray], energy: float = DEFAULT_ENERGY
 ) -> list[TangentBasis]:
     """One tangent basis per patch, given as row indices of X.
 
     Patches of equal size share one stacked SVD per block of
-    ``HOOD_BLOCK_ROWS`` patches; each basis equals ``fit_tangent_basis`` of
-    its patch's rows bit for bit.  X must be finite.
+    ``HOOD_BLOCK_ROWS`` patches; each basis is bit-identical to
+    decomposing its patch's rows on their own, as a one-patch call does.
+    A one-point or zero-variance patch yields an empty basis, and no rank
+    exceeds min(d, size - 1).  X must be finite.
     """
     X = _finite(X)
     sizes = np.array([len(m) for m in patches])
@@ -113,7 +104,8 @@ def per_point_bases(
     The point itself joins its neighborhood, so each basis sees k+1 points
     and its rank is implicitly capped at k.  Classes smaller than k+1 use
     all their members.  The neighborhoods are ``patch_bases``' patches, so
-    each basis equals ``fit_tangent_basis`` of its neighborhood bit for bit.
+    each basis equals a one-patch ``patch_bases`` call on its neighborhood
+    bit for bit.
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from mpda.dataset import LabeledDataset
+from mpda.graph import class_scatters
+from mpda.partition import partition_classes
+from mpda.tangent import DEFAULT_ENERGY, patch_bases
 
 
 def random_labeled(rng, n_max=40, d_max=8, c_max=3, min_per_class=3):
@@ -31,6 +34,22 @@ def curved_classes(rng, sizes=(14, 12, 13), d=4, n_dup=0):
         src = rng.integers(0, len(X), size=n_dup)
         X, y = np.vstack([X, X[src]]), np.concatenate([y, y[src]])
     return LabeledDataset(X, y)
+
+
+def one_partition(Xc, kprime, max_patch, approximate=False):
+    """``partition_classes`` on one class."""
+    return partition_classes([Xc], kprime, max_patch, approximate)[0]
+
+
+def one_basis(P, energy=DEFAULT_ENERGY):
+    """``patch_bases`` with all of P's rows as its one patch."""
+    return patch_bases(P, [np.arange(len(P))], energy)[0]
+
+
+def lda_scatters(ds):
+    """LDA's pair (S_b, S_w) as ``fit_lda`` builds it from ``class_scatters``."""
+    Sb, _, S_c = class_scatters(ds.features, ds.labels)
+    return Sb, S_c.sum(axis=0)
 
 
 @pytest.fixture

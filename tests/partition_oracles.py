@@ -1,7 +1,8 @@
 """Reference partitioners the production one in ``mpda.partition`` is checked against.
 
 ``split_patch_loop`` and ``partition_class_loop`` are the former loops of
-``split_patch`` and ``partition_class``: each growth round recomputes both
+``split_patch`` and of the one-class partitioner (today a one-block
+``partition_classes`` call): each growth round recomputes both
 sides' nearest distances from the patch's distance block, and every pass
 of the driver loop recomputes the linearity of every oversize patch.  The
 geodesics come from a k'-NN graph built here, one edge at a time, from a

@@ -1,7 +1,7 @@
 """Per-patch reference constructions the stacked tangent kernel is checked against.
 
 These are the former one-SVD-per-call implementations of ``mpda.tangent``:
-``fit_tangent_basis`` with its own rank, energy and sign rules, and the
+the one-patch fit with its own rank, energy and sign rules, and the
 per-point loop that fit one neighborhood at a time.  The library now runs
 every basis through one batched SVD per stack of equal-sized point sets.
 """

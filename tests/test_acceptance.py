@@ -17,9 +17,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_labeled
+from conftest import lda_scatters, one_basis, one_partition, random_labeled
 from graph_oracles import laplacian
-from mpda.baselines import lda_scatter
 from mpda.dataset import LabeledDataset, load_dataset
 from mpda.evaluation import (
     benchmark,
@@ -27,15 +26,13 @@ from mpda.evaluation import (
     nn_classify,
     parameter_sweep,
 )
-from mpda.geodesy import geodesic_distances, pair_tortuosity
+from mpda.geodesy import geodesic_distances
 from mpda.graph import knn_neighbors
 from mpda.model import (
     fit_mpda,
     solve_gep,
     transform,
 )
-from mpda.partition import partition_class
-from mpda.tangent import fit_tangent_basis
 from test_model import build_instance, within_form
 
 
@@ -134,7 +131,7 @@ def test_criterion_3_structural_invariants():
     for _ in range(100):
         n = int(rng.integers(2, 60))
         X = rng.normal(size=(n, int(rng.integers(1, 6))))
-        part = partition_class(X, kprime=6, max_patch=10)
+        part = one_partition(X, kprime=6, max_patch=10)
         cover = np.array_equal(np.sort(np.concatenate(part.patches)), np.arange(n))
         ok = ok and cover and part.sizes.max() <= 10
     detail.append("partition")
@@ -143,7 +140,7 @@ def test_criterion_3_structural_invariants():
     worst_orth = 0.0
     for _ in range(50):
         P = rng.normal(size=(int(rng.integers(2, 20)), int(rng.integers(2, 8))))
-        tb = fit_tangent_basis(P, 0.95)
+        tb = one_basis(P, 0.95)
         worst_orth = max(
             worst_orth, float(np.linalg.norm(tb.basis.T @ tb.basis - np.eye(tb.dim)))
         )
@@ -167,7 +164,7 @@ def test_criterion_3_structural_invariants():
         X = rng.normal(size=(25, 3))
         gm = geodesic_distances(X, k=6)
         if np.isfinite(gm.geodesic).all():
-            R = pair_tortuosity(gm, np.arange(25))
+            R = gm.tortuosity
             worst_ratio = min(worst_ratio, float(R.min()))
     ok = ok and worst_ratio >= 1.0 - 1e-9
     detail.append(f"min ratio {worst_ratio:.6f}")
@@ -230,7 +227,7 @@ def test_criterion_4_oracle_equivalences():
     worst_lda = 0.0
     for _ in range(5):
         ds = random_labeled(rng, n_max=30)
-        Sb, Sw = lda_scatter(ds)
+        Sb, Sw = lda_scatters(ds)
         Sb_ref, Sw_ref = classical_scatter(ds.features, ds.labels)
         worst_lda = max(
             worst_lda,

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_labeled
+from conftest import lda_scatters, random_labeled
 from graph_oracles import laplacian, lda_graphs
-from mpda.baselines import LDA_SHRINKAGE, fit_lda, fit_pca, lda_scatter
+from mpda.baselines import LDA_SHRINKAGE, fit_lda, fit_pca
 from mpda.dataset import LabeledDataset
 from mpda.errors import SolverFailureError
 from mpda.model import transform
@@ -94,7 +94,7 @@ def test_lda_scatter_matches_classical(rng):
     X = rng.normal(size=(12, 3))
     y = np.array([1] * 5 + [2] * 7)
     ds = LabeledDataset(X, y)
-    Sb, Sw = lda_scatter(ds)
+    Sb, Sw = lda_scatters(ds)
     Sb_ref, Sw_ref = classical_scatter(X, y)
     assert np.max(np.abs(Sb - Sb_ref)) / np.max(np.abs(Sb_ref)) < 1e-10
     assert np.max(np.abs(Sw - Sw_ref)) / np.max(np.abs(Sw_ref)) < 1e-10
@@ -126,7 +126,7 @@ def test_lda_residual_bound(rng):
     ds = random_labeled(rng)
     m = min(ds.d, 2)
     model = fit_lda(ds, m=m)
-    Sb, Sw = lda_scatter(ds)
+    Sb, Sw = lda_scatters(ds)
     eps = 1e-6 * np.trace(Sw) / ds.d
     B = Sw + eps * np.eye(ds.d)
     for i in range(m):
@@ -156,7 +156,7 @@ def test_lda_matches_dense_pencil_oracle(rng):
             X[:, -1] = X[:, 0]
         m = int(rng.integers(1, d + 1))
         model = fit_lda(LabeledDataset(X, y), m)
-        vals, vecs = lda_oracle(*lda_scatter(LabeledDataset(X, y)), m)
+        vals, vecs = lda_oracle(*lda_scatters(LabeledDataset(X, y)), m)
         assert model.eigenvalues.tobytes() == vals.tobytes()
         assert np.max(np.abs(model.projection - vecs)) <= 4 * np.finfo(float).eps
 
@@ -176,7 +176,7 @@ def test_lda_identical_classes_near_zero_eigenvalue(rng):
     y = np.array([1] * 40 + [2] * 40)
     ds = LabeledDataset(X, y)
     model = fit_lda(ds, m=1)
-    Sb, Sw = lda_scatter(ds)
+    Sb, Sw = lda_scatters(ds)
     scale = np.trace(Sw) / ds.d
     assert abs(model.eigenvalues[0]) < 1e-8 * max(scale, 1.0)
 

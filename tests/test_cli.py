@@ -76,6 +76,15 @@ def test_malformed_data_is_data_error(tmp_path, capsys):
     rc = run(["fit", "--algo", "mpda", "--data", str(bad), "--m", "1",
               "--out", str(tmp_path / "m.bin")])
     assert rc == 3
+    # non-finite labels are not integers either
+    for label in ("nan", "inf", "1e400"):
+        capsys.readouterr()
+        bad.write_text(f"{label},2,3\n1,4,3\n")
+        rc = run(["fit", "--algo", "mpda", "--data", str(bad), "--m", "1",
+                  "--out", str(tmp_path / "m.bin")])
+        assert rc == 3
+        message = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["message"]
+        assert message == f"line 1: label {label!r} is not an integer"
 
 
 def test_partition_inspect_json(tmp_path, data_csv):

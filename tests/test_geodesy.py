@@ -4,14 +4,14 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from mpda.errors import KTooLargeError, UnreachablePairError
-from mpda.geodesy import (
-    GeodesicMatrix,
-    geodesic_distances,
-    neighbor_graph_matrix,
-    pair_tortuosity,
-    patch_linearity,
-)
+from mpda.geodesy import GeodesicMatrix, geodesic_distances, mean_ratios
 from mpda.graph import knn_neighbors
+from mpda.partition import split_patch
+
+
+def linearity(dist, members):
+    """Mean ratio of one point set, as the partitioner sums it."""
+    return float(mean_ratios(dist.tortuosity[np.ix_(members, members)][None])[0])
 
 
 def floyd_warshall(edges, n):
@@ -63,11 +63,9 @@ def test_edge_matrix_matches_dict_loop_on_duplicates_and_gaps(rng):
         if trial % 2:
             X = X[rng.permutation(len(X))]  # interleave the components' members
         k = int(rng.integers(1, 5))
-        nb = knn_neighbors(X, k)
-        old, new = dict_loop_graph_matrix(nb), neighbor_graph_matrix(nb)
-        assert np.any(new.data == 0.0)  # zero-length edges stay explicit
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(new, name), getattr(old, name))
+        old = dict_loop_graph_matrix(knn_neighbors(X, k))
+        # zero-length edges stay explicit, so the duplicates are reachable
+        assert np.any(old.data == 0.0)
         gm = geodesic_distances(X, k)
         assert np.array_equal(gm.geodesic, dijkstra(old, directed=False))
         assert np.array_equal(gm.components(), connected_components(old, directed=False)[1])
@@ -127,7 +125,7 @@ def test_adding_edges_never_increases_distances(rng):
 def test_linearity_collinear_points():
     X = np.array([[0.0], [1.0], [2.0]])
     gm = geodesic_distances(X, k=2)
-    assert patch_linearity(np.arange(3), gm) == pytest.approx(1.0)
+    assert linearity(gm, np.arange(3)) == pytest.approx(1.0)
 
 
 def test_linearity_elbow():
@@ -136,27 +134,28 @@ def test_linearity_elbow():
     X = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
     gm = geodesic_distances(X, k=1)
     expected = (7 + 2 * np.sqrt(2)) / 9
-    assert patch_linearity(np.arange(3), gm) == pytest.approx(expected, abs=1e-12)
+    assert linearity(gm, np.arange(3)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_linearity_singleton_is_one(rng):
     X = rng.normal(size=(5, 2))
     gm = geodesic_distances(X, k=2)
-    assert patch_linearity(np.array([3]), gm) == 1.0
+    assert linearity(gm, np.array([3])) == 1.0
 
 
 def test_linearity_coincident_points():
     X = np.array([[0.0], [0.0], [1.0]])
     gm = geodesic_distances(X, k=2)
-    R = patch_linearity(np.arange(3), gm)
+    R = linearity(gm, np.arange(3))
     assert R == pytest.approx(1.0)  # zero-length pair counts as straight
 
 
 def test_linearity_unreachable_raises():
+    # a patch whose pair is unreachable has no linearity to split by
     DG = np.array([[0.0, np.inf], [np.inf, 0.0]])
     DE = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(UnreachablePairError):
-        patch_linearity(np.arange(2), GeodesicMatrix(DG, DE))
+        split_patch(np.arange(2), GeodesicMatrix(DG, DE), kprime=1)
 
 
 def test_tortuosity_matrix_is_the_pairwise_ratio_rule():
@@ -171,21 +170,21 @@ def test_tortuosity_matrix_is_the_pairwise_ratio_rule():
             want = np.inf if np.isinf(DG) else (DG / DE if i != j and DE > 0 else 1.0)
             assert R[i, j] == want
     assert R[0, 3] == 1.0 and np.isinf(R[0, 4])
-    assert pair_tortuosity(gm, np.array([2, 0])).tobytes() == R[np.ix_([2, 0], [2, 0])].tobytes()
     with pytest.raises(UnreachablePairError):
-        pair_tortuosity(gm, np.array([1, 5]))
+        split_patch(np.array([1, 5]), gm, kprime=1)
     # hand-built: an unreachable coincident pair, and a diagonal that is 1
     # whatever the Euclidean matrix holds there
     hand = GeodesicMatrix(np.array([[0.0, np.inf], [np.inf, 0.0]]), np.array([[2.0, 0.0], [0.0, 2.0]]))
     assert np.array_equal(hand.tortuosity, [[1.0, np.inf], [np.inf, 1.0]])
     with pytest.raises(UnreachablePairError):
-        patch_linearity(np.arange(2), hand)
+        split_patch(np.arange(2), hand, kprime=1)
     # a finite geodesic over a distance near the underflow limit overflows
     # to an infinite ratio without raising
     tiny = GeodesicMatrix(np.array([[0.0, 4.0], [4.0, 0.0]]), np.array([[0.0, 1e-308], [1e-308, 0.0]]))
     with np.errstate(over="ignore"):
-        R = pair_tortuosity(tiny, np.arange(2))
-    assert np.array_equal(R, [[1.0, np.inf], [np.inf, 1.0]])
+        left, right = split_patch(np.arange(2), tiny, kprime=1)
+    assert np.array_equal(tiny.tortuosity, [[1.0, np.inf], [np.inf, 1.0]])
+    assert list(left) == [0] and list(right) == [1]
 
 
 def test_ratios_at_least_one(rng):
@@ -194,5 +193,5 @@ def test_ratios_at_least_one(rng):
         gm = geodesic_distances(X, k=5)
         members = np.arange(25)
         if np.isfinite(gm.geodesic).all():
-            R = patch_linearity(members, gm)
+            R = linearity(gm, members)
             assert R >= 1.0 - 1e-9

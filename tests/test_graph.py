@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 import mpda.graph
+from mpda.baselines import fit_pca
 from mpda.errors import KTooLargeError
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -159,6 +160,7 @@ def test_knn_full_row_fallback_only_for_overflowing_rows(rng, monkeypatch):
     ("partition_classes_approximate", np.nan),
     ("patch_bases", np.inf),
     ("per_point_bases", -np.inf),
+    ("fit_pca", np.nan),
 ])
 def test_kernels_reject_non_finite_input(rng, kernel, value):
     X = rng.normal(size=(KNN_BLOCK_ROWS + 40, 3))
@@ -174,6 +176,7 @@ def test_kernels_reject_non_finite_input(rng, kernel, value):
         ),
         "patch_bases": lambda: patch_bases(X, [np.arange(0, bad), np.arange(bad, len(X))]),
         "per_point_bases": lambda: per_point_bases(X, labels, 3),
+        "fit_pca": lambda: fit_pca(X, m=2),
     }
     with pytest.raises(ValueError, match="^X contains NaN or Inf$"):
         calls[kernel]()

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -31,7 +32,7 @@ from mpda.model import (
     solve_gep,
     transform,
 )
-from mpda.tangent import fit_tangent_basis, per_point_bases
+from mpda.tangent import patch_bases, per_point_bases
 from test_solve import degenerate_datasets
 
 
@@ -67,7 +68,7 @@ def between_objective(X, Wp, t):
 def build_instance(ds, k=3, kprime=3, max_patch=5, energy=0.95):
     X, y = ds.features, ds.labels
     patch_of, members, _ = merge_class_partitions(ds, kprime, max_patch)
-    bases = [fit_tangent_basis(X[m], energy) for m in members]
+    bases = patch_bases(X, members, energy)
     layout = layout_for(ds.d, bases)
     nb = knn_neighbors(X, min(k, ds.n - 1))
     W = within_class_graph(nb, y)
@@ -167,11 +168,11 @@ def test_within_parts_match_dense_and_edge_oracles(data, kind, max_patch, flat):
     X, y = ds.features, ds.labels
     if kind == "mpda":
         patch_of, members, _ = merge_class_partitions(ds, min(3, k), max_patch)
-        bases = [fit_tangent_basis(X[mem]) for mem in members]
+        bases = patch_bases(X, members)
     else:
         patch_of, bases = np.arange(ds.n), per_point_bases(X, y, k)
     if flat:
-        bases = [fit_tangent_basis(X[:1])] * len(bases)
+        bases = patch_bases(X, [np.arange(1)]) * len(bases)
     layout = layout_for(ds.d, bases)
     W = within_class_graph(knn_neighbors(X, k), y)
     S_diff, S_tan = assemble_within(X, W, patch_of, bases)
@@ -339,18 +340,18 @@ def test_pmpda_matches_mpda_on_tiny_class(rng):
     y = np.ones(3, dtype=int)
     ds = LabeledDataset(X, y)
     patch_of, members, _ = merge_class_partitions(ds, 2, 10)
-    patch_bases = [fit_tangent_basis(X[m], 0.95) for m in members]
+    whole = patch_bases(X, members, 0.95)
     point_bases = per_point_bases(X, y, k=2)
     for b in point_bases:
-        assert np.allclose(b.basis, patch_bases[0].basis)
+        assert np.allclose(b.basis, whole[0].basis)
     nb = knn_neighbors(X, 2)
     W = within_class_graph(nb, y)
     gamma = 0.7
-    S_m = within_form(X, W, patch_of, patch_bases, gamma)
+    S_m = within_form(X, W, patch_of, whole, gamma)
     S_p = within_form(X, W, np.arange(3), point_bases, gamma)
     for _ in range(10):
         t = rng.normal(size=4)
-        v = rng.normal(size=patch_bases[0].dim)
+        v = rng.normal(size=whole[0].dim)
         f_m = np.concatenate([t, v])
         f_p = np.concatenate([t] + [v] * 3)
         assert np.isclose(f_m @ S_m @ f_m, f_p @ S_p @ f_p, rtol=1e-10)
@@ -423,6 +424,24 @@ def test_model_file_rejects_garbage(tmp_path):
     p.write_bytes(b"\x00\x01\x02 not a model\n\xff")
     with pytest.raises(ParseError):
         load_model(str(p))
+    # a 1x1 model with no eigenvalues loads; each broken header below is a
+    # ParseError, not a KeyError, AttributeError or reshape ValueError
+    good = {"format": "mpda-model", "version": 1, "kind": "pca", "d": 1, "m": 1,
+            "n_eigenvalues": 0, "has_mean": False}
+    p.write_bytes(json.dumps(good).encode() + b"\n" + np.ones(1).tobytes())
+    assert load_model(str(p)).projection.shape == (1, 1)
+    for header, floats in [
+        ({key: v for key, v in good.items() if key != "d"}, 1),
+        ([good], 1),
+        ({**good, "d": -1, "m": -1}, 1),
+        ({**good, "n_eigenvalues": -1}, 0),
+        ({**good, "d": "x"}, 1),
+        ({**good, "d": float("inf")}, 1),
+        ({"format": "mpda-model", "version": 1}, 0),
+    ]:
+        p.write_bytes(json.dumps(header).encode() + b"\n" + np.ones(floats).tobytes())
+        with pytest.raises(ParseError, match="not a model file|malformed model header"):
+            load_model(str(p))
 
 
 def multimodal_xor(seed, n_per_cluster=30, d=6):

@@ -8,9 +8,10 @@ from scipy.spatial.distance import cdist
 
 import mpda.graph
 import mpda.partition
+from conftest import one_partition
 from mpda.geodesy import geodesic_distances, mean_ratios
 from mpda.graph import pairwise_euclidean
-from mpda.partition import partition_class, partition_classes, split_patch
+from mpda.partition import partition_classes, split_patch
 from partition_oracles import partition_class_loop
 
 
@@ -32,13 +33,13 @@ def check_invariants(part, n, max_patch):
 
 def test_small_class_single_patch(rng):
     X = rng.normal(size=(7, 3))
-    part = partition_class(X, kprime=2, max_patch=10)
+    part = one_partition(X, kprime=2, max_patch=10)
     assert part.n_patches == 1
     assert np.array_equal(part.patches[0], np.arange(7))
 
 
 def test_singleton_class():
-    part = partition_class(np.array([[1.0, 2.0]]), kprime=3, max_patch=5)
+    part = one_partition(np.array([[1.0, 2.0]]), kprime=3, max_patch=5)
     assert part.n_patches == 1 and part.linearity[0] == 1.0
 
 
@@ -46,7 +47,7 @@ def test_partition_computes_one_distance_matrix(rng):
     X = rng.normal(size=(30, 3))
     for approximate in (False, True):
         with mock.patch.object(mpda.graph, "cdist", wraps=cdist) as spy:
-            part = partition_class(X, kprime=4, max_patch=5, approximate=approximate)
+            part = one_partition(X, kprime=4, max_patch=5, approximate=approximate)
         check_invariants(part, 30, 5)
         assert spy.call_count == 1
 
@@ -69,7 +70,7 @@ def test_four_collinear_split_hand_trace():
 def test_collinear_even_split_at_middle():
     for M in (3, 5):
         X = np.arange(2 * M, dtype=float)[:, None]
-        part = partition_class(X, kprime=2, max_patch=M)
+        part = one_partition(X, kprime=2, max_patch=M)
         assert part.n_patches == 2
         got = sorted(tuple(p) for p in part.patches)
         assert got == [tuple(range(M)), tuple(range(M, 2 * M))]
@@ -93,14 +94,14 @@ def test_partition_invariants_random(rng):
     for _ in range(20):
         n = int(rng.integers(2, 60))
         X = rng.normal(size=(n, int(rng.integers(1, 5))))
-        part = partition_class(X, kprime=6, max_patch=10)
+        part = one_partition(X, kprime=6, max_patch=10)
         check_invariants(part, n, 10)
 
 
 def test_partition_deterministic(rng):
     X = rng.normal(size=(37, 4))
-    a = partition_class(X, kprime=4, max_patch=6)
-    b = partition_class(X, kprime=4, max_patch=6)
+    a = one_partition(X, kprime=4, max_patch=6)
+    b = one_partition(X, kprime=4, max_patch=6)
     assert len(a.patches) == len(b.patches)
     for pa, pb in zip(a.patches, b.patches):
         assert np.array_equal(pa, pb)
@@ -110,7 +111,7 @@ def test_disconnected_components_become_separate_patches():
     # two clusters out of mutual k-NN reach must never share a patch
     X = np.vstack([np.random.default_rng(0).normal(0, 0.1, size=(8, 2)),
                    np.random.default_rng(1).normal(100, 0.1, size=(8, 2))])
-    part = partition_class(X, kprime=2, max_patch=20)
+    part = one_partition(X, kprime=2, max_patch=20)
     for members in part.patches:
         assert set(members) <= set(range(8)) or set(members) <= set(range(8, 16))
 
@@ -119,14 +120,14 @@ def test_approximate_mode_keeps_invariants(rng):
     for _ in range(5):
         n = int(rng.integers(15, 50))
         X = rng.normal(size=(n, 3))
-        part = partition_class(X, kprime=6, max_patch=10, approximate=True)
+        part = one_partition(X, kprime=6, max_patch=10, approximate=True)
         check_invariants(part, n, 10)
         assert np.all(part.linearity == 1.0)
 
 
 def test_duplicate_points_partition(rng):
     X = np.zeros((23, 2))  # all coincident
-    part = partition_class(X, kprime=6, max_patch=10)
+    part = one_partition(X, kprime=6, max_patch=10)
     check_invariants(part, 23, 10)
 
 
@@ -168,7 +169,7 @@ def class_points(draw):
 @given(class_points())
 def test_partition_bit_identical_to_rescanning_oracle(case):
     X, kprime, max_patch, approximate = case
-    part = partition_class(X, kprime, max_patch, approximate)
+    part = one_partition(X, kprime, max_patch, approximate)
     ref = partition_class_loop(X, kprime, max_patch, approximate)
     assert len(part.patches) == len(ref.patches)
     for got, want in zip(part.patches, ref.patches):
@@ -184,7 +185,7 @@ def test_partition_joint_award_at_a_rounding_tie():
     # joint award turns on the order in which the ratio sums are added
     P = np.array([[-1.0, 0.2], [0.3, -0.5], [-0.6, 0.5], [-1.7, -1.3], [0.2, 0.8], [0.6, -0.2]])
     X = np.vstack([P, -P])
-    part = partition_class(X, kprime=2, max_patch=4)
+    part = one_partition(X, kprime=2, max_patch=4)
     ref = partition_class_loop(X, kprime=2, max_patch=4)
     assert [p.tolist() for p in part.patches] == [p.tolist() for p in ref.patches]
     assert part.linearity.tobytes() == ref.linearity.tobytes()
@@ -196,7 +197,7 @@ def test_linearity_computed_once_per_patch(rng):
     kprime, max_patch = 6, 10
     components = geodesic_distances(X, kprime).components().max() + 1
     with mock.patch.object(mpda.partition, "mean_ratios", wraps=mean_ratios) as lin:
-        part = partition_class(X, kprime, max_patch)
+        part = one_partition(X, kprime, max_patch)
     check_invariants(part, 200, max_patch)
     splits = part.n_patches - components
     assert components == 2 and splits > 0
@@ -233,13 +234,13 @@ def test_rounding_tie_takes_the_exact_split():
     P = np.array([[-1.0, 0.2], [0.3, -0.5], [-0.6, 0.5], [-1.7, -1.3], [0.2, 0.8], [0.6, -0.2]])
     X = np.vstack([P, -P])
     with mock.patch.object(mpda.partition, "split_patch", wraps=split_patch) as split:
-        part = partition_class(X, kprime=2, max_patch=4)
+        part = one_partition(X, kprime=2, max_patch=4)
     assert split.call_count >= 1
     assert_same_partition(part, partition_class_loop(X, kprime=2, max_patch=4))
     # approximated, every ratio is 1: the sides' integer sums decide even
     # the tied awards of the mirror image exactly
     with mock.patch.object(mpda.partition, "split_patch", wraps=split_patch) as split:
-        part = partition_class(X, kprime=2, max_patch=2, approximate=True)
+        part = one_partition(X, kprime=2, max_patch=2, approximate=True)
     assert split.call_count == 0
     assert_same_partition(part, partition_class_loop(X, kprime=2, max_patch=2, approximate=True))
 
@@ -256,10 +257,10 @@ def test_overflowing_distances_give_the_oracle_patches(rng):
         X = chain[rng.permutation(n)] * 5e153
         assert np.isinf(pairwise_euclidean(X)).any()
         with np.errstate(over="ignore", invalid="ignore"):
-            part = partition_class(X, kprime=3, max_patch=5)
+            part = one_partition(X, kprime=3, max_patch=5)
             assert_same_partition(part, partition_class_loop(X, kprime=3, max_patch=5))
         with np.errstate(all="raise"):
-            part = partition_class(X, kprime=3, max_patch=5, approximate=True)
+            part = one_partition(X, kprime=3, max_patch=5, approximate=True)
         assert_same_partition(part, partition_class_loop(X, 3, 5, approximate=True))
 
 

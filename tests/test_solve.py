@@ -19,7 +19,7 @@ from mpda.model import (
     layout_for,
     solve_gep,
 )
-from mpda.tangent import fit_tangent_basis
+from mpda.tangent import patch_bases
 
 
 def dense_gep(S_between, S_within, alpha, m, t_dim=None):
@@ -72,7 +72,7 @@ def test_empty_vblock_is_plain_dxd_solve(rng):
     # every patch a singleton: all bases have dimension 0, so total == d
     X = rng.normal(size=(12, 4))
     y = np.array([1] * 6 + [2] * 6)
-    bases = [fit_tangent_basis(X[[i]]) for i in range(len(X))]
+    bases = patch_bases(X, [np.array([i]) for i in range(len(X))])
     layout = layout_for(4, bases)
     assert layout.total == 4
     nb = knn_neighbors(X, 3)

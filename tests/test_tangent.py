@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mpda.tangent
-from mpda.tangent import fit_tangent_basis, patch_bases, per_point_bases
+from conftest import one_basis
+from mpda.tangent import patch_bases, per_point_bases
 from tangent_oracles import fit_tangent_basis_loop, per_point_bases_loop
 
 
@@ -19,26 +20,26 @@ def principal_angles(A, B):
 def test_rank_one_data_on_axis():
     X = np.zeros((5, 3))
     X[:, 0] = [0.0, 1.0, 2.0, 3.0, 4.0]
-    tb = fit_tangent_basis(X, 0.95)
+    tb = one_basis(X, 0.95)
     assert tb.dim == 1
     assert np.allclose(np.abs(tb.basis[:, 0]), [1.0, 0.0, 0.0])
     assert tb.basis[0, 0] > 0  # sign convention
 
 
 def test_singleton_patch_empty_basis():
-    tb = fit_tangent_basis(np.array([[1.0, 2.0, 3.0]]), 0.95)
+    tb = one_basis(np.array([[1.0, 2.0, 3.0]]), 0.95)
     assert tb.dim == 0 and tb.basis.shape == (3, 0)
 
 
 def test_zero_variance_patch_empty_basis():
-    tb = fit_tangent_basis(np.ones((4, 2)), 0.95)
+    tb = one_basis(np.ones((4, 2)), 0.95)
     assert tb.dim == 0
 
 
 def test_orthonormal_columns(rng):
     for _ in range(10):
         X = rng.normal(size=(int(rng.integers(2, 15)), int(rng.integers(2, 6))))
-        tb = fit_tangent_basis(X, 0.95)
+        tb = one_basis(X, 0.95)
         G = tb.basis.T @ tb.basis
         assert np.linalg.norm(G - np.eye(tb.dim)) < 1e-10
         assert tb.dim <= min(X.shape[1], X.shape[0] - 1)
@@ -47,7 +48,7 @@ def test_orthonormal_columns(rng):
 def test_matches_covariance_eigendecomposition(rng):
     # oracle: dense eigendecomposition of the covariance matrix
     X = rng.normal(size=(12, 4))
-    tb = fit_tangent_basis(X, 0.95)
+    tb = one_basis(X, 0.95)
     centered = X - X.mean(axis=0)
     cov = centered.T @ centered / (len(X) - 1)
     vals, vecs = np.linalg.eigh(cov)
@@ -58,14 +59,14 @@ def test_matches_covariance_eigendecomposition(rng):
 
 def test_energy_rule_monotone(rng):
     X = rng.normal(size=(20, 6)) * np.array([5.0, 3.0, 2.0, 1.0, 0.5, 0.1])
-    dims = [fit_tangent_basis(X, e).dim for e in (0.5, 0.8, 0.95, 1.0)]
+    dims = [one_basis(X, e).dim for e in (0.5, 0.8, 0.95, 1.0)]
     assert dims == sorted(dims)
-    assert fit_tangent_basis(X, 1.0).dim == np.linalg.matrix_rank(X - X.mean(axis=0))
+    assert one_basis(X, 1.0).dim == np.linalg.matrix_rank(X - X.mean(axis=0))
 
 
 def test_reconstruction_beats_random_basis(rng):
     X = rng.normal(size=(15, 5)) * np.array([4.0, 2.0, 1.0, 0.3, 0.1])
-    tb = fit_tangent_basis(X, 0.8)
+    tb = one_basis(X, 0.8)
     centered = X - X.mean(axis=0)
     resid = np.linalg.norm(centered - centered @ tb.basis @ tb.basis.T)
     for _ in range(5):
@@ -76,8 +77,8 @@ def test_reconstruction_beats_random_basis(rng):
 
 def test_deterministic_signs(rng):
     X = rng.normal(size=(10, 4))
-    a = fit_tangent_basis(X, 0.95)
-    b = fit_tangent_basis(X.copy(), 0.95)
+    a = one_basis(X, 0.95)
+    b = one_basis(X.copy(), 0.95)
     assert np.array_equal(a.basis, b.basis)
     lead = np.argmax(np.abs(a.basis), axis=0)
     assert np.all(a.basis[lead, np.arange(a.dim)] > 0)
@@ -138,7 +139,7 @@ def test_stacked_bases_bit_identical_to_per_patch_oracle(case, energy):
     bases, ref = per_point_bases(X, y, k, energy), per_point_bases_loop(X, y, k, energy)
     assert len(bases) == len(ref)
     assert all(same_bytes(a, b) for a, b in zip(bases, ref))
-    assert same_bytes(fit_tangent_basis(X, energy), fit_tangent_basis_loop(X, energy))
+    assert same_bytes(one_basis(X, energy), fit_tangent_basis_loop(X, energy))
 
 
 @st.composite
@@ -167,7 +168,7 @@ def test_patch_bases_bit_identical_to_one_fit_per_patch(case, energy):
     bases = patch_bases(X, patches, energy)
     assert len(bases) == len(patches)
     for tb, p in zip(bases, patches):
-        assert same_bytes(tb, fit_tangent_basis(X[p], energy))
+        assert same_bytes(tb, one_basis(X[p], energy))
         assert same_bytes(tb, fit_tangent_basis_loop(X[p], energy))
 
 
@@ -197,7 +198,7 @@ def test_patch_bases_in_blocks_bit_identical_to_one_fit_per_patch(rng, monkeypat
     bases = patch_bases(X, patches, 0.9)
     assert len(bases) == len(patches)
     for tb, p in zip(bases, patches):
-        assert same_bytes(tb, fit_tangent_basis(X[p], 0.9))
+        assert same_bytes(tb, one_basis(X[p], 0.9))
     assert bases[-1].dim == 0
 
 
@@ -211,8 +212,8 @@ def test_per_point_bases_rejects_energy_outside_unit_interval(rng, energy):
 @pytest.mark.parametrize("energy", [0.0, 1.5, np.nan])
 def test_single_point_sets_check_the_energy_too(rng, energy):
     # a one-point set has an empty basis, but its energy is still checked
-    assert fit_tangent_basis(rng.normal(size=(1, 3))).dim == 0
+    assert one_basis(rng.normal(size=(1, 3))).dim == 0
     with pytest.raises(ValueError):
-        fit_tangent_basis(rng.normal(size=(1, 3)), energy)
+        one_basis(rng.normal(size=(1, 3)), energy)
     with pytest.raises(ValueError):
         patch_bases(rng.normal(size=(4, 3)), [np.array([i]) for i in range(4)], energy)
