@@ -4,8 +4,9 @@ Exit codes: 0 success, 2 usage error (a bad flag or a value out of its
 range), 3 data error, 4 compute error.
 Failures print one JSON line on stderr: {"error": <class>, "message": ...}.
 
-A ``--config key=value`` file can mirror any long flag (keys use the flag
-name without the leading dashes, hyphens or underscores both accepted);
+A ``--config PATH`` (or ``--config=PATH``) key=value file, named before
+or after the subcommand, can mirror any long flag (keys use the flag name
+without the leading dashes, hyphens or underscores both accepted);
 explicit command-line flags win on conflict.
 """
 
@@ -57,6 +58,14 @@ def _add_partition_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_protocol_flags(p: argparse.ArgumentParser, splits: int) -> None:
+    p.add_argument("--algo", required=True, choices=ALGORITHMS)
+    p.add_argument("--splits", type=int, default=splits)
+    p.add_argument("--train-fraction", type=float, default=0.5)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--pca-preprocess", choices=("auto", "on", "off"), default="auto")
+
+
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=DEFAULT_K, help="neighbor count for the graphs")
     p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA, help="tangent-consistency weight")
@@ -91,27 +100,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bm = sub.add_parser("benchmark", help="repeated-split protocol with CV")
     _add_data_flags(p_bm)
-    p_bm.add_argument("--algo", required=True, choices=ALGORITHMS)
-    p_bm.add_argument("--splits", type=int, default=20)
-    p_bm.add_argument("--train-fraction", type=float, default=0.5)
+    _add_protocol_flags(p_bm, splits=20)
     p_bm.add_argument("--folds", type=int, default=4)
-    p_bm.add_argument("--seed", type=int, default=0)
     p_bm.add_argument("--m", type=int, help="fix the dimensionality instead of CV")
-    p_bm.add_argument("--grid-k", type=int, nargs="*", help="CV grid for k")
-    p_bm.add_argument("--grid-gamma", type=float, nargs="*", help="CV grid for gamma")
-    p_bm.add_argument("--grid-alpha", type=float, nargs="*", help="CV grid for alpha")
+    p_bm.add_argument("--grid-k", type=int, nargs="*", help="CV grid for k (mpda, pmpda)")
+    p_bm.add_argument("--grid-gamma", type=float, nargs="*", help="CV grid for gamma (mpda, pmpda)")
+    p_bm.add_argument("--grid-alpha", type=float, nargs="*", help="CV grid for alpha (mpda, pmpda)")
     p_bm.add_argument("--m-max", type=int, help="upper end of the m grid")
-    p_bm.add_argument("--pca-preprocess", choices=("auto", "on", "off"), default="auto")
     p_bm.add_argument("--out-json", help="full report JSON path")
     p_bm.add_argument("--out-csv", help="per-split error table path")
 
     p_sw = sub.add_parser("sweep", help="dimension or parameter sweep")
     _add_data_flags(p_sw)
-    p_sw.add_argument("--algo", required=True, choices=ALGORITHMS)
-    p_sw.add_argument("--splits", type=int, default=5)
-    p_sw.add_argument("--train-fraction", type=float, default=0.5)
-    p_sw.add_argument("--seed", type=int, default=0)
-    p_sw.add_argument("--pca-preprocess", choices=("auto", "on", "off"), default="auto")
+    _add_protocol_flags(p_sw, splits=5)
     p_sw.add_argument("--param", help="hyperparameter name for a parameter sweep")
     p_sw.add_argument("--values", nargs="*", help="values for --param, typed as its flag")
     p_sw.add_argument("--m", type=int, help="fixed m for a parameter sweep")
@@ -131,13 +132,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Fold --config file entries into argv; explicit flags win on conflict."""
-    if "--config" not in argv:
+    at = next((i for i, tok in enumerate(argv) if tok.split("=", 1)[0] == "--config"), None)
+    if at is None:
         return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        parser.error("--config needs a path")
-    path = argv[at + 1]
-    rest = argv[:at] + argv[at + 2 :]
+    _, inline, path = argv[at].partition("=")  # --config=PATH or --config PATH
+    if not inline:
+        if at + 1 >= len(argv):
+            parser.error("--config needs a path")
+        path = argv[at + 1]
+    rest = argv[:at] + argv[at + (1 if inline else 2) :]
     command = next((tok for tok in rest if not tok.startswith("-")), None)
     choices = parser._subparsers._group_actions[0].choices  # type: ignore[union-attr]
     if command not in choices:
@@ -205,12 +208,15 @@ def cmd_transform(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    ds = load_dataset(args.data, args.format, args.header)
     grid = dict(DEFAULT_GRIDS[args.algo])
-    for axis in grid:
+    for axis in ("k", "gamma", "alpha"):
         values = getattr(args, f"grid_{axis}")
-        if values is not None:
-            grid[axis] = values
+        if values is None:
+            continue
+        if axis not in grid:
+            raise ValueError(f"--grid-{axis} does not apply to {args.algo}")
+        grid[axis] = values
+    ds = load_dataset(args.data, args.format, args.header)
     m_grid = None if args.m_max is None else list(range(1, args.m_max + 1))
     report = benchmark(
         ds,

@@ -196,6 +196,8 @@ def cross_validate(
     separate fit of that combination computes, so the table is the same as
     fitting every combination from scratch.
     """
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
     if grid is None:
         grid = DEFAULT_GRIDS[algorithm]
     if m_grid is None:
@@ -289,29 +291,25 @@ class BenchmarkReport:
         return rows
 
 
-def _should_preprocess(mode: str, d: int) -> bool:
-    if mode == "on":
-        return True
-    if mode == "off":
-        return False
-    return d > PCA_PREPROCESS_DIM
-
-
 def _split_walk(ds: LabeledDataset, splits: int, train_fraction: float, seed: int, pca_mode: str):
     """Yield ``(split_seed, train, test, (split_s, preprocess_s))`` per split.
 
     Split s is the stratified split seeded ``seed * 1000 + s``, then the
-    optional PCA pass; the pair times those two steps.  Raises
-    ``ValueError`` on the first step unless splits >= 1.
+    optional PCA pass (``pca_mode`` "on", "off", or "auto": only wider than
+    ``PCA_PREPROCESS_DIM``); the pair times those two steps.  Raises
+    ``ValueError`` on the first step unless splits >= 1 and the mode is
+    one of the three.
     """
     if splits < 1:
         raise ValueError(f"splits must be at least 1, got {splits}")
+    if pca_mode not in ("auto", "on", "off"):
+        raise ValueError(f"unknown pca_mode {pca_mode!r}")
     for s in range(splits):
         split_seed = seed * 1000 + s
         t0 = time.perf_counter()
         tr, te = train_test_split(ds, train_fraction, split_seed)
         t1 = time.perf_counter()
-        if _should_preprocess(pca_mode, ds.d):
+        if pca_mode == "on" or (pca_mode == "auto" and ds.d > PCA_PREPROCESS_DIM):
             tr, te, _ = pca_preprocess(tr, te)
         yield split_seed, tr, te, (t1 - t0, time.perf_counter() - t1)
 

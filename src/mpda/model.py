@@ -460,7 +460,15 @@ _FORMAT_NAME = "mpda-model"
 _FORMAT_VERSION = 1
 
 
+def _numpy_scalar(value):
+    """A numpy scalar hyperparameter as its Python value, for the JSON header."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def save_model(model: EmbeddingModel, path: str) -> None:
+    """Write ``model`` to ``path``; a header that cannot be written leaves the file as it was."""
     header = {
         "format": _FORMAT_NAME,
         "version": _FORMAT_VERSION,
@@ -471,8 +479,9 @@ def save_model(model: EmbeddingModel, path: str) -> None:
         "has_mean": model.mean is not None,
         "hyperparams": model.hyperparams,
     }
+    line = json.dumps(header, sort_keys=True, default=_numpy_scalar).encode("utf-8") + b"\n"
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        fh.write(line)
         fh.write(np.ascontiguousarray(model.projection, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(model.eigenvalues, dtype="<f8").tobytes())
         if model.mean is not None:

@@ -15,11 +15,13 @@ scores and the initial components always read from that frozen matrix.
 A split therefore reads only its own members and its class's matrices, so
 the final patches do not depend on the order of the splits, only their ids
 do.  ``partition_classes`` is the one entry point (one class is a
-one-block list).  It splits every oversize patch of every class
-together, one tree level at a time: the growth rounds run on padded
-(patches x 2 sides x size) arrays, and each level's new linearities are
-summed in bulk, once per patch.  The ids are then recovered by replaying
-the driver rule over the finished tree.  ``split_patch`` is the one-patch
+one-block list).  It splits every oversize patch of a batch of classes
+together, one tree level at a time, on padded (patches x 2 sides x size)
+arrays; no growth step reads a linearity.  Once the trees are grown,
+their linearities are summed in one bulk pass, once per patch, and the
+ids are recovered by replaying the driver rule over each finished tree.
+Every bulk step, class batches included, is sized by one padded rule
+(``_chunks``).  ``split_patch`` is the one-patch
 split; the batched growth hands it any joint award its rounding bound
 cannot decide (see ``_grow``), so every partition equals the one-patch
 loop's bit for bit.
@@ -39,8 +41,8 @@ from .graph import _finite, pairwise_euclidean
 
 DEFAULT_KPRIME = 6
 DEFAULT_MAX_PATCH = 10
-# n x n matrix values of the classes partitioned together (each class holds
-# three such matrices); results do not depend on it
+# padded n x n matrix values (count x the largest) of the classes partitioned
+# together, each of which holds three such matrices; results do not depend on it
 CLASS_BATCH_VALUES = 2**20
 
 
@@ -165,29 +167,20 @@ class _ClassTree:
     def __init__(self, Xc: np.ndarray, kprime: int, approximate: bool):
         self.n = n = Xc.shape[0]
         self.children: dict[int, tuple[int, int]] = {}
+        self.members = [np.arange(n, dtype=np.int64)]
         self.dist: GeodesicMatrix | None = None
-        if n == 1:
-            self.members = [np.array([0])]
-            self.linearity = [1.0]
-            return
-        if approximate:
+        self.linearity: dict[int, float] = {}  # set by the exact mode's pass; 1.0 otherwise
+        if n > 1 and approximate:
             DE = pairwise_euclidean(Xc)
             self.dist = _StraightPaths(geodesic=DE, euclidean=DE)
-            self.members = [np.arange(n, dtype=np.int64)]
-        else:
+        elif n > 1:
             self.dist = geodesic_distances(Xc, min(kprime, n - 1))
             comp = self.dist.components()
             self.members = [np.flatnonzero(comp == c) for c in range(comp.max() + 1)]
-        self.linearity = [1.0 if approximate else None] * len(self.members)
 
-    def flat(self, name: str) -> np.ndarray:
-        """Row-major view (not a copy) of one of the class's n x n matrices."""
-        return getattr(self.dist, name).reshape(-1)
-
-    def add_halves(self, node: int, halves: tuple[np.ndarray, np.ndarray], lin: float | None):
+    def add_halves(self, node: int, halves: tuple[np.ndarray, np.ndarray]):
         self.children[node] = (len(self.members), len(self.members) + 1)
         self.members.extend(halves)
-        self.linearity.extend([lin, lin])
 
     def partition(self, max_patch: int) -> Partition:
         """Replay the driver over the finished tree to number the patches.
@@ -200,7 +193,7 @@ class _ClassTree:
 
         def entry(pid: int) -> tuple[float, int]:
             node = nodes[pid]
-            return -(self.linearity[node] * len(self.members[node])), pid
+            return -(self.linearity.get(node, 1.0) * len(self.members[node])), pid
 
         def oversize(pid: int) -> bool:
             return len(self.members[nodes[pid]]) > max_patch
@@ -220,7 +213,7 @@ class _ClassTree:
         patch_of[np.concatenate(patches)] = np.repeat(
             np.arange(len(patches)), [len(m) for m in patches]
         )
-        linearity = np.array([self.linearity[node] for node in nodes])
+        linearity = np.array([self.linearity.get(node, 1.0) for node in nodes])
         return Partition(patches=patches, patch_of=patch_of, linearity=linearity)
 
 
@@ -250,23 +243,23 @@ def _spans(trees: list[_ClassTree]) -> list[tuple[_ClassTree, int, int]]:
     return spans
 
 
-def _set_linearities(nodes: list[tuple[_ClassTree, int]], budget: int) -> None:
-    """Linearity of every listed node, one ``mean_ratios`` call per class and size."""
-    for tree, start, stop in _spans([t for t, _ in nodes]):
-        ids = np.array([k for _, k in nodes[start:stop]])
-        sizes = np.array([len(tree.members[k]) for k in ids])
+def _set_linearities(trees: list[_ClassTree], budget: int) -> None:
+    """Linearity of every node of the trees, one ``mean_ratios`` call per class,
+    size and chunk."""
+    for tree in trees:
+        if tree.dist is None:
+            continue
         R = tree.dist.tortuosity
+        sizes = np.array([len(m) for m in tree.members])
         for N in np.unique(sizes):
-            group = ids[sizes == N]
-            step = max(1, budget // (2 * N * N))
-            for lo in range(0, group.size, step):
+            group = np.flatnonzero(sizes == N)
+            for lo, hi in _chunks([N] * group.size, lambda s: 2 * s * s, budget):
                 if N == tree.n:  # the class's only patch
                     lins = mean_ratios(R[None])
                 else:
-                    sub = np.stack([tree.members[k] for k in group[lo : lo + step]])
+                    sub = np.stack([tree.members[k] for k in group[lo:hi]])
                     lins = mean_ratios(R[sub[:, :, None], sub[:, None, :]])
-                for k, v in zip(group[lo : lo + step], lins):
-                    tree.linearity[k] = float(v)
+                tree.linearity.update(zip(group[lo:hi].tolist(), lins.tolist()))
 
 
 def _padded(members: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -289,11 +282,10 @@ def _seeds(spans, idx: np.ndarray, sizes: np.ndarray, budget: int):
     P, S = idx.shape
     seeds = np.empty((P, 2), dtype=np.int64)
     top = np.empty(P)
-    step = max(1, budget // (2 * S * S))
     for tree, a, b in spans:
         G = tree.dist.geodesic
-        for lo in range(a, b, step):
-            hi = min(b, lo + step)
+        for lo, hi in _chunks([S] * (b - a), lambda s: 2 * s * s, budget):
+            lo, hi = a + lo, a + hi
             if sizes[lo] == tree.n:  # the class's only patch
                 block, width = G.reshape(1, -1), tree.n
             else:
@@ -306,10 +298,6 @@ def _seeds(spans, idx: np.ndarray, sizes: np.ndarray, budget: int):
     seeds.sort(axis=1)
     seeds[coincident] = (0, 1)
     return seeds, np.isinf(top)
-
-
-def _all_ones(tree: _ClassTree, members: np.ndarray) -> bool:
-    return bool((tree.dist.tortuosity[np.ix_(members, members)] == 1.0).all())
 
 
 def _grow(spans, idx: np.ndarray, sizes: np.ndarray, kprime: int, budget: int):
@@ -347,7 +335,8 @@ def _grow(spans, idx: np.ndarray, sizes: np.ndarray, kprime: int, budget: int):
     own = np.repeat(idx, 2, axis=0)  # side q's patch members (class-local)
     flat = (own.take(seeds.ravel() + np.arange(Q) * S) * np.repeat(n, 2))[:, None] + own
     for tree, a, b in spans:
-        np.take(tree.flat("euclidean"), flat[2 * a : 2 * b], out=near[2 * a : 2 * b], mode="clip")
+        rows = slice(2 * a, 2 * b)
+        np.take(tree.dist.euclidean.reshape(-1), flat[rows], out=near[rows], mode="clip")
     sums = np.ones(Q)  # each side starts as one point with ratio 1
     counts = np.ones(Q, dtype=np.int64)
 
@@ -381,8 +370,8 @@ def _grow(spans, idx: np.ndarray, sizes: np.ndarray, kprime: int, budget: int):
         np.add((idx.take(at) * scale[:, :, 0])[:, :, None], own[:, None, :], out=flat)
         for tree, a, b in spans:
             rows = slice(2 * a, 2 * b)
-            np.take(tree.flat("tortuosity"), flat[rows], out=ratios[rows], mode="clip")
-            np.take(tree.flat("euclidean"), flat[rows], out=dists[rows], mode="clip")
+            np.take(tree.dist.tortuosity.reshape(-1), flat[rows], out=ratios[rows], mode="clip")
+            np.take(tree.dist.euclidean.reshape(-1), flat[rows], out=dists[rows], mode="clip")
         # sole picks add 2*R[new, side] + R[new, new]; joint picks, if
         # awarded, add 2*R[joint, side + sole picks] + R[joint, joint]
         now = side | only
@@ -399,8 +388,9 @@ def _grow(spans, idx: np.ndarray, sizes: np.ndarray, kprime: int, budget: int):
         certain = (np.abs(gap) > bound) & (sums < 2.0**1000).reshape(P, 2).all(axis=1)
         fail = np.zeros(P, dtype=bool)
         for p in np.flatnonzero((n_joint > 0) & ~certain):
-            tree = next(t for t, a, b in spans if a <= p < b)
-            fail[p] = not all(_all_ones(tree, idx[p, now[p, s]]) for s in (0, 1))
+            R = next(t for t, a, b in spans if a <= p < b).dist.tortuosity
+            halves = (idx[p, now[p, 0]], idx[p, now[p, 1]])
+            fail[p] = not all((R[np.ix_(m, m)] == 1.0).all() for m in halves)
         win = (n_joint > 0) & ~fail
         win = np.stack((win & (gap <= 0), win & (gap > 0)), axis=1)
         sums += np.where(win.ravel(), added[:, 1], 0.0)
@@ -417,15 +407,14 @@ def _grow(spans, idx: np.ndarray, sizes: np.ndarray, kprime: int, budget: int):
 
 def _grow_trees(trees: list[_ClassTree], kprime: int, max_patch: int, approximate: bool) -> None:
     """Split every oversize patch of the classes, one tree level at a time, as
-    ``split_patch`` would: ``_grow`` grows a level's patches together in
-    chunks, and ``split_patch`` makes any split that it leaves undecided."""
+    ``split_patch`` would, then set the linearities of the finished trees:
+    ``_grow`` grows a level's patches together in chunks, and ``split_patch``
+    makes any split that it leaves undecided."""
     # the most any step holds at once: what the largest class's three
     # n x n matrices take
     budget = 3 * max(tree.n for tree in trees) ** 2
-    new = [(tree, k) for tree in trees for k in range(len(tree.members)) if tree.dist is not None]
+    new = [(tree, k) for tree in trees for k in range(len(tree.members))]
     while new:
-        if not approximate:
-            _set_linearities(new, budget)
         jobs = [(tree, k) for tree, k in new if len(tree.members[k]) > max_patch]
         new = []
         # a round holds, per padded patch of size S, three (2, k', S) row
@@ -442,7 +431,9 @@ def _grow_trees(trees: list[_ClassTree], kprime: int, max_patch: int, approximat
                 if failed[i]:
                     halves = split_patch(tree.members[k], tree.dist, kprime)
                 new += [(tree, len(tree.members)), (tree, len(tree.members) + 1)]
-                tree.add_halves(k, halves, 1.0 if approximate else None)
+                tree.add_halves(k, halves)
+    if not approximate:
+        _set_linearities(trees, budget)
 
 
 def partition_classes(
@@ -455,8 +446,8 @@ def partition_classes(
 
     ``blocks`` holds one feature matrix per class; the result holds one
     ``Partition`` per block, each equal to partitioning that class alone.
-    Consecutive classes whose n x n matrices hold at most
-    ``CLASS_BATCH_VALUES`` values in all are split together.
+    Consecutive classes are split together while their count times the
+    largest class's n x n values is at most ``CLASS_BATCH_VALUES``.
 
     ``approximate=True`` skips geodesic computation entirely (treating every
     ratio as 1, a valid limit at high sampling density, and every pair as
@@ -472,14 +463,8 @@ def partition_classes(
         raise ValueError("max_patch must be at least 1")
     blocks = [np.atleast_2d(_finite(Xc)) for Xc in blocks]
     parts: list[Partition] = []
-    start = 0
-    while start < len(blocks):
-        stop, values = start + 1, blocks[start].shape[0] ** 2
-        while stop < len(blocks) and values + blocks[stop].shape[0] ** 2 <= CLASS_BATCH_VALUES:
-            values += blocks[stop].shape[0] ** 2
-            stop += 1
-        trees = [_ClassTree(Xc, kprime, approximate) for Xc in blocks[start:stop]]
+    for a, b in _chunks([Xc.shape[0] for Xc in blocks], lambda n: n * n, CLASS_BATCH_VALUES):
+        trees = [_ClassTree(Xc, kprime, approximate) for Xc in blocks[a:b]]
         _grow_trees(trees, kprime, max_patch, approximate)
         parts += [tree.partition(max_patch) for tree in trees]
-        start = stop
     return parts

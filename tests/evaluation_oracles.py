@@ -12,14 +12,18 @@ import numpy as np
 
 from mpda.dataset import train_test_split
 from mpda.evaluation import (
+    PCA_PREPROCESS_DIM,
     _nn_errors_over_dims,
-    _should_preprocess,
     error_rate,
     fit_algorithm,
     nn_classify,
     pca_preprocess,
 )
 from mpda.model import transform
+
+
+def _should_preprocess(pca_mode, d):
+    return pca_mode == "on" or (pca_mode == "auto" and d > PCA_PREPROCESS_DIM)
 
 
 def per_fit_dimension_sweep(

@@ -272,6 +272,15 @@ def test_benchmark_empty_grid_flag_is_usage_error(data_csv, capsys):
     assert payload["error"] == "ValueError" and "'k'" in payload["message"]
 
 
+@pytest.mark.parametrize("algo,flag", [("lda", "--grid-k"), ("pca", "--grid-gamma"),
+                                       ("pca", "--grid-alpha")])
+def test_benchmark_grid_flag_outside_the_algos_grid_is_usage_error(data_csv, capsys, algo, flag):
+    path, _ = data_csv
+    message = usage_error(capsys, ["benchmark", "--algo", algo, "--data", path, "--splits", "1",
+                                   "--m-max", "1", flag, "3"])
+    assert message.startswith(f"{flag} does not apply to {algo}")
+
+
 def test_sweep_parameter_csv(tmp_path, data_csv):
     path, _ = data_csv
     out = tmp_path / "gamma.csv"
@@ -300,15 +309,19 @@ def test_config_file_flags_win(tmp_path, data_csv):
     path, ds = data_csv
     cfg = tmp_path / "run.cfg"
     cfg.write_text("algo = mpda\nm = 2\ngamma = 0.5\n")
-    model_path = str(tmp_path / "model.bin")
-    # --m on the command line overrides the config's m = 2
-    rc = run(["--config", str(cfg), "fit", "--data", path, "--m", "1", "--out", model_path])
-    assert rc == 0
     from mpda.model import load_model
 
-    model = load_model(model_path)
-    assert model.m == 1
-    assert model.hyperparams["gamma"] == 0.5
+    # --config PATH, --config=PATH, and --config=PATH after the subcommand
+    for i, (before, after) in enumerate([(["--config", str(cfg)], []),
+                                         ([f"--config={cfg}"], []),
+                                         ([], [f"--config={cfg}"])]):
+        model_path = str(tmp_path / f"model{i}.bin")
+        # --m on the command line overrides the config's m = 2
+        rc = run([*before, "fit", *after, "--data", path, "--m", "1", "--out", model_path])
+        assert rc == 0
+        model = load_model(model_path)
+        assert model.m == 1
+        assert model.hyperparams["gamma"] == 0.5
 
 
 @pytest.mark.parametrize("value", ["-1e-3", "-inf"])

@@ -14,6 +14,7 @@ from mpda.errors import (
     LengthMismatchError,
 )
 from mpda.evaluation import (
+    _nn_errors_over_dims,
     benchmark,
     cross_validate,
     dimension_sweep,
@@ -59,6 +60,39 @@ def test_nn_errors():
         nn_classify(np.zeros((0, 2)), np.zeros(0), np.zeros((1, 2)))
     with pytest.raises(DimensionMismatchError):
         nn_classify(np.zeros((2, 2)), np.array([1, 2]), np.zeros((1, 3)))
+
+
+@st.composite
+def scorer_inputs(draw):
+    """Train and test rows of width 1-12: a small integer grid (exact ties)
+    or Gaussian, rows drawn with repeats (duplicates), offset by 0 or ~1e8."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d, n_tr, n_te = draw(st.integers(1, 12)), draw(st.integers(1, 15)), draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        rows = rng.integers(-2, 3, size=(n_tr + n_te, d)).astype(np.float64)
+    else:
+        rows = rng.normal(size=(n_tr + n_te, d))
+    if draw(st.booleans()):
+        rows = rows[rng.integers(0, n_tr + n_te, size=n_tr + n_te)]
+    rows += draw(st.sampled_from([0.0, 1e8, -1e8 + 0.25]))
+    return rows[:n_tr], rng.integers(1, 4, size=n_tr), rows[n_tr:], rng.integers(1, 4, size=n_te)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scorer_inputs())
+def test_prefix_scorer_agrees_with_nn_classify(case):
+    # cross-validation scores widths with the prefix scorer; benchmark and
+    # the final score use nn_classify: both must give the same errors
+    tr, ytr, te, yte = case
+    widths = list(range(1, tr.shape[1] + 1))
+    errs = _nn_errors_over_dims(tr, ytr, te, yte, widths)
+    for m in widths:
+        assert errs[m] == error_rate(nn_classify(tr[:, :m], ytr, te[:, :m]), yte)
+    # one label per training row: a zero error means both pick the same row,
+    # ties included
+    ids = np.arange(tr.shape[0])
+    pick = nn_classify(tr, ids, te)
+    assert _nn_errors_over_dims(tr, ids, te, pick, widths)[widths[-1]] == 0.0
 
 
 def test_error_rate_values():
@@ -114,6 +148,16 @@ def test_split_walks_need_at_least_one_split(rng, splits):
         dimension_sweep(ds, "pca", [1, 2], splits=splits)
     with pytest.raises(ValueError, match="splits must be at least 1"):
         parameter_sweep(ds, "mpda", "gamma", [0.1, 1.0], m=1, splits=splits)
+
+
+def test_protocol_entry_points_reject_unknown_modes(rng):
+    ds = two_gaussians(rng, n_per=12)
+    with pytest.raises(ValueError, match="unknown pca_mode 'bogus'"):
+        benchmark(ds, "lda", splits=1, fixed_params={}, fixed_m=1, pca_mode="bogus")
+    with pytest.raises(ValueError, match="unknown pca_mode 'bogus'"):
+        dimension_sweep(ds, "pca", [1], splits=1, pca_mode="bogus")
+    with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
+        cross_validate(ds, "bogus")
 
 
 def test_dimension_sweep_rejects_width_below_one(rng):

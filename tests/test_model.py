@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -403,6 +404,29 @@ def test_model_roundtrip_bytes(tmp_path, rng):
     X = rng.normal(size=(5, ds.d))
     assert np.array_equal(transform(model, X), transform(loaded, X))
     assert loaded.hyperparams == model.hyperparams
+
+
+def test_numpy_scalar_hyperparameters_round_trip(tmp_path, rng):
+    ds = random_labeled(rng)
+    model = fit_mpda(ds, m=1, k=np.int64(3), gamma=np.float64(0.5))
+    path = str(tmp_path / "m.bin")
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.hyperparams == model.hyperparams
+    assert type(loaded.hyperparams["k"]) is int and type(loaded.hyperparams["gamma"]) is float
+    assert np.array_equal(loaded.projection, model.projection)
+
+
+def test_unwritable_header_leaves_an_existing_file_unchanged(tmp_path, rng):
+    ds = random_labeled(rng)
+    model = fit_mpda(ds, m=1)
+    path = str(tmp_path / "m.bin")
+    save_model(model, path)
+    before = open(path, "rb").read()
+    bad = dataclasses.replace(model, hyperparams={**model.hyperparams, "k": object()})
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        save_model(bad, path)
+    assert open(path, "rb").read() == before
 
 
 def test_reloaded_model_drops_tangent_diagnostics(tmp_path, rng):

@@ -267,8 +267,8 @@ def test_overflowing_distances_give_the_oracle_patches(rng):
 @pytest.mark.parametrize("batch_values", [None, 40_000])
 def test_three_curved_classes_match_the_oracle(rng, monkeypatch, batch_values):
     # several tree levels with many patches each, across classes of
-    # different sizes; 40,000 matrix values split the classes into the
-    # batches (120, 150) and (135)
+    # different sizes; 40,000 padded matrix values split the classes into
+    # the batches (120), (150) and (135)
     if batch_values is not None:
         monkeypatch.setattr(mpda.partition, "CLASS_BATCH_VALUES", batch_values)
     blocks = []
