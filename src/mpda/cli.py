@@ -7,7 +7,8 @@ Failures print one JSON line on stderr: {"error": <class>, "message": ...}.
 A ``--config PATH`` (or ``--config=PATH``) key=value file, named before
 or after the subcommand, can mirror any long flag (keys use the flag name
 without the leading dashes, hyphens or underscores both accepted);
-explicit command-line flags win on conflict.
+explicit command-line flags win on conflict.  A second ``--config`` is a
+usage error.
 """
 
 from __future__ import annotations
@@ -132,9 +133,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Fold --config file entries into argv; explicit flags win on conflict."""
-    at = next((i for i, tok in enumerate(argv) if tok.split("=", 1)[0] == "--config"), None)
-    if at is None:
+    given = [i for i, tok in enumerate(argv) if tok.split("=", 1)[0] == "--config"]
+    if not given:
         return argv
+    if len(given) > 1:
+        parser.error("--config given twice")
+    at = given[0]
     _, inline, path = argv[at].partition("=")  # --config=PATH or --config PATH
     if not inline:
         if at + 1 >= len(argv):

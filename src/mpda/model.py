@@ -359,8 +359,9 @@ def staged_fits(kind: str, train: LabeledDataset, m: int, params_list: list[dict
     (k, bases key), their sum S_diff + gamma * S_tan once per gamma within
     that and the eigen-solve once per alpha.  Each stage computes what a
     single fit computes, so every model is bit-identical to fitting its
-    entry alone.  A width m outside 1..d, or a gamma that is negative or
-    not finite, raises ``ValueError`` before any stage runs.
+    entry alone.  A width m outside 1..d, a gamma that is negative or not
+    finite, or an alpha that is not positive and finite, raises
+    ``ValueError`` before any stage runs.
     """
     if not 0 < m <= train.d:
         raise ValueError(f"m must lie in 1..{train.d}")
@@ -373,6 +374,8 @@ def staged_fits(kind: str, train: LabeledDataset, m: int, params_list: list[dict
         bound.apply_defaults()
         if not 0 <= bound.arguments["gamma"] < np.inf:
             raise ValueError("gamma must be nonnegative")
+        if not 0 < bound.arguments["alpha"] < np.inf:
+            raise ValueError("alpha must be positive")
         hp.append({n: v for n, v in bound.arguments.items() if n != "train"})
 
     tree: dict = {}  # bases key -> k -> gamma -> alpha -> entry indices

@@ -21,10 +21,10 @@ arrays; no growth step reads a linearity.  Once the trees are grown,
 their linearities are summed in one bulk pass, once per patch, and the
 ids are recovered by replaying the driver rule over each finished tree.
 Every bulk step, class batches included, is sized by one padded rule
-(``_chunks``).  ``split_patch`` is the one-patch
-split; the batched growth hands it any joint award its rounding bound
-cannot decide (see ``_grow``), so every partition equals the one-patch
-loop's bit for bit.
+(``_chunks``).  The ratio sums behind each joint award add in one fixed
+order (see ``_grow``) that padding, chunking and the BLAS thread count
+cannot change, so a patch splits the same alone, in any chunk and in any
+class batch; ``split_patch`` is the one-patch call of that growth.
 """
 
 from __future__ import annotations
@@ -68,83 +68,21 @@ def split_patch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split one patch in two by growing from its most geodesically distant pair.
 
-    Returns two disjoint sorted index arrays covering the input patch.
-    Each side keeps every member's distance to its nearest point on that
-    side, lowered with the columns of the points it absorbs, and the ratio
-    sums for the running linearity*size scores grow with each absorption.
-    One split thus reads O(size^2) distances and ratios in all, plus one
-    sort of the remaining pool per growth round.  Raises
-    ``UnreachablePairError`` if the patch holds an infinite geodesic.
+    Returns two disjoint sorted index arrays covering the input patch.  It is
+    the one-patch call of ``_grow``, which makes every split of
+    ``partition_classes``: each round both sides absorb their k' nearest
+    remaining points, and the points both pick go to the side with the
+    smaller ratio sum per member.  The sums add in ascending patch position,
+    left to right from 0 (see ``_grow``), so a patch splits the same here as
+    in any batch.  Raises ``UnreachablePairError`` if the patch's geodesic
+    and ratio blocks both hold an infinite value.
     """
     members = np.sort(np.asarray(members, dtype=np.int64))
-    s = members.size
-    if s < 2:
+    if members.size < 2:
         raise ValueError("cannot split a patch with fewer than 2 points")
-    block = np.ix_(members, members)
-    R = dist.tortuosity[block]
-    DG = dist.geodesic[block]
-    # a finite geodesic over a distance near the underflow limit can also
-    # give an infinite ratio; only an infinite geodesic raises
-    if np.isinf(R).any() and np.isinf(DG).any():
-        raise UnreachablePairError("patch contains mutually unreachable points")
-    DE = dist.euclidean[block]
-
-    flat = int(np.argmax(DG))  # row-major first occurrence = lowest (i, j)
-    a, b = divmod(flat, s)
-    if a == b:  # all-zero geodesics (coincident points)
-        a, b = 0, 1
-    seed_l, seed_r = min(a, b), max(a, b)
-
-    in_left = np.zeros(s, dtype=bool)
-    in_right = np.zeros(s, dtype=bool)
-    in_left[seed_l] = True
-    in_right[seed_r] = True
-    near_l = DE[:, seed_l].copy()  # distance to the nearest left point
-    near_r = DE[:, seed_r].copy()
-    pool = np.ones(s, dtype=bool)
-    pool[[seed_l, seed_r]] = False
-    sum_l = sum_r = 1.0  # each side starts as one point with ratio 1
-
-    def absorb(side: np.ndarray, near: np.ndarray, ratio_sum: float, new: np.ndarray) -> float:
-        rows = R[new]
-        # compress/take keep the row-major layout of R[np.ix_(...)], so the
-        # sums add in the same order
-        ratio_sum += 2.0 * float(rows.compress(side, axis=1).sum())
-        ratio_sum += float(rows.take(new, axis=1).sum())
-        side[new] = True
-        np.minimum(near, DE[:, new].min(axis=1), out=near)
-        return ratio_sum
-
-    def nearest(near: np.ndarray, pool_idx: np.ndarray, take: int) -> np.ndarray:
-        pick = np.zeros(s, dtype=bool)
-        pick[pool_idx[np.argsort(near[pool_idx], kind="stable")[:take]]] = True
-        return pick
-
-    while pool.any():
-        pool_idx = np.flatnonzero(pool)
-        take = min(kprime, pool_idx.size)
-        pick_l = nearest(near_l, pool_idx, take)
-        pick_r = nearest(near_r, pool_idx, take)
-        joint = np.flatnonzero(pick_l & pick_r)
-        only_l = np.flatnonzero(pick_l & ~pick_r)
-        only_r = np.flatnonzero(pick_r & ~pick_l)
-        if only_l.size:
-            sum_l = absorb(in_left, near_l, sum_l, only_l)
-        if only_r.size:
-            sum_r = absorb(in_right, near_r, sum_r, only_r)
-        pool[only_l] = False
-        pool[only_r] = False
-        if joint.size:
-            # joint members go to the side with the smaller linearity*size
-            # product; neither side's score counts the joint points yet
-            score_l = sum_l / in_left.sum()  # (sum/n^2) * n
-            score_r = sum_r / in_right.sum()
-            if score_l > score_r:
-                sum_r = absorb(in_right, near_r, sum_r, joint)
-            else:
-                sum_l = absorb(in_left, near_l, sum_l, joint)
-            pool[joint] = False
-    return members[in_left], members[in_right]
+    n = dist.euclidean.shape[0]
+    left, right = _grow([(dist, 0, 1)], members[None], np.array([members.size]), kprime, 3 * n * n)
+    return left, right
 
 
 class _StraightPaths(GeodesicMatrix):
@@ -233,14 +171,19 @@ def _chunks(sizes: list[int], cost, budget: int) -> list[tuple[int, int]]:
     return runs
 
 
-def _spans(trees: list[_ClassTree]) -> list[tuple[_ClassTree, int, int]]:
-    """(tree, start, stop) of each run of consecutive items from one class."""
+def _spans(dists: list[GeodesicMatrix]) -> list[tuple[GeodesicMatrix, int, int]]:
+    """(matrices, start, stop) of each run of consecutive items from one class."""
     spans, start = [], 0
-    for i in range(1, len(trees) + 1):
-        if i == len(trees) or trees[i] is not trees[start]:
-            spans.append((trees[start], start, i))
+    for i in range(1, len(dists) + 1):
+        if i == len(dists) or dists[i] is not dists[start]:
+            spans.append((dists[start], start, i))
             start = i
     return spans
+
+
+def _blocks(M: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """The (B, S, S) blocks of the class matrix M over each row of ``sub``, in one take."""
+    return M.reshape(-1).take(sub[:, :, None] * M.shape[0] + sub[:, None, :])
 
 
 def _set_linearities(trees: list[_ClassTree], budget: int) -> None:
@@ -258,7 +201,7 @@ def _set_linearities(trees: list[_ClassTree], budget: int) -> None:
                     lins = mean_ratios(R[None])
                 else:
                     sub = np.stack([tree.members[k] for k in group[lo:hi]])
-                    lins = mean_ratios(R[sub[:, :, None], sub[:, None, :]])
+                    lins = mean_ratios(_blocks(R, sub))
                 tree.linearity.update(zip(group[lo:hi].tolist(), lins.tolist()))
 
 
@@ -270,73 +213,78 @@ def _padded(members: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(members)[(np.cumsum(sizes) - sizes)[:, None] + pos], sizes
 
 
-def _seeds(spans, idx: np.ndarray, sizes: np.ndarray, budget: int):
-    """Each patch's two seed positions, as ``split_patch`` picks them, and
-    whether its block holds an infinite geodesic (``split_patch`` must then
-    decide).
+def _seeds(spans, idx: np.ndarray, sizes: np.ndarray, budget: int) -> np.ndarray:
+    """Each patch's two seed positions, in ascending order: its first pair, in
+    row-major order, at maximal geodesic distance, or (0, 1) when every
+    geodesic is 0.
 
     The argmax runs over the padded block; a padded entry repeats an entry
     earlier in its row, so the first maximum is a real one.  A patch that
-    is its whole class reads the class's matrix as it is.
+    is its whole class reads the class's matrix as it is.  Raises
+    ``UnreachablePairError`` if a seed pair's geodesic and ratio are both
+    infinite: a geodesic block holds an infinite value exactly when its
+    maximum is one, and an exact-mode ratio is infinite wherever the
+    geodesic is, while the approximate mode's ratios are all 1.
     """
     P, S = idx.shape
     seeds = np.empty((P, 2), dtype=np.int64)
-    top = np.empty(P)
-    for tree, a, b in spans:
-        G = tree.dist.geodesic
+    for dist, a, b in spans:
+        G = dist.geodesic
         for lo, hi in _chunks([S] * (b - a), lambda s: 2 * s * s, budget):
             lo, hi = a + lo, a + hi
-            if sizes[lo] == tree.n:  # the class's only patch
-                block, width = G.reshape(1, -1), tree.n
+            if sizes[lo] == G.shape[0]:  # the class's only patch
+                block, width = G.reshape(1, -1), G.shape[0]
             else:
                 sub = idx[lo:hi]
-                block, width = G[sub[:, :, None], sub[:, None, :]].reshape(hi - lo, S * S), S
-            flat = block.argmax(axis=1)
-            top[lo:hi] = block[np.arange(hi - lo), flat]
-            seeds[lo:hi] = np.stack(np.divmod(flat, width), axis=1)
+                block, width = _blocks(G, sub).reshape(hi - lo, S * S), S
+            seeds[lo:hi] = np.stack(np.divmod(block.argmax(axis=1), width), axis=1)
+        i, j = np.take_along_axis(idx[a:b], seeds[a:b], axis=1).T
+        if (np.isinf(G[i, j]) & np.isinf(dist.tortuosity[i, j])).any():
+            raise UnreachablePairError("patch contains mutually unreachable points")
     coincident = seeds[:, 0] == seeds[:, 1]  # all-zero geodesics
     seeds.sort(axis=1)
     seeds[coincident] = (0, 1)
-    return seeds, np.isinf(top)
+    return seeds
 
 
-def _grow(spans, idx: np.ndarray, sizes: np.ndarray, kprime: int, budget: int):
-    """Grow both sides of every patch of one chunk together, one round at a time.
+def _grow(spans, idx: np.ndarray, sizes: np.ndarray, kprime: int, budget: int) -> list[np.ndarray]:
+    """Split every patch of one chunk, growing both sides of all of them
+    together, one round at a time.
 
-    Returns the (P, 2, S) side masks and the patches whose split must be
-    made by ``split_patch``.  Each round follows ``split_patch``'s round for
-    every patch: both sides pick their k' nearest pool members by
-    (distance, index), pool members before all others even at +inf; they
-    take their sole picks, then the joint picks go to the side with the
-    smaller linearity*size.  Only the picked rows of each class's ratio and
-    distance matrices are read; the distance matrix is bitwise symmetric,
-    so a row serves as the column ``split_patch`` reads.
+    Returns the sorted halves, left then right, of each patch.  Each side
+    starts from one seed with ratio sum 1.  In each round both sides pick
+    their k' nearest pool members by (distance, index), pool members before
+    all others even at +inf.  Each side absorbs its sole picks; the joint
+    picks then go to the side with the smaller sum/count, to the left side
+    on a tie.  Only the picked rows of each class's ratio and distance
+    matrices are read; the distance matrix is bitwise symmetric, so a row
+    serves as the column of a nearest distance.
 
-    The ratio sums add in another order than ``split_patch``'s.  For m
-    non-negative terms any order is within (m-1)*u of the exact sum, so two
-    orders give scores apart by at most eps*N^2*score on a side of N
-    points; an award is taken here only when the scores differ by more
-    than twice that, or when every ratio among each side's members is
-    exactly 1 (integer sums are exact in any order).  Any other award, or a
-    score that is not finite, hands the patch to ``split_patch``.
+    One summation order, which padding, chunking and the BLAS thread count
+    cannot change, makes the sums: an absorption adds to its side's sum one
+    term, the sum over the absorbed points in ascending patch position of
+    each point's row sum, and a row sum runs in ascending patch position
+    over the side's earlier members, weighted 2, and the absorbed points,
+    weighted 1.  Every sum is added left to right from 0: ``np.cumsum``
+    adds strictly in order, and the unweighted and padded entries add
+    exact zeros (an unweighted +inf ratio adds nothing).
     """
     P, S = idx.shape
     Q = 2 * P  # one row per side: row 2p + s is side s of patch p
     kk = min(kprime, S - 1)  # picks per side (the pool never exceeds S - 2)
-    n = np.array([tree.n for tree, a, b in spans for _ in range(a, b)])
-    seeds, failed = _seeds(spans, idx, sizes, budget)
+    n = np.array([dist.euclidean.shape[0] for dist, a, b in spans for _ in range(a, b)])
+    seeds = _seeds(spans, idx, sizes, budget)
     side = np.zeros((P, 2, S), dtype=bool)
     side[np.arange(P)[:, None], [0, 1], seeds] = True
     pool = (np.arange(S) < sizes[:, None]) & ~side.any(axis=1)
-    pool[failed] = False
 
     # near[q]: each member's distance to the nearest point on side q
     near = np.empty((Q, S))
     own = np.repeat(idx, 2, axis=0)  # side q's patch members (class-local)
     flat = (own.take(seeds.ravel() + np.arange(Q) * S) * np.repeat(n, 2))[:, None] + own
-    for tree, a, b in spans:
+    for dist, a, b in spans:
         rows = slice(2 * a, 2 * b)
-        np.take(tree.dist.euclidean.reshape(-1), flat[rows], out=near[rows], mode="clip")
+        np.take(dist.euclidean.reshape(-1), flat[rows], out=near[rows], mode="clip")
     sums = np.ones(Q)  # each side starts as one point with ratio 1
     counts = np.ones(Q, dtype=np.int64)
 
@@ -346,8 +294,6 @@ def _grow(spans, idx: np.ndarray, sizes: np.ndarray, kprime: int, budget: int):
     flat = np.empty((Q, kk, S), dtype=np.int64)
     ratios = np.empty((Q, kk, S))  # the picked rows of each side
     dists = np.empty((Q, kk, S))
-    weights = np.empty((Q, S, 2))
-    eps = np.finfo(np.float64).eps
     while pool.any():
         key = np.where(pool[:, None], near.reshape(P, 2, S), np.nan).reshape(Q, S)
         part = np.argpartition(key, kk, axis=1)
@@ -357,8 +303,8 @@ def _grow(spans, idx: np.ndarray, sizes: np.ndarray, kprime: int, budget: int):
         # is sorted whole
         for q in np.flatnonzero(val.max(axis=1) == key.take(part[:, kk] + row_at[:, 0])):
             cand[q] = np.argsort(key[q], kind="stable")[:kk]
-            val[q] = key[q, cand[q]]
-        picked = ~np.isnan(val)  # fewer than k' left: the whole pool
+        cand.sort(axis=1)  # picks in ascending patch position
+        picked = ~np.isnan(key.take(cand + row_at))  # fewer than k' left: the whole pool
         mark = np.zeros((P, 2, S), dtype=bool)
         np.put(mark, cand + row_at, picked)
         joint = mark[:, 0] & mark[:, 1]
@@ -368,31 +314,29 @@ def _grow(spans, idx: np.ndarray, sizes: np.ndarray, kprime: int, budget: int):
         only_row = picked & ~joint_row
 
         np.add((idx.take(at) * scale[:, :, 0])[:, :, None], own[:, None, :], out=flat)
-        for tree, a, b in spans:
+        for dist, a, b in spans:
             rows = slice(2 * a, 2 * b)
-            np.take(tree.dist.tortuosity.reshape(-1), flat[rows], out=ratios[rows], mode="clip")
-            np.take(tree.dist.euclidean.reshape(-1), flat[rows], out=dists[rows], mode="clip")
-        # sole picks add 2*R[new, side] + R[new, new]; joint picks, if
-        # awarded, add 2*R[joint, side + sole picks] + R[joint, joint]
+            np.take(dist.tortuosity.reshape(-1), flat[rows], out=ratios[rows], mode="clip")
+            np.take(dist.euclidean.reshape(-1), flat[rows], out=dists[rows], mode="clip")
+        # a sole pick's row weighs the side 2 and the sole picks 1; a joint
+        # pick's row, if awarded, the side and its sole picks 2 and the
+        # joint picks 1
         now = side | only
-        weights[:, :, 0] = (side + 1.0 * now).reshape(Q, S)
-        weights[:, :, 1] = (2.0 * now + joint[:, None]).reshape(Q, S)
-        added = np.where(np.stack((only_row, joint_row), axis=2), ratios @ weights, 0.0).sum(axis=1)
+        jq, jc = np.nonzero(joint_row)
+        with np.errstate(invalid="ignore"):  # +inf * 0 is NaN, which fmax makes 0
+            joint_rows = ratios[jq, jc] * (2.0 * now + joint[:, None]).reshape(Q, S)[jq]
+            ratios *= (side + 1.0 * now).reshape(Q, 1, S)
+        ratios[jq, jc] = joint_rows
+        np.fmax(ratios, 0.0, out=ratios)  # an unweighted +inf ratio adds nothing
+        row_sums = np.cumsum(ratios, axis=2, out=ratios)[:, :, -1:]
+        added = np.cumsum(np.where(np.stack((only_row, joint_row), axis=2), row_sums, 0.0), axis=1)[:, -1]
         sums += added[:, 0]
         counts += only.sum(axis=2).ravel()
 
         n_joint = joint.sum(axis=1)
         score = (sums / counts).reshape(P, 2)
-        gap = score[:, 0] - score[:, 1]
-        bound = 2.0 * eps * ((counts * counts + 1) * sums / counts).reshape(P, 2).sum(axis=1)
-        certain = (np.abs(gap) > bound) & (sums < 2.0**1000).reshape(P, 2).all(axis=1)
-        fail = np.zeros(P, dtype=bool)
-        for p in np.flatnonzero((n_joint > 0) & ~certain):
-            R = next(t for t, a, b in spans if a <= p < b).dist.tortuosity
-            halves = (idx[p, now[p, 0]], idx[p, now[p, 1]])
-            fail[p] = not all((R[np.ix_(m, m)] == 1.0).all() for m in halves)
-        win = (n_joint > 0) & ~fail
-        win = np.stack((win & (gap <= 0), win & (gap > 0)), axis=1)
+        right = score[:, 0] > score[:, 1]
+        win = (n_joint > 0)[:, None] & np.stack((~right, right), axis=1)
         sums += np.where(win.ravel(), added[:, 1], 0.0)
         counts += (win * n_joint[:, None]).ravel()
         side = now | (joint[:, None] & win[:, :, None])
@@ -400,16 +344,14 @@ def _grow(spans, idx: np.ndarray, sizes: np.ndarray, kprime: int, budget: int):
         dists[~(only_row | (joint_row & win.reshape(Q, 1)))] = np.inf
         np.minimum(near, dists.min(axis=1), out=near)
         pool &= ~mark.any(axis=1)
-        pool[fail] = False
-        failed |= fail
-    return side, failed
+    p, s, c = np.nonzero(side)
+    return np.split(idx[p, c], np.cumsum(side.sum(axis=2).ravel())[:-1])
 
 
 def _grow_trees(trees: list[_ClassTree], kprime: int, max_patch: int, approximate: bool) -> None:
-    """Split every oversize patch of the classes, one tree level at a time, as
-    ``split_patch`` would, then set the linearities of the finished trees:
-    ``_grow`` grows a level's patches together in chunks, and ``split_patch``
-    makes any split that it leaves undecided."""
+    """Split every oversize patch of the classes, one tree level at a time,
+    ``_grow`` taking a level's patches together in chunks, then set the
+    linearities of the finished trees."""
     # the most any step holds at once: what the largest class's three
     # n x n matrices take
     budget = 3 * max(tree.n for tree in trees) ** 2
@@ -423,15 +365,10 @@ def _grow_trees(trees: list[_ClassTree], kprime: int, max_patch: int, approximat
         for a, b in _chunks(sizes, lambda s: (6 * min(kprime, s) + 16) * s, budget):
             chunk = jobs[a:b]
             idx, n_members = _padded([tree.members[k] for tree, k in chunk])
-            side, failed = _grow(_spans([tree for tree, _ in chunk]), idx, n_members, kprime, budget)
-            p, s, c = np.nonzero(side)
-            parts = np.split(idx[p, c], np.cumsum(side.sum(axis=2).ravel())[:-1])
+            parts = _grow(_spans([tree.dist for tree, _ in chunk]), idx, n_members, kprime, budget)
             for i, (tree, k) in enumerate(chunk):
-                halves = parts[2 * i : 2 * i + 2]
-                if failed[i]:
-                    halves = split_patch(tree.members[k], tree.dist, kprime)
                 new += [(tree, len(tree.members)), (tree, len(tree.members) + 1)]
-                tree.add_halves(k, halves)
+                tree.add_halves(k, parts[2 * i : 2 * i + 2])
     if not approximate:
         _set_linearities(trees, budget)
 

@@ -85,10 +85,22 @@ def split_patch_loop(members, dist, kprime, approximate=False):
     sum_l = sum_r = 1.0  # each side starts as one point with ratio 1
 
     def absorb(side, ratio_sum, new):
-        ratio_sum += 2.0 * float(R[np.ix_(new, np.flatnonzero(side))].sum())
-        ratio_sum += float(R[np.ix_(new, new)].sum())
+        # one term: over the absorbed points in ascending position, each
+        # one's row sum over the side's earlier members (weight 2) and the
+        # absorbed points (weight 1), in ascending position; every sum is
+        # added left to right from 0
+        absorbed = set(new.tolist())
+        term = 0.0
+        for i in sorted(absorbed):
+            row = 0.0
+            for j in range(s):
+                if side[j]:
+                    row += 2.0 * R[i, j]
+                elif j in absorbed:
+                    row += R[i, j]
+            term += row
         side[new] = True
-        return ratio_sum
+        return ratio_sum + term
 
     while pool.any():
         pool_idx = np.flatnonzero(pool)

@@ -336,6 +336,21 @@ def test_config_negative_value_reaches_the_range_check(tmp_path, data_csv, capsy
     assert payload == {"error": "ValueError", "message": "gamma must be nonnegative"}
 
 
+@pytest.mark.parametrize("before,after", [
+    (["--config", "{a}", "--config", "{b}"], []),
+    (["--config={a}"], ["--config", "{b}"]),
+    ([], ["--config", "{a}", "--config={b}"]),
+])
+def test_repeated_config_is_one_usage_error(tmp_path, data_csv, capsys, before, after):
+    # neither file exists: the repeat is reported before any file is read
+    path, _ = data_csv
+    files = {"a": tmp_path / "a.cfg", "b": tmp_path / "b.cfg"}
+    before, after = ([tok.format(**files) for tok in toks] for toks in (before, after))
+    argv = [*before, "fit", *after, "--algo", "mpda", "--data", path, "--m", "1",
+            "--out", str(tmp_path / "m.bin")]
+    assert usage_error(capsys, argv) == "--config given twice"
+
+
 def test_config_unknown_key_rejected(tmp_path, data_csv):
     path, _ = data_csv
     cfg = tmp_path / "run.cfg"

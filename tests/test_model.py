@@ -205,6 +205,25 @@ def test_negative_gamma_fails_before_any_stage(rng, monkeypatch):
             cross_validate(ds, "mpda", grid={"gamma": [1.0, gamma]}, m_grid=[1])
 
 
+def test_nonpositive_alpha_fails_before_any_stage(rng, monkeypatch):
+    import mpda.model
+    from mpda.evaluation import cross_validate
+
+    def stage(*args, **kwargs):
+        raise AssertionError("a fit stage ran")
+
+    for name in ("_patch_bases", "_point_bases", "_graphs"):
+        monkeypatch.setattr(mpda.model, name, stage)
+    ds = random_labeled(rng, min_per_class=4)
+    for alpha in (0, -1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            fit_mpda(ds, m=1, alpha=alpha)
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            fit_pmpda(ds, m=1, alpha=alpha)
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            cross_validate(ds, "mpda", grid={"alpha": [1e-3, alpha]}, m_grid=[1])
+
+
 def test_assemble_between_block_structure(rng):
     ds = random_labeled(rng)
     X, y, patch_of, bases, layout, W, Sp, Wp = build_instance(ds)

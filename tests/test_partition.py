@@ -9,10 +9,10 @@ from scipy.spatial.distance import cdist
 import mpda.graph
 import mpda.partition
 from conftest import one_partition
-from mpda.geodesy import geodesic_distances, mean_ratios
+from mpda.geodesy import GeodesicMatrix, geodesic_distances, mean_ratios
 from mpda.graph import pairwise_euclidean
 from mpda.partition import partition_classes, split_patch
-from partition_oracles import partition_class_loop
+from partition_oracles import partition_class_loop, split_patch_loop
 
 
 def assert_same_partition(part, ref):
@@ -228,21 +228,71 @@ def test_partition_classes_equals_per_class_oracle(case):
         check_invariants(part, X.shape[0], max_patch)
 
 
+# with its mirror image, a class whose split sides grow as mirror images
+MIRRORED = np.array([[-1.0, 0.2], [0.3, -0.5], [-0.6, 0.5], [-1.7, -1.3], [0.2, 0.8], [0.6, -0.2]])
+
+
 def test_rounding_tie_takes_the_exact_split():
-    # the mirrored input's joint award falls inside the rounding bound, so
-    # split_patch decides it; the result is the oracle's
-    P = np.array([[-1.0, 0.2], [0.3, -0.5], [-0.6, 0.5], [-1.7, -1.3], [0.2, 0.8], [0.6, -0.2]])
-    X = np.vstack([P, -P])
-    with mock.patch.object(mpda.partition, "split_patch", wraps=split_patch) as split:
-        part = one_partition(X, kprime=2, max_patch=4)
-    assert split.call_count >= 1
-    assert_same_partition(part, partition_class_loop(X, kprime=2, max_patch=4))
-    # approximated, every ratio is 1: the sides' integer sums decide even
-    # the tied awards of the mirror image exactly
-    with mock.patch.object(mpda.partition, "split_patch", wraps=split_patch) as split:
-        part = one_partition(X, kprime=2, max_patch=2, approximate=True)
-    assert split.call_count == 0
+    # the mirrored input's sides grow as mirror images, so their scores
+    # agree up to the order of the ratio sums, which is fixed: the result
+    # is the oracle's bit for bit
+    X = np.vstack([MIRRORED, -MIRRORED])
+    assert_same_partition(one_partition(X, kprime=2, max_patch=4), partition_class_loop(X, 2, 4))
+    # approximated, every ratio is 1: the sides' integer sums decide the
+    # tied awards of the mirror image
+    part = one_partition(X, kprime=2, max_patch=2, approximate=True)
     assert_same_partition(part, partition_class_loop(X, kprime=2, max_patch=2, approximate=True))
+
+
+@pytest.mark.parametrize("approximate", [False, True])
+def test_batching_cannot_change_a_split(rng, monkeypatch, approximate):
+    # the mirrored tie class, a chain with steps near 5e153 and a 120-point
+    # curve give the same partitions alone, batched together (padded to
+    # the curve's patches), in small class batches, and split by split
+    # through split_patch
+    chain = np.column_stack([np.arange(40) + rng.normal(0, 0.2, 40), rng.normal(0, 0.3, 40)])
+    t = rng.uniform(0, 3 * np.pi, 120)
+    curve = np.column_stack([np.cos(t), np.sin(t), 0.3 * t]) + rng.normal(0, 0.05, (120, 3))
+    blocks = [np.vstack([MIRRORED, -MIRRORED]), chain[rng.permutation(40)] * 5e153, curve]
+    args = (2, 4, approximate)  # kprime, max_patch, approximate
+    splits = []
+    add_halves = mpda.partition._ClassTree.add_halves
+
+    def record(tree, node, halves):
+        splits.append((tree.members[node], tree.dist, halves))
+        add_halves(tree, node, halves)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        alone = [one_partition(X, *args) for X in blocks]
+        for X, part in zip(blocks, alone):
+            assert_same_partition(part, partition_class_loop(X, *args))
+        with mock.patch.object(mpda.partition._ClassTree, "add_halves", record):
+            together = partition_classes(blocks, *args)
+        monkeypatch.setattr(mpda.partition, "CLASS_BATCH_VALUES", 2 * 40**2)  # (tie, chain), (curve)
+        small = partition_classes(blocks, *args)
+        assert len({id(dist) for _, dist, _ in splits}) == 3  # every class was split
+        for members, dist, halves in splits:
+            for got, want in zip(split_patch(members, dist, kprime=2), halves):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for want, *got in zip(alone, together, small):
+        for part in got:
+            assert_same_partition(part, want)
+
+
+def test_split_patch_adds_in_the_one_summation_order():
+    # every ratio lies within a few ulps of 1, so two sides of equal size
+    # score alike up to rounding and each joint award turns on the last
+    # bits of the sums: another summation order would split otherwise
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        n = int(rng.integers(12, 40))
+        DE = pairwise_euclidean(rng.normal(size=(n, 2)))
+        DG = DE * (1.0 + rng.integers(0, 8, size=(n, n)) * np.finfo(float).eps)
+        gm = GeodesicMatrix(DG, DE)
+        for kprime in (2, 4, 6):
+            got = split_patch(np.arange(n), gm, kprime)
+            want = split_patch_loop(np.arange(n), gm, kprime)
+            assert [g.tolist() for g in got] == [w.tolist() for w in want]
 
 
 def test_overflowing_distances_give_the_oracle_patches(rng):
