@@ -295,6 +295,24 @@ def test_split_patch_adds_in_the_one_summation_order():
             assert [g.tolist() for g in got] == [w.tolist() for w in want]
 
 
+def test_unweighted_infinite_ratios_add_nothing():
+    # a geodesic over a distance near the underflow limit gives an
+    # infinite ratio; a row sum that does not weigh it must stay finite
+    rng = np.random.default_rng(6)
+    for _ in range(40):
+        n = int(rng.integers(8, 30))
+        DE = pairwise_euclidean(rng.normal(size=(n, 2)))
+        DG = DE * (1.0 + rng.integers(0, 8, size=(n, n)) * np.finfo(float).eps)
+        i, j = rng.integers(0, n, size=(2, 3))
+        DE[i, j] = DE[j, i] = np.where(i == j, 0.0, 1e-310)
+        with np.errstate(over="ignore"):
+            gm = GeodesicMatrix(DG, DE)
+            for kprime in (2, 4):
+                got = split_patch(np.arange(n), gm, kprime)
+                want = split_patch_loop(np.arange(n), gm, kprime)
+                assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
+
 def test_overflowing_distances_give_the_oracle_patches(rng):
     # a noisy chain with steps near 5e153: neighbours are finite apart but
     # most pairs overflow to +inf in cdist, so the growth compares pool
