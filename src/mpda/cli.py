@@ -55,7 +55,7 @@ def _add_partition_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-patch", type=int, default=DEFAULT_MAX_PATCH, help="patch size cap M")
     p.add_argument(
         "--approximate-partition", action="store_true",
-        help="skip geodesics and rank patches by size alone",
+        help="skip geodesics: every ratio and linearity is 1",
     )
 
 

@@ -38,7 +38,7 @@ class GeodesicMatrix:
         trivially straight), +inf wherever the geodesic is.
         """
         DG, DE = self.geodesic, self.euclidean
-        R = np.divide(DG, DE, out=np.ones_like(DG), where=DE > 0)
+        R = np.divide(DG, DE, out=np.ones_like(DG), where=np.isfinite(DG) & (DE > 0))
         np.fill_diagonal(R, 1.0)
         R[np.isinf(DG)] = np.inf
         return R

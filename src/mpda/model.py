@@ -210,16 +210,20 @@ def solve_gep(
     lambda <= 0 included; each has t != 0 and is a genuine eigenpair of the
     full pencil, unlike its other lambda = 0 vectors, whose t-part is 0.
     Raises ``ValueError`` unless 0 < m <= t_dim and 0 < alpha < inf, or
-    when ``S_between`` is nonzero outside its leading t_dim block.
+    when ``S_between`` is nonzero outside its leading t_dim block, and
+    ``SolverFailureError`` when either form holds a non-finite value (as
+    when the scatters of finite data overflow), before the alpha check.
     """
     S_within = sp.csc_matrix(S_within)
     total = S_within.shape[0]
     d = total if t_dim is None else t_dim
     if not 0 < m <= d:
         raise ValueError(f"m must lie in 1..{d}")
+    Sb = sp.coo_matrix(S_between)
+    if not (np.isfinite(Sb.data).all() and np.isfinite(S_within.data).all()):
+        raise SolverFailureError("S_between or S_within holds a non-finite value")
     if not 0 < alpha < np.inf:
         raise ValueError("alpha must be positive")
-    Sb = sp.coo_matrix(S_between)
     inside = (Sb.row < d) & (Sb.col < d)
     if np.any(Sb.data[~inside]):
         raise ValueError("S_between must vanish outside its leading t_dim block")

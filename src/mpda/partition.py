@@ -1,25 +1,22 @@
 """Top-down divisive partitioning of each class into near-linear patches.
 
-The driver rule repeatedly picks the oversize patch with the largest
-linearity*size product (ties to the lowest patch id) and splits it in two
-around the pair of points at maximal geodesic distance, growing both sides
-by alternately absorbing their k'-nearest remaining points; the left half
-keeps the patch's id and the right half is appended.  Jointly claimed
-neighbors are awarded each round to the side with the smaller
-linearity*size product.  Splitting stops once no patch exceeds the size
-cap M.
+Every patch of more than M points (the size cap) is split in two around
+the pair of points at maximal geodesic distance, growing both sides by
+alternately absorbing their k'-nearest remaining points.  Jointly
+claimed neighbors are awarded each round to the side with the smaller
+linearity*size product.  Splitting stops once no patch exceeds M.
 
 All geodesic information is computed once per class, by one
-``geodesic_distances`` call, and never refreshed after splits; patch
-scores and the initial components always read from that frozen matrix.
-A split therefore reads only its own members and its class's matrices, so
-the final patches do not depend on the order of the splits, only their ids
-do.  ``partition_classes`` is the one entry point (one class is a
-one-block list).  It splits every oversize patch of a batch of classes
-together, one tree level at a time, on padded (patches x 2 sides x size)
-arrays; no growth step reads a linearity.  Once the trees are grown,
-their linearities are summed in one bulk pass, once per patch, and the
-ids are recovered by replaying the driver rule over each finished tree.
+``geodesic_distances`` call, and never refreshed after splits; the
+initial components and every split read that frozen matrix.  A split
+therefore reads only its own members and its class's matrices, so the
+final patches do not depend on the order of the splits.  Each class's
+patches are numbered in ascending order of their smallest member, and
+only these final patches get a linearity.
+
+``partition_classes`` is the one entry point (one class is a one-block
+list).  It splits every oversize patch of a batch of classes together,
+one tree level at a time, on padded (patches x 2 sides x size) arrays.
 Every bulk step, class batches included, is sized by one padded rule
 (``_chunks``).  The ratio sums behind each joint award add in one fixed
 order (see ``_grow``) that padding, chunking and the BLAS thread count
@@ -29,7 +26,6 @@ class batch; ``split_patch`` is the one-patch call of that growth.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -95,19 +91,17 @@ class _StraightPaths(GeodesicMatrix):
 
 
 class _ClassTree:
-    """One class's split tree: members and linearity per node, children per split node.
+    """One class's patches: ``members`` holds the current leaves of its split tree.
 
     The roots are the class's initial patches (its components, or the whole
-    class when approximated); splitting node k appends its two halves and
-    records them in ``children[k]``.
+    class when approximated); a split replaces its patch's members with the
+    left half and appends the right half.
     """
 
     def __init__(self, Xc: np.ndarray, kprime: int, approximate: bool):
         self.n = n = Xc.shape[0]
-        self.children: dict[int, tuple[int, int]] = {}
         self.members = [np.arange(n, dtype=np.int64)]
         self.dist: GeodesicMatrix | None = None
-        self.linearity: dict[int, float] = {}  # set by the exact mode's pass; 1.0 otherwise
         if n > 1 and approximate:
             DE = pairwise_euclidean(Xc)
             self.dist = _StraightPaths(geodesic=DE, euclidean=DE)
@@ -116,42 +110,24 @@ class _ClassTree:
             comp = self.dist.components()
             self.members = [np.flatnonzero(comp == c) for c in range(comp.max() + 1)]
 
-    def add_halves(self, node: int, halves: tuple[np.ndarray, np.ndarray]):
-        self.children[node] = (len(self.members), len(self.members) + 1)
-        self.members.extend(halves)
+    def partition(self, exact: bool, budget: int) -> Partition:
+        """The leaves, numbered in ascending order of their smallest member.
 
-    def partition(self, max_patch: int) -> Partition:
-        """Replay the driver over the finished tree to number the patches.
-
-        The oversize patch with the largest linearity*size goes first, ties
-        to the lowest id; its left half keeps the id and its right half is
-        appended.
+        In the exact mode each leaf's linearity comes from one ``mean_ratios``
+        call per leaf size and chunk; approximated, every linearity is 1.0.
         """
-        nodes = list(range(len(self.members) - 2 * len(self.children)))  # patch id -> node
-
-        def entry(pid: int) -> tuple[float, int]:
-            node = nodes[pid]
-            return -(self.linearity.get(node, 1.0) * len(self.members[node])), pid
-
-        def oversize(pid: int) -> bool:
-            return len(self.members[nodes[pid]]) > max_patch
-
-        heap = [entry(pid) for pid in range(len(nodes)) if oversize(pid)]
-        heapq.heapify(heap)
-        while heap:
-            _, pid = heapq.heappop(heap)
-            left, right = self.children[nodes[pid]]
-            nodes[pid] = left
-            nodes.append(right)
-            for p in (pid, len(nodes) - 1):
-                if oversize(p):
-                    heapq.heappush(heap, entry(p))
-        patches = [self.members[node] for node in nodes]
+        patches = sorted(self.members, key=lambda m: m[0])
+        sizes = np.array([len(m) for m in patches])
+        linearity = np.ones(len(patches))
+        if exact and self.dist is not None:
+            R = self.dist.tortuosity
+            for N in np.unique(sizes):
+                group = np.flatnonzero(sizes == N)
+                for lo, hi in _chunks([N] * group.size, lambda s: 2 * s * s, budget):
+                    sub = np.stack([patches[k] for k in group[lo:hi]])
+                    linearity[group[lo:hi]] = mean_ratios(_blocks(R, sub))
         patch_of = np.empty(self.n, dtype=np.int64)
-        patch_of[np.concatenate(patches)] = np.repeat(
-            np.arange(len(patches)), [len(m) for m in patches]
-        )
-        linearity = np.array([self.linearity.get(node, 1.0) for node in nodes])
+        patch_of[np.concatenate(patches)] = np.repeat(np.arange(len(patches)), sizes)
         return Partition(patches=patches, patch_of=patch_of, linearity=linearity)
 
 
@@ -184,25 +160,6 @@ def _spans(dists: list[GeodesicMatrix]) -> list[tuple[GeodesicMatrix, int, int]]
 def _blocks(M: np.ndarray, sub: np.ndarray) -> np.ndarray:
     """The (B, S, S) blocks of the class matrix M over each row of ``sub``, in one take."""
     return M.reshape(-1).take(sub[:, :, None] * M.shape[0] + sub[:, None, :])
-
-
-def _set_linearities(trees: list[_ClassTree], budget: int) -> None:
-    """Linearity of every node of the trees, one ``mean_ratios`` call per class,
-    size and chunk."""
-    for tree in trees:
-        if tree.dist is None:
-            continue
-        R = tree.dist.tortuosity
-        sizes = np.array([len(m) for m in tree.members])
-        for N in np.unique(sizes):
-            group = np.flatnonzero(sizes == N)
-            for lo, hi in _chunks([N] * group.size, lambda s: 2 * s * s, budget):
-                if N == tree.n:  # the class's only patch
-                    lins = mean_ratios(R[None])
-                else:
-                    sub = np.stack([tree.members[k] for k in group[lo:hi]])
-                    lins = mean_ratios(_blocks(R, sub))
-                tree.linearity.update(zip(group[lo:hi].tolist(), lins.tolist()))
 
 
 def _padded(members: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -348,13 +305,9 @@ def _grow(spans, idx: np.ndarray, sizes: np.ndarray, kprime: int, budget: int) -
     return np.split(idx[p, c], np.cumsum(side.sum(axis=2).ravel())[:-1])
 
 
-def _grow_trees(trees: list[_ClassTree], kprime: int, max_patch: int, approximate: bool) -> None:
+def _grow_trees(trees: list[_ClassTree], kprime: int, max_patch: int, budget: int) -> None:
     """Split every oversize patch of the classes, one tree level at a time,
-    ``_grow`` taking a level's patches together in chunks, then set the
-    linearities of the finished trees."""
-    # the most any step holds at once: what the largest class's three
-    # n x n matrices take
-    budget = 3 * max(tree.n for tree in trees) ** 2
+    ``_grow`` taking a level's patches together in chunks."""
     new = [(tree, k) for tree in trees for k in range(len(tree.members))]
     while new:
         jobs = [(tree, k) for tree, k in new if len(tree.members[k]) > max_patch]
@@ -367,10 +320,9 @@ def _grow_trees(trees: list[_ClassTree], kprime: int, max_patch: int, approximat
             idx, n_members = _padded([tree.members[k] for tree, k in chunk])
             parts = _grow(_spans([tree.dist for tree, _ in chunk]), idx, n_members, kprime, budget)
             for i, (tree, k) in enumerate(chunk):
-                new += [(tree, len(tree.members)), (tree, len(tree.members) + 1)]
-                tree.add_halves(k, parts[2 * i : 2 * i + 2])
-    if not approximate:
-        _set_linearities(trees, budget)
+                new += [(tree, k), (tree, len(tree.members))]
+                tree.members[k] = parts[2 * i]
+                tree.members.append(parts[2 * i + 1])
 
 
 def partition_classes(
@@ -386,22 +338,32 @@ def partition_classes(
     Consecutive classes are split together while their count times the
     largest class's n x n values is at most ``CLASS_BATCH_VALUES``.
 
+    Each class's patches are numbered in ascending order of their smallest
+    member, and each gets its linearity, the mean ratio of its pairs.
+
     ``approximate=True`` skips geodesic computation entirely (treating every
     ratio as 1, a valid limit at high sampling density, and every pair as
-    reachable) and ranks patches by size alone; splitting then seeds from
-    the largest Euclidean distance.
+    reachable), so every linearity is 1.0; splitting then seeds from the
+    largest Euclidean distance.
 
     Disconnected components of the k'-NN graph are separated up front, since
-    tortuosity is meaningless across components.  Every block must be finite.
+    tortuosity is meaningless across components.  Every block must be finite
+    and hold at least one point.
     """
     if kprime < 1:
         raise ValueError("kprime must be at least 1")
     if max_patch < 1:
         raise ValueError("max_patch must be at least 1")
     blocks = [np.atleast_2d(_finite(Xc)) for Xc in blocks]
+    for c, Xc in enumerate(blocks):
+        if Xc.shape[0] == 0:
+            raise ValueError(f"class block {c} has no points")
     parts: list[Partition] = []
     for a, b in _chunks([Xc.shape[0] for Xc in blocks], lambda n: n * n, CLASS_BATCH_VALUES):
         trees = [_ClassTree(Xc, kprime, approximate) for Xc in blocks[a:b]]
-        _grow_trees(trees, kprime, max_patch, approximate)
-        parts += [tree.partition(max_patch) for tree in trees]
+        # the most any step holds at once: what the largest class's three
+        # n x n matrices take
+        budget = 3 * max(tree.n for tree in trees) ** 2
+        _grow_trees(trees, kprime, max_patch, budget)
+        parts += [tree.partition(not approximate, budget) for tree in trees]
     return parts

@@ -8,7 +8,8 @@ of the driver loop recomputes the linearity of every oversize patch.  The
 geodesics come from a k'-NN graph built here, one edge at a time, from a
 stable argsort of each cdist row, and its components from scipy's
 ``connected_components``, and each patch's linearity is the sum of its
-own ratio block over N^2.  In the approximate mode every ratio is exactly
+own ratio block over N^2.  The finished patches are numbered in
+ascending order of their smallest member.  In the approximate mode every ratio is exactly
 1 and every pair reachable.  The outputs define the partitions the
 production code must reproduce bit for bit.
 """
@@ -159,6 +160,7 @@ def partition_class_loop(Xc, kprime, max_patch, approximate=False):
         left, right = split_patch_loop(patches[best], dist, kprime, approximate)
         patches[best] = left
         patches.append(right)
+    patches.sort(key=lambda m: m[0])  # ids follow each patch's smallest member
 
     patch_of = np.empty(n, dtype=np.int64)
     for pid, m in enumerate(patches):

@@ -360,6 +360,22 @@ def test_config_unknown_key_rejected(tmp_path, data_csv):
     assert rc == 3
 
 
+@pytest.mark.parametrize("algo", ["mpda", "pmpda", "lda"])
+def test_overflowing_scatters_are_compute_errors(tmp_path, data_csv, capsys, algo):
+    # finite rows scaled by 1e200 parse, but their scatters overflow: exit 4
+    path, ds = data_csv
+    rows = [",".join([str(int(c))] + [repr(float(v)) for v in row])
+            for c, row in zip(ds.labels, ds.features * 1e200)]
+    big = tmp_path / "big.csv"
+    big.write_text("\n".join(rows) + "\n")
+    with np.errstate(all="ignore"):
+        rc = run(["fit", "--algo", algo, "--data", str(big), "--m", "1",
+                  "--out", str(tmp_path / "m.bin")])
+    assert rc == 4
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "SolverFailureError"
+
+
 def test_fit_with_approximate_partition(tmp_path, data_csv):
     path, _ = data_csv
     out = str(tmp_path / "fast.bin")

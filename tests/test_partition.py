@@ -96,6 +96,7 @@ def test_partition_invariants_random(rng):
         X = rng.normal(size=(n, int(rng.integers(1, 5))))
         part = one_partition(X, kprime=6, max_patch=10)
         check_invariants(part, n, 10)
+        assert np.all(np.diff([p[0] for p in part.patches]) > 0)  # ids follow the smallest member
 
 
 def test_partition_deterministic(rng):
@@ -201,9 +202,8 @@ def test_linearity_computed_once_per_patch(rng):
     check_invariants(part, 200, max_patch)
     splits = part.n_patches - components
     assert components == 2 and splits > 0
-    # one linearity per patch ever formed: the components, then both halves
-    # of each split
-    assert sum(call.args[0].shape[0] for call in lin.call_args_list) == components + 2 * splits
+    # one linearity per final patch, none for the patches that were split
+    assert sum(call.args[0].shape[0] for call in lin.call_args_list) == part.n_patches
 
 
 @st.composite
@@ -249,24 +249,26 @@ def test_batching_cannot_change_a_split(rng, monkeypatch, approximate):
     # the mirrored tie class, a chain with steps near 5e153 and a 120-point
     # curve give the same partitions alone, batched together (padded to
     # the curve's patches), in small class batches, and split by split
-    # through split_patch
+    # through split_patch, every split of the batched call being rechecked
     chain = np.column_stack([np.arange(40) + rng.normal(0, 0.2, 40), rng.normal(0, 0.3, 40)])
     t = rng.uniform(0, 3 * np.pi, 120)
     curve = np.column_stack([np.cos(t), np.sin(t), 0.3 * t]) + rng.normal(0, 0.05, (120, 3))
     blocks = [np.vstack([MIRRORED, -MIRRORED]), chain[rng.permutation(40)] * 5e153, curve]
     args = (2, 4, approximate)  # kprime, max_patch, approximate
     splits = []
-    add_halves = mpda.partition._ClassTree.add_halves
+    grow = mpda.partition._grow
 
-    def record(tree, node, halves):
-        splits.append((tree.members[node], tree.dist, halves))
-        add_halves(tree, node, halves)
+    def record(spans, idx, sizes, *rest):
+        halves = grow(spans, idx, sizes, *rest)
+        for dist, a, b in spans:
+            splits.extend((idx[p, : sizes[p]], dist, halves[2 * p : 2 * p + 2]) for p in range(a, b))
+        return halves
 
     with np.errstate(over="ignore", invalid="ignore"):
         alone = [one_partition(X, *args) for X in blocks]
         for X, part in zip(blocks, alone):
             assert_same_partition(part, partition_class_loop(X, *args))
-        with mock.patch.object(mpda.partition._ClassTree, "add_halves", record):
+        with mock.patch.object(mpda.partition, "_grow", record):
             together = partition_classes(blocks, *args)
         monkeypatch.setattr(mpda.partition, "CLASS_BATCH_VALUES", 2 * 40**2)  # (tie, chain), (curve)
         small = partition_classes(blocks, *args)
@@ -316,20 +318,37 @@ def test_unweighted_infinite_ratios_add_nothing():
 def test_overflowing_distances_give_the_oracle_patches(rng):
     # a noisy chain with steps near 5e153: neighbours are finite apart but
     # most pairs overflow to +inf in cdist, so the growth compares pool
-    # members at +inf; the approximate mode, whose ratios are all exactly 1
-    # and whose pairs are all reachable, splits such a class without a
-    # warning
+    # members at +inf; both modes split such a class without a warning (the
+    # exact mode's ratios divide only finite geodesics, the approximate
+    # mode's are all exactly 1, with every pair reachable)
     for _ in range(6):
         n = int(rng.integers(15, 50))
         chain = np.column_stack([np.arange(n) + rng.normal(0, 0.2, n), rng.normal(0, 0.3, n)])
         X = chain[rng.permutation(n)] * 5e153
         assert np.isinf(pairwise_euclidean(X)).any()
-        with np.errstate(over="ignore", invalid="ignore"):
-            part = one_partition(X, kprime=3, max_patch=5)
-            assert_same_partition(part, partition_class_loop(X, kprime=3, max_patch=5))
         with np.errstate(all="raise"):
-            part = one_partition(X, kprime=3, max_patch=5, approximate=True)
-        assert_same_partition(part, partition_class_loop(X, 3, 5, approximate=True))
+            exact = one_partition(X, kprime=3, max_patch=5)
+            approximate = one_partition(X, kprime=3, max_patch=5, approximate=True)
+        assert_same_partition(exact, partition_class_loop(X, kprime=3, max_patch=5))
+        assert_same_partition(approximate, partition_class_loop(X, 3, 5, approximate=True))
+
+
+def test_rows_whose_distances_all_overflow_split_without_a_warning(rng):
+    # every pair of distinct rows is +inf apart in cdist, so every geodesic
+    # is +inf and every point is its own component
+    X = rng.normal(size=(20, 2)) * 1e200
+    with np.errstate(all="raise"):
+        exact = one_partition(X, kprime=3, max_patch=5)
+        approximate = one_partition(X, kprime=3, max_patch=5, approximate=True)
+    assert [p.tolist() for p in exact.patches] == [[i] for i in range(20)]
+    check_invariants(approximate, 20, 5)
+
+
+def test_empty_class_block_is_rejected():
+    with pytest.raises(ValueError, match="class block 0 has no points"):
+        partition_classes([np.zeros((0, 3))])
+    with pytest.raises(ValueError, match="class block 1 has no points"):
+        partition_classes([np.ones((2, 3)), np.zeros((0, 3))])
 
 
 @pytest.mark.parametrize("batch_values", [None, 40_000])

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mpda.model
+from mpda.baselines import fit_lda
 from mpda.dataset import LabeledDataset
+from mpda.errors import SolverFailureError
 from mpda.graph import between_class_form, knn_neighbors, within_class_graph
 from mpda.model import (
     assemble_between,
@@ -139,6 +141,30 @@ def test_rejects_m_above_t_dim(rng):
         solve_gep(Sp, S, 1e-3, 3, t_dim=2)
     with pytest.raises(ValueError):
         solve_gep(Sp, S, 1e-3, 0, t_dim=2)
+
+
+@pytest.mark.parametrize("fit", [fit_mpda, fit_pmpda, fit_lda])
+def test_overflowing_scatters_are_a_solver_failure(rng, fit):
+    # finite rows scaled by 1e200: their scatters overflow, so the forms hold
+    # inf and NaN; LDA's trace-scaled shift is +inf too, yet the forms are
+    # reported, not the shift
+    X = np.vstack([rng.normal(0, 1, (12, 3)), rng.normal(5, 1, (12, 3))]) * 1e200
+    ds = LabeledDataset(X, np.repeat([1, 2], 12))
+    with np.errstate(all="ignore"), pytest.raises(SolverFailureError, match="non-finite"):
+        fit(ds, m=1)
+
+
+def test_rejects_non_finite_forms_before_alpha(rng):
+    S = random_spd(rng, 4)
+    for bad in (np.inf, np.nan):
+        Sp = np.eye(4)
+        Sp[0, 1] = bad
+        with pytest.raises(SolverFailureError):
+            solve_gep(Sp, S, 1e-3, 1)
+        S_bad = S.copy()
+        S_bad[2, 3] = bad
+        with pytest.raises(SolverFailureError):
+            solve_gep(np.eye(4), S_bad, np.inf, 1)
 
 
 # --- property tests over random fitted MPDA / PMPDA instances ---------------
