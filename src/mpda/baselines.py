@@ -14,7 +14,7 @@ solved by ``mpda.model.solve_gep``: LDA's pencil is its case with no
 tangent block.  The within matrix gets a small trace-scaled Tikhonov
 shift so singular scatter never breaks the solve.
 
-PCA picks its rank by the tangent bases' energy rule.
+PCA takes the tangent bases' energy rule and sign rule (``tangent._signed``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from .dataset import LabeledDataset
 from .graph import _finite, class_scatters
 from .model import EmbeddingModel, solve_gep
-from .tangent import _energy_rank
+from .tangent import _energy_rank, _signed
 
 LDA_SHRINKAGE = 1e-6  # eps = LDA_SHRINKAGE * trace(S_w) / d
 
@@ -55,13 +55,9 @@ def fit_pca(X: np.ndarray, m: int | None = None, energy: float | None = None) ->
         m = max(int(_energy_rank(lam[None], energy)[0]), 1)
     if not 0 < m <= d:
         raise ValueError(f"m must lie in 1..{d}")
-    proj = Vt[:m].T
-    # deterministic column signs; rows of Vt are unit vectors, so none is 0
-    lead = np.argmax(np.abs(proj), axis=0)
-    proj = proj * np.sign(proj[lead, np.arange(m)])
     return EmbeddingModel(
         kind="pca",
-        projection=np.ascontiguousarray(proj),
+        projection=np.ascontiguousarray(_signed(Vt[:m].T)),
         eigenvalues=lam[:m] / (n - 1),
         hyperparams={"m": int(m)} if energy is None else {"m": int(m), "energy": energy},
         mean=mean,
@@ -70,8 +66,9 @@ def fit_pca(X: np.ndarray, m: int | None = None, energy: float | None = None) ->
 
 def fit_lda(train: LabeledDataset, m: int) -> EmbeddingModel:
     """Discriminant projection onto the top-m generalized eigenvectors."""
-    Sb, _, S_c = class_scatters(train.features, train.labels)
-    Sw = S_c.sum(axis=0)
-    eps = LDA_SHRINKAGE * max(np.trace(Sw), 1e-300) / train.d
+    with np.errstate(over="ignore", invalid="ignore"):  # solve_gep reports an overflow
+        Sb, _, S_c = class_scatters(train.features, train.labels)
+        Sw = S_c.sum(axis=0)
+        eps = LDA_SHRINKAGE * max(np.trace(Sw), 1e-300) / train.d
     vals, vecs = solve_gep(Sb, Sw, eps, m)
     return EmbeddingModel(kind="lda", projection=vecs, eigenvalues=vals, hyperparams={"m": int(m)})

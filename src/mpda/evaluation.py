@@ -122,7 +122,7 @@ def _nn_errors_over_dims(
         D2 += (test_emb[:, m - 1][:, None] - train_emb[None, :, m - 1]) ** 2
         if m in want:
             pred = train_labels[np.argmin(D2, axis=1)]
-            out[m] = error_rate(pred, test_labels)
+            out[m] = np.count_nonzero(pred != test_labels) / pred.size  # error_rate's double
     return out
 
 
@@ -131,8 +131,6 @@ def _grid_combos(grid: dict[str, list]) -> list[dict]:
 
     Raises ``ValueError`` naming an axis that has no values.
     """
-    if not grid:
-        return [{}]
     empty = [k for k, v in grid.items() if len(v) == 0]
     if empty:
         raise ValueError(f"grid axis {empty[0]!r} has no values")

@@ -55,7 +55,7 @@ from .errors import (
 )
 from .graph import between_class_form, knn_neighbors, within_class_graph
 from .partition import DEFAULT_KPRIME, DEFAULT_MAX_PATCH, partition_classes
-from .tangent import DEFAULT_ENERGY, TangentBasis, patch_bases, per_point_bases
+from .tangent import DEFAULT_ENERGY, TangentBasis, _signed, patch_bases, per_point_bases
 
 DEFAULT_K = 5
 DEFAULT_GAMMA = 1.0
@@ -152,11 +152,10 @@ def assemble_within(
         D = X[rows[sel]] - X[cols[sel]]
         M = D.T @ (w[sel][:, None] * D)
         band[:, :d] += M
-        Tq = bases[q].basis
-        if Tq.shape[1]:
-            MT = M @ Tq
-            band[:, layout.v_slice(q)] = -MT
-            VV[q, : dims[q], : dims[q]] = Tq.T @ MT
+        Tq = bases[q].basis  # a rank-0 basis writes empty blocks
+        MT = M @ Tq
+        band[:, layout.v_slice(q)] = -MT
+        VV[q, : dims[q], : dims[q]] = Tq.T @ MT
     S_diff = _sparse_form(total, [
         _triplets(np.array([0]), np.array([0]), band[None]),
         _triplets(np.array([d]), np.array([0]), band[None, :, d:].transpose(0, 2, 1)),
@@ -202,7 +201,7 @@ def solve_gep(
     ``S_between`` and ``S_within`` may be dense arrays or scipy sparse
     matrices.  Solved through the d x d reduction in the module docstring,
     with d = ``t_dim`` (all of f when None).  Returns f = (t, -B_vv^-1 B_vt t)
-    scaled to a unit-norm t-part whose largest component is positive.
+    scaled to a unit-norm t-part signed by ``tangent._signed``.
 
     Degenerate cases: an empty v-block (e.g. every basis of dimension 0) is
     a plain d x d solve.  With fewer than m positive reduced eigenvalues
@@ -239,9 +238,7 @@ def solve_gep(
     if vals.size < m:  # LAPACK's subset driver can stop short on a near-singular pencil
         raise SolverFailureError(f"generalized eigensolver found {vals.size} of {m} eigenpairs")
     vals, T = vals[::-1], T[:, ::-1]
-    T = T / np.linalg.norm(T, axis=0)
-    lead = T[np.argmax(np.abs(T), axis=0), np.arange(m)]
-    T = T * np.where(lead < 0, -1.0, 1.0)
+    T = _signed(T / np.linalg.norm(T, axis=0))
     return vals, np.vstack([T, -(Z @ T)])
 
 
@@ -391,14 +388,16 @@ def staged_fits(kind: str, train: LabeledDataset, m: int, params_list: list[dict
 
     graphs: dict = {}  # k -> (W, X' L' X), small beside a set of bases
     for key, by_k in tree.items():
-        patch_of, B = bases_stage(train, *key)
+        with np.errstate(over="ignore", invalid="ignore"):  # solve_gep reports an overflow
+            patch_of, B = bases_stage(train, *key)
         layout = layout_for(train.d, B)
         for k, by_gamma in by_k.items():
-            if k not in graphs:
-                graphs[k] = _graphs(train, k)
-            W, XtLX = graphs[k]
-            Sp = assemble_between(XtLX, layout)
-            S_diff, S_tan = assemble_within(train.features, W, patch_of, B)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if k not in graphs:
+                    graphs[k] = _graphs(train, k)
+                W, XtLX = graphs[k]
+                Sp = assemble_between(XtLX, layout)
+                S_diff, S_tan = assemble_within(train.features, W, patch_of, B)
             for gamma, by_alpha in by_gamma.items():
                 S = S_diff + gamma * S_tan
                 for alpha, idx in by_alpha.items():

@@ -12,12 +12,12 @@ initial components and every split read that frozen matrix.  A split
 therefore reads only its own members and its class's matrices, so the
 final patches do not depend on the order of the splits.  Each class's
 patches are numbered in ascending order of their smallest member, and
-only these final patches get a linearity.
+only these final patches get a linearity: one call per leaf size.
 
 ``partition_classes`` is the one entry point (one class is a one-block
 list).  It splits every oversize patch of a batch of classes together,
 one tree level at a time, on padded (patches x 2 sides x size) arrays.
-Every bulk step, class batches included, is sized by one padded rule
+Every growth step, class batches included, is sized by one padded rule
 (``_chunks``).  The ratio sums behind each joint award add in one fixed
 order (see ``_grow``) that padding, chunking and the BLAS thread count
 cannot change, so a patch splits the same alone, in any chunk and in any
@@ -110,22 +110,21 @@ class _ClassTree:
             comp = self.dist.components()
             self.members = [np.flatnonzero(comp == c) for c in range(comp.max() + 1)]
 
-    def partition(self, exact: bool, budget: int) -> Partition:
+    def partition(self, exact: bool) -> Partition:
         """The leaves, numbered in ascending order of their smallest member.
 
         In the exact mode each leaf's linearity comes from one ``mean_ratios``
-        call per leaf size and chunk; approximated, every linearity is 1.0.
+        call per leaf size (disjoint leaves: at most 2 n^2 values and indices);
+        approximated, every linearity is 1.0.
         """
         patches = sorted(self.members, key=lambda m: m[0])
         sizes = np.array([len(m) for m in patches])
         linearity = np.ones(len(patches))
         if exact and self.dist is not None:
-            R = self.dist.tortuosity
             for N in np.unique(sizes):
                 group = np.flatnonzero(sizes == N)
-                for lo, hi in _chunks([N] * group.size, lambda s: 2 * s * s, budget):
-                    sub = np.stack([patches[k] for k in group[lo:hi]])
-                    linearity[group[lo:hi]] = mean_ratios(_blocks(R, sub))
+                sub = np.stack([patches[k] for k in group])
+                linearity[group] = mean_ratios(_blocks(self.dist.tortuosity, sub))
         patch_of = np.empty(self.n, dtype=np.int64)
         patch_of[np.concatenate(patches)] = np.repeat(np.arange(len(patches)), sizes)
         return Partition(patches=patches, patch_of=patch_of, linearity=linearity)
@@ -170,14 +169,13 @@ def _padded(members: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(members)[(np.cumsum(sizes) - sizes)[:, None] + pos], sizes
 
 
-def _seeds(spans, idx: np.ndarray, sizes: np.ndarray, budget: int) -> np.ndarray:
+def _seeds(spans, idx: np.ndarray, budget: int) -> np.ndarray:
     """Each patch's two seed positions, in ascending order: its first pair, in
     row-major order, at maximal geodesic distance, or (0, 1) when every
     geodesic is 0.
 
     The argmax runs over the padded block; a padded entry repeats an entry
-    earlier in its row, so the first maximum is a real one.  A patch that
-    is its whole class reads the class's matrix as it is.  Raises
+    earlier in its row, so the first maximum is a real one.  Raises
     ``UnreachablePairError`` if a seed pair's geodesic and ratio are both
     infinite: a geodesic block holds an infinite value exactly when its
     maximum is one, and an exact-mode ratio is infinite wherever the
@@ -189,12 +187,8 @@ def _seeds(spans, idx: np.ndarray, sizes: np.ndarray, budget: int) -> np.ndarray
         G = dist.geodesic
         for lo, hi in _chunks([S] * (b - a), lambda s: 2 * s * s, budget):
             lo, hi = a + lo, a + hi
-            if sizes[lo] == G.shape[0]:  # the class's only patch
-                block, width = G.reshape(1, -1), G.shape[0]
-            else:
-                sub = idx[lo:hi]
-                block, width = _blocks(G, sub).reshape(hi - lo, S * S), S
-            seeds[lo:hi] = np.stack(np.divmod(block.argmax(axis=1), width), axis=1)
+            block = _blocks(G, idx[lo:hi]).reshape(hi - lo, S * S)
+            seeds[lo:hi] = np.stack(np.divmod(block.argmax(axis=1), S), axis=1)
         i, j = np.take_along_axis(idx[a:b], seeds[a:b], axis=1).T
         if (np.isinf(G[i, j]) & np.isinf(dist.tortuosity[i, j])).any():
             raise UnreachablePairError("patch contains mutually unreachable points")
@@ -230,7 +224,7 @@ def _grow(spans, idx: np.ndarray, sizes: np.ndarray, kprime: int, budget: int) -
     Q = 2 * P  # one row per side: row 2p + s is side s of patch p
     kk = min(kprime, S - 1)  # picks per side (the pool never exceeds S - 2)
     n = np.array([dist.euclidean.shape[0] for dist, a, b in spans for _ in range(a, b)])
-    seeds = _seeds(spans, idx, sizes, budget)
+    seeds = _seeds(spans, idx, budget)
     side = np.zeros((P, 2, S), dtype=bool)
     side[np.arange(P)[:, None], [0, 1], seeds] = True
     pool = (np.arange(S) < sizes[:, None]) & ~side.any(axis=1)
@@ -365,5 +359,5 @@ def partition_classes(
         # n x n matrices take
         budget = 3 * max(tree.n for tree in trees) ** 2
         _grow_trees(trees, kprime, max_patch, budget)
-        parts += [tree.partition(not approximate, budget) for tree in trees]
+        parts += [tree.partition(not approximate) for tree in trees]
     return parts

@@ -6,9 +6,11 @@ eigenvalue mass reaches the requested energy fraction, further capped at
 the numerical rank so that zero-variance directions are never included
 (``_energy_rank``, which the PCA baseline applies too).  Projections
 downstream use the basis without mean subtraction; centering only fixes
-the origin of the local chart.  ``patch_bases`` is the one entry point
-and the one stacked-SVD driver (one point set is a one-patch list):
-``per_point_bases`` hands it one neighborhood per point.
+the origin of the local chart.  ``_signed`` owns the one sign rule of these
+bases, the PCA baseline's directions and the eigen-solve's vectors.
+``patch_bases`` is the one entry point and the one stacked-SVD driver
+(one point set is a one-patch list): ``per_point_bases`` hands it one
+neighborhood per point.
 """
 
 from __future__ import annotations
@@ -47,27 +49,30 @@ def _energy_rank(lam: np.ndarray, energy: float) -> np.ndarray:
     return np.minimum(below.sum(axis=1) + 1, np.sum(lam > _RANK_RTOL * lam[:, :1], axis=1))
 
 
+def _signed(V: np.ndarray) -> np.ndarray:
+    """V (..., d, m) with each column negated where its first largest-magnitude
+    entry is negative; the result keeps V's memory layout."""
+    lead = np.take_along_axis(V, np.argmax(np.abs(V), axis=-2)[..., None, :], axis=-2)
+    return V * np.where(lead < 0, -1.0, 1.0)
+
+
 def _stacked_bases(H: np.ndarray, energy: float) -> list[TangentBasis]:
     """Tangent bases of a stack of equal-sized point sets, one per row of H.
 
     H has shape (N, n, d).  All N sets go through one centring and one
-    batched SVD; the rank, energy and ``n - 1`` caps and the sign rule
-    (each column's largest-magnitude entry positive) are applied per row.
-    Each basis is bit-identical to decomposing its set on its own.
+    batched SVD; the rank, energy and ``n - 1`` caps and ``_signed`` apply
+    per set.  Each basis is bit-identical to decomposing its set on its own.
     """
-    N, n, d = H.shape
+    _, n, d = H.shape
     centered = H - H.mean(axis=1, keepdims=True)
     _, svals, Vt = np.linalg.svd(centered, full_matrices=False)
     lam = svals**2  # covariance eigenvalues up to the common 1/(n-1) factor
     m = np.minimum(_energy_rank(lam, energy), min(d, n - 1))
-    r = int(m.max())  # the returned bases are views of these r rows per set
-    V = Vt[:, :r]
-    # rows of Vt are unit vectors, so no row's largest-magnitude entry is 0
-    lead = np.argmax(np.abs(V), axis=2)
-    signed = V * np.sign(V[np.arange(N)[:, None], np.arange(r), lead])[:, :, None]
+    r = int(m.max())  # the returned bases are views of these r columns per set
+    signed = _signed(Vt[:, :r].transpose(0, 2, 1))
     eigenvalues = lam[:, :r] / (n - 1)
     return [
-        TangentBasis(basis=v[:mb].T, eigenvalues=e[:mb])
+        TangentBasis(basis=v[:, :mb], eigenvalues=e[:mb])
         for v, e, mb in zip(signed, eigenvalues, m.tolist())
     ]
 

@@ -7,11 +7,12 @@ sides' nearest distances from the patch's distance block, and every pass
 of the driver loop recomputes the linearity of every oversize patch.  The
 geodesics come from a k'-NN graph built here, one edge at a time, from a
 stable argsort of each cdist row, and its components from scipy's
-``connected_components``, and each patch's linearity is the sum of its
-own ratio block over N^2.  The finished patches are numbered in
-ascending order of their smallest member.  In the approximate mode every ratio is exactly
-1 and every pair reachable.  The outputs define the partitions the
-production code must reproduce bit for bit.
+``connected_components`` over its finite edges, and each patch's
+linearity is the sum of its own ratio block over N^2.  The finished
+patches are numbered in ascending order of their smallest member.  In
+the approximate mode every ratio is exactly 1 and every pair reachable.
+The outputs define the partitions the production code must reproduce
+bit for bit.
 """
 
 import numpy as np
@@ -145,7 +146,11 @@ def partition_class_loop(Xc, kprime, max_patch, approximate=False):
     else:
         G = knn_edge_matrix(DE, min(kprime, n - 1))
         dist = GeodesicMatrix(geodesic=dijkstra(G, directed=False), euclidean=DE)
-        _, comp = connected_components(G, directed=False)
+        # only a finite edge links two points; a zero-length edge stays a link
+        F = G.copy()
+        F.data = np.isfinite(F.data).astype(np.float64)
+        F.eliminate_zeros()
+        _, comp = connected_components(F, directed=False)
         patches = [np.flatnonzero(comp == c) for c in range(comp.max() + 1)]
 
     while True:

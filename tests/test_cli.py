@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -363,17 +364,21 @@ def test_config_unknown_key_rejected(tmp_path, data_csv):
 @pytest.mark.parametrize("algo", ["mpda", "pmpda", "lda"])
 def test_overflowing_scatters_are_compute_errors(tmp_path, data_csv, capsys, algo):
     # finite rows scaled by 1e200 parse, but their scatters overflow: exit 4
+    # with one JSON line on stderr, and no numpy warning before it (a warning
+    # raises here, so it could not pass unseen)
     path, ds = data_csv
     rows = [",".join([str(int(c))] + [repr(float(v)) for v in row])
             for c, row in zip(ds.labels, ds.features * 1e200)]
     big = tmp_path / "big.csv"
     big.write_text("\n".join(rows) + "\n")
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rc = run(["fit", "--algo", algo, "--data", str(big), "--m", "1",
                   "--out", str(tmp_path / "m.bin")])
     assert rc == 4
-    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert payload["error"] == "SolverFailureError"
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0])["error"] == "SolverFailureError"
 
 
 def test_fit_with_approximate_partition(tmp_path, data_csv):

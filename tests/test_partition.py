@@ -341,7 +341,8 @@ def test_rows_whose_distances_all_overflow_split_without_a_warning(rng):
         exact = one_partition(X, kprime=3, max_patch=5)
         approximate = one_partition(X, kprime=3, max_patch=5, approximate=True)
     assert [p.tolist() for p in exact.patches] == [[i] for i in range(20)]
-    check_invariants(approximate, 20, 5)
+    assert_same_partition(exact, partition_class_loop(X, kprime=3, max_patch=5))
+    assert_same_partition(approximate, partition_class_loop(X, 3, 5, approximate=True))
 
 
 def test_empty_class_block_is_rejected():

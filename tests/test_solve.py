@@ -1,5 +1,6 @@
 """The reduced (Schur-complement) eigen-solve against the full stacked pencil."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -147,11 +148,16 @@ def test_rejects_m_above_t_dim(rng):
 def test_overflowing_scatters_are_a_solver_failure(rng, fit):
     # finite rows scaled by 1e200: their scatters overflow, so the forms hold
     # inf and NaN; LDA's trace-scaled shift is +inf too, yet the forms are
-    # reported, not the shift
+    # reported, not the shift.  The overflow itself is silent: the typed
+    # error is the one report, so any warning fails the fit here
     X = np.vstack([rng.normal(0, 1, (12, 3)), rng.normal(5, 1, (12, 3))]) * 1e200
     ds = LabeledDataset(X, np.repeat([1, 2], 12))
-    with np.errstate(all="ignore"), pytest.raises(SolverFailureError, match="non-finite"):
-        fit(ds, m=1)
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverFailureError, match="non-finite"):
+            fit(ds, m=1)
+    assert np.geterr() == before  # no silenced state leaks out of the fit
 
 
 def test_rejects_non_finite_forms_before_alpha(rng):

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 import mpda.tangent
 from conftest import one_basis
-from mpda.tangent import patch_bases, per_point_bases
+from mpda.baselines import fit_pca
+from mpda.model import solve_gep
+from mpda.tangent import _signed, patch_bases, per_point_bases
 from tangent_oracles import fit_tangent_basis_loop, per_point_bases_loop
 
 
@@ -217,3 +219,34 @@ def test_single_point_sets_check_the_energy_too(rng, energy):
         one_basis(rng.normal(size=(1, 3)), energy)
     with pytest.raises(ValueError):
         patch_bases(rng.normal(size=(4, 3)), [np.array([i]) for i in range(4)], energy)
+
+
+# --- the sign rule: one owner for bases, PCA directions and eigenvectors ------
+
+
+def first_largest(V):
+    """Each column's first largest-magnitude entry."""
+    return V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+
+
+def test_signed_makes_the_first_of_tied_largest_entries_positive():
+    # every column's largest magnitude is tied: the first of the tied entries
+    # decides, and a sign change is exact (a flipped 0 is -0)
+    V = np.array([[-0.5, 0.5, 0.0], [0.5, -0.5, -1.0], [0.5, 0.5, 1.0]])
+    want = np.array([[0.5, 0.5, -0.0], [-0.5, -0.5, 1.0], [-0.5, 0.5, -1.0]])
+    got = _signed(np.stack([V, -V]))
+    assert got.tobytes() == np.stack([want, want]).tobytes()
+    # a transposed view keeps its memory layout
+    assert _signed(V.T).flags["F_CONTIGUOUS"] and np.array_equal(_signed(V.T), _signed(V.T.copy()))
+
+
+def test_bases_pca_directions_and_eigenvectors_follow_the_sign_rule(rng):
+    for _ in range(5):
+        X = rng.normal(size=(30, 6)) @ rng.normal(size=(6, 6))
+        assert (first_largest(fit_pca(X, m=6).projection) > 0).all()
+        assert (first_largest(one_basis(X, 1.0).basis) > 0).all()
+        G = rng.normal(size=(12, 12))
+        Sp = np.zeros((12, 12))
+        Sp[:4, :4] = np.cov(rng.normal(size=(4, 9)))
+        _, vecs = solve_gep(Sp, G @ G.T, 1e-3, 4, t_dim=4)
+        assert (first_largest(vecs[:4]) > 0).all()
