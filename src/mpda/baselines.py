@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import LabeledDataset
+from .errors import SolverFailureError
 from .graph import _finite, class_scatters
 from .model import EmbeddingModel, solve_gep
 from .tangent import _energy_rank, _signed
@@ -38,7 +39,9 @@ def fit_pca(X: np.ndarray, m: int | None = None, energy: float | None = None) ->
 
     The SVD is thin (no n x n ``U``) unless there are fewer rows than
     columns; then the full ``Vt`` supplies the null-space directions an
-    ``m`` above n reads.  X must be finite.
+    ``m`` above n reads.  X must be finite.  Raises ``SolverFailureError``
+    when the centred rows (checked before the SVD) or their squared
+    singular values are not finite, as when finite rows overflow.
     """
     if (m is None) == (energy is None):
         raise ValueError("specify exactly one of m and energy")
@@ -46,10 +49,16 @@ def fit_pca(X: np.ndarray, m: int | None = None, energy: float | None = None) ->
     n, d = X.shape
     if n < 2:
         raise ValueError("PCA needs at least two rows")
-    mean = X.mean(axis=0)
-    _, svals, Vt = np.linalg.svd(X - mean, full_matrices=n < d)
-    lam = np.zeros(d)
-    lam[: svals.size] = svals**2
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        mean = X.mean(axis=0)
+        centered = X - mean
+        if not np.isfinite(centered).all():
+            raise SolverFailureError("centred rows hold a non-finite value")
+        _, svals, Vt = np.linalg.svd(centered, full_matrices=n < d)
+        lam = np.zeros(d)
+        lam[: svals.size] = svals**2
+    if not np.isfinite(lam).all():
+        raise SolverFailureError("PCA variances hold a non-finite value")
     if energy is not None:
         # degenerate data still yields a (meaningless) direction
         m = max(int(_energy_rank(lam[None], energy)[0]), 1)

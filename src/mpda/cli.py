@@ -53,10 +53,6 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 def _add_partition_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kprime", type=int, default=DEFAULT_KPRIME, help="partition neighbor count")
     p.add_argument("--max-patch", type=int, default=DEFAULT_MAX_PATCH, help="patch size cap M")
-    p.add_argument(
-        "--approximate-partition", action="store_true",
-        help="skip geodesics: every ratio and linearity is 1",
-    )
 
 
 def _add_protocol_flags(p: argparse.ArgumentParser, splits: int) -> None:
@@ -121,8 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--m-max", type=int, help="dimension sweep end")
     _add_hyper_flags(p_sw)
     p_sw.add_argument("--out", required=True, help="CSV to write")
-    # a flag without a type (a switch) takes its swept values as numbers
-    p_sw.set_defaults(value_type={a.dest: a.type or float for a in p_sw._actions})
+    p_sw.set_defaults(value_type={a.dest: a.type for a in p_sw._actions})
 
     p_pi = sub.add_parser("partition-inspect", help="dump per-patch diagnostics as JSON")
     _add_data_flags(p_pi)
@@ -281,9 +276,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_partition_inspect(args) -> int:
     ds = load_dataset(args.data, args.format, args.header)
-    _, members, linearity = merge_class_partitions(
-        ds, args.kprime, args.max_patch, args.approximate_partition
-    )
+    _, members, linearity = merge_class_partitions(ds, args.kprime, args.max_patch)
     out = [
         {
             "class": ds.label_names.get(c, c),

@@ -186,9 +186,9 @@ def cross_validate(
     For ``mpda`` and ``pmpda`` each fold fits the whole grid through
     ``model.staged_fits``, which runs every fit stage once per distinct
     input it reads: the partition and its tangent bases once per
-    (kprime, max_patch, energy, approximate_partition), PMPDA's per-point
-    bases once per (k, energy), the k-NN graphs once per k, the between
-    form and the within form's parts S_diff, S_tan once per (k, bases),
+    (kprime, max_patch, energy), PMPDA's per-point bases once per
+    (k, energy), the k-NN graphs once per k, the between form and the
+    within form's parts S_diff, S_tan once per (k, bases),
     each gamma one sparse sum S_diff + gamma * S_tan, and only the
     eigen-solve once per combination.  Each stage computes exactly what a
     separate fit of that combination computes, so the table is the same as

@@ -286,7 +286,7 @@ def transform(model: EmbeddingModel, X: np.ndarray) -> np.ndarray:
 
 
 def merge_class_partitions(
-    ds: LabeledDataset, kprime: int, max_patch: int, approximate: bool = False
+    ds: LabeledDataset, kprime: int, max_patch: int
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """Partition every class independently and merge into global patch ids.
 
@@ -295,9 +295,7 @@ def merge_class_partitions(
     patch's linearity.
     """
     class_rows = [ds.class_indices(int(c)) for c in np.unique(ds.labels)]
-    parts = partition_classes(
-        [ds.features[rows] for rows in class_rows], kprime, max_patch, approximate
-    )
+    parts = partition_classes([ds.features[rows] for rows in class_rows], kprime, max_patch)
     members = [rows[p] for rows, part in zip(class_rows, parts) for p in part.patches]
     patch_of = np.full(ds.n, -1, dtype=np.int64)
     for pid, m in enumerate(members):
@@ -316,10 +314,10 @@ def merge_class_partitions(
 
 
 def _patch_bases(
-    train: LabeledDataset, kprime: int, max_patch: int, energy: float, approximate_partition: bool
+    train: LabeledDataset, kprime: int, max_patch: int, energy: float
 ) -> tuple[np.ndarray, list[TangentBasis]]:
     """MPDA bases stage: per-class partition, then one tangent basis per patch."""
-    patch_of, members, _ = merge_class_partitions(train, kprime, max_patch, approximate_partition)
+    patch_of, members, _ = merge_class_partitions(train, kprime, max_patch)
     return patch_of, patch_bases(train.features, members, energy)
 
 
@@ -342,10 +340,6 @@ def _graphs(train: LabeledDataset, k: int) -> tuple[sp.csr_matrix, np.ndarray]:
         within_class_graph(nb, train.labels),
         between_class_form(train.features, train.labels, nb),
     )
-
-
-# bases-stage inputs that a model does not record in its hyperparameters
-_UNRECORDED = ("approximate_partition",)
 
 
 def staged_fits(kind: str, train: LabeledDataset, m: int, params_list: list[dict]):
@@ -388,8 +382,7 @@ def staged_fits(kind: str, train: LabeledDataset, m: int, params_list: list[dict
 
     graphs: dict = {}  # k -> (W, X' L' X), small beside a set of bases
     for key, by_k in tree.items():
-        with np.errstate(over="ignore", invalid="ignore"):  # solve_gep reports an overflow
-            patch_of, B = bases_stage(train, *key)
+        patch_of, B = bases_stage(train, *key)
         layout = layout_for(train.d, B)
         for k, by_gamma in by_k.items():
             with np.errstate(over="ignore", invalid="ignore"):
@@ -406,7 +399,7 @@ def staged_fits(kind: str, train: LabeledDataset, m: int, params_list: list[dict
                         kind=kind,
                         projection=np.ascontiguousarray(vecs[: train.d, :]),
                         eigenvalues=vals,
-                        hyperparams={n: v for n, v in hp[idx[0]].items() if n not in _UNRECORDED},
+                        hyperparams=hp[idx[0]],
                         layout=layout,
                         eigenvectors=vecs,
                     )
@@ -423,7 +416,6 @@ def fit_mpda(
     gamma: float = DEFAULT_GAMMA,
     alpha: float = DEFAULT_ALPHA,
     energy: float = DEFAULT_ENERGY,
-    approximate_partition: bool = False,
 ) -> EmbeddingModel:
     """Fit the patch-based embedding on a training set.
 
@@ -432,7 +424,7 @@ def fit_mpda(
     """
     (_, model), = staged_fits("mpda", train, m, [{
         "k": k, "kprime": kprime, "max_patch": max_patch, "gamma": gamma, "alpha": alpha,
-        "energy": energy, "approximate_partition": approximate_partition,
+        "energy": energy,
     }])
     return model
 

@@ -12,7 +12,8 @@ initial components and every split read that frozen matrix.  A split
 therefore reads only its own members and its class's matrices, so the
 final patches do not depend on the order of the splits.  Each class's
 patches are numbered in ascending order of their smallest member, and
-only these final patches get a linearity: one call per leaf size.
+only these final patches get a linearity, the mean geodesic/Euclidean
+ratio of their pairs: one call per leaf size.
 
 ``partition_classes`` is the one entry point (one class is a one-block
 list).  It splits every oversize patch of a batch of classes together,
@@ -27,13 +28,12 @@ class batch; ``split_patch`` is the one-patch call of that growth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import UnreachablePairError
 from .geodesy import GeodesicMatrix, geodesic_distances, mean_ratios
-from .graph import _finite, pairwise_euclidean
+from .graph import _finite
 
 DEFAULT_KPRIME = 6
 DEFAULT_MAX_PATCH = 10
@@ -48,7 +48,7 @@ class Partition:
 
     patches: list[np.ndarray]  # sorted member indices per patch
     patch_of: np.ndarray  # point index -> patch id
-    linearity: np.ndarray  # R score per patch (1.0 when approximated)
+    linearity: np.ndarray  # R score per patch, the mean ratio of its pairs
 
     @property
     def n_patches(self) -> int:
@@ -71,7 +71,7 @@ def split_patch(
     smaller ratio sum per member.  The sums add in ascending patch position,
     left to right from 0 (see ``_grow``), so a patch splits the same here as
     in any batch.  Raises ``UnreachablePairError`` if the patch's geodesic
-    and ratio blocks both hold an infinite value.
+    block holds an infinite value.
     """
     members = np.sort(np.asarray(members, dtype=np.int64))
     if members.size < 2:
@@ -81,46 +81,34 @@ def split_patch(
     return left, right
 
 
-class _StraightPaths(GeodesicMatrix):
-    """The approximate mode's Euclidean stand-in for geodesics: every ratio is
-    exactly 1 and every pair reachable, also where cdist overflows to +inf."""
-
-    @cached_property
-    def tortuosity(self) -> np.ndarray:
-        return np.ones_like(self.euclidean)
-
-
 class _ClassTree:
     """One class's patches: ``members`` holds the current leaves of its split tree.
 
-    The roots are the class's initial patches (its components, or the whole
-    class when approximated); a split replaces its patch's members with the
-    left half and appends the right half.
+    The roots are the class's initial patches, the components of its k'-NN
+    graph; a split replaces its patch's members with the left half and
+    appends the right half.
     """
 
-    def __init__(self, Xc: np.ndarray, kprime: int, approximate: bool):
+    def __init__(self, Xc: np.ndarray, kprime: int):
         self.n = n = Xc.shape[0]
         self.members = [np.arange(n, dtype=np.int64)]
         self.dist: GeodesicMatrix | None = None
-        if n > 1 and approximate:
-            DE = pairwise_euclidean(Xc)
-            self.dist = _StraightPaths(geodesic=DE, euclidean=DE)
-        elif n > 1:
+        if n > 1:
             self.dist = geodesic_distances(Xc, min(kprime, n - 1))
             comp = self.dist.components()
             self.members = [np.flatnonzero(comp == c) for c in range(comp.max() + 1)]
 
-    def partition(self, exact: bool) -> Partition:
+    def partition(self) -> Partition:
         """The leaves, numbered in ascending order of their smallest member.
 
-        In the exact mode each leaf's linearity comes from one ``mean_ratios``
-        call per leaf size (disjoint leaves: at most 2 n^2 values and indices);
-        approximated, every linearity is 1.0.
+        Each leaf's linearity comes from one ``mean_ratios`` call per leaf
+        size (disjoint leaves: at most 2 n^2 values and indices); a
+        one-point class's is 1.0.
         """
         patches = sorted(self.members, key=lambda m: m[0])
         sizes = np.array([len(m) for m in patches])
         linearity = np.ones(len(patches))
-        if exact and self.dist is not None:
+        if self.dist is not None:
             for N in np.unique(sizes):
                 group = np.flatnonzero(sizes == N)
                 sub = np.stack([patches[k] for k in group])
@@ -176,10 +164,8 @@ def _seeds(spans, idx: np.ndarray, budget: int) -> np.ndarray:
 
     The argmax runs over the padded block; a padded entry repeats an entry
     earlier in its row, so the first maximum is a real one.  Raises
-    ``UnreachablePairError`` if a seed pair's geodesic and ratio are both
-    infinite: a geodesic block holds an infinite value exactly when its
-    maximum is one, and an exact-mode ratio is infinite wherever the
-    geodesic is, while the approximate mode's ratios are all 1.
+    ``UnreachablePairError`` if a seed pair's geodesic is infinite: a
+    geodesic block holds an infinite value exactly when its maximum is one.
     """
     P, S = idx.shape
     seeds = np.empty((P, 2), dtype=np.int64)
@@ -190,7 +176,7 @@ def _seeds(spans, idx: np.ndarray, budget: int) -> np.ndarray:
             block = _blocks(G, idx[lo:hi]).reshape(hi - lo, S * S)
             seeds[lo:hi] = np.stack(np.divmod(block.argmax(axis=1), S), axis=1)
         i, j = np.take_along_axis(idx[a:b], seeds[a:b], axis=1).T
-        if (np.isinf(G[i, j]) & np.isinf(dist.tortuosity[i, j])).any():
+        if np.isinf(G[i, j]).any():
             raise UnreachablePairError("patch contains mutually unreachable points")
     coincident = seeds[:, 0] == seeds[:, 1]  # all-zero geodesics
     seeds.sort(axis=1)
@@ -323,7 +309,6 @@ def partition_classes(
     blocks: list[np.ndarray],
     kprime: int = DEFAULT_KPRIME,
     max_patch: int = DEFAULT_MAX_PATCH,
-    approximate: bool = False,
 ) -> list[Partition]:
     """Partition each class's points into patches of at most ``max_patch`` members.
 
@@ -333,12 +318,8 @@ def partition_classes(
     largest class's n x n values is at most ``CLASS_BATCH_VALUES``.
 
     Each class's patches are numbered in ascending order of their smallest
-    member, and each gets its linearity, the mean ratio of its pairs.
-
-    ``approximate=True`` skips geodesic computation entirely (treating every
-    ratio as 1, a valid limit at high sampling density, and every pair as
-    reachable), so every linearity is 1.0; splitting then seeds from the
-    largest Euclidean distance.
+    member, and each gets its linearity, the mean geodesic/Euclidean ratio
+    of its pairs.
 
     Disconnected components of the k'-NN graph are separated up front, since
     tortuosity is meaningless across components.  Every block must be finite
@@ -354,10 +335,10 @@ def partition_classes(
             raise ValueError(f"class block {c} has no points")
     parts: list[Partition] = []
     for a, b in _chunks([Xc.shape[0] for Xc in blocks], lambda n: n * n, CLASS_BATCH_VALUES):
-        trees = [_ClassTree(Xc, kprime, approximate) for Xc in blocks[a:b]]
+        trees = [_ClassTree(Xc, kprime) for Xc in blocks[a:b]]
         # the most any step holds at once: what the largest class's three
         # n x n matrices take
         budget = 3 * max(tree.n for tree in trees) ** 2
         _grow_trees(trees, kprime, max_patch, budget)
-        parts += [tree.partition(not approximate) for tree in trees]
+        parts += [tree.partition() for tree in trees]
     return parts

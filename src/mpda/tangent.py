@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SolverFailureError
 from .graph import _finite, knn_neighbors
 
 _RANK_RTOL = 1e-12  # relative eigenvalue cutoff for numerical rank
@@ -62,11 +63,19 @@ def _stacked_bases(H: np.ndarray, energy: float) -> list[TangentBasis]:
     H has shape (N, n, d).  All N sets go through one centring and one
     batched SVD; the rank, energy and ``n - 1`` caps and ``_signed`` apply
     per set.  Each basis is bit-identical to decomposing its set on its own.
+    Raises ``SolverFailureError`` when the centred rows (checked before the
+    SVD, which can spin on a NaN) or their squared singular values are not
+    finite, as when finite rows overflow.
     """
     _, n, d = H.shape
-    centered = H - H.mean(axis=1, keepdims=True)
-    _, svals, Vt = np.linalg.svd(centered, full_matrices=False)
-    lam = svals**2  # covariance eigenvalues up to the common 1/(n-1) factor
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        centered = H - H.mean(axis=1, keepdims=True)
+        if not np.isfinite(centered).all():
+            raise SolverFailureError("centred patch rows hold a non-finite value")
+        _, svals, Vt = np.linalg.svd(centered, full_matrices=False)
+        lam = svals**2  # covariance eigenvalues up to the common 1/(n-1) factor
+    if not np.isfinite(lam).all():
+        raise SolverFailureError("patch variances hold a non-finite value")
     m = np.minimum(_energy_rank(lam, energy), min(d, n - 1))
     r = int(m.max())  # the returned bases are views of these r columns per set
     signed = _signed(Vt[:, :r].transpose(0, 2, 1))

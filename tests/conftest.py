@@ -36,9 +36,9 @@ def curved_classes(rng, sizes=(14, 12, 13), d=4, n_dup=0):
     return LabeledDataset(X, y)
 
 
-def one_partition(Xc, kprime, max_patch, approximate=False):
+def one_partition(Xc, kprime, max_patch):
     """``partition_classes`` on one class."""
-    return partition_classes([Xc], kprime, max_patch, approximate)[0]
+    return partition_classes([Xc], kprime, max_patch)[0]
 
 
 def one_basis(P, energy=DEFAULT_ENERGY):

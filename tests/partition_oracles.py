@@ -9,9 +9,8 @@ geodesics come from a k'-NN graph built here, one edge at a time, from a
 stable argsort of each cdist row, and its components from scipy's
 ``connected_components`` over its finite edges, and each patch's
 linearity is the sum of its own ratio block over N^2.  The finished
-patches are numbered in ascending order of their smallest member.  In
-the approximate mode every ratio is exactly 1 and every pair reachable.
-The outputs define the partitions the production code must reproduce
+patches are numbered in ascending order of their smallest member.  The
+outputs define the partitions the production code must reproduce
 bit for bit.
 """
 
@@ -62,7 +61,7 @@ def mean_ratio(members, dist):
     return float(ratio_block(members, dist).sum() / len(members) ** 2)
 
 
-def split_patch_loop(members, dist, kprime, approximate=False):
+def split_patch_loop(members, dist, kprime):
     """Grow both sides from the most distant pair, rescanning the sides each round."""
     members = np.sort(np.asarray(members, dtype=np.int64))
     s = members.size
@@ -70,7 +69,7 @@ def split_patch_loop(members, dist, kprime, approximate=False):
         raise ValueError("cannot split a patch with fewer than 2 points")
     DG = dist.geodesic[np.ix_(members, members)]
     DE = dist.euclidean[np.ix_(members, members)]
-    R = np.ones((s, s)) if approximate else ratio_block(members, dist)
+    R = ratio_block(members, dist)
 
     flat = int(np.argmax(DG))  # row-major first occurrence = lowest (i, j)
     a, b = divmod(flat, s)
@@ -129,7 +128,7 @@ def split_patch_loop(members, dist, kprime, approximate=False):
     return members[in_left], members[in_right]
 
 
-def partition_class_loop(Xc, kprime, max_patch, approximate=False):
+def partition_class_loop(Xc, kprime, max_patch):
     """Split the top-scoring oversize patch until none is left, rescoring every pass."""
     Xc = np.atleast_2d(np.asarray(Xc, dtype=np.float64))
     n = Xc.shape[0]
@@ -140,29 +139,22 @@ def partition_class_loop(Xc, kprime, max_patch, approximate=False):
 
     DE = cdist(Xc, Xc)
     np.fill_diagonal(DE, 0.0)
-    if approximate:
-        dist = GeodesicMatrix(geodesic=DE, euclidean=DE)
-        patches = [np.arange(n, dtype=np.int64)]
-    else:
-        G = knn_edge_matrix(DE, min(kprime, n - 1))
-        dist = GeodesicMatrix(geodesic=dijkstra(G, directed=False), euclidean=DE)
-        # only a finite edge links two points; a zero-length edge stays a link
-        F = G.copy()
-        F.data = np.isfinite(F.data).astype(np.float64)
-        F.eliminate_zeros()
-        _, comp = connected_components(F, directed=False)
-        patches = [np.flatnonzero(comp == c) for c in range(comp.max() + 1)]
+    G = knn_edge_matrix(DE, min(kprime, n - 1))
+    dist = GeodesicMatrix(geodesic=dijkstra(G, directed=False), euclidean=DE)
+    # only a finite edge links two points; a zero-length edge stays a link
+    F = G.copy()
+    F.data = np.isfinite(F.data).astype(np.float64)
+    F.eliminate_zeros()
+    _, comp = connected_components(F, directed=False)
+    patches = [np.flatnonzero(comp == c) for c in range(comp.max() + 1)]
 
     while True:
         oversize = [p for p, m in enumerate(patches) if len(m) > max_patch]
         if not oversize:
             break
-        if approximate:
-            scores = {p: float(len(patches[p])) for p in oversize}
-        else:
-            scores = {p: mean_ratio(patches[p], dist) * len(patches[p]) for p in oversize}
+        scores = {p: mean_ratio(patches[p], dist) * len(patches[p]) for p in oversize}
         best = max(oversize, key=lambda p: (scores[p], -p))
-        left, right = split_patch_loop(patches[best], dist, kprime, approximate)
+        left, right = split_patch_loop(patches[best], dist, kprime)
         patches[best] = left
         patches.append(right)
     patches.sort(key=lambda m: m[0])  # ids follow each patch's smallest member
@@ -170,7 +162,5 @@ def partition_class_loop(Xc, kprime, max_patch, approximate=False):
     patch_of = np.empty(n, dtype=np.int64)
     for pid, m in enumerate(patches):
         patch_of[m] = pid
-    linearity = np.array(
-        [1.0 if approximate else mean_ratio(m, dist) for m in patches]
-    )
+    linearity = np.array([mean_ratio(m, dist) for m in patches])
     return Partition(patches=patches, patch_of=patch_of, linearity=linearity)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import mpda
 from mpda.cli import run
 from mpda.dataset import LabeledDataset
 from mpda.evaluation import nn_classify  # noqa: F401  (import sanity)
@@ -145,23 +149,6 @@ def test_partition_inspect_makes_one_call_with_the_per_class_output(tmp_path, rn
             ],
         })
     assert out.read_text() == json.dumps(expected, indent=2) + "\n"
-
-
-def test_partition_inspect_approximate_matches_the_per_class_oracle(tmp_path, data_csv):
-    from mpda.dataset import load_dataset
-    from partition_oracles import partition_class_loop
-
-    path, _ = data_csv
-    out = tmp_path / "patches.json"
-    assert run(["partition-inspect", "--data", path, "--max-patch", "6",
-                "--approximate-partition", "--out", str(out)]) == 0
-    ds = load_dataset(path)
-    for entry, c in zip(json.loads(out.read_text()), sorted(ds.class_counts)):
-        rows = ds.class_indices(c)
-        part = partition_class_loop(ds.features[rows], 6, 6, approximate=True)
-        assert entry["patches"] == [
-            {"size": len(m), "linearity": 1.0, "members": rows[m].tolist()} for m in part.patches
-        ]
 
 
 def test_benchmark_json_csv(tmp_path, data_csv, capsys):
@@ -361,16 +348,22 @@ def test_config_unknown_key_rejected(tmp_path, data_csv):
     assert rc == 3
 
 
-@pytest.mark.parametrize("algo", ["mpda", "pmpda", "lda"])
-def test_overflowing_scatters_are_compute_errors(tmp_path, data_csv, capsys, algo):
-    # finite rows scaled by 1e200 parse, but their scatters overflow: exit 4
-    # with one JSON line on stderr, and no numpy warning before it (a warning
-    # raises here, so it could not pass unseen)
-    path, ds = data_csv
+def scaled_csv(tmp_path, ds, factor):
+    """``ds`` with its features times ``factor``, written as a CSV; returns its path."""
     rows = [",".join([str(int(c))] + [repr(float(v)) for v in row])
-            for c, row in zip(ds.labels, ds.features * 1e200)]
+            for c, row in zip(ds.labels, ds.features * factor)]
     big = tmp_path / "big.csv"
     big.write_text("\n".join(rows) + "\n")
+    return big
+
+
+@pytest.mark.parametrize("algo", ["mpda", "pmpda", "lda", "pca"])
+def test_overflowing_scatters_are_compute_errors(tmp_path, data_csv, capsys, algo):
+    # finite rows scaled by 1e200 parse, but their scatters (PCA's variances)
+    # overflow: exit 4 with one JSON line on stderr, and no numpy warning
+    # before it (a warning raises here, so it could not pass unseen)
+    path, ds = data_csv
+    big = scaled_csv(tmp_path, ds, 1e200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = run(["fit", "--algo", algo, "--data", str(big), "--m", "1",
@@ -381,12 +374,23 @@ def test_overflowing_scatters_are_compute_errors(tmp_path, data_csv, capsys, alg
     assert json.loads(lines[0])["error"] == "SolverFailureError"
 
 
-def test_fit_with_approximate_partition(tmp_path, data_csv):
-    path, _ = data_csv
-    out = str(tmp_path / "fast.bin")
-    rc = run(["fit", "--algo", "mpda", "--data", path, "--m", "1",
-              "--approximate-partition", "--out", out])
-    assert rc == 0
+def test_overflowing_pca_benchmark_exits_within_a_minute(tmp_path, data_csv):
+    # features x 1e307: the column means overflow and centring makes NaN, on
+    # which LAPACK's SVD can run for minutes; the CV's PCA fits must report
+    # it instead.  A child process, so that a hang fails the test
+    path, ds = data_csv
+    big = scaled_csv(tmp_path, ds, 1e307)
+    src = os.path.dirname(os.path.dirname(mpda.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mpda.cli", "benchmark", "--algo", "pca", "--data", str(big),
+         "--splits", "1", "--folds", "2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 4, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0])["error"] == "SolverFailureError"
 
 
 def test_fit_libsvm_input(tmp_path, rng):
@@ -404,22 +408,45 @@ def test_fit_libsvm_input(tmp_path, rng):
     assert rc == 0
 
 
-def test_sweep_honours_approximate_partition(tmp_path, data_csv, monkeypatch):
+def test_sweep_honours_partition_flags(tmp_path, data_csv, monkeypatch):
     import mpda.model
     from mpda.partition import partition_classes
 
     seen = []
 
-    def spy(blocks, kprime, max_patch, approximate=False):
-        seen.append(approximate)
-        return partition_classes(blocks, kprime, max_patch, approximate)
+    def spy(blocks, kprime, max_patch):
+        seen.append(max_patch)
+        return partition_classes(blocks, kprime, max_patch)
 
     monkeypatch.setattr(mpda.model, "partition_classes", spy)
     path, _ = data_csv
     rc = run(["sweep", "--algo", "mpda", "--data", path, "--splits", "1", "--m-max", "2",
-              "--approximate-partition", "--out", str(tmp_path / "dims.csv")])
+              "--max-patch", "4", "--out", str(tmp_path / "dims.csv")])
     assert rc == 0
-    assert seen and all(seen)
+    assert seen and all(m == 4 for m in seen)
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--algo", "mpda", "--m", "1", "--out", "m.bin"],
+    ["sweep", "--algo", "mpda", "--out", "s.csv"],
+    ["partition-inspect"],
+])
+def test_approximate_partition_flag_is_gone(data_csv, capsys, command):
+    path, _ = data_csv
+    message = usage_error(capsys, command + ["--data", path, "--approximate-partition"])
+    assert message == "unrecognized arguments: --approximate-partition"
+
+
+def test_approximate_partition_config_key_is_unknown(tmp_path, data_csv, capsys):
+    path, _ = data_csv
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("approximate_partition = true\n")
+    rc = run(["--config", str(cfg), "fit", "--algo", "mpda", "--data", path, "--m", "1",
+              "--out", str(tmp_path / "m.bin")])
+    assert rc == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert "unknown key 'approximate_partition'" in json.loads(lines[0])["message"]
 
 
 def test_fit_has_no_seed_flag(tmp_path, data_csv, capsys):
@@ -465,7 +492,7 @@ def test_hyper_flag_defaults_are_the_fit_defaults():
     from mpda.cli import build_parser
 
     fit_defaults = {n: p.default for n, p in inspect.signature(fit_mpda).parameters.items()}
-    names = ("k", "kprime", "max_patch", "gamma", "alpha", "energy", "approximate_partition")
+    names = ("k", "kprime", "max_patch", "gamma", "alpha", "energy")
     for argv in (
         ["fit", "--algo", "mpda", "--data", "x.csv", "--m", "1", "--out", "m.bin"],
         ["sweep", "--algo", "mpda", "--data", "x.csv", "--out", "s.csv"],

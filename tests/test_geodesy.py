@@ -183,7 +183,7 @@ def test_tortuosity_matrix_is_the_pairwise_ratio_rule():
     tiny = GeodesicMatrix(np.array([[0.0, 4.0], [4.0, 0.0]]), np.array([[0.0, 1e-308], [1e-308, 0.0]]))
     with np.errstate(over="ignore"):
         left, right = split_patch(np.arange(2), tiny, kprime=1)
-    assert np.array_equal(tiny.tortuosity, [[1.0, np.inf], [np.inf, 1.0]])
+        assert np.array_equal(tiny.tortuosity, [[1.0, np.inf], [np.inf, 1.0]])
     assert list(left) == [0] and list(right) == [1]
 
 

@@ -157,7 +157,6 @@ def test_knn_full_row_fallback_only_for_overflowing_rows(rng, monkeypatch):
     ("knn_neighbors", np.nan),
     ("geodesic_distances", np.inf),
     ("partition_classes", -np.inf),
-    ("partition_classes_approximate", np.nan),
     ("patch_bases", np.inf),
     ("per_point_bases", -np.inf),
     ("fit_pca", np.nan),
@@ -171,9 +170,6 @@ def test_kernels_reject_non_finite_input(rng, kernel, value):
         "knn_neighbors": lambda: knn_neighbors(X, 3),
         "geodesic_distances": lambda: geodesic_distances(X, 3),
         "partition_classes": lambda: partition_classes([X[labels == 0], X[labels == 1]]),
-        "partition_classes_approximate": lambda: partition_classes(
-            [X[labels == 0], X[labels == 1]], approximate=True
-        ),
         "patch_bases": lambda: patch_bases(X, [np.arange(0, bad), np.arange(bad, len(X))]),
         "per_point_bases": lambda: per_point_bases(X, labels, 3),
         "fit_pca": lambda: fit_pca(X, m=2),

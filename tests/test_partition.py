@@ -45,11 +45,10 @@ def test_singleton_class():
 
 def test_partition_computes_one_distance_matrix(rng):
     X = rng.normal(size=(30, 3))
-    for approximate in (False, True):
-        with mock.patch.object(mpda.graph, "cdist", wraps=cdist) as spy:
-            part = one_partition(X, kprime=4, max_patch=5, approximate=approximate)
-        check_invariants(part, 30, 5)
-        assert spy.call_count == 1
+    with mock.patch.object(mpda.graph, "cdist", wraps=cdist) as spy:
+        part = one_partition(X, kprime=4, max_patch=5)
+    check_invariants(part, 30, 5)
+    assert spy.call_count == 1
 
 
 def test_two_point_split():
@@ -117,15 +116,6 @@ def test_disconnected_components_become_separate_patches():
         assert set(members) <= set(range(8)) or set(members) <= set(range(8, 16))
 
 
-def test_approximate_mode_keeps_invariants(rng):
-    for _ in range(5):
-        n = int(rng.integers(15, 50))
-        X = rng.normal(size=(n, 3))
-        part = one_partition(X, kprime=6, max_patch=10, approximate=True)
-        check_invariants(part, n, 10)
-        assert np.all(part.linearity == 1.0)
-
-
 def test_duplicate_points_partition(rng):
     X = np.zeros((23, 2))  # all coincident
     part = one_partition(X, kprime=6, max_patch=10)
@@ -163,15 +153,15 @@ def class_points(draw):
         X = rng.normal(size=(n, d)) + 1e3 * groups[:, None]
     kprime = draw(st.one_of(st.integers(1, 8), st.integers(n, n + 5)))
     max_patch = draw(st.integers(1, 15))
-    return X, kprime, max_patch, draw(st.booleans())
+    return X, kprime, max_patch
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(class_points())
 def test_partition_bit_identical_to_rescanning_oracle(case):
-    X, kprime, max_patch, approximate = case
-    part = one_partition(X, kprime, max_patch, approximate)
-    ref = partition_class_loop(X, kprime, max_patch, approximate)
+    X, kprime, max_patch = case
+    part = one_partition(X, kprime, max_patch)
+    ref = partition_class_loop(X, kprime, max_patch)
     assert len(part.patches) == len(ref.patches)
     for got, want in zip(part.patches, ref.patches):
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -208,7 +198,7 @@ def test_linearity_computed_once_per_patch(rng):
 
 @st.composite
 def class_sets(draw):
-    """1-4 classes from ``class_points`` sharing the first one's k', M and mode,
+    """1-4 classes from ``class_points`` sharing the first one's k' and M,
     sometimes with a singleton class added."""
     cases = draw(st.lists(class_points(), min_size=1, max_size=4))
     blocks = [X for X, *_ in cases]
@@ -220,11 +210,11 @@ def class_sets(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(class_sets())
 def test_partition_classes_equals_per_class_oracle(case):
-    blocks, kprime, max_patch, approximate = case
-    parts = partition_classes(blocks, kprime, max_patch, approximate)
+    blocks, kprime, max_patch = case
+    parts = partition_classes(blocks, kprime, max_patch)
     assert len(parts) == len(blocks)
     for X, part in zip(blocks, parts):
-        assert_same_partition(part, partition_class_loop(X, kprime, max_patch, approximate))
+        assert_same_partition(part, partition_class_loop(X, kprime, max_patch))
         check_invariants(part, X.shape[0], max_patch)
 
 
@@ -238,14 +228,9 @@ def test_rounding_tie_takes_the_exact_split():
     # is the oracle's bit for bit
     X = np.vstack([MIRRORED, -MIRRORED])
     assert_same_partition(one_partition(X, kprime=2, max_patch=4), partition_class_loop(X, 2, 4))
-    # approximated, every ratio is 1: the sides' integer sums decide the
-    # tied awards of the mirror image
-    part = one_partition(X, kprime=2, max_patch=2, approximate=True)
-    assert_same_partition(part, partition_class_loop(X, kprime=2, max_patch=2, approximate=True))
 
 
-@pytest.mark.parametrize("approximate", [False, True])
-def test_batching_cannot_change_a_split(rng, monkeypatch, approximate):
+def test_batching_cannot_change_a_split(rng, monkeypatch):
     # the mirrored tie class, a chain with steps near 5e153 and a 120-point
     # curve give the same partitions alone, batched together (padded to
     # the curve's patches), in small class batches, and split by split
@@ -254,7 +239,7 @@ def test_batching_cannot_change_a_split(rng, monkeypatch, approximate):
     t = rng.uniform(0, 3 * np.pi, 120)
     curve = np.column_stack([np.cos(t), np.sin(t), 0.3 * t]) + rng.normal(0, 0.05, (120, 3))
     blocks = [np.vstack([MIRRORED, -MIRRORED]), chain[rng.permutation(40)] * 5e153, curve]
-    args = (2, 4, approximate)  # kprime, max_patch, approximate
+    args = (2, 4)  # kprime, max_patch
     splits = []
     grow = mpda.partition._grow
 
@@ -318,9 +303,8 @@ def test_unweighted_infinite_ratios_add_nothing():
 def test_overflowing_distances_give_the_oracle_patches(rng):
     # a noisy chain with steps near 5e153: neighbours are finite apart but
     # most pairs overflow to +inf in cdist, so the growth compares pool
-    # members at +inf; both modes split such a class without a warning (the
-    # exact mode's ratios divide only finite geodesics, the approximate
-    # mode's are all exactly 1, with every pair reachable)
+    # members at +inf; such a class splits without a warning, since its
+    # ratios divide only finite geodesics
     for _ in range(6):
         n = int(rng.integers(15, 50))
         chain = np.column_stack([np.arange(n) + rng.normal(0, 0.2, n), rng.normal(0, 0.3, n)])
@@ -328,9 +312,7 @@ def test_overflowing_distances_give_the_oracle_patches(rng):
         assert np.isinf(pairwise_euclidean(X)).any()
         with np.errstate(all="raise"):
             exact = one_partition(X, kprime=3, max_patch=5)
-            approximate = one_partition(X, kprime=3, max_patch=5, approximate=True)
         assert_same_partition(exact, partition_class_loop(X, kprime=3, max_patch=5))
-        assert_same_partition(approximate, partition_class_loop(X, 3, 5, approximate=True))
 
 
 def test_rows_whose_distances_all_overflow_split_without_a_warning(rng):
@@ -339,10 +321,8 @@ def test_rows_whose_distances_all_overflow_split_without_a_warning(rng):
     X = rng.normal(size=(20, 2)) * 1e200
     with np.errstate(all="raise"):
         exact = one_partition(X, kprime=3, max_patch=5)
-        approximate = one_partition(X, kprime=3, max_patch=5, approximate=True)
     assert [p.tolist() for p in exact.patches] == [[i] for i in range(20)]
     assert_same_partition(exact, partition_class_loop(X, kprime=3, max_patch=5))
-    assert_same_partition(approximate, partition_class_loop(X, 3, 5, approximate=True))
 
 
 def test_empty_class_block_is_rejected():

@@ -13,6 +13,7 @@ import mpda.model
 from mpda.baselines import fit_lda
 from mpda.dataset import LabeledDataset
 from mpda.errors import SolverFailureError
+from mpda.evaluation import fit_algorithm
 from mpda.graph import between_class_form, knn_neighbors, within_class_graph
 from mpda.model import (
     assemble_between,
@@ -158,6 +159,22 @@ def test_overflowing_scatters_are_a_solver_failure(rng, fit):
         with pytest.raises(SolverFailureError, match="non-finite"):
             fit(ds, m=1)
     assert np.geterr() == before  # no silenced state leaks out of the fit
+
+
+@pytest.mark.parametrize("algorithm,scale", [
+    ("pca", 1e200), ("mpda", 1e307), ("pmpda", 1e307), ("lda", 1e307), ("pca", 1e307),
+])
+def test_overflowing_centring_is_a_solver_failure(rng, algorithm, scale):
+    # at 1e307 column means overflow, and centring makes NaN, which must
+    # never reach an SVD, while the scatters overflow too; at 1e200 the
+    # centred rows are finite but PCA's squared singular values overflow.
+    # Each is one typed error, with no warning
+    X = np.vstack([rng.normal(0, 1, (12, 3)), rng.normal(5, 1, (12, 3))]) * scale
+    ds = LabeledDataset(X, np.repeat([1, 2], 12))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverFailureError, match="non-finite"):
+            fit_algorithm(algorithm, ds, 1, {})
 
 
 def test_rejects_non_finite_forms_before_alpha(rng):

@@ -57,7 +57,7 @@ GRIDS = {
         CORE_GRID,
         {
             "k": [3, 6], "kprime": [2, 4], "max_patch": [3, 8], "energy": [0.8, 1.0],
-            "approximate_partition": [False, True], "gamma": [1.0], "alpha": [1e-2],
+            "gamma": [1.0], "alpha": [1e-2],
         },
     ],
     "pmpda": [
