@@ -37,9 +37,14 @@ def fit_pca(X: np.ndarray, m: int | None = None, energy: float | None = None) ->
     the tangent bases' own (``tangent._energy_rank``): smallest rank
     reaching the requested eigenvalue mass, capped at the numerical rank.
 
-    The SVD is thin (no n x n ``U``) unless there are fewer rows than
-    columns; then the full ``Vt`` supplies the null-space directions an
-    ``m`` above n reads.  X must be finite.  Raises ``SolverFailureError``
+    With at least as many rows as columns, the SVD is that of the d x d
+    triangular factor R of the centred rows (``np.linalg.qr``, mode "r"), so
+    no n x d ``U`` is formed.  LAPACK's SVD driver takes the same QR step
+    itself once n >= floor(11d/6), so there the directions and variances
+    equal those of the centred rows' own thin SVD bit for bit; for smaller
+    n >= d they differ from it in the last bits.  With fewer rows than
+    columns the full ``Vt`` of the centred rows supplies the null-space
+    directions an ``m`` above n reads.  X must be finite.  Raises ``SolverFailureError``
     when the centred rows (checked before the SVD) or their squared
     singular values are not finite, as when finite rows overflow.
     """
@@ -54,7 +59,9 @@ def fit_pca(X: np.ndarray, m: int | None = None, energy: float | None = None) ->
         centered = X - mean
         if not np.isfinite(centered).all():
             raise SolverFailureError("centred rows hold a non-finite value")
-        _, svals, Vt = np.linalg.svd(centered, full_matrices=n < d)
+        # R of centered = QR has centered's singular values and right vectors
+        factor = np.linalg.qr(centered, mode="r") if n >= d else centered
+        _, svals, Vt = np.linalg.svd(factor, full_matrices=n < d)
         lam = np.zeros(d)
         lam[: svals.size] = svals**2
     if not np.isfinite(lam).all():

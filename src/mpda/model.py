@@ -90,10 +90,10 @@ def layout_for(d: int, bases: list[TangentBasis]) -> BlockLayout:
     return BlockLayout(d=d, block_dims=tuple(b.dim for b in bases))
 
 
-def _triplets(row0: np.ndarray, col0: np.ndarray, blocks: np.ndarray, mask=None):
+def _triplets(row0: np.ndarray, col0: np.ndarray, blocks: np.ndarray, mask: np.ndarray):
     """(rows, cols, values) of the dense blocks[e] placed at (row0[e], col0[e]),
-    kept where ``mask`` (shaped like ``blocks``; all when None) holds."""
-    e, a, b = np.nonzero(np.ones(blocks.shape, dtype=bool) if mask is None else mask)
+    kept where ``mask`` (shaped like ``blocks``) holds."""
+    e, a, b = np.nonzero(mask)
     return row0[e] + a, col0[e] + b, blocks[e, a, b]
 
 
@@ -105,6 +105,61 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _sparse_form(total: int, parts: list) -> sp.csc_matrix:
     rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
     return sp.csc_matrix((vals, (rows, cols)), shape=(total, total))
+
+
+def _pairwise_part(X, rows, cols, w, p_j, T, dims, off) -> sp.csc_matrix:
+    """``assemble_within``'s S_diff from its edges (rows[e], cols[e]) of weight
+    w[e] into patch p_j[e], and the bases padded into T (P, d, r) with ranks
+    ``dims`` at v-offsets ``off``.
+
+    Batched over the reference point's patch: every edge into patch q shares
+    the same (t, v_q) coupling pattern.  The edges are sorted by q and never
+    padded, so each stacked slice is the product one patch alone makes, bit
+    for bit.
+    """
+    P, d, r = T.shape
+    total = d + int(dims.sum())
+    order = np.argsort(p_j, kind="stable")
+    q_in, first, count = np.unique(p_j[order], return_index=True, return_counts=True)
+    band = np.zeros((d, total))  # the t-rows of S_diff: [A, S_tv]
+    VV = np.zeros((P, r, r))  # its diagonal v-blocks T_q' M_q T_q
+    A = np.zeros((d, d))  # the sum of the M_q so far, in ascending q
+    step = total // d
+    for start in range(0, q_in.size, step):
+        q, f, K = (a[start : start + step] for a in (q_in, first, count))
+        M = np.empty((q.size, d, d))
+        for k in np.unique(K):
+            sel = K == k
+            e = order[f[sel, None] + np.arange(k)]
+            D = X[rows[e]] - X[cols[e]]
+            M[sel] = D.transpose(0, 2, 1) @ (w[e][..., None] * D)
+        rank = dims[q]
+        for g in np.unique(rank[rank > 0]):  # a rank-0 basis writes empty blocks
+            sel = rank == g
+            # T_q' stacked row-major: each T_q keeps its own column-major layout
+            Tt = np.ascontiguousarray(T[q[sel], :, :g].transpose(0, 2, 1))
+            MT = M[sel] @ Tt.transpose(0, 2, 1)
+            band[:, off[q[sel], None] + np.arange(g)] = -MT.transpose(1, 0, 2)
+            VV[q[sel], :g, :g] = Tt @ MT
+        # A added to the first M_q, then one reduce down the stack: the same
+        # left-to-right order as a running sum over every patch
+        M[0] += A
+        A = np.add.reduce(M, axis=0)
+    band[:, :d] = A
+    # S_diff straight in CSC form: t-column j holds band[:, j] and then
+    # band[j, d:]; a v-column of patch q holds band's column and then its
+    # column of T_q' M_q T_q, kept to the first dims[q] rows
+    v_patch = np.repeat(np.arange(P), dims)
+    indptr = np.cumsum(np.concatenate([[0], np.full(d, total), d + dims[v_patch]]))
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int64)
+    t_data, t_rows = data[: d * total].reshape(d, total), indices[: d * total].reshape(d, total)
+    t_data[:, :d], t_data[:, d:], t_rows[:] = band[:, :d].T, band[:, d:], np.arange(total)
+    v_data, v_rows = np.empty((total - d, d + r)), np.empty((total - d, d + r), dtype=np.int64)
+    v_data[:, :d], v_data[:, d:] = band[:, d:].T, VV[v_patch, :, np.arange(d, total) - off[v_patch]]
+    v_rows[:, :d], v_rows[:, d:] = np.arange(d), off[v_patch, None] + np.arange(r)
+    v_kept = np.arange(d + r) < d + dims[v_patch, None]
+    data[d * total :], indices[d * total :] = v_data[v_kept], v_rows[v_kept]
+    return sp.csc_matrix((data, indices, indptr), shape=(total, total))
 
 
 def assemble_within(
@@ -119,6 +174,14 @@ def assemble_within(
     orderings of every edge, matching the symmetric double sum.  Same-patch
     pairs add nothing to S_tan because the patch basis is orthonormal.
     Both are sparse total x total matrices over ``layout_for(d, bases)``.
+
+    S_diff needs M_q = sum of w d_ij d_ij' over the edges into each patch q,
+    but no product is made per patch: the patches go in chunks of ascending
+    q, each holding at most d x total values (as many as S_diff's t-rows),
+    and a chunk's M_q are one stacked matrix product per in-edge count, its
+    M_q T_q and T_q' M_q T_q one per rank.  The t-block adds the M_q in
+    ascending q, so every value is bit-identical to building each patch's
+    blocks on its own, for bases laid out as ``patch_bases`` returns them.
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
@@ -143,24 +206,7 @@ def assemble_within(
         T[p, :, : b.dim] = b.basis
     valid = np.arange(r) < dims[:, None]
 
-    # pairwise-difference term, batched over the reference point's patch:
-    # every edge into patch q shares the same (t, v_q) coupling pattern
-    band = np.zeros((d, total))  # the t-rows of S_diff: [A, S_tv]
-    VV = np.zeros((P, r, r))  # its diagonal v-blocks T_q' M_q T_q
-    for q in np.unique(p_j):
-        sel = p_j == q
-        D = X[rows[sel]] - X[cols[sel]]
-        M = D.T @ (w[sel][:, None] * D)
-        band[:, :d] += M
-        Tq = bases[q].basis  # a rank-0 basis writes empty blocks
-        MT = M @ Tq
-        band[:, layout.v_slice(q)] = -MT
-        VV[q, : dims[q], : dims[q]] = Tq.T @ MT
-    S_diff = _sparse_form(total, [
-        _triplets(np.array([0]), np.array([0]), band[None]),
-        _triplets(np.array([d]), np.array([0]), band[None, :, d:].transpose(0, 2, 1)),
-        _triplets(off, off, VV, _outer(valid, valid)),
-    ])
+    S_diff = _pairwise_part(X, rows, cols, w, p_j, T, dims, off)
 
     # tangent-consistency term: it depends on an edge only through its
     # ordered patch pair, so edges collapse to per-pair weight sums

@@ -8,7 +8,12 @@ pairwise term per patch and the gamma term per ordered patch pair.
 
     S = sum_ij W_ij [ a_ij a_ij' + gamma * B_ij' B_ij ].
 
-Neither touches the sparse assembly in ``mpda.model``.
+``loop_within`` is the former sparse assembly with one loop turn per
+patch, kept to pin the bytes of the stacked one: its t-block adds the
+patches' M_q in ascending patch order, and its triplets come in the
+order the sparse conversion sums duplicates in.
+
+None of them touches the sparse assembly in ``mpda.model``.
 """
 
 import numpy as np
@@ -79,3 +84,68 @@ def edge_within(X, W, patch_of, bases, gamma, layout):
         B[:, layout.v_slice(pj)] -= bases[pi].basis.T @ bases[pj].basis
         S += w * (np.outer(a, a) + gamma * B.T @ B)
     return S
+
+
+def _triplets(row0, col0, blocks, mask):
+    e, a, b = np.nonzero(mask)
+    return row0[e] + a, col0[e] + b, blocks[e, a, b]
+
+
+def _outer(a, b):
+    return a[:, :, None] & b[:, None, :]
+
+
+def _sparse_form(total, parts):
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    return sp.csc_matrix((vals, (rows, cols)), shape=(total, total))
+
+
+def loop_within(X, W, patch_of, bases, layout):
+    """(S_diff, S_tan) as sparse CSC matrices, one loop turn per patch."""
+    X = np.asarray(X, dtype=np.float64)
+    d = X.shape[1]
+    Wc = sp.coo_matrix(W)
+    keep = (Wc.data != 0.0) & (Wc.row != Wc.col)
+    rows, cols, w = Wc.row[keep], Wc.col[keep], Wc.data[keep]
+    p_i, p_j = patch_of[rows], patch_of[cols]
+    P, total = len(bases), layout.total
+    dims = np.array(layout.block_dims, dtype=np.int64)
+    off = np.array(layout.offsets, dtype=np.int64)
+    r = int(dims.max(initial=0))
+    T = np.zeros((P, d, r))
+    for p, b in enumerate(bases):
+        T[p, :, : b.dim] = b.basis
+    valid = np.arange(r) < dims[:, None]
+
+    band = np.zeros((d, total))
+    VV = np.zeros((P, r, r))
+    for q in np.unique(p_j):
+        sel = p_j == q
+        D = X[rows[sel]] - X[cols[sel]]
+        M = D.T @ (w[sel][:, None] * D)
+        band[:, :d] += M
+        Tq = bases[q].basis
+        MT = M @ Tq
+        band[:, layout.v_slice(q)] = -MT
+        VV[q, : dims[q], : dims[q]] = Tq.T @ MT
+    vband = band[None, :, d:].transpose(0, 2, 1)
+    S_diff = _sparse_form(total, [
+        _triplets(np.array([0]), np.array([0]), band[None], np.ones((1, d, total), dtype=bool)),
+        _triplets(np.array([d]), np.array([0]), vband, np.ones(vband.shape, dtype=bool)),
+        _triplets(off, off, VV, _outer(valid, valid)),
+    ])
+
+    cross = (p_i != p_j) & (dims[p_i] > 0)
+    keys, inv = np.unique(p_i[cross] * P + p_j[cross], return_inverse=True)
+    ws = np.bincount(inv, weights=w[cross], minlength=keys.size)[:, None, None]
+    p, q = np.divmod(keys, P)
+    C = T[p].transpose(0, 2, 1) @ T[q]
+    Ct = C.transpose(0, 2, 1)
+    vp, vq = valid[p], valid[q]
+    S_tan = _sparse_form(total, [
+        _triplets(off[p], off[p], ws * np.eye(r), _outer(vp, vp) & np.eye(r, dtype=bool)),
+        _triplets(off[p], off[q], -ws * C, _outer(vp, vq)),
+        _triplets(off[q], off[p], -ws * Ct, _outer(vq, vp)),
+        _triplets(off[q], off[q], ws * (Ct @ C), _outer(vq, vq)),
+    ])
+    return S_diff, S_tan

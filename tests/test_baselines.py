@@ -8,6 +8,7 @@ from mpda.baselines import LDA_SHRINKAGE, fit_lda, fit_pca
 from mpda.dataset import LabeledDataset
 from mpda.errors import SolverFailureError
 from mpda.model import transform
+from mpda.tangent import _signed
 
 
 def classical_scatter(X, y):
@@ -81,6 +82,65 @@ def test_pca_wide_data_keeps_null_space_directions(rng, monkeypatch):
     assert model.projection.tobytes() == ref.projection.tobytes()
     assert model.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
     assert np.linalg.norm(model.projection.T @ model.projection - np.eye(6)) < 1e-12
+
+
+def svd_pca_oracle(X, m):
+    """Top-m PCA directions and variances from the SVD of the centred rows
+    themselves (all of Vt), each direction's first largest-magnitude entry
+    positive."""
+    centered = X - X.mean(axis=0)
+    _, svals, Vt = np.linalg.svd(centered, full_matrices=True)
+    lam = np.zeros(X.shape[1])
+    lam[: svals.size] = svals**2
+    V = Vt[:m].T
+    lead = V[np.argmax(np.abs(V), axis=0), np.arange(m)]
+    return V * np.where(lead < 0, -1.0, 1.0), lam[:m] / (len(X) - 1)
+
+
+@pytest.mark.parametrize("shape", [(50, 8), (16, 8), (12, 8), (8, 8), (5, 8)])
+def test_pca_matches_direct_svd_oracle(rng, shape):
+    # tall (n >= 2d), near-square (d <= n < 2d) and wide rows; fit_pca factors
+    # the centred rows by QR first once n >= d
+    n, d = shape
+    X = rng.normal(size=shape) * np.geomspace(8.0, 1.0, d) + 3.0
+    rank = min(n - 1, d)
+    model = fit_pca(X, m=rank)
+    V, lam = svd_pca_oracle(X, rank)
+    assert np.max(np.abs(model.projection - V)) <= 1e-12
+    assert np.max(np.abs(model.eigenvalues - lam)) <= 1e-12 * lam[0]
+    P = model.projection
+    lead = P[np.argmax(np.abs(P), axis=0), np.arange(rank)]
+    assert np.all(lead > 0)  # the sign rule
+
+
+@pytest.mark.parametrize("shape", [(14, 8), (50, 8), (90, 48)])
+def test_pca_on_tall_rows_equals_the_thin_svd_bit_for_bit(rng, shape):
+    # from n = floor(11d/6) rows LAPACK's SVD factors by QR first itself, so
+    # taking the SVD of R changes no bit of the directions or variances
+    X = rng.normal(size=shape) * np.geomspace(8.0, 1.0, shape[1])
+    model = fit_pca(X, m=shape[1])
+    _, svals, Vt = np.linalg.svd(X - X.mean(axis=0), full_matrices=False)
+    assert model.projection.tobytes() == _signed(Vt.T).tobytes()
+    assert model.eigenvalues.tobytes() == (svals**2 / (shape[0] - 1)).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(30, 6), (9, 6), (4, 6)])
+def test_pca_serves_widths_above_the_numerical_rank(rng, shape):
+    # a repeated column, and for (4, 6) fewer rows than columns: m = d asks
+    # for directions of zero variance, which must still be orthonormal
+    n, d = shape
+    X = rng.normal(size=shape)
+    X[:, -1] = X[:, 0]
+    rank = np.linalg.matrix_rank(X - X.mean(axis=0))
+    model = fit_pca(X, m=d)
+    V, lam = svd_pca_oracle(X, rank)
+    P = model.projection
+    assert P.shape == (d, d) and rank < d
+    assert np.max(np.abs(P[:, :rank] - V)) <= 1e-12
+    assert np.max(np.abs(model.eigenvalues[:rank] - lam)) <= 1e-12 * lam[0]
+    assert np.max(np.abs(model.eigenvalues[rank:])) <= 1e-12 * lam[0]
+    assert np.linalg.norm(P.T @ P - np.eye(d)) < 1e-12
+    assert np.linalg.norm((X - X.mean(axis=0)) @ P[:, rank:]) <= 1e-12 * np.linalg.norm(X)
 
 
 def test_pca_transform_centers(rng):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import random_labeled
 from graph_oracles import between_class_graph, laplacian
-from model_oracles import dense_within, edge_within
+from model_oracles import dense_within, edge_within, loop_within
 from mpda.dataset import LabeledDataset
 from mpda.errors import (
     DimensionMismatchError,
@@ -184,6 +185,36 @@ def test_within_parts_match_dense_and_edge_oracles(data, kind, max_patch, flat):
         for oracle in (dense_within, edge_within):
             ref = oracle(X, W, patch_of, bases, gamma, layout)
             assert np.max(np.abs(S - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_stacked_within_matches_the_patch_loop_over_chunks(rng):
+    # 24 patches of 1..4 points have bases of rank 0..3, so total = 16 + 36
+    # and a chunk holds total // d = 3 patches: the patches with in-edges
+    # take more than 3 chunks.  Random weighted edges give mixed in-edge
+    # counts; patch 5 gets none, and two rows repeat others, joined to them
+    # by an edge: their differences are exactly 0.  From d = 16 on, the
+    # operands' memory layout can change BLAS's rounding.
+    d = 16
+    sizes = np.tile([1, 2, 3, 4], 6)
+    X = rng.normal(size=(sizes.sum(), d))
+    X[[7, 30]] = X[[0, 12]]
+    patch_of = np.repeat(np.arange(sizes.size), sizes)
+    members = [np.flatnonzero(patch_of == p) for p in range(sizes.size)]
+    bases = patch_bases(X, members, energy=1.0)
+    layout = layout_for(d, bases)
+    i, j = rng.integers(0, len(X), size=(2, 150))
+    i, j = np.r_[i[patch_of[j] != 5], 0, 12], np.r_[j[patch_of[j] != 5], 7, 30]
+    W = sp.csr_matrix((rng.uniform(0.1, 2.0, size=i.size), (i, j)), shape=(len(X),) * 2)
+    in_edges = np.bincount(patch_of[sp.coo_matrix(W).col], minlength=sizes.size)
+    assert in_edges[5] == 0 and np.count_nonzero(in_edges) > 3 * (layout.total // d)
+    assert np.unique(in_edges).size >= 4
+    assert sorted({b.dim for b in bases}) == [0, 1, 2, 3]
+
+    S_diff, S_tan = assemble_within(X, W, patch_of, bases)
+    assert np.array_equal(S_diff.toarray(), dense_within(X, W, patch_of, bases, 0.0, layout))
+    for S, ref in zip((S_diff, S_tan), loop_within(X, W, patch_of, bases, layout)):
+        for got, want in ((S.data, ref.data), (S.indices, ref.indices), (S.indptr, ref.indptr)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_negative_gamma_fails_before_any_stage(rng, monkeypatch):
@@ -419,7 +450,7 @@ def test_model_roundtrip_bytes(tmp_path, rng):
     save_model(model, p1)
     loaded = load_model(p1)
     save_model(loaded, p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
     X = rng.normal(size=(5, ds.d))
     assert np.array_equal(transform(model, X), transform(loaded, X))
     assert loaded.hyperparams == model.hyperparams
@@ -441,11 +472,11 @@ def test_unwritable_header_leaves_an_existing_file_unchanged(tmp_path, rng):
     model = fit_mpda(ds, m=1)
     path = str(tmp_path / "m.bin")
     save_model(model, path)
-    before = open(path, "rb").read()
+    before = Path(path).read_bytes()
     bad = dataclasses.replace(model, hyperparams={**model.hyperparams, "k": object()})
     with pytest.raises(TypeError, match="not JSON serializable"):
         save_model(bad, path)
-    assert open(path, "rb").read() == before
+    assert Path(path).read_bytes() == before
 
 
 def test_reloaded_model_drops_tangent_diagnostics(tmp_path, rng):
