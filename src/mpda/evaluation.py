@@ -29,6 +29,7 @@ from .errors import (
     EmptyTrainSetError,
     LengthMismatchError,
 )
+from .graph import KNN_BLOCK_ROWS, _finite
 from .model import EmbeddingModel, fit_mpda, fit_pmpda, staged_fits, transform
 
 ALGORITHMS = ("mpda", "pmpda", "lda", "pca")
@@ -52,17 +53,26 @@ def nn_classify(
     """Label of the single nearest training row per test row.
 
     Euclidean metric; exact distance ties resolve to the lowest training
-    index.
+    index.  The test rows are scored in blocks of ``KNN_BLOCK_ROWS``, one
+    ``cdist`` each, so memory is O(``KNN_BLOCK_ROWS`` n_train); every
+    row's distances are those of the full matrix, so the labels do not
+    depend on the block.  Raises ``ValueError`` on a non-finite embedding
+    and ``LengthMismatchError`` unless there is one label per training row.
     """
-    train_emb = np.atleast_2d(np.asarray(train_emb, dtype=np.float64))
-    test_emb = np.atleast_2d(np.asarray(test_emb, dtype=np.float64))
+    train_emb = np.atleast_2d(_finite(train_emb))
+    test_emb = np.atleast_2d(_finite(test_emb))
     train_labels = np.asarray(train_labels)
     if train_emb.shape[0] == 0:
         raise EmptyTrainSetError("no training rows to classify against")
     if train_emb.shape[1] != test_emb.shape[1]:
         raise DimensionMismatchError("train and test embeddings differ in width")
-    D = cdist(test_emb, train_emb, "sqeuclidean")
-    return train_labels[np.argmin(D, axis=1)]
+    if train_labels.shape[:1] != train_emb.shape[:1]:
+        raise LengthMismatchError("need one label per training row")
+    nearest = np.empty(test_emb.shape[0], dtype=np.intp)
+    for start in range(0, test_emb.shape[0], KNN_BLOCK_ROWS):
+        rows = slice(start, start + KNN_BLOCK_ROWS)
+        nearest[rows] = np.argmin(cdist(test_emb[rows], train_emb, "sqeuclidean"), axis=1)
+    return train_labels[nearest]
 
 
 def error_rate(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -109,21 +119,31 @@ def _nn_errors_over_dims(
     test_labels: np.ndarray,
     m_values: list[int],
 ) -> dict[int, float]:
-    """1-NN error for every prefix width in ``m_values`` (one distance pass).
+    """1-NN error for every prefix width in ``m_values`` (one distance pass per block).
 
-    Squared distances accumulate column by column, so evaluating a whole
-    m-grid costs the same as one full-width scan.
+    The test rows are taken in blocks of ``KNN_BLOCK_ROWS``.  Per block,
+    squared distances accumulate column by column, so evaluating a whole
+    m-grid costs the same as one full-width scan, and memory is
+    O(``KNN_BLOCK_ROWS`` n_train).  Mismatches are counted per width over
+    the blocks and divided once by the row count, so the errors do not
+    depend on the block.
     """
     m_values = sorted(set(m_values))
     want = set(m_values)
-    D2 = np.zeros((test_emb.shape[0], train_emb.shape[0]))
-    out: dict[int, float] = {}
-    for m in range(1, m_values[-1] + 1):
-        D2 += (test_emb[:, m - 1][:, None] - train_emb[None, :, m - 1]) ** 2
-        if m in want:
-            pred = train_labels[np.argmin(D2, axis=1)]
-            out[m] = np.count_nonzero(pred != test_labels) / pred.size  # error_rate's double
-    return out
+    wrong = dict.fromkeys(m_values, 0)
+    for start in range(0, test_emb.shape[0], KNN_BLOCK_ROWS):
+        rows = slice(start, start + KNN_BLOCK_ROWS)
+        block = test_emb[rows]
+        D2 = np.zeros((block.shape[0], train_emb.shape[0]))
+        sq = np.empty_like(D2)
+        for m in range(1, m_values[-1] + 1):
+            np.subtract(block[:, m - 1, None], train_emb[None, :, m - 1], out=sq)
+            np.multiply(sq, sq, out=sq)
+            D2 += sq
+            if m in want:
+                wrong[m] += np.count_nonzero(train_labels[np.argmin(D2, axis=1)] != test_labels[rows])
+    # error_rate's double
+    return {m: wrong[m] / test_emb.shape[0] for m in m_values}
 
 
 def _grid_combos(grid: dict[str, list]) -> list[dict]:

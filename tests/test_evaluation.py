@@ -1,7 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import curved_classes
-from evaluation_oracles import per_fit_dimension_sweep, per_fit_parameter_sweep
+from evaluation_oracles import (
+    full_matrix_nn_classify,
+    one_pass_nn_errors_over_dims,
+    per_fit_dimension_sweep,
+    per_fit_parameter_sweep,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -62,12 +69,27 @@ def test_nn_errors():
         nn_classify(np.zeros((2, 2)), np.array([1, 2]), np.zeros((1, 3)))
 
 
+@pytest.mark.parametrize("n_labels", [4, 10])
+def test_nn_needs_one_label_per_training_row(rng, n_labels):
+    with pytest.raises(LengthMismatchError):
+        nn_classify(rng.normal(size=(6, 2)), np.arange(n_labels), rng.normal(size=(3, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["train", "test"])
+def test_nn_rejects_non_finite_embeddings(rng, bad, side):
+    train, test = rng.normal(size=(6, 2)), rng.normal(size=(3, 2))
+    (train if side == "train" else test)[1, 0] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        nn_classify(train, np.arange(6), test)
+
+
 @st.composite
-def scorer_inputs(draw):
+def scorer_inputs(draw, max_test=10):
     """Train and test rows of width 1-12: a small integer grid (exact ties)
     or Gaussian, rows drawn with repeats (duplicates), offset by 0 or ~1e8."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    d, n_tr, n_te = draw(st.integers(1, 12)), draw(st.integers(1, 15)), draw(st.integers(1, 10))
+    d, n_tr, n_te = draw(st.integers(1, 12)), draw(st.integers(1, 15)), draw(st.integers(1, max_test))
     if draw(st.booleans()):
         rows = rng.integers(-2, 3, size=(n_tr + n_te, d)).astype(np.float64)
     else:
@@ -93,6 +115,46 @@ def test_prefix_scorer_agrees_with_nn_classify(case):
     ids = np.arange(tr.shape[0])
     pick = nn_classify(tr, ids, te)
     assert _nn_errors_over_dims(tr, ids, te, pick, widths)[widths[-1]] == 0.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scorer_inputs(max_test=40))
+def test_blocked_scorers_equal_the_full_matrix_oracles(case):
+    # three-row blocks: the test sets span up to 14 blocks, and the exact
+    # ties of duplicate rows and the integer grid fall on every block edge
+    tr, ytr, te, yte = case
+    widths = list(range(1, tr.shape[1] + 1))
+    ids = np.arange(tr.shape[0])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mpda.evaluation, "KNN_BLOCK_ROWS", 3)
+        errs = _nn_errors_over_dims(tr, ytr, te, yte, widths)
+        picks = [nn_classify(tr[:, :m], ids, te[:, :m]) for m in widths]
+    assert errs == one_pass_nn_errors_over_dims(tr, ytr, te, yte, widths)
+    for m, pick in zip(widths, picks):
+        assert np.array_equal(pick, full_matrix_nn_classify(tr[:, :m], ids, te[:, :m]))
+
+
+def _traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_scorers_hold_row_blocks_not_the_distance_matrix():
+    # each scorer holds a few KNN_BLOCK_ROWS x n_train blocks, never the whole
+    # n_test x n_train matrix (48 MB and 72 MB for the one-pass scorers here)
+    rng = np.random.default_rng(5)
+    tr, te = rng.normal(size=(2000, 10)), rng.normal(size=(3000, 10))
+    ytr = rng.integers(1, 4, size=2000)
+    assert _traced_peak(nn_classify, tr, ytr, te) < 4 * 256 * 2000 * 8
+    tr, te = rng.normal(size=(3000, 18)), rng.normal(size=(1500, 18))
+    ytr, yte = rng.integers(1, 4, size=3000), rng.integers(1, 4, size=1500)
+    widths = list(range(1, 19))
+    assert _traced_peak(_nn_errors_over_dims, tr, ytr, te, yte, widths) < 4 * 256 * 3000 * 8
 
 
 def test_error_rate_values():
