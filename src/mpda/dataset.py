@@ -19,6 +19,7 @@ same shuffled rows round-robin (see ``mpda.evaluation``).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,8 +110,9 @@ def _parse_int(token: str, lineno: int) -> int:
         return int(v)
 
 
-def _load_csv(path: str, header: bool) -> tuple[list[list[float]], list[int]]:
-    rows: list[list[float]] = []
+def _load_csv(path: str, header: bool) -> tuple[array, list[int]]:
+    """The features of every row, flat in one buffer, and the raw labels."""
+    values = array("d")
     labels: list[int] = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -131,10 +133,10 @@ def _load_csv(path: str, header: bool) -> tuple[list[list[float]], list[int]]:
                 )
             labels.append(_parse_int(parts[0].strip(), lineno))
             try:
-                rows.append([float(p) for p in parts[1:]])
+                values.extend(map(float, parts[1:]))
             except ValueError:
                 raise ParseError(f"line {lineno}: non-numeric feature value") from None
-    return rows, labels
+    return values, labels
 
 
 def _load_libsvm(path: str) -> tuple[list[dict[int, float]], list[int]]:
@@ -165,14 +167,16 @@ def load_dataset(path: str, format: str = "csv", header: bool = False) -> Labele
     """Load a labeled dataset from ``path``.
 
     ``csv``: first column is the integer class label, remaining columns
-    are features, no header unless ``header=True``.  ``libsvm``: standard
-    ``label idx:val`` sparse lines, densified with zeros.
+    are features, no header unless ``header=True``.  Each row's values go
+    through ``float`` into one flat float64 buffer, which becomes the
+    feature matrix without a copy: about 9 bytes per value at the peak.
+    ``libsvm``: standard ``label idx:val`` sparse lines, densified with zeros.
     """
     if format == "csv":
-        rows, raw_labels = _load_csv(path, header)
-        if not rows:
+        values, raw_labels = _load_csv(path, header)
+        if not raw_labels:
             raise EmptyDatasetError(f"{path}: no data rows")
-        X = np.asarray(rows, dtype=np.float64)
+        X = np.frombuffer(values).reshape(len(raw_labels), -1)
     elif format == "libsvm":
         entries, raw_labels = _load_libsvm(path)
         if not entries:

@@ -22,7 +22,9 @@ from scipy.spatial.distance import cdist
 
 from .errors import KTooLargeError
 
-KNN_BLOCK_ROWS = 256  # distance rows held at once; results do not depend on it
+# distance rows held at once by k-NN and the 1-NN scorers: each block holds
+# a few 128 x n arrays (2 MB apiece at n = 2000); results do not depend on it
+KNN_BLOCK_ROWS = 128
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).tiny  # smallest normal number
 

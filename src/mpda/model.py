@@ -90,20 +90,56 @@ def layout_for(d: int, bases: list[TangentBasis]) -> BlockLayout:
     return BlockLayout(d=d, block_dims=tuple(b.dim for b in bases))
 
 
-def _triplets(row0: np.ndarray, col0: np.ndarray, blocks: np.ndarray, mask: np.ndarray):
-    """(rows, cols, values) of the dense blocks[e] placed at (row0[e], col0[e]),
-    kept where ``mask`` (shaped like ``blocks``) holds."""
-    e, a, b = np.nonzero(mask)
-    return row0[e] + a, col0[e] + b, blocks[e, a, b]
+def _pairs_per_chunk(nnz: int, d: int, r: int) -> int:
+    """Pairs per chunk of ``_tangent_part``: a chunk's two (pairs, d, r)
+    gathers hold at most as many values as the form's three triplet arrays."""
+    return max(3 * nnz // (2 * d * max(r, 1)), 1)
 
 
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Block masks: entry (e, i, j) holds where a[e, i] and b[e, j] do."""
-    return a[:, :, None] & b[:, None, :]
+def _tangent_part(p, q, ws, T, dims, off, total) -> sp.csc_matrix:
+    """``assemble_within``'s S_tan from its ordered patch pairs (p[e], q[e]), in
+    ascending key order, of weight sums ws[e], and the bases padded into T
+    (P, d, r) with ranks ``dims`` at v-offsets ``off``.
 
-
-def _sparse_form(total: int, parts: list) -> sp.csc_matrix:
-    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    A pair adds four blocks: ws I at (p, p), -ws C at (p, q), -ws C' at
+    (q, p) and ws C'C at (q, q), with C = T_p' T_q.  Their triplets go
+    straight into three arrays allocated once: part by part, then pair by
+    pair, then row-major within a block, the order in which the one COO to
+    CSC conversion sums duplicates.  The pairs go in chunks, and a chunk's
+    C and C'C are one stacked product each, so no value depends on them.
+    """
+    _, d, r = T.shape
+    dp, dq = dims[p], dims[q]
+    # triplets per part and pair, and where each block starts in the arrays
+    counts = np.stack([dp, dp * dq, dq * dp, dq * dq])
+    start = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
+    nnz = int(counts.sum())
+    rows, cols, vals = np.empty(nnz, dtype=np.int64), np.empty(nnz, dtype=np.int64), np.empty(nnz)
+    step = _pairs_per_chunk(nnz, d, r)
+    for lo in range(0, p.size, step):
+        e = slice(lo, lo + step)
+        C = T[p[e]].transpose(0, 2, 1) @ T[q[e]]
+        Ct = C.transpose(0, 2, 1)
+        w, op, oq = ws[e], off[p[e]], off[q[e]]
+        # per part: row and column offsets, block width, scale and blocks
+        # (None for the diagonal, whose values are the scale itself)
+        for k, (r0, c0, width, scale, blocks) in enumerate([
+            (op, op, None, w, None),
+            (op, oq, dq[e], -w, C),
+            (oq, op, dp[e], -w, Ct),
+            (oq, oq, dq[e], w, Ct @ C),
+        ]):
+            cnt = counts[k, e]
+            j = np.repeat(np.arange(cnt.size), cnt)  # each triplet's pair in the chunk
+            t = np.arange(j.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+            at = slice(start[k, lo], start[k, lo] + j.size)
+            if blocks is None:
+                rows[at] = cols[at] = r0[j] + t
+                vals[at] = scale[j]
+            else:
+                a, b = np.divmod(t, width[j])
+                rows[at], cols[at] = r0[j] + a, c0[j] + b
+                vals[at] = scale[j] * blocks[j, a, b]
     return sp.csc_matrix((vals, (rows, cols)), shape=(total, total))
 
 
@@ -182,6 +218,13 @@ def assemble_within(
     M_q T_q and T_q' M_q T_q one per rank.  The t-block adds the M_q in
     ascending q, so every value is bit-identical to building each patch's
     blocks on its own, for bases laid out as ``patch_bases`` returns them.
+
+    S_tan collapses the edges to ordered patch pairs and walks them in
+    chunks, each with one stacked C_pq = T_p' T_q and C_pq' C_pq.  A chunk
+    gathers its pairs' padded (pairs, d, r) bases twice, and holds at most
+    as many values there as the three triplet arrays of the whole form,
+    into which every chunk writes its triplets in place.  They keep one
+    order, so the one COO to CSC sum gives the same bytes for any chunking.
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
@@ -196,7 +239,7 @@ def assemble_within(
     keep = (Wc.data != 0.0) & (Wc.row != Wc.col)
     rows, cols, w = Wc.row[keep], Wc.col[keep], Wc.data[keep]
     p_i, p_j = patch_of[rows], patch_of[cols]
-    # bases padded to a common rank r; valid[p, a] marks the columns of T_p
+    # bases padded to a common rank r
     P, total = len(bases), layout.total
     dims = np.array(layout.block_dims, dtype=np.int64)
     off = np.array(layout.offsets, dtype=np.int64)
@@ -204,7 +247,6 @@ def assemble_within(
     T = np.zeros((P, d, r))
     for p, b in enumerate(bases):
         T[p, :, : b.dim] = b.basis
-    valid = np.arange(r) < dims[:, None]
 
     S_diff = _pairwise_part(X, rows, cols, w, p_j, T, dims, off)
 
@@ -212,17 +254,9 @@ def assemble_within(
     # ordered patch pair, so edges collapse to per-pair weight sums
     cross = (p_i != p_j) & (dims[p_i] > 0)
     keys, inv = np.unique(p_i[cross] * P + p_j[cross], return_inverse=True)
-    ws = np.bincount(inv, weights=w[cross], minlength=keys.size)[:, None, None]
+    ws = np.bincount(inv, weights=w[cross], minlength=keys.size)
     p, q = np.divmod(keys, P)
-    C = T[p].transpose(0, 2, 1) @ T[q]  # every C_pq = T_p' T_q at once
-    Ct = C.transpose(0, 2, 1)
-    vp, vq = valid[p], valid[q]
-    S_tan = _sparse_form(total, [
-        _triplets(off[p], off[p], ws * np.eye(r), _outer(vp, vp) & np.eye(r, dtype=bool)),
-        _triplets(off[p], off[q], -ws * C, _outer(vp, vq)),
-        _triplets(off[q], off[p], -ws * Ct, _outer(vq, vp)),
-        _triplets(off[q], off[q], ws * (Ct @ C), _outer(vq, vq)),
-    ])
+    S_tan = _tangent_part(p, q, ws, T, dims, off, total)
     return S_diff, S_tan
 
 

@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dataset_oracles import list_load_csv
 from mpda.dataset import (
     LabeledDataset,
     class_permutations,
@@ -67,6 +72,79 @@ def test_load_rejects_nan(tmp_path):
     path = write(tmp_path, "1,nan\n2,1.0\n")
     with pytest.raises(ParseError):
         load_dataset(path)
+
+
+# label and feature tokens that parse: integers, integral floats,
+# exponents, signed zeros, surrounding spaces and underscores; and tokens
+# that fail, as a label, as a feature or in the dataset's finite check
+GOOD_LABELS = ["1", "2", "3", "-4", " 2 ", "2.0", "1e1", "1_0", "-0"]
+BAD_LABELS = ["1.5", "nan", "inf", "x", ""]
+GOOD_FEATURES = ["0", "-0", "-0.0", "1e5", "2.5E-3", " 7 ", "1_0", ".5", "5.", "1e-320"]
+BAD_FEATURES = ["inf", "-inf", "nan", "1e999", "abc", "", "0x10", "1e", "1__0"]
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text with a label column, and whether its first line is a header.
+    Half the texts parse; the others may hold bad tokens and ragged rows.
+    Blank lines may come anywhere."""
+    width = draw(st.integers(1, 5))
+    faulty = draw(st.booleans())
+    floats = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    ints = st.integers(-3, 12).map(str)
+    feature = st.one_of(floats, floats, st.sampled_from(GOOD_FEATURES))
+    label = st.one_of(ints, ints, st.sampled_from(GOOD_LABELS))
+    if faulty:
+        feature = st.one_of(feature, feature, feature, st.sampled_from(BAD_FEATURES))
+        label = st.one_of(label, label, label, st.sampled_from(BAD_LABELS))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank"] + ["ragged"] * faulty))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        n = width + (draw(st.sampled_from([-1, 1])) if kind == "ragged" else 0)
+        lines.append(",".join([draw(label)] + [draw(feature) for _ in range(n)]))
+    header = draw(st.booleans())
+    if header:
+        lines.insert(0, draw(st.sampled_from(["label,f1", "", "1,2,3", "x"])))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), header
+
+
+def parse_outcome(load, path, header):
+    try:
+        ds = load(path, header=header)
+    except Exception as exc:  # the outcome compared is the exception itself
+        return type(exc), str(exc)
+    return ds.features.dtype, ds.features.shape, ds.features.tobytes(), ds.labels.tobytes(), ds.label_names
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=csv_texts())
+def test_flat_csv_parse_equals_the_list_parse(tmp_path_factory, case):
+    text, header = case
+    path = str(tmp_path_factory.getbasetemp() / "parse.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    assert parse_outcome(load_dataset, path, header) == parse_outcome(list_load_csv, path, header)
+
+
+def test_csv_parse_holds_under_20_bytes_per_value(tmp_path):
+    # one flat float64 buffer: about 9 bytes per value, against 41 when
+    # every value was a Python float in a list
+    n, d = 4000, 200
+    rng = np.random.default_rng(0)
+    path = tmp_path / "wide.csv"
+    np.savetxt(path, np.column_stack([rng.integers(1, 11, size=n), rng.normal(size=(n, d))]),
+               delimiter=",", fmt="%.17g")
+    tracemalloc.start()
+    try:
+        ds = load_dataset(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.features.shape == (n, d)
+    assert peak < 20 * n * d
 
 
 def test_split_matches_documented_permutation_oracle():

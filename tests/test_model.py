@@ -10,7 +10,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_labeled
+import mpda.model
+from conftest import curved_classes, random_labeled
 from graph_oracles import between_class_graph, laplacian
 from model_oracles import dense_within, edge_within, loop_within
 from mpda.dataset import LabeledDataset
@@ -187,13 +188,10 @@ def test_within_parts_match_dense_and_edge_oracles(data, kind, max_patch, flat):
             assert np.max(np.abs(S - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_stacked_within_matches_the_patch_loop_over_chunks(rng):
-    # 24 patches of 1..4 points have bases of rank 0..3, so total = 16 + 36
-    # and a chunk holds total // d = 3 patches: the patches with in-edges
-    # take more than 3 chunks.  Random weighted edges give mixed in-edge
-    # counts; patch 5 gets none, and two rows repeat others, joined to them
-    # by an edge: their differences are exactly 0.  From d = 16 on, the
-    # operands' memory layout can change BLAS's rounding.
+def patch_loop_case(rng):
+    """24 patches of 1..4 points in 16 dimensions, bases of rank 0..3, and
+    random weighted edges; patch 5 gets no in-edge, and rows 7 and 30
+    repeat rows 0 and 12, joined to them by an edge."""
     d = 16
     sizes = np.tile([1, 2, 3, 4], 6)
     X = rng.normal(size=(sizes.sum(), d))
@@ -201,11 +199,24 @@ def test_stacked_within_matches_the_patch_loop_over_chunks(rng):
     patch_of = np.repeat(np.arange(sizes.size), sizes)
     members = [np.flatnonzero(patch_of == p) for p in range(sizes.size)]
     bases = patch_bases(X, members, energy=1.0)
-    layout = layout_for(d, bases)
     i, j = rng.integers(0, len(X), size=(2, 150))
     i, j = np.r_[i[patch_of[j] != 5], 0, 12], np.r_[j[patch_of[j] != 5], 7, 30]
     W = sp.csr_matrix((rng.uniform(0.1, 2.0, size=i.size), (i, j)), shape=(len(X),) * 2)
-    in_edges = np.bincount(patch_of[sp.coo_matrix(W).col], minlength=sizes.size)
+    return X, W, patch_of, bases, layout_for(d, bases)
+
+
+def csc_bytes(S):
+    return [(a.dtype, a.tobytes()) for a in (S.data, S.indices, S.indptr)]
+
+
+def test_stacked_within_matches_the_patch_loop_over_chunks(rng):
+    # total = 16 + 36, so a chunk holds total // d = 3 patches: the patches
+    # with in-edges take more than 3 chunks.  Random weighted edges give
+    # mixed in-edge counts, and the repeated rows differences of exactly 0.
+    # From d = 16 on, the operands' memory layout can change BLAS's rounding.
+    X, W, patch_of, bases, layout = patch_loop_case(rng)
+    d = layout.d
+    in_edges = np.bincount(patch_of[sp.coo_matrix(W).col], minlength=len(bases))
     assert in_edges[5] == 0 and np.count_nonzero(in_edges) > 3 * (layout.total // d)
     assert np.unique(in_edges).size >= 4
     assert sorted({b.dim for b in bases}) == [0, 1, 2, 3]
@@ -213,8 +224,55 @@ def test_stacked_within_matches_the_patch_loop_over_chunks(rng):
     S_diff, S_tan = assemble_within(X, W, patch_of, bases)
     assert np.array_equal(S_diff.toarray(), dense_within(X, W, patch_of, bases, 0.0, layout))
     for S, ref in zip((S_diff, S_tan), loop_within(X, W, patch_of, bases, layout)):
-        for got, want in ((S.data, ref.data), (S.indices, ref.indices), (S.indptr, ref.indptr)):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert csc_bytes(S) == csc_bytes(ref)
+
+
+@pytest.mark.parametrize("case", ["patches", "pmpda"])
+def test_tangent_part_does_not_depend_on_its_chunks(rng, monkeypatch, case):
+    # S_tan's bytes with chunks of 1, 2 and 3 patch pairs, and with one
+    # chunk for all, equal the former one-shot construction's, which
+    # gathered every pair's bases at once (loop_within's second part)
+    if case == "patches":
+        X, W, patch_of, bases, layout = patch_loop_case(rng)
+    else:
+        ds = curved_classes(rng, sizes=(30, 25, 28))
+        X, patch_of = ds.features, np.arange(ds.n)
+        bases = per_point_bases(X, ds.labels, 4)
+        layout = layout_for(ds.d, bases)
+        W = within_class_graph(knn_neighbors(X, 4), ds.labels)
+    Wc = sp.coo_matrix(W)
+    cross = {(p, q) for p, q in zip(patch_of[Wc.row], patch_of[Wc.col]) if p != q}
+    assert len(cross) > 30
+    want = csc_bytes(loop_within(X, W, patch_of, bases, layout)[1])
+    for pairs in (1, 2, 3, len(cross)):
+        monkeypatch.setattr(mpda.model, "_pairs_per_chunk", lambda nnz, d, r: pairs)
+        assert csc_bytes(assemble_within(X, W, patch_of, bases)[1]) == want
+
+
+def test_tangent_part_holds_no_gather_of_every_pair():
+    # PMPDA on 1500 rows in 120 dimensions: a sheet of rank-2 bases and a
+    # small blob whose bases reach rank 4, some 14,000 ordered point pairs.
+    # Gathering every pair's padded bases at once takes two (pairs, d, r)
+    # arrays; the chunked form peaks below one
+    rng = np.random.default_rng(7)
+    n, d, k = 1500, 120, 8
+    s = rng.uniform(-1.0, 1.0, size=(n, 4))
+    s[: n - 100, 2:] = 0.0
+    X = s @ np.linalg.qr(rng.normal(size=(d, 4)))[0].T + 1e-4 * rng.normal(size=(n, d))
+    y = np.r_[np.ones(n - 100, dtype=int), np.full(100, 2)]
+    bases = per_point_bases(X, y, k)
+    W = within_class_graph(knn_neighbors(X, k), y)
+    Wc = sp.coo_matrix(W)
+    pairs = np.unique(Wc.row * n + Wc.col).size
+    r = max(b.dim for b in bases)
+    assert pairs > 10_000 and r == 4
+    tracemalloc.start()
+    try:
+        assemble_within(X, W, np.arange(n), bases)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < pairs * d * r * 8
 
 
 def test_negative_gamma_fails_before_any_stage(rng, monkeypatch):
