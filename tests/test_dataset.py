@@ -86,8 +86,8 @@ BAD_FEATURES = ["inf", "-inf", "nan", "1e999", "abc", "", "0x10", "1e", "1__0"]
 @st.composite
 def csv_texts(draw):
     """CSV text with a label column, and whether its first line is a header.
-    Half the texts parse; the others may hold bad tokens and ragged rows.
-    Blank lines may come anywhere."""
+    Half the texts hold only tokens that parse, in rows of one width; the
+    others may hold bad tokens and ragged rows.  Blank lines come anywhere."""
     width = draw(st.integers(1, 5))
     faulty = draw(st.booleans())
     floats = st.floats(allow_nan=False, allow_infinity=False).map(repr)

@@ -212,7 +212,7 @@ def csc_bytes(S):
 def test_stacked_within_matches_the_patch_loop_over_chunks(rng):
     # total = 16 + 36, so a chunk holds total // d = 3 patches: the patches
     # with in-edges take more than 3 chunks.  Random weighted edges give
-    # mixed in-edge counts, and the repeated rows differences of exactly 0.
+    # mixed in-edge counts, and the repeated rows give differences of exactly 0.
     # From d = 16 on, the operands' memory layout can change BLAS's rounding.
     X, W, patch_of, bases, layout = patch_loop_case(rng)
     d = layout.d
