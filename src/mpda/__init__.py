@@ -22,7 +22,6 @@ from .model import (
     transform,
 )
 from .partition import Partition, partition_classes, split_patch
-from .tangent import TangentBasis
 
 __version__ = "0.1.0"
 
@@ -32,7 +31,6 @@ __all__ = [
     "LabeledDataset",
     "NeighborLists",
     "Partition",
-    "TangentBasis",
     "assemble_between",
     "assemble_within",
     "benchmark",

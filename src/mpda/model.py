@@ -39,6 +39,7 @@ from __future__ import annotations
 import inspect
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -55,7 +56,7 @@ from .errors import (
 )
 from .graph import between_class_form, knn_neighbors, within_class_graph
 from .partition import DEFAULT_KPRIME, DEFAULT_MAX_PATCH, partition_classes
-from .tangent import DEFAULT_ENERGY, TangentBasis, _signed, patch_bases, per_point_bases
+from .tangent import DEFAULT_ENERGY, _signed, patch_bases, per_point_bases
 
 DEFAULT_K = 5
 DEFAULT_GAMMA = 1.0
@@ -71,11 +72,10 @@ class BlockLayout:
 
     d: int
     block_dims: tuple[int, ...]
-    offsets: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        starts = np.cumsum((self.d, *self.block_dims))[:-1]
-        object.__setattr__(self, "offsets", tuple(starts.tolist()))
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        return tuple(np.cumsum((self.d, *self.block_dims))[:-1].tolist())
 
     @property
     def total(self) -> int:
@@ -86,8 +86,9 @@ class BlockLayout:
         return slice(start, start + self.block_dims[p])
 
 
-def layout_for(d: int, bases: list[TangentBasis]) -> BlockLayout:
-    return BlockLayout(d=d, block_dims=tuple(b.dim for b in bases))
+def layout_for(d: int, dims: np.ndarray) -> BlockLayout:
+    """The layout of f = (t, v_1, ..., v_P) for ``patch_bases``' ranks ``dims``."""
+    return BlockLayout(d=d, block_dims=tuple(np.asarray(dims).tolist()))
 
 
 def _pairs_per_chunk(nnz: int, d: int, r: int) -> int:
@@ -98,7 +99,7 @@ def _pairs_per_chunk(nnz: int, d: int, r: int) -> int:
 
 def _tangent_part(p, q, ws, T, dims, off, total) -> sp.csc_matrix:
     """``assemble_within``'s S_tan from its ordered patch pairs (p[e], q[e]), in
-    ascending key order, of weight sums ws[e], and the bases padded into T
+    ascending key order, of weight sums ws[e], and the stacked bases T
     (P, d, r) with ranks ``dims`` at v-offsets ``off``.
 
     A pair adds four blocks: ws I at (p, p), -ws C at (p, q), -ws C' at
@@ -143,10 +144,10 @@ def _tangent_part(p, q, ws, T, dims, off, total) -> sp.csc_matrix:
     return sp.csc_matrix((vals, (rows, cols)), shape=(total, total))
 
 
-def _pairwise_part(X, rows, cols, w, p_j, T, dims, off) -> sp.csc_matrix:
+def _pairwise_part(X, rows, cols, w, p_j, T, dims, off, total) -> sp.csc_matrix:
     """``assemble_within``'s S_diff from its edges (rows[e], cols[e]) of weight
-    w[e] into patch p_j[e], and the bases padded into T (P, d, r) with ranks
-    ``dims`` at v-offsets ``off``.
+    w[e] into patch p_j[e], and the stacked bases T (P, d, r) with ranks
+    ``dims`` at v-offsets ``off`` in f of size ``total``.
 
     Batched over the reference point's patch: every edge into patch q shares
     the same (t, v_q) coupling pattern.  The edges are sorted by q and never
@@ -154,7 +155,6 @@ def _pairwise_part(X, rows, cols, w, p_j, T, dims, off) -> sp.csc_matrix:
     for bit.
     """
     P, d, r = T.shape
-    total = d + int(dims.sum())
     order = np.argsort(p_j, kind="stable")
     q_in, first, count = np.unique(p_j[order], return_index=True, return_counts=True)
     band = np.zeros((d, total))  # the t-rows of S_diff: [A, S_tv]
@@ -202,14 +202,15 @@ def assemble_within(
     X: np.ndarray,
     W,
     patch_of: np.ndarray,
-    bases: list[TangentBasis],
+    bases: tuple[np.ndarray, np.ndarray],
 ) -> tuple[sp.csc_matrix, sp.csc_matrix]:
     """The within-class form's two parts (S_diff, S_tan), S = S_diff + gamma * S_tan.
 
-    S_diff sums W_ij a_ij a_ij' and S_tan sums W_ij B_ij' B_ij over both
-    orderings of every edge, matching the symmetric double sum.  Same-patch
-    pairs add nothing to S_tan because the patch basis is orthonormal.
-    Both are sparse total x total matrices over ``layout_for(d, bases)``.
+    ``bases`` is ``patch_bases``' stack (T, dims).  S_diff sums W_ij a_ij
+    a_ij' and S_tan sums W_ij B_ij' B_ij over both orderings of every edge,
+    matching the symmetric double sum.  Same-patch pairs add nothing to
+    S_tan because the patch basis is orthonormal.  Both are sparse total x
+    total matrices over ``layout_for(d, dims)``.
 
     S_diff needs M_q = sum of w d_ij d_ij' over the edges into each patch q,
     but no product is made per patch: the patches go in chunks of ascending
@@ -221,34 +222,33 @@ def assemble_within(
 
     S_tan collapses the edges to ordered patch pairs and walks them in
     chunks, each with one stacked C_pq = T_p' T_q and C_pq' C_pq.  A chunk
-    gathers its pairs' padded (pairs, d, r) bases twice, and holds at most
-    as many values there as the three triplet arrays of the whole form,
-    into which every chunk writes its triplets in place.  They keep one
-    order, so the one COO to CSC sum gives the same bytes for any chunking.
+    gathers its pairs' (pairs, d, r) bases twice, and holds at most as many
+    values there as the three triplet arrays of the whole form, into which
+    every chunk writes its triplets in place.  They keep one order, so the
+    one COO to CSC sum gives the same bytes for any chunking.  C_pq' C_pq
+    sums all r rows of C_pq, so T must be (P, d, r >= dims.max()) and +0.0
+    past each rank, or ``LayoutMismatchError`` is raised.
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
     patch_of = np.asarray(patch_of, dtype=np.int64)
     if patch_of.shape[0] != n:
         raise LayoutMismatchError("patch assignment length does not match X")
-    if patch_of.size and patch_of.max() >= len(bases):
+    T, dims = np.asarray(bases[0], dtype=np.float64), np.asarray(bases[1], dtype=np.int64)
+    P, total, off = dims.size, d + int(dims.sum()), d + np.cumsum(dims) - dims
+    if patch_of.size and patch_of.max() >= P:
         raise LayoutMismatchError("patch assignment references a missing basis")
-    layout = layout_for(d, bases)
+    if T.ndim != 3 or T.shape[:2] != (P, d) or T.shape[2] < dims.max(initial=0):
+        raise LayoutMismatchError(f"bases of shape {T.shape} do not match {P} ranks in {d} columns")
+    if np.any((T != 0.0).any(axis=1) & (np.arange(T.shape[2]) >= dims[:, None])):
+        raise LayoutMismatchError("a tangent basis holds a nonzero value beyond its rank")
 
     Wc = sp.coo_matrix(W)
     keep = (Wc.data != 0.0) & (Wc.row != Wc.col)
     rows, cols, w = Wc.row[keep], Wc.col[keep], Wc.data[keep]
     p_i, p_j = patch_of[rows], patch_of[cols]
-    # bases padded to a common rank r
-    P, total = len(bases), layout.total
-    dims = np.array(layout.block_dims, dtype=np.int64)
-    off = np.array(layout.offsets, dtype=np.int64)
-    r = int(dims.max(initial=0))
-    T = np.zeros((P, d, r))
-    for p, b in enumerate(bases):
-        T[p, :, : b.dim] = b.basis
 
-    S_diff = _pairwise_part(X, rows, cols, w, p_j, T, dims, off)
+    S_diff = _pairwise_part(X, rows, cols, w, p_j, T, dims, off, total)
 
     # tangent-consistency term: it depends on an edge only through its
     # ordered patch pair, so edges collapse to per-pair weight sums
@@ -395,7 +395,7 @@ def merge_class_partitions(
 
 def _patch_bases(
     train: LabeledDataset, kprime: int, max_patch: int, energy: float
-) -> tuple[np.ndarray, list[TangentBasis]]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """MPDA bases stage: per-class partition, then one tangent basis per patch."""
     patch_of, members, _ = merge_class_partitions(train, kprime, max_patch)
     return patch_of, patch_bases(train.features, members, energy)
@@ -403,10 +403,10 @@ def _patch_bases(
 
 def _point_bases(
     train: LabeledDataset, k: int, energy: float
-) -> tuple[np.ndarray, list[TangentBasis]]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """PMPDA bases stage: one tangent basis per point, under ``DEFAULT_TOTAL_CAP``."""
     bases = per_point_bases(train.features, train.labels, k, energy)
-    total = layout_for(train.d, bases).total
+    total = train.d + int(bases[1].sum())
     if total > DEFAULT_TOTAL_CAP:
         raise ResourceLimitError(f"stacked dimension {total} exceeds the cap {DEFAULT_TOTAL_CAP}")
     return np.arange(train.n, dtype=np.int64), bases
@@ -463,7 +463,7 @@ def staged_fits(kind: str, train: LabeledDataset, m: int, params_list: list[dict
     graphs: dict = {}  # k -> (W, X' L' X), small beside a set of bases
     for key, by_k in tree.items():
         patch_of, B = bases_stage(train, *key)
-        layout = layout_for(train.d, B)
+        layout = layout_for(train.d, B[1])
         for k, by_gamma in by_k.items():
             with np.errstate(over="ignore", invalid="ignore"):
                 if k not in graphs:

@@ -10,12 +10,11 @@ the origin of the local chart.  ``_signed`` owns the one sign rule of these
 bases, the PCA baseline's directions and the eigen-solve's vectors.
 ``patch_bases`` is the one entry point and the one stacked-SVD driver
 (one point set is a one-patch list): ``per_point_bases`` hands it one
-neighborhood per point.
+neighborhood per point.  Both return the padded stack (T, dims) that the
+assembly reads.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,18 +24,6 @@ from .graph import _finite, knn_neighbors
 _RANK_RTOL = 1e-12  # relative eigenvalue cutoff for numerical rank
 DEFAULT_ENERGY = 0.95
 HOOD_BLOCK_ROWS = 256  # equal-sized point sets decomposed at once; bases do not depend on it
-
-
-@dataclass(frozen=True)
-class TangentBasis:
-    """Column-orthonormal basis of one patch's tangent space."""
-
-    basis: np.ndarray  # (d, m_p), orthonormal columns
-    eigenvalues: np.ndarray  # variance per retained direction, descending
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
 
 
 def _energy_rank(lam: np.ndarray, energy: float) -> np.ndarray:
@@ -57,14 +44,15 @@ def _signed(V: np.ndarray) -> np.ndarray:
     return V * np.where(lead < 0, -1.0, 1.0)
 
 
-def _stacked_bases(H: np.ndarray, energy: float) -> list[TangentBasis]:
+def _stacked_bases(H: np.ndarray, energy: float) -> tuple[np.ndarray, np.ndarray]:
     """Tangent bases of a stack of equal-sized point sets, one per row of H.
 
     H has shape (N, n, d).  All N sets go through one centring and one
     batched SVD; the rank, energy and ``n - 1`` caps and ``_signed`` apply
-    per set.  Each basis is bit-identical to decomposing its set on its own.
-    Raises ``SolverFailureError`` when the centred rows (checked before the
-    SVD, which can spin on a NaN) or their squared singular values are not
+    per set.  Returns (V, m): set i's basis ``V[i, :, :m[i]]`` is bit-identical
+    to decomposing the set on its own, and +0.0 fills V past it.  Raises
+    ``SolverFailureError`` when the centred rows (checked before the SVD,
+    which can spin on a NaN) or their squared singular values are not
     finite, as when finite rows overflow.
     """
     _, n, d = H.shape
@@ -77,49 +65,48 @@ def _stacked_bases(H: np.ndarray, energy: float) -> list[TangentBasis]:
     if not np.isfinite(lam).all():
         raise SolverFailureError("patch variances hold a non-finite value")
     m = np.minimum(_energy_rank(lam, energy), min(d, n - 1))
-    r = int(m.max())  # the returned bases are views of these r columns per set
-    signed = _signed(Vt[:, :r].transpose(0, 2, 1))
-    eigenvalues = lam[:, :r] / (n - 1)
-    return [
-        TangentBasis(basis=v[:, :mb], eigenvalues=e[:mb])
-        for v, e, mb in zip(signed, eigenvalues, m.tolist())
-    ]
+    V = _signed(Vt[:, : m.max()].transpose(0, 2, 1))
+    return np.where(np.arange(V.shape[2]) < m[:, None, None], V, 0.0), m
 
 
 def patch_bases(
     X: np.ndarray, patches: list[np.ndarray], energy: float = DEFAULT_ENERGY
-) -> list[TangentBasis]:
-    """One tangent basis per patch, given as row indices of X.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One tangent basis per patch, given as row indices of X, in a stack
+    (T, dims): T is (P, d, dims.max()), +0.0 past patch p's ``T[p, :, :dims[p]]``.
 
     Patches of equal size share one stacked SVD per block of
     ``HOOD_BLOCK_ROWS`` patches; each basis is bit-identical to
     decomposing its patch's rows on their own, as a one-patch call does.
-    A one-point or zero-variance patch yields an empty basis, and no rank
-    exceeds min(d, size - 1).  X must be finite.
+    A one-point or zero-variance patch has rank 0, and no rank exceeds
+    min(d, size - 1).  X must be finite.
     """
     X = _finite(X)
     sizes = np.array([len(m) for m in patches])
-    bases: list[TangentBasis | None] = [None] * len(patches)
+    dims = np.zeros(len(patches), dtype=np.int64)
+    blocks = []
     for size in np.unique(sizes):
         which = np.flatnonzero(sizes == size)
         for start in range(0, which.size, HOOD_BLOCK_ROWS):
             block = which[start : start + HOOD_BLOCK_ROWS]
-            H = X[np.stack([patches[p] for p in block])]
-            for p, tb in zip(block, _stacked_bases(H, energy)):
-                bases[p] = tb
-    return bases  # type: ignore[return-value]
+            V, dims[block] = _stacked_bases(X[np.stack([patches[p] for p in block])], energy)
+            blocks.append((block, V))
+    T = np.zeros((len(patches), X.shape[1], int(dims.max(initial=0))))
+    for block, V in blocks:
+        T[block, :, : V.shape[2]] = V
+    return T, dims
 
 
 def per_point_bases(
     X: np.ndarray, labels: np.ndarray, k: int, energy: float = DEFAULT_ENERGY
-) -> list[TangentBasis]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One tangent basis per point from its k nearest within-class neighbors.
 
     The point itself joins its neighborhood, so each basis sees k+1 points
     and its rank is implicitly capped at k.  Classes smaller than k+1 use
     all their members.  The neighborhoods are ``patch_bases``' patches, so
-    each basis equals a one-patch ``patch_bases`` call on its neighborhood
-    bit for bit.
+    this returns its (T, dims), point i's basis ``T[i, :, :dims[i]]`` equal
+    to a one-patch call on its neighborhood bit for bit.
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)

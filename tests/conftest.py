@@ -42,8 +42,9 @@ def one_partition(Xc, kprime, max_patch):
 
 
 def one_basis(P, energy=DEFAULT_ENERGY):
-    """``patch_bases`` with all of P's rows as its one patch."""
-    return patch_bases(P, [np.arange(len(P))], energy)[0]
+    """The (d, rank) basis of ``patch_bases`` with all of P's rows as its one patch."""
+    T, dims = patch_bases(P, [np.arange(len(P))], energy)
+    return T[0, :, : dims[0]]
 
 
 def lda_scatters(ds):

@@ -13,11 +13,19 @@ patch, kept to pin the bytes of the stacked one: its t-block adds the
 patches' M_q in ascending patch order, and its triplets come in the
 order the sparse conversion sums duplicates in.
 
-None of them touches the sparse assembly in ``mpda.model``.
+Each reads the bases as ``patch_bases`` returns them, (T, dims), and
+none of them touches the sparse assembly in ``mpda.model``.
 """
 
 import numpy as np
 import scipy.sparse as sp
+
+
+def basis(bases, p):
+    """Patch p's (d, dims[p]) basis of the stack, in the column-major layout
+    of the per-patch SVD's transposed ``Vt``, which products with it keep."""
+    T, dims = bases
+    return np.asfortranarray(T[p, :, : dims[p]])
 
 
 def dense_within(X, W, patch_of, bases, gamma, layout):
@@ -35,7 +43,7 @@ def dense_within(X, W, patch_of, bases, gamma, layout):
         D = X[rows[sel]] - X[cols[sel]]
         M = D.T @ (w[sel][:, None] * D)
         S[:d, :d] += M
-        Tq = bases[q].basis
+        Tq = basis(bases, q)
         if Tq.shape[1]:
             sq = layout.v_slice(q)
             MT = M @ Tq
@@ -44,17 +52,18 @@ def dense_within(X, W, patch_of, bases, gamma, layout):
             S[sq, sq] += Tq.T @ MT
 
     if gamma:
+        dims = bases[1]
         pair_w: dict[tuple[int, int], float] = {}
         for p, q, wv in zip(p_i, p_j, w):
-            if p != q and bases[p].dim:
+            if p != q and dims[p]:
                 key = (int(p), int(q))
                 pair_w[key] = pair_w.get(key, 0.0) + float(wv)
         for (p, q), wsum in sorted(pair_w.items()):
             gw = gamma * wsum
             spp, sq = layout.v_slice(p), layout.v_slice(q)
-            S[spp, spp] += gw * np.eye(bases[p].dim)
-            if bases[q].dim:
-                C = bases[p].basis.T @ bases[q].basis
+            S[spp, spp] += gw * np.eye(dims[p])
+            if dims[q]:
+                C = basis(bases, p).T @ basis(bases, q)
                 S[spp, sq] -= gw * C
                 S[sq, spp] -= gw * C.T
                 S[sq, sq] += gw * (C.T @ C)
@@ -78,10 +87,11 @@ def edge_within(X, W, patch_of, bases, gamma, layout):
         dij = X[i] - X[j]
         a = np.zeros(layout.total)
         a[:d] = dij
-        a[layout.v_slice(pj)] -= bases[pj].basis.T @ dij
-        B = np.zeros((bases[pi].dim, layout.total))
-        B[:, layout.v_slice(pi)] += np.eye(bases[pi].dim)
-        B[:, layout.v_slice(pj)] -= bases[pi].basis.T @ bases[pj].basis
+        Ti, Tj = basis(bases, pi), basis(bases, pj)
+        a[layout.v_slice(pj)] -= Tj.T @ dij
+        B = np.zeros((Ti.shape[1], layout.total))
+        B[:, layout.v_slice(pi)] += np.eye(Ti.shape[1])
+        B[:, layout.v_slice(pj)] -= Ti.T @ Tj
         S += w * (np.outer(a, a) + gamma * B.T @ B)
     return S
 
@@ -108,13 +118,9 @@ def loop_within(X, W, patch_of, bases, layout):
     keep = (Wc.data != 0.0) & (Wc.row != Wc.col)
     rows, cols, w = Wc.row[keep], Wc.col[keep], Wc.data[keep]
     p_i, p_j = patch_of[rows], patch_of[cols]
-    P, total = len(bases), layout.total
-    dims = np.array(layout.block_dims, dtype=np.int64)
+    T, dims = bases
+    (P, _, r), total = T.shape, layout.total
     off = np.array(layout.offsets, dtype=np.int64)
-    r = int(dims.max(initial=0))
-    T = np.zeros((P, d, r))
-    for p, b in enumerate(bases):
-        T[p, :, : b.dim] = b.basis
     valid = np.arange(r) < dims[:, None]
 
     band = np.zeros((d, total))
@@ -124,7 +130,7 @@ def loop_within(X, W, patch_of, bases, layout):
         D = X[rows[sel]] - X[cols[sel]]
         M = D.T @ (w[sel][:, None] * D)
         band[:, :d] += M
-        Tq = bases[q].basis
+        Tq = basis(bases, q)
         MT = M @ Tq
         band[:, layout.v_slice(q)] = -MT
         VV[q, : dims[q], : dims[q]] = Tq.T @ MT

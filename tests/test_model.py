@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import mpda.model
 from conftest import curved_classes, random_labeled
 from graph_oracles import between_class_graph, laplacian
-from model_oracles import dense_within, edge_within, loop_within
+from model_oracles import basis, dense_within, edge_within, loop_within
 from mpda.dataset import LabeledDataset
 from mpda.errors import (
     DimensionMismatchError,
@@ -23,6 +23,7 @@ from mpda.errors import (
 )
 from mpda.graph import between_class_form, knn_neighbors, within_class_graph
 from mpda.model import (
+    BlockLayout,
     _graphs,
     assemble_between,
     assemble_within,
@@ -43,6 +44,7 @@ from test_solve import degenerate_datasets
 
 def within_objective(X, W_dense, patch_of, bases, gamma, t, v):
     """Direct double sum of the within-class objective for one stacked f."""
+    T = [basis(bases, p) for p in range(len(bases[1]))]
     total = 0.0
     n = len(X)
     for i in range(n):
@@ -52,8 +54,8 @@ def within_objective(X, W_dense, patch_of, bases, gamma, t, v):
                 continue
             dij = X[i] - X[j]
             pi, pj = patch_of[i], patch_of[j]
-            pair = (t @ dij - v[pj] @ (bases[pj].basis.T @ dij)) ** 2
-            diff = v[pi] - bases[pi].basis.T @ (bases[pj].basis @ v[pj])
+            pair = (t @ dij - v[pj] @ (T[pj].T @ dij)) ** 2
+            diff = v[pi] - T[pi].T @ (T[pj] @ v[pj])
             total += w * (pair + gamma * float(diff @ diff))
     return total
 
@@ -72,7 +74,7 @@ def build_instance(ds, k=3, kprime=3, max_patch=5, energy=0.95):
     X, y = ds.features, ds.labels
     patch_of, members, _ = merge_class_partitions(ds, kprime, max_patch)
     bases = patch_bases(X, members, energy)
-    layout = layout_for(ds.d, bases)
+    layout = layout_for(ds.d, bases[1])
     nb = knn_neighbors(X, min(k, ds.n - 1))
     W = within_class_graph(nb, y)
     Sp = assemble_between(between_class_form(X, y, nb), layout).toarray()
@@ -102,7 +104,7 @@ def test_quadratic_forms_match_direct_sums(rng):
         Wd = W.toarray()
         for _ in range(30):
             f = rng.normal(size=layout.total)
-            t, v = split_f(f, layout, len(bases))
+            t, v = split_f(f, layout, len(bases[1]))
             direct = within_objective(X, Wd, patch_of, bases, gamma, t, v)
             worst_w = max(worst_w, abs(f @ S @ f - direct) / max(abs(direct), 1e-30))
             direct_b = between_objective(X, Wp, t)
@@ -118,7 +120,7 @@ def test_same_patch_pairs_skip_tangent_term(rng):
     y = np.ones(8, dtype=int)
     ds = LabeledDataset(X, y)
     X_, y_, patch_of, bases, layout, W, _, _ = build_instance(ds, max_patch=100)
-    assert len(bases) == 1
+    assert len(bases[1]) == 1
     _, S_tan = assemble_within(X_, W, patch_of, bases)
     assert S_tan.nnz == 0
 
@@ -153,7 +155,45 @@ def test_assemble_within_layout_mismatch(rng):
     with pytest.raises(LayoutMismatchError):
         assemble_within(X, W, patch_of[:-1], bases)
     with pytest.raises(LayoutMismatchError):
-        assemble_within(X, W, patch_of, bases[:-1])
+        assemble_within(X, W, patch_of, (bases[0][:-1], bases[1][:-1]))
+
+
+def test_assemble_within_rejects_a_stack_of_the_wrong_shape(rng):
+    ds = random_labeled(rng)
+    X, y, patch_of, (T, dims), layout, W, _, _ = build_instance(ds, energy=1.0)
+    r = T.shape[2]
+    assert dims.max() == r > 0
+    for bad in (
+        (T[:, :-1], dims),  # bases one row short of X's width
+        (np.concatenate([T, T[:, :1]], axis=1), dims),  # one row too many
+        (T[:, :, :-1], dims),  # narrower than the largest rank
+        (T[:-1], dims),  # one basis fewer than ranks
+        (T[0], dims),  # not a stack
+    ):
+        with pytest.raises(LayoutMismatchError):
+            assemble_within(X, W, patch_of, bad)
+    # wider than the largest rank, +0.0 past it: accepted, the same form
+    wide = np.concatenate([T, np.zeros(T.shape[:2] + (2,))], axis=2)
+    for S, ref in zip(assemble_within(X, W, patch_of, (wide, dims)),
+                      assemble_within(X, W, patch_of, (T, dims))):
+        S, ref = S.toarray(), ref.toarray()
+        assert np.max(np.abs(S - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_assemble_within_rejects_a_nonzero_value_past_a_rank(rng):
+    # C'C sums over every row of C, so nonzero padding would change S_tan
+    ds = random_labeled(rng)
+    X, y, patch_of, (T, dims), layout, W, _, _ = build_instance(ds)
+    p = int(np.argmin(dims))
+    assert dims[p] < T.shape[2]
+    for value in (1e-300, -1.0, np.nan):
+        bad = T.copy()
+        bad[p, -1, dims[p]] = value
+        with pytest.raises(LayoutMismatchError, match="beyond its rank"):
+            assemble_within(X, W, patch_of, (bad, dims))
+    neg_zero = T.copy()
+    neg_zero[p, :, dims[p]:] = -0.0  # a zero is a zero
+    assemble_within(X, W, patch_of, (neg_zero, dims))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -175,8 +215,8 @@ def test_within_parts_match_dense_and_edge_oracles(data, kind, max_patch, flat):
     else:
         patch_of, bases = np.arange(ds.n), per_point_bases(X, y, k)
     if flat:
-        bases = patch_bases(X, [np.arange(1)]) * len(bases)
-    layout = layout_for(ds.d, bases)
+        bases = patch_bases(X, [np.arange(1)] * len(bases[1]))
+    layout = layout_for(ds.d, bases[1])
     W = within_class_graph(knn_neighbors(X, k), y)
     S_diff, S_tan = assemble_within(X, W, patch_of, bases)
     assert sp.issparse(S_diff) and sp.issparse(S_tan)
@@ -202,7 +242,7 @@ def patch_loop_case(rng):
     i, j = rng.integers(0, len(X), size=(2, 150))
     i, j = np.r_[i[patch_of[j] != 5], 0, 12], np.r_[j[patch_of[j] != 5], 7, 30]
     W = sp.csr_matrix((rng.uniform(0.1, 2.0, size=i.size), (i, j)), shape=(len(X),) * 2)
-    return X, W, patch_of, bases, layout_for(d, bases)
+    return X, W, patch_of, bases, layout_for(d, bases[1])
 
 
 def csc_bytes(S):
@@ -216,10 +256,10 @@ def test_stacked_within_matches_the_patch_loop_over_chunks(rng):
     # From d = 16 on, the operands' memory layout can change BLAS's rounding.
     X, W, patch_of, bases, layout = patch_loop_case(rng)
     d = layout.d
-    in_edges = np.bincount(patch_of[sp.coo_matrix(W).col], minlength=len(bases))
+    in_edges = np.bincount(patch_of[sp.coo_matrix(W).col], minlength=len(bases[1]))
     assert in_edges[5] == 0 and np.count_nonzero(in_edges) > 3 * (layout.total // d)
     assert np.unique(in_edges).size >= 4
-    assert sorted({b.dim for b in bases}) == [0, 1, 2, 3]
+    assert np.unique(bases[1]).tolist() == [0, 1, 2, 3]
 
     S_diff, S_tan = assemble_within(X, W, patch_of, bases)
     assert np.array_equal(S_diff.toarray(), dense_within(X, W, patch_of, bases, 0.0, layout))
@@ -238,7 +278,7 @@ def test_tangent_part_does_not_depend_on_its_chunks(rng, monkeypatch, case):
         ds = curved_classes(rng, sizes=(30, 25, 28))
         X, patch_of = ds.features, np.arange(ds.n)
         bases = per_point_bases(X, ds.labels, 4)
-        layout = layout_for(ds.d, bases)
+        layout = layout_for(ds.d, bases[1])
         W = within_class_graph(knn_neighbors(X, 4), ds.labels)
     Wc = sp.coo_matrix(W)
     cross = {(p, q) for p, q in zip(patch_of[Wc.row], patch_of[Wc.col]) if p != q}
@@ -264,7 +304,7 @@ def test_tangent_part_holds_no_gather_of_every_pair():
     W = within_class_graph(knn_neighbors(X, k), y)
     Wc = sp.coo_matrix(W)
     pairs = np.unique(Wc.row * n + Wc.col).size
-    r = max(b.dim for b in bases)
+    r = int(bases[1].max())
     assert pairs > 10_000 and r == 4
     tracemalloc.start()
     try:
@@ -311,6 +351,15 @@ def test_nonpositive_alpha_fails_before_any_stage(rng, monkeypatch):
             fit_pmpda(ds, m=1, alpha=alpha)
         with pytest.raises(ValueError, match="alpha must be positive"):
             cross_validate(ds, "mpda", grid={"alpha": [1e-3, alpha]}, m_grid=[1])
+
+
+def test_block_layout_derives_its_offsets():
+    layout = layout_for(3, np.array([2, 0, 1]))
+    assert layout == BlockLayout(d=3, block_dims=(2, 0, 1))
+    assert layout.offsets == (3, 5, 5) and layout.total == 6
+    assert [layout.v_slice(p) for p in range(3)] == [slice(3, 5), slice(5, 5), slice(5, 6)]
+    with pytest.raises(TypeError):
+        BlockLayout(d=3, block_dims=(2, 0, 1), offsets=(0, 0, 0))
 
 
 def test_assemble_between_block_structure(rng):
@@ -437,7 +486,7 @@ def test_pmpda_vblock_size(rng):
     y = np.array([1] * 5 + [2] * 5)
     ds = LabeledDataset(X, y)
     model = fit_pmpda(ds, m=2, k=3)
-    expected = sum(b.dim for b in per_point_bases(X, y, k=3))
+    expected = per_point_bases(X, y, k=3)[1].sum()
     assert model.layout.total == 4 + expected
 
 
@@ -451,8 +500,9 @@ def test_pmpda_matches_mpda_on_tiny_class(rng):
     patch_of, members, _ = merge_class_partitions(ds, 2, 10)
     whole = patch_bases(X, members, 0.95)
     point_bases = per_point_bases(X, y, k=2)
-    for b in point_bases:
-        assert np.allclose(b.basis, whole[0].basis)
+    assert (point_bases[1] == whole[1][0]).all()
+    for b in point_bases[0]:
+        assert np.allclose(b, whole[0][0])
     nb = knn_neighbors(X, 2)
     W = within_class_graph(nb, y)
     gamma = 0.7
@@ -460,7 +510,7 @@ def test_pmpda_matches_mpda_on_tiny_class(rng):
     S_p = within_form(X, W, np.arange(3), point_bases, gamma)
     for _ in range(10):
         t = rng.normal(size=4)
-        v = rng.normal(size=whole[0].dim)
+        v = rng.normal(size=whole[1][0])
         f_m = np.concatenate([t, v])
         f_p = np.concatenate([t] + [v] * 3)
         assert np.isclose(f_m @ S_m @ f_m, f_p @ S_p @ f_p, rtol=1e-10)
@@ -638,11 +688,11 @@ def test_zero_variance_patch_in_fit(rng):
     model = fit_mpda(ds, m=1, k=2)
     assert np.isfinite(model.projection).all()
     X_, y_, patch_of, bases, layout, W, _, _ = build_instance(ds, k=2)
-    assert any(b.dim == 0 for b in bases)
+    assert (bases[1] == 0).any()
     S = within_form(X_, W, patch_of, bases, 1.5)
     Wd = W.toarray()
     for _ in range(10):
         f = rng.normal(size=layout.total)
-        t, v = split_f(f, layout, len(bases))
+        t, v = split_f(f, layout, len(bases[1]))
         direct = within_objective(X_, Wd, patch_of, bases, 1.5, t, v)
         assert np.isclose(f @ S @ f, direct, rtol=1e-9, atol=1e-12)

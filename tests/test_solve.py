@@ -77,7 +77,7 @@ def test_empty_vblock_is_plain_dxd_solve(rng):
     X = rng.normal(size=(12, 4))
     y = np.array([1] * 6 + [2] * 6)
     bases = patch_bases(X, [np.array([i]) for i in range(len(X))])
-    layout = layout_for(4, bases)
+    layout = layout_for(4, bases[1])
     assert layout.total == 4
     nb = knn_neighbors(X, 3)
     W = within_class_graph(nb, y)

@@ -8,7 +8,7 @@ from conftest import one_basis
 from mpda.baselines import fit_pca
 from mpda.model import solve_gep
 from mpda.tangent import _signed, patch_bases, per_point_bases
-from tangent_oracles import fit_tangent_basis_loop, per_point_bases_loop
+from tangent_oracles import fit_tangent_basis_loop, per_point_bases_loop, stack
 
 
 def principal_angles(A, B):
@@ -23,28 +23,28 @@ def test_rank_one_data_on_axis():
     X = np.zeros((5, 3))
     X[:, 0] = [0.0, 1.0, 2.0, 3.0, 4.0]
     tb = one_basis(X, 0.95)
-    assert tb.dim == 1
-    assert np.allclose(np.abs(tb.basis[:, 0]), [1.0, 0.0, 0.0])
-    assert tb.basis[0, 0] > 0  # sign convention
+    assert tb.shape[1] == 1
+    assert np.allclose(np.abs(tb[:, 0]), [1.0, 0.0, 0.0])
+    assert tb[0, 0] > 0  # sign convention
 
 
 def test_singleton_patch_empty_basis():
     tb = one_basis(np.array([[1.0, 2.0, 3.0]]), 0.95)
-    assert tb.dim == 0 and tb.basis.shape == (3, 0)
+    assert tb.shape == (3, 0)
 
 
 def test_zero_variance_patch_empty_basis():
     tb = one_basis(np.ones((4, 2)), 0.95)
-    assert tb.dim == 0
+    assert tb.shape[1] == 0
 
 
 def test_orthonormal_columns(rng):
     for _ in range(10):
         X = rng.normal(size=(int(rng.integers(2, 15)), int(rng.integers(2, 6))))
         tb = one_basis(X, 0.95)
-        G = tb.basis.T @ tb.basis
-        assert np.linalg.norm(G - np.eye(tb.dim)) < 1e-10
-        assert tb.dim <= min(X.shape[1], X.shape[0] - 1)
+        G = tb.T @ tb
+        assert np.linalg.norm(G - np.eye(tb.shape[1])) < 1e-10
+        assert tb.shape[1] <= min(X.shape[1], X.shape[0] - 1)
 
 
 def test_matches_covariance_eigendecomposition(rng):
@@ -53,26 +53,25 @@ def test_matches_covariance_eigendecomposition(rng):
     tb = one_basis(X, 0.95)
     centered = X - X.mean(axis=0)
     cov = centered.T @ centered / (len(X) - 1)
-    vals, vecs = np.linalg.eigh(cov)
-    top = vecs[:, ::-1][:, : tb.dim]
-    assert principal_angles(tb.basis, top) < 1e-8
-    assert np.allclose(np.sort(tb.eigenvalues)[::-1], vals[::-1][: tb.dim])
+    _, vecs = np.linalg.eigh(cov)
+    top = vecs[:, ::-1][:, : tb.shape[1]]
+    assert principal_angles(tb, top) < 1e-8
 
 
 def test_energy_rule_monotone(rng):
     X = rng.normal(size=(20, 6)) * np.array([5.0, 3.0, 2.0, 1.0, 0.5, 0.1])
-    dims = [one_basis(X, e).dim for e in (0.5, 0.8, 0.95, 1.0)]
+    dims = [one_basis(X, e).shape[1] for e in (0.5, 0.8, 0.95, 1.0)]
     assert dims == sorted(dims)
-    assert one_basis(X, 1.0).dim == np.linalg.matrix_rank(X - X.mean(axis=0))
+    assert one_basis(X, 1.0).shape[1] == np.linalg.matrix_rank(X - X.mean(axis=0))
 
 
 def test_reconstruction_beats_random_basis(rng):
     X = rng.normal(size=(15, 5)) * np.array([4.0, 2.0, 1.0, 0.3, 0.1])
     tb = one_basis(X, 0.8)
     centered = X - X.mean(axis=0)
-    resid = np.linalg.norm(centered - centered @ tb.basis @ tb.basis.T)
+    resid = np.linalg.norm(centered - centered @ tb @ tb.T)
     for _ in range(5):
-        Q, _ = np.linalg.qr(rng.normal(size=(5, tb.dim)))
+        Q, _ = np.linalg.qr(rng.normal(size=(5, tb.shape[1])))
         rand_resid = np.linalg.norm(centered - centered @ Q @ Q.T)
         assert resid <= rand_resid + 1e-12
 
@@ -81,36 +80,43 @@ def test_deterministic_signs(rng):
     X = rng.normal(size=(10, 4))
     a = one_basis(X, 0.95)
     b = one_basis(X.copy(), 0.95)
-    assert np.array_equal(a.basis, b.basis)
-    lead = np.argmax(np.abs(a.basis), axis=0)
-    assert np.all(a.basis[lead, np.arange(a.dim)] > 0)
+    assert np.array_equal(a, b)
+    lead = np.argmax(np.abs(a), axis=0)
+    assert np.all(a[lead, np.arange(a.shape[1])] > 0)
 
 
 def test_per_point_bases_use_within_class_neighborhoods(rng):
     X = rng.normal(size=(12, 3))
     y = np.array([1] * 6 + [2] * 6)
-    bases = per_point_bases(X, y, k=3)
-    assert len(bases) == 12
-    for b in bases:
-        assert b.dim <= 3  # k+1 points cap the rank at k
-        assert np.linalg.norm(b.basis.T @ b.basis - np.eye(b.dim)) < 1e-10
+    T, dims = per_point_bases(X, y, k=3)
+    assert T.shape[:2] == (12, 3) and dims.shape == (12,)
+    for b, m in zip(T, dims):
+        assert m <= 3  # k+1 points cap the rank at k
+        assert np.linalg.norm(b[:, :m].T @ b[:, :m] - np.eye(m)) < 1e-10
 
 
 def test_per_point_bases_small_class():
     X = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]])
     y = np.array([1, 1, 2])
-    bases = per_point_bases(X, y, k=5)
-    assert bases[2].dim == 0  # singleton class
-    assert bases[0].dim == 1  # two collinear classmates
+    _, dims = per_point_bases(X, y, k=5)
+    assert dims[2] == 0  # singleton class
+    assert dims[0] == 1  # two collinear classmates
 
 
 def same_bytes(a, b):
-    """Two bases with the same shapes and the same basis and eigenvalue bytes."""
-    return (
-        a.basis.shape == b.basis.shape
-        and a.basis.tobytes() == b.basis.tobytes()
-        and a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
-    )
+    """Two arrays with the same shape, dtype and bytes."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def same_stack(a, b):
+    """Two (T, dims) stacks with the same bytes in both parts."""
+    return same_bytes(a[0], b[0]) and same_bytes(a[1], b[1])
+
+
+def padding_is_positive_zero(T, dims):
+    """T is exactly +0.0 from each rank on."""
+    pad = T.transpose(0, 2, 1)[np.arange(T.shape[2]) >= dims[:, None]]
+    return pad.tobytes() == np.zeros_like(pad).tobytes()
 
 
 @st.composite
@@ -138,9 +144,10 @@ def labeled_points(draw):
 @given(labeled_points(), st.sampled_from([0.5, 0.95, 1.0]))
 def test_stacked_bases_bit_identical_to_per_patch_oracle(case, energy):
     X, y, k = case
-    bases, ref = per_point_bases(X, y, k, energy), per_point_bases_loop(X, y, k, energy)
-    assert len(bases) == len(ref)
-    assert all(same_bytes(a, b) for a, b in zip(bases, ref))
+    bases = per_point_bases(X, y, k, energy)
+    assert same_stack(bases, per_point_bases_loop(X, y, k, energy))
+    assert bases[0].dtype == np.float64 and bases[0].flags["C_CONTIGUOUS"]
+    assert padding_is_positive_zero(*bases)
     assert same_bytes(one_basis(X, energy), fit_tangent_basis_loop(X, energy))
 
 
@@ -167,11 +174,14 @@ def patched_points(draw):
 @given(patched_points(), st.sampled_from([0.5, 0.95, 1.0]))
 def test_patch_bases_bit_identical_to_one_fit_per_patch(case, energy):
     X, patches = case
-    bases = patch_bases(X, patches, energy)
-    assert len(bases) == len(patches)
-    for tb, p in zip(bases, patches):
-        assert same_bytes(tb, one_basis(X[p], energy))
-        assert same_bytes(tb, fit_tangent_basis_loop(X[p], energy))
+    T, dims = patch_bases(X, patches, energy)
+    assert T.shape == (len(patches), X.shape[1], dims.max(initial=0))
+    assert padding_is_positive_zero(T, dims)
+    for tb, m, p in zip(T, dims, patches):
+        assert same_bytes(tb[:, :m], one_basis(X[p], energy))
+        assert same_bytes(tb[:, :m], fit_tangent_basis_loop(X[p], energy))
+    ref = stack([fit_tangent_basis_loop(X[p], energy) for p in patches], X.shape[1])
+    assert same_stack((T, dims), ref)
 
 
 def test_hood_block_size_does_not_change_bases(rng, monkeypatch):
@@ -183,8 +193,8 @@ def test_hood_block_size_does_not_change_bases(rng, monkeypatch):
         monkeypatch.setattr(mpda.tangent, "HOOD_BLOCK_ROWS", 2)
         blocked = per_point_bases(X, y, k)
         monkeypatch.undo()
-        assert all(same_bytes(a, b) for a, b in zip(blocked, whole))
-        assert all(same_bytes(a, b) for a, b in zip(blocked, per_point_bases_loop(X, y, k, 0.95)))
+        assert same_stack(blocked, whole)
+        assert same_stack(blocked, per_point_bases_loop(X, y, k, 0.95))
 
 
 def test_patch_bases_in_blocks_bit_identical_to_one_fit_per_patch(rng, monkeypatch):
@@ -197,11 +207,12 @@ def test_patch_bases_in_blocks_bit_identical_to_one_fit_per_patch(rng, monkeypat
     patches = [np.sort(p) for p in np.split(members, np.cumsum(sizes)[:-1])]
     patches.append(np.arange(40, 44))
     monkeypatch.setattr(mpda.tangent, "HOOD_BLOCK_ROWS", 3)
-    bases = patch_bases(X, patches, 0.9)
-    assert len(bases) == len(patches)
-    for tb, p in zip(bases, patches):
-        assert same_bytes(tb, one_basis(X[p], 0.9))
-    assert bases[-1].dim == 0
+    T, dims = patch_bases(X, patches, 0.9)
+    assert len(T) == len(dims) == len(patches)
+    assert padding_is_positive_zero(T, dims)
+    for tb, m, p in zip(T, dims, patches):
+        assert same_bytes(tb[:, :m], one_basis(X[p], 0.9))
+    assert dims[-1] == 0
 
 
 @pytest.mark.parametrize("energy", [0.0, -0.1, 1.5])
@@ -214,7 +225,7 @@ def test_per_point_bases_rejects_energy_outside_unit_interval(rng, energy):
 @pytest.mark.parametrize("energy", [0.0, 1.5, np.nan])
 def test_single_point_sets_check_the_energy_too(rng, energy):
     # a one-point set has an empty basis, but its energy is still checked
-    assert one_basis(rng.normal(size=(1, 3))).dim == 0
+    assert one_basis(rng.normal(size=(1, 3))).shape == (3, 0)
     with pytest.raises(ValueError):
         one_basis(rng.normal(size=(1, 3)), energy)
     with pytest.raises(ValueError):
@@ -244,9 +255,26 @@ def test_bases_pca_directions_and_eigenvectors_follow_the_sign_rule(rng):
     for _ in range(5):
         X = rng.normal(size=(30, 6)) @ rng.normal(size=(6, 6))
         assert (first_largest(fit_pca(X, m=6).projection) > 0).all()
-        assert (first_largest(one_basis(X, 1.0).basis) > 0).all()
+        assert (first_largest(one_basis(X, 1.0)) > 0).all()
         G = rng.normal(size=(12, 12))
         Sp = np.zeros((12, 12))
         Sp[:4, :4] = np.cov(rng.normal(size=(4, 9)))
         _, vecs = solve_gep(Sp, G @ G.T, 1e-3, 4, t_dim=4)
         assert (first_largest(vecs[:4]) > 0).all()
+
+
+def test_stack_is_positive_zero_past_each_rank_and_one_patch_calls_match_its_slices(rng):
+    # equal-sized patches of ranks 1, 2 and 3 share one stacked SVD, so the
+    # lower-rank sets carry SVD directions past their ranks until zeroed;
+    # a lone point and a zero-variance patch have rank 0
+    line = np.outer(rng.normal(size=4), rng.normal(size=5))
+    plane = rng.normal(size=(4, 2)) @ rng.normal(size=(2, 5))
+    X = np.vstack([line, plane, rng.normal(size=(4, 5)), -np.ones((3, 5)), rng.normal(size=(1, 5))])
+    patches = [np.arange(0, 4), np.arange(4, 8), np.arange(8, 12), np.arange(12, 15), np.array([15])]
+    T, dims = patch_bases(X, patches, 1.0)
+    assert dims.tolist() == [1, 2, 3, 0, 0] and T.shape == (5, 5, 3)
+    assert padding_is_positive_zero(T, dims)
+    for p, members in enumerate(patches):
+        one_T, one_dims = patch_bases(X, [members], 1.0)
+        assert one_dims.tolist() == [dims[p]] and one_T.shape == (1, 5, dims[p])
+        assert one_T[0].tobytes() == T[p, :, : dims[p]].tobytes()
