@@ -149,7 +149,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     }
     present = {tok.split("=", 1)[0] for tok in rest if tok.startswith("--")}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc

@@ -115,7 +115,7 @@ def _load_csv(path: str, header: bool) -> tuple[array, list[int]]:
     values = array("d")
     labels: list[int] = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             if header and lineno == 1:
                 continue
@@ -142,7 +142,7 @@ def _load_csv(path: str, header: bool) -> tuple[array, list[int]]:
 def _load_libsvm(path: str) -> tuple[list[dict[int, float]], list[int]]:
     rows: list[dict[int, float]] = []
     labels: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -164,7 +164,7 @@ def _load_libsvm(path: str) -> tuple[list[dict[int, float]], list[int]]:
 
 
 def load_dataset(path: str, format: str = "csv", header: bool = False) -> LabeledDataset:
-    """Load a labeled dataset from ``path``.
+    """Load a labeled dataset from the UTF-8 file ``path``; a byte-order mark is skipped.
 
     ``csv``: first column is the integer class label, remaining columns
     are features, no header unless ``header=True``.  Each row's values go

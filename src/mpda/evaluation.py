@@ -421,7 +421,9 @@ def dimension_sweep(
     of the widths raises ``ValueError``.
     """
     m_values = sorted(set(int(m) for m in m_values))
-    if m_values and m_values[0] < 1:
+    if not m_values:
+        raise ValueError("no widths requested")
+    if m_values[0] < 1:
         raise ValueError(f"widths must be at least 1, got {m_values}")
     acc: dict[int, list[float]] = {m: [] for m in m_values}
     for _, tr, te, _ in _split_walk(ds, splits, train_fraction, seed, pca_mode):

@@ -15,8 +15,9 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
+from scipy.spatial.distance import cdist
 
-from .graph import NeighborLists, _check_k, _finite, _nearest, _symmetric, pairwise_euclidean
+from .graph import NeighborLists, _check_k, _finite, _nearest, _symmetric
 
 
 @dataclass(frozen=True)
@@ -53,15 +54,15 @@ class GeodesicMatrix:
 def geodesic_distances(X: np.ndarray, k: int) -> GeodesicMatrix:
     """All-pairs shortest paths on the k-NN graph of X, plus Euclidean distances.
 
-    The k-NN lists come from X's one ``pairwise_euclidean`` matrix; the edge
-    matrix is symmetric, so a directed Dijkstra gives the undirected paths.
+    The k-NN lists are ranked in place in X's one ``cdist`` matrix, returned as
+    ``euclidean``; the edge matrix is symmetric, so a directed Dijkstra suffices.
     Unreachable pairs are +inf, which is data for the partitioner, not an
     error.  Raises ``KTooLargeError`` unless 1 <= k < n; X must be finite.
     """
     X = _finite(X)
     _check_k(k, X.shape[0])
-    DE = pairwise_euclidean(X)
-    nb = NeighborLists(*_nearest(DE.copy(), k), k=k)
+    DE = cdist(X, X)
+    nb = NeighborLists(*_nearest(DE, k), k=k)
     # zero-length edges (coincident points) stay as explicit zeros, so
     # Dijkstra treats them as traversable
     graph = _symmetric(*nb.edges, nb.n)

@@ -1,9 +1,9 @@
 """Neighbor graphs, the between-class form and class scatter matrices.
 
-All constructions are deterministic: k-NN ties are broken by ascending
-point index, which makes every downstream matrix reproducible bit for bit.
-Every reader of the undirected k-NN graph takes its edges from
-``NeighborLists.edges``.
+All constructions are deterministic: one kernel, ``_smallest``, ranks every
+neighbor list by (distance, index), ties to the lower index, and no point is
+in its own list, so every downstream matrix is reproducible bit for bit.
+Every reader of the undirected k-NN graph reads ``NeighborLists.edges``.
 None holds an n x n array.  k-NN screens row blocks of squared distances
 from one matrix product, then re-ranks a candidate set with cdist's own
 arithmetic under a per-row rounding certificate, so its lists equal those
@@ -60,13 +60,6 @@ class NeighborLists:
         return lo[first], hi[first], self.distances.ravel()[first]
 
 
-def pairwise_euclidean(X: np.ndarray) -> np.ndarray:
-    """Dense symmetric matrix of Euclidean distances with an exact zero diagonal."""
-    D = cdist(X, X)
-    np.fill_diagonal(D, 0.0)
-    return D
-
-
 def _finite(X: np.ndarray) -> np.ndarray:
     """X as a float64 array; raises ``ValueError`` unless every value is finite."""
     X = np.asarray(X, dtype=np.float64)
@@ -82,27 +75,35 @@ def _check_k(k: int, n: int) -> None:
         raise KTooLargeError(f"k={k} must be smaller than the number of points n={n}")
 
 
+def _smallest(key: np.ndarray, k: int) -> np.ndarray:
+    """Columns of the k smallest values of each row by (value, index), ascending.
+
+    The one owner of the neighbor ranking rule: the first k entries of a
+    stable argsort of the row, NaN after every number.  Needs k < row length.
+    """
+    part = np.argpartition(key, k, axis=1)
+    pick = part[:, :k]
+    # argpartition splits a tie at the boundary arbitrarily: such rows go whole
+    val = np.take_along_axis(key, part[:, : k + 1], axis=1)
+    for r in np.flatnonzero(val[:, :k].max(axis=1) == val[:, k]):
+        pick[r] = np.argsort(key[r], kind="stable")[:k]
+    pick.sort(axis=1)
+    return pick
+
+
 def _nearest(D: np.ndarray, k: int, own: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The k nearest columns of each row of a distance block, by (distance, index).
 
-    Row r of ``D`` holds the distances from one point to every point; its
-    own column, ``own[r]`` (r when None), is set to +inf in place.  The
-    order equals the first k entries of a stable full-row argsort.
+    Row r of ``D`` holds the distances from one point to every point; its own
+    column, ``own[r]`` (r when None), is NaN while ranked, so never picked.
     """
-    rows = np.arange(D.shape[0])
-    D[rows, rows if own is None else own] = np.inf
-    near = np.sort(np.argpartition(D, k - 1, axis=1)[:, :k], axis=1)
+    at = (np.arange(D.shape[0]), np.arange(D.shape[0]) if own is None else own)
+    saved, D[at] = D[at], np.nan
+    near = _smallest(D, k)
+    D[at] = saved  # D is left as it was
     dist = np.take_along_axis(D, near, axis=1)
     order = np.argsort(dist, axis=1, kind="stable")  # near is index-sorted
-    near = np.take_along_axis(near, order, axis=1)
-    dist = np.take_along_axis(dist, order, axis=1)
-    # argpartition breaks ties at the k-th distance arbitrarily: a row with
-    # more than k entries up to that distance is sorted whole
-    kth = dist[:, -1:]
-    for r in np.flatnonzero(np.count_nonzero(D <= kth, axis=1) > k):
-        near[r] = np.argsort(D[r], kind="stable")[:k]
-        dist[r] = D[r, near[r]]
-    return near, dist
+    return np.take_along_axis(near, order, axis=1), np.take_along_axis(dist, order, axis=1)
 
 
 def _certified(
@@ -227,15 +228,6 @@ def _symmetric(lo: np.ndarray, hi: np.ndarray, values: np.ndarray, n: int) -> sp
     )
 
 
-def _effective_sigma(nb: NeighborLists) -> np.ndarray:
-    """Local scale sigma_i = distance to the k-th nearest neighbor.
-
-    Distances ascend along each list, so sigma_i = 0 only when every
-    neighbor of i coincides with it; the kernel limit handles those pairs.
-    """
-    return nb.distances[:, -1].copy()
-
-
 def class_scatters(X: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Class-sum scatter matrices of the rows of X.
 
@@ -263,9 +255,10 @@ def between_class_form(X: np.ndarray, labels: np.ndarray, nb: NeighborLists) -> 
     """X' L(W') X for the graph pulling apart nearby points of different classes.
 
     W' gives every cross-class pair 1/n and a same-class pair in class c
-    A_ij * (1/n - 1/n_c) <= 0, where A_ij is a locally scaled heat kernel
-    (Zelnik-Manor & Perona 2004) that is nonzero only for pairs linked in
-    ``nb`` (i in N_k(j) or j in N_k(i)).  The cross-class part equals the
+    A_ij * (1/n - 1/n_c) <= 0, where A_ij = exp(-d_ij^2 / (sigma_i sigma_j))
+    for pairs linked in ``nb`` (i in N_k(j) or j in N_k(i)), else 0: a
+    locally scaled heat kernel (Zelnik-Manor & Perona 2004), sigma_i the
+    last distance in i's list.  The cross-class part equals the
     class-sum form S_t - sum_c (n_c/n) S_c = S_b + sum_c (1 - n_c/n) S_c,
     and the kernel part is a sum over the neighbor edges, so the d x d
     result costs O(nk + d^2) memory and no n x n graph.
@@ -282,7 +275,8 @@ def between_class_form(X: np.ndarray, labels: np.ndarray, nb: NeighborLists) -> 
     keep = labels[lo] == labels[hi]
     lo, hi, dist = lo[keep], hi[keep], dist[keep]
 
-    sigma = _effective_sigma(nb)
+    # sigma_i = 0 only when all of i's neighbors coincide with it: kernel limit
+    sigma = nb.distances[:, -1]
     scale = sigma[lo] * sigma[hi]
     with np.errstate(divide="ignore", invalid="ignore"):
         kernel = np.exp(-(dist**2) / scale)

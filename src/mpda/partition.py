@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import UnreachablePairError
 from .geodesy import GeodesicMatrix, geodesic_distances, mean_ratios
-from .graph import _finite
+from .graph import _finite, _smallest
 
 DEFAULT_KPRIME = 6
 DEFAULT_MAX_PATCH = 10
@@ -190,12 +190,12 @@ def _grow(spans, idx: np.ndarray, sizes: np.ndarray, kprime: int, budget: int) -
 
     Returns the sorted halves, left then right, of each patch.  Each side
     starts from one seed with ratio sum 1.  In each round both sides pick
-    their k' nearest pool members by (distance, index), pool members before
-    all others even at +inf.  Each side absorbs its sole picks; the joint
-    picks then go to the side with the smaller sum/count, to the left side
-    on a tie.  Only the picked rows of each class's ratio and distance
-    matrices are read; the distance matrix is bitwise symmetric, so a row
-    serves as the column of a nearest distance.
+    their k' nearest pool members (``_smallest``: by distance, then index),
+    pool members before all others even at +inf.  Each side absorbs its
+    sole picks; the joint picks then go to the side with the smaller
+    sum/count, to the left side on a tie.  Only the picked rows of each
+    class's ratio and distance matrices are read; the distance matrix is
+    bitwise symmetric, so a row serves as the column of a nearest distance.
 
     One summation order, which padding, chunking and the BLAS thread count
     cannot change, makes the sums: an absorption adds to its side's sum one
@@ -233,14 +233,7 @@ def _grow(spans, idx: np.ndarray, sizes: np.ndarray, kprime: int, budget: int) -
     dists = np.empty((Q, kk, S))
     while pool.any():
         key = np.where(pool[:, None], near.reshape(P, 2, S), np.nan).reshape(Q, S)
-        part = np.argpartition(key, kk, axis=1)
-        cand = part[:, :kk]
-        val = key.take(cand + row_at)
-        # argpartition breaks a tie at the boundary arbitrarily: such a row
-        # is sorted whole
-        for q in np.flatnonzero(val.max(axis=1) == key.take(part[:, kk] + row_at[:, 0])):
-            cand[q] = np.argsort(key[q], kind="stable")[:kk]
-        cand.sort(axis=1)  # picks in ascending patch position
+        cand = _smallest(key, kk)  # picks in ascending patch position
         picked = ~np.isnan(key.take(cand + row_at))  # fewer than k' left: the whole pool
         mark = np.zeros((P, 2, S), dtype=bool)
         np.put(mark, cand + row_at, picked)

@@ -9,15 +9,18 @@ of them.
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.spatial.distance import cdist
 
-from mpda.graph import NeighborLists, pairwise_euclidean
+from mpda.graph import NeighborLists
 
 
 def knn_argsort(X, k):
     """k-NN lists from one stable argsort of every full distance row."""
-    D = pairwise_euclidean(np.asarray(X, dtype=np.float64))
-    np.fill_diagonal(D, np.inf)
+    X = np.asarray(X, dtype=np.float64)
+    D = cdist(X, X)
+    # NaN sorts after +inf, so a point is never its own neighbor; the
     # stable sort keeps equal distances in ascending-index order
+    np.fill_diagonal(D, np.nan)
     order = np.argsort(D, axis=1, kind="stable")[:, :k]
     dists = np.take_along_axis(D, order, axis=1)
     return NeighborLists(indices=order, distances=dists, k=k)
@@ -74,7 +77,7 @@ def between_class_graph(X, labels, k):
     W = np.full((n, n), 1.0 / n)
     W[same] = 0.0
 
-    D = pairwise_euclidean(X)
+    D = cdist(X, X)
     mask = mutual_edge_mask(nb)
     scale = np.outer(sigma, sigma)
     A = np.zeros((n, n))

@@ -34,7 +34,7 @@ def knn_edge_matrix(D, k):
     edges = {}
     for i in range(n):
         row = D[i].copy()
-        row[i] = np.inf
+        row[i] = np.nan  # sorts after +inf: never its own neighbor
         for j in np.argsort(row, kind="stable")[:k]:
             edges.setdefault((min(i, int(j)), max(i, int(j))), row[j])
     (lo, hi), w = np.array(list(edges)).T, np.array(list(edges.values()))

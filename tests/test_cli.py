@@ -192,6 +192,16 @@ def test_sweep_with_no_width_that_fits_is_usage_error(tmp_path, data_csv, capsys
     assert "[5, 6]" in payload["message"] and "width 3" in payload["message"]
 
 
+def test_sweep_with_no_width_is_usage_error(tmp_path, data_csv, capsys):
+    path, _ = data_csv
+    rc = run(["sweep", "--algo", "pca", "--data", path, "--m-min", "3", "--m-max", "2",
+              "--out", str(tmp_path / "sweep.csv")])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "ValueError", "message": "no widths requested"}
+
+
 def test_sweep_width_below_one_is_usage_error(tmp_path, data_csv, capsys):
     path, _ = data_csv
     rc = run(["sweep", "--algo", "pca", "--data", path, "--m-min", "0", "--m-max", "2",
@@ -337,6 +347,21 @@ def test_repeated_config_is_one_usage_error(tmp_path, data_csv, capsys, before, 
     argv = [*before, "fit", *after, "--algo", "mpda", "--data", path, "--m", "1",
             "--out", str(tmp_path / "m.bin")]
     assert usage_error(capsys, argv) == "--config given twice"
+
+
+def test_config_and_data_with_a_byte_order_mark(tmp_path, data_csv):
+    from mpda.model import load_model
+
+    path, _ = data_csv
+    data = tmp_path / "bom.csv"
+    data.write_bytes(b"\xef\xbb\xbf" + open(path, "rb").read())
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfgamma = 5\n")
+    model_path = str(tmp_path / "m.bin")
+    rc = run(["--config", str(cfg), "fit", "--algo", "mpda", "--data", str(data), "--m", "1",
+              "--out", model_path])
+    assert rc == 0
+    assert load_model(model_path).hyperparams["gamma"] == 5.0
 
 
 def test_config_unknown_key_rejected(tmp_path, data_csv):

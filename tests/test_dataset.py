@@ -68,6 +68,22 @@ def test_load_libsvm(tmp_path):
     assert np.allclose(ds.features, [[0.5, 0.0, 2.0], [0.0, 1.0, 0.0]])
 
 
+@pytest.mark.parametrize("name,text,fmt", [
+    ("data.csv", "1,0.5,1\n2,1.5,0\n", "csv"),
+    ("data.svm", "1 1:0.5 2:1\n2 1:1.5\n", "libsvm"),
+])
+def test_load_accepts_a_byte_order_mark(tmp_path, name, text, fmt):
+    plain = load_dataset(write(tmp_path, text, name="plain-" + name), format=fmt)
+    (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + text.encode())
+    ds = load_dataset(str(tmp_path / name), format=fmt)
+    assert ds.features.tobytes() == plain.features.tobytes()
+    assert np.array_equal(ds.labels, plain.labels) and ds.label_names == plain.label_names
+    # line numbers still count from the marked first line
+    (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + text.encode() + b"x\n")
+    with pytest.raises(ParseError, match="^line 3: "):
+        load_dataset(str(tmp_path / name), format=fmt)
+
+
 def test_load_rejects_nan(tmp_path):
     path = write(tmp_path, "1,nan\n2,1.0\n")
     with pytest.raises(ParseError):

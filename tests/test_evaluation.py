@@ -228,6 +228,17 @@ def test_dimension_sweep_rejects_width_below_one(rng):
         dimension_sweep(ds, "pca", [0, 1, 2], splits=1)
 
 
+def test_dimension_sweep_without_widths_raises_before_any_split(rng, monkeypatch):
+    ds = two_gaussians(rng, n_per=12)
+
+    def no_split(*args, **kwargs):
+        raise AssertionError("a split ran")
+
+    monkeypatch.setattr(mpda.evaluation, "_split_walk", no_split)
+    with pytest.raises(ValueError, match="^no widths requested$"):
+        dimension_sweep(ds, "pca", [], splits=2)
+
+
 def test_empty_width_grid_raises(rng):
     ds = two_gaussians(rng, n_per=12, d=3)
     with pytest.raises(ValueError, match="m grid must be non-empty"):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.spatial.distance import cdist
 
 from mpda.errors import KTooLargeError, UnreachablePairError
 from mpda.geodesy import GeodesicMatrix, geodesic_distances, mean_ratios
@@ -71,6 +72,15 @@ def test_edge_matrix_matches_dict_loop_on_duplicates_and_gaps(rng):
         assert np.array_equal(gm.components(), connected_components(old, directed=False)[1])
         if trial == 0:
             assert np.isinf(gm.geodesic).any()
+
+
+def test_euclidean_is_cdist_with_an_exact_zero_diagonal(rng):
+    for scale in (1.0, 1e-200, 1e200):
+        X = rng.integers(0, 4, size=(30, 3)) * scale + rng.normal(size=(30, 3)) * scale
+        X[10] = X[3]  # a duplicate row
+        DE = geodesic_distances(X, 4).euclidean
+        assert DE.tobytes() == cdist(X, X).tobytes()
+        assert np.all(np.diag(DE) == 0.0) and DE[3, 10] == 0.0
 
 
 def test_k_out_of_range_raises():

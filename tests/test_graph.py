@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.spatial.distance import cdist
 
 import mpda.graph
 from mpda.baselines import fit_pca
@@ -20,7 +21,8 @@ from graph_oracles import (
 from mpda.geodesy import geodesic_distances
 from mpda.graph import (
     KNN_BLOCK_ROWS,
-    _effective_sigma,
+    _nearest,
+    _smallest,
     between_class_form,
     knn_neighbors,
     within_class_graph,
@@ -153,6 +155,67 @@ def test_knn_full_row_fallback_only_for_overflowing_rows(rng, monkeypatch):
         assert nb.distances.tobytes() == ref.distances.tobytes()
 
 
+@st.composite
+def ranking_keys(draw):
+    """Rows of few distinct values, +-inf among them, and optionally NaN;
+    any valid k up to the row length - 1."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(2, 40))
+    values = [-np.inf, -1.0, 0.0, 0.5, 1.0, 2.0, np.inf] + ([np.nan] if draw(st.booleans()) else [])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    key = rng.choice(values, size=(rows, cols))
+    return key, draw(st.integers(1, cols - 1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ranking_keys())
+def test_smallest_is_a_stable_argsort_prefix(case):
+    key, k = case
+    before = key.tobytes()
+    got = _smallest(key, k)
+    assert key.tobytes() == before
+    assert got.shape == (key.shape[0], k)
+    assert np.all(np.diff(got, axis=1) > 0)  # ascending columns, no repeat
+    want = np.argsort(key, axis=1, kind="stable")[:, :k]
+    if not np.isnan(key).any():
+        assert np.array_equal(got, np.sort(want, axis=1))
+    # NaN ranks after every number: the picks of numbers are exact
+    for r in range(key.shape[0]):
+        g, w = got[r], want[r]
+        assert np.array_equal(g[~np.isnan(key[r, g])], np.sort(w[~np.isnan(key[r, w])]))
+
+
+def test_nearest_leaves_the_block_as_it_was(rng):
+    X = rng.integers(0, 3, size=(40, 2)).astype(np.float64)
+    X[5] = (1e200, 0.0)  # this row's distances overflow to +inf
+    D = cdist(X, X)
+    before = D.tobytes()
+    near, dist = _nearest(D, 4)
+    assert D.tobytes() == before
+    ref = knn_argsort(X, 4)
+    assert np.array_equal(near, ref.indices) and dist.tobytes() == ref.distances.tobytes()
+    rows = np.array([5, 7, 30])
+    B = cdist(X[rows], X)
+    before = B.tobytes()
+    near, dist = _nearest(B, 4, rows)
+    assert B.tobytes() == before
+    assert np.array_equal(near, ref.indices[rows]) and dist.tobytes() == ref.distances[rows].tobytes()
+
+
+def test_point_is_never_its_own_neighbor_among_infinite_distances():
+    # row 0's distances to the others overflow to +inf, tying with the
+    # mask of its own column when that was +inf
+    X = np.array([[1e200, 0.0], [0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    nb = knn_neighbors(X, 2)
+    assert nb.indices[0].tolist() == [1, 2] and np.all(np.isinf(nb.distances[0]))
+    assert not np.any(nb.indices == np.arange(4)[:, None])
+    lo, hi, _ = nb.edges
+    assert np.all(lo < hi)
+    assert within_class_graph(nb, np.ones(4, dtype=int)).diagonal().tolist() == [0, 0, 0, 0]
+    ref = knn_argsort(X, 2)
+    assert np.array_equal(nb.indices, ref.indices)
+    assert nb.distances.tobytes() == ref.distances.tobytes()
+
+
 @pytest.mark.parametrize("kernel,value", [
     ("knn_neighbors", np.nan),
     ("geodesic_distances", np.inf),
@@ -183,8 +246,8 @@ def test_effective_sigma_matches_loop_with_duplicates():
     X = np.array([[0.0, 0.0]] * 3 + [[1.0, 0.0], [4.0, 0.0], [4.0, 0.0]])
     for k in (1, 2, 3):
         nb = knn_neighbors(X, k)
-        assert np.array_equal(_effective_sigma(nb), effective_sigma_loop(nb))
-    assert np.array_equal(_effective_sigma(knn_neighbors(X, 2)), [0, 0, 0, 1, 3, 3])
+        assert np.array_equal(nb.distances[:, -1], effective_sigma_loop(nb))
+    assert np.array_equal(knn_neighbors(X, 2).distances[:, -1], [0, 0, 0, 1, 3, 3])
 
 
 def dense_between_oracle(X, y, k):
@@ -207,7 +270,7 @@ def test_between_form_zero_sigma_and_singleton_class():
     X = np.array([[0.0, 0.0]] * 3 + [[1.0, 0.5], [5.0, 1.0], [5.5, 2.0], [6.0, 0.0], [2.0, 7.0]])
     y = np.array([1, 1, 1, 1, 2, 2, 2, 3])
     nb = knn_neighbors(X, 2)
-    sigma = _effective_sigma(nb)
+    sigma = nb.distances[:, -1]
     assert sigma[0] == 0.0 and sigma[3] > 0.0 and set(nb.indices[3]) <= {0, 1, 2}
     for offset in (0.0, 1e4):
         assert between_rel_err(X + offset, y, 2) <= 1e-12

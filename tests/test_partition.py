@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-import mpda.graph
+import mpda.geodesy
 import mpda.partition
 from conftest import one_partition
 from mpda.geodesy import GeodesicMatrix, geodesic_distances, mean_ratios
-from mpda.graph import pairwise_euclidean
 from mpda.partition import partition_classes, split_patch
 from partition_oracles import partition_class_loop, split_patch_loop
 
@@ -45,7 +44,7 @@ def test_singleton_class():
 
 def test_partition_computes_one_distance_matrix(rng):
     X = rng.normal(size=(30, 3))
-    with mock.patch.object(mpda.graph, "cdist", wraps=cdist) as spy:
+    with mock.patch.object(mpda.geodesy, "cdist", wraps=cdist) as spy:
         part = one_partition(X, kprime=4, max_patch=5)
     check_invariants(part, 30, 5)
     assert spy.call_count == 1
@@ -273,7 +272,8 @@ def test_split_patch_adds_in_the_one_summation_order():
     rng = np.random.default_rng(5)
     for _ in range(40):
         n = int(rng.integers(12, 40))
-        DE = pairwise_euclidean(rng.normal(size=(n, 2)))
+        Y = rng.normal(size=(n, 2))
+        DE = cdist(Y, Y)
         DG = DE * (1.0 + rng.integers(0, 8, size=(n, n)) * np.finfo(float).eps)
         gm = GeodesicMatrix(DG, DE)
         for kprime in (2, 4, 6):
@@ -288,7 +288,8 @@ def test_unweighted_infinite_ratios_add_nothing():
     rng = np.random.default_rng(6)
     for _ in range(40):
         n = int(rng.integers(8, 30))
-        DE = pairwise_euclidean(rng.normal(size=(n, 2)))
+        Y = rng.normal(size=(n, 2))
+        DE = cdist(Y, Y)
         DG = DE * (1.0 + rng.integers(0, 8, size=(n, n)) * np.finfo(float).eps)
         i, j = rng.integers(0, n, size=(2, 3))
         DE[i, j] = DE[j, i] = np.where(i == j, 0.0, 1e-310)
@@ -309,7 +310,7 @@ def test_overflowing_distances_give_the_oracle_patches(rng):
         n = int(rng.integers(15, 50))
         chain = np.column_stack([np.arange(n) + rng.normal(0, 0.2, n), rng.normal(0, 0.3, n)])
         X = chain[rng.permutation(n)] * 5e153
-        assert np.isinf(pairwise_euclidean(X)).any()
+        assert np.isinf(cdist(X, X)).any()
         with np.errstate(all="raise"):
             exact = one_partition(X, kprime=3, max_patch=5)
         assert_same_partition(exact, partition_class_loop(X, kprime=3, max_patch=5))
