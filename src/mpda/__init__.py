@@ -21,7 +21,7 @@ from .model import (
     solve_gep,
     transform,
 )
-from .partition import Partition, partition_classes, split_patch
+from .partition import Partition, partition_classes
 
 __version__ = "0.1.0"
 
@@ -49,7 +49,6 @@ __all__ = [
     "partition_classes",
     "save_model",
     "solve_gep",
-    "split_patch",
     "train_test_split",
     "transform",
     "within_class_graph",

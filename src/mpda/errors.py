@@ -2,7 +2,8 @@
 
 Two branches matter for the CLI exit codes: ``DataError`` (bad or
 inconsistent input data, exit 3) and ``ComputeError`` (a numerical stage
-could not complete, exit 4).
+could not complete, exit 4).  No patch spans two components of its class's
+k'-NN graph, so no error covers a patch with an unreachable pair.
 """
 
 
@@ -48,10 +49,6 @@ class EmptyTrainSetError(DataError):
 
 class DegenerateFoldsError(DataError):
     """Cross-validation folds cannot be stratified (class smaller than fold count)."""
-
-
-class UnreachablePairError(ComputeError):
-    """A patch contains points with infinite geodesic distance between them."""
 
 
 class LayoutMismatchError(ComputeError):

@@ -227,7 +227,8 @@ def assemble_within(
     every chunk writes its triplets in place.  They keep one order, so the
     one COO to CSC sum gives the same bytes for any chunking.  C_pq' C_pq
     sums all r rows of C_pq, so T must be (P, d, r >= dims.max()) and +0.0
-    past each rank, or ``LayoutMismatchError`` is raised.
+    past each rank, or ``LayoutMismatchError`` is raised.  It is raised too
+    unless W is n x n and every patch id lies in 0..P-1.
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
@@ -236,8 +237,10 @@ def assemble_within(
         raise LayoutMismatchError("patch assignment length does not match X")
     T, dims = np.asarray(bases[0], dtype=np.float64), np.asarray(bases[1], dtype=np.int64)
     P, total, off = dims.size, d + int(dims.sum()), d + np.cumsum(dims) - dims
-    if patch_of.size and patch_of.max() >= P:
+    if patch_of.size and not 0 <= patch_of.min() <= patch_of.max() < P:
         raise LayoutMismatchError("patch assignment references a missing basis")
+    if np.shape(W) != (n, n):
+        raise LayoutMismatchError(f"graph of shape {np.shape(W)} does not match {n} rows")
     if T.ndim != 3 or T.shape[:2] != (P, d) or T.shape[2] < dims.max(initial=0):
         raise LayoutMismatchError(f"bases of shape {T.shape} do not match {P} ranks in {d} columns")
     if np.any((T != 0.0).any(axis=1) & (np.arange(T.shape[2]) >= dims[:, None])):
@@ -434,9 +437,9 @@ def staged_fits(kind: str, train: LabeledDataset, m: int, params_list: list[dict
     (k, bases key), their sum S_diff + gamma * S_tan once per gamma within
     that and the eigen-solve once per alpha.  Each stage computes what a
     single fit computes, so every model is bit-identical to fitting its
-    entry alone.  A width m outside 1..d, a gamma that is negative or not
-    finite, or an alpha that is not positive and finite, raises
-    ``ValueError`` before any stage runs.
+    entry alone.  A width m outside 1..d, a k below 1, a gamma that is
+    negative or not finite, or an alpha that is not positive and finite,
+    raises ``ValueError`` before any stage runs.
     """
     if not 0 < m <= train.d:
         raise ValueError(f"m must lie in 1..{train.d}")
@@ -447,6 +450,8 @@ def staged_fits(kind: str, train: LabeledDataset, m: int, params_list: list[dict
     for params in params_list:
         bound = fit_sig.bind(None, m, **params)
         bound.apply_defaults()
+        if bound.arguments["k"] < 1:
+            raise ValueError("k must be at least 1")
         if not 0 <= bound.arguments["gamma"] < np.inf:
             raise ValueError("gamma must be nonnegative")
         if not 0 < bound.arguments["alpha"] < np.inf:

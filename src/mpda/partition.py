@@ -10,10 +10,12 @@ All geodesic information is computed once per class, by one
 ``geodesic_distances`` call, and never refreshed after splits; the
 initial components and every split read that frozen matrix.  A split
 therefore reads only its own members and its class's matrices, so the
-final patches do not depend on the order of the splits.  Each class's
-patches are numbered in ascending order of their smallest member, and
-only these final patches get a linearity, the mean geodesic/Euclidean
-ratio of their pairs: one call per leaf size.
+final patches do not depend on the order of the splits.  The roots are
+the components of the class's k'-NN graph, so no patch spans two and
+every geodesic inside a patch is finite.  Each class's patches are
+numbered in ascending order of their smallest member, and only these
+final patches get a linearity, the mean geodesic/Euclidean ratio of
+their pairs: one call per leaf size.
 
 ``partition_classes`` is the one entry point (one class is a one-block
 list).  It splits every oversize patch of a batch of classes together,
@@ -22,7 +24,7 @@ Every growth step, class batches included, is sized by one padded rule
 (``_chunks``).  The ratio sums behind each joint award add in one fixed
 order (see ``_grow``) that padding, chunking and the BLAS thread count
 cannot change, so a patch splits the same alone, in any chunk and in any
-class batch; ``split_patch`` is the one-patch call of that growth.
+class batch.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnreachablePairError
 from .geodesy import GeodesicMatrix, geodesic_distances, mean_ratios
 from .graph import _finite, _smallest
 
@@ -57,28 +58,6 @@ class Partition:
     @property
     def sizes(self) -> np.ndarray:
         return np.array([len(p) for p in self.patches], dtype=np.int64)
-
-
-def split_patch(
-    members: np.ndarray, dist: GeodesicMatrix, kprime: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split one patch in two by growing from its most geodesically distant pair.
-
-    Returns two disjoint sorted index arrays covering the input patch.  It is
-    the one-patch call of ``_grow``, which makes every split of
-    ``partition_classes``: each round both sides absorb their k' nearest
-    remaining points, and the points both pick go to the side with the
-    smaller ratio sum per member.  The sums add in ascending patch position,
-    left to right from 0 (see ``_grow``), so a patch splits the same here as
-    in any batch.  Raises ``UnreachablePairError`` if the patch's geodesic
-    block holds an infinite value.
-    """
-    members = np.sort(np.asarray(members, dtype=np.int64))
-    if members.size < 2:
-        raise ValueError("cannot split a patch with fewer than 2 points")
-    n = dist.euclidean.shape[0]
-    left, right = _grow([(dist, 0, 1)], members[None], np.array([members.size]), kprime, 3 * n * n)
-    return left, right
 
 
 class _ClassTree:
@@ -163,21 +142,17 @@ def _seeds(spans, idx: np.ndarray, budget: int) -> np.ndarray:
     geodesic is 0.
 
     The argmax runs over the padded block; a padded entry repeats an entry
-    earlier in its row, so the first maximum is a real one.  Raises
-    ``UnreachablePairError`` if a seed pair's geodesic is infinite: a
-    geodesic block holds an infinite value exactly when its maximum is one.
+    earlier in its row, so the first maximum is a real one.  Every patch
+    lies in one component of its class's k'-NN graph, so its maximum is
+    finite.
     """
     P, S = idx.shape
     seeds = np.empty((P, 2), dtype=np.int64)
     for dist, a, b in spans:
-        G = dist.geodesic
         for lo, hi in _chunks([S] * (b - a), lambda s: 2 * s * s, budget):
             lo, hi = a + lo, a + hi
-            block = _blocks(G, idx[lo:hi]).reshape(hi - lo, S * S)
+            block = _blocks(dist.geodesic, idx[lo:hi]).reshape(hi - lo, S * S)
             seeds[lo:hi] = np.stack(np.divmod(block.argmax(axis=1), S), axis=1)
-        i, j = np.take_along_axis(idx[a:b], seeds[a:b], axis=1).T
-        if np.isinf(G[i, j]).any():
-            raise UnreachablePairError("patch contains mutually unreachable points")
     coincident = seeds[:, 0] == seeds[:, 1]  # all-zero geodesics
     seeds.sort(axis=1)
     seeds[coincident] = (0, 1)
@@ -188,14 +163,16 @@ def _grow(spans, idx: np.ndarray, sizes: np.ndarray, kprime: int, budget: int) -
     """Split every patch of one chunk, growing both sides of all of them
     together, one round at a time.
 
-    Returns the sorted halves, left then right, of each patch.  Each side
-    starts from one seed with ratio sum 1.  In each round both sides pick
-    their k' nearest pool members (``_smallest``: by distance, then index),
-    pool members before all others even at +inf.  Each side absorbs its
-    sole picks; the joint picks then go to the side with the smaller
-    sum/count, to the left side on a tie.  Only the picked rows of each
-    class's ratio and distance matrices are read; the distance matrix is
-    bitwise symmetric, so a row serves as the column of a nearest distance.
+    Returns the sorted halves, left then right, of each patch.  Every patch
+    lies in one component of its class's k'-NN graph, so its geodesics are
+    finite.  Each side starts from one seed with ratio sum 1.  In each
+    round both sides pick their k' nearest pool members (``_smallest``: by
+    distance, then index), pool members before all others even at +inf.
+    Each side absorbs its sole picks; the joint picks then go to the side
+    with the smaller sum/count, to the left side on a tie.  Only the picked
+    rows of each class's ratio and distance matrices are read; the distance
+    matrix is bitwise symmetric, so a row serves as the column of a nearest
+    distance.
 
     One summation order, which padding, chunking and the BLAS thread count
     cannot change, makes the sums: an absorption adds to its side's sum one

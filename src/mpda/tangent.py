@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SolverFailureError
+from .errors import LengthMismatchError, SolverFailureError
 from .graph import _finite, knn_neighbors
 
 _RANK_RTOL = 1e-12  # relative eigenvalue cutoff for numerical rank
@@ -79,7 +79,8 @@ def patch_bases(
     ``HOOD_BLOCK_ROWS`` patches; each basis is bit-identical to
     decomposing its patch's rows on their own, as a one-patch call does.
     A one-point or zero-variance patch has rank 0, and no rank exceeds
-    min(d, size - 1).  X must be finite.
+    min(d, size - 1).  X must be finite, and a member outside 0..n-1
+    raises ``ValueError``.
     """
     X = _finite(X)
     sizes = np.array([len(m) for m in patches])
@@ -89,7 +90,10 @@ def patch_bases(
         which = np.flatnonzero(sizes == size)
         for start in range(0, which.size, HOOD_BLOCK_ROWS):
             block = which[start : start + HOOD_BLOCK_ROWS]
-            V, dims[block] = _stacked_bases(X[np.stack([patches[p] for p in block])], energy)
+            rows = np.stack([patches[p] for p in block])
+            if rows.min(initial=0) < 0 or rows.max(initial=0) >= X.shape[0]:
+                raise ValueError("a patch member is not a row of X")
+            V, dims[block] = _stacked_bases(X[rows], energy)
             blocks.append((block, V))
     T = np.zeros((len(patches), X.shape[1], int(dims.max(initial=0))))
     for block, V in blocks:
@@ -106,10 +110,13 @@ def per_point_bases(
     and its rank is implicitly capped at k.  Classes smaller than k+1 use
     all their members.  The neighborhoods are ``patch_bases``' patches, so
     this returns its (T, dims), point i's basis ``T[i, :, :dims[i]]`` equal
-    to a one-patch call on its neighborhood bit for bit.
+    to a one-patch call on its neighborhood bit for bit.  Raises
+    ``LengthMismatchError`` unless there is one label per row of X.
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)
+    if labels.shape[0] != X.shape[0]:
+        raise LengthMismatchError("need one label per row of X")
     hoods: list[np.ndarray | None] = [None] * labels.shape[0]
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)

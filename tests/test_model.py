@@ -2,6 +2,7 @@ import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from mpda.model import (
     solve_gep,
     transform,
 )
+from mpda.partition import partition_classes
 from mpda.tangent import patch_bases, per_point_bases
 from test_solve import degenerate_datasets
 
@@ -156,6 +158,26 @@ def test_assemble_within_layout_mismatch(rng):
         assemble_within(X, W, patch_of[:-1], bases)
     with pytest.raises(LayoutMismatchError):
         assemble_within(X, W, patch_of, (bases[0][:-1], bases[1][:-1]))
+
+
+def test_assemble_within_rejects_a_negative_patch_id_and_a_graph_of_the_wrong_size(rng):
+    # a patch id of -1 would read the last patch's basis, and a graph
+    # smaller than n x n would drop the last rows' edges, both silently
+    ds = random_labeled(rng)
+    X, y, patch_of, bases, layout, W, _, _ = build_instance(ds)
+    bad = patch_of.copy()
+    bad[0] = -1
+    with pytest.raises(LayoutMismatchError, match="missing basis"):
+        assemble_within(X, W, bad, bases)
+    n, dense = len(X), sp.csr_matrix(W).toarray()
+    for graph in (dense[:-4, :-4], np.pad(dense, (0, 2)), dense[:, :-1]):
+        for form in (graph, sp.csr_matrix(graph)):
+            with pytest.raises(LayoutMismatchError, match=f"does not match {n} rows"):
+                assemble_within(X, form, patch_of, bases)
+    # an n x n array is still accepted, and gives the sparse graph's form
+    ref = assemble_within(X, W, patch_of, bases)
+    for S, want in zip(assemble_within(X, dense, patch_of, bases), ref):
+        assert (S != want).nnz == 0
 
 
 def test_assemble_within_rejects_a_stack_of_the_wrong_shape(rng):
@@ -351,6 +373,22 @@ def test_nonpositive_alpha_fails_before_any_stage(rng, monkeypatch):
             fit_pmpda(ds, m=1, alpha=alpha)
         with pytest.raises(ValueError, match="alpha must be positive"):
             cross_validate(ds, "mpda", grid={"alpha": [1e-3, alpha]}, m_grid=[1])
+
+
+def test_k_below_one_fails_before_any_stage(rng):
+    from mpda.evaluation import cross_validate
+
+    ds = random_labeled(rng, min_per_class=4)
+    with mock.patch.object(mpda.model, "partition_classes", wraps=partition_classes) as parts, \
+            mock.patch.object(mpda.model, "per_point_bases", wraps=per_point_bases) as hoods:
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be at least 1"):
+                fit_mpda(ds, m=1, k=k)
+            with pytest.raises(ValueError, match="k must be at least 1"):
+                fit_pmpda(ds, m=1, k=k)
+            with pytest.raises(ValueError, match="k must be at least 1"):
+                cross_validate(ds, "mpda", grid={"k": [3, k]}, m_grid=[1])
+    assert parts.call_count == 0 and hoods.call_count == 0
 
 
 def test_block_layout_derives_its_offsets():

@@ -8,9 +8,9 @@ from scipy.spatial.distance import cdist
 
 import mpda.geodesy
 import mpda.partition
-from conftest import one_partition
+from conftest import one_partition, split_one_patch
 from mpda.geodesy import GeodesicMatrix, geodesic_distances, mean_ratios
-from mpda.partition import partition_classes, split_patch
+from mpda.partition import partition_classes
 from partition_oracles import partition_class_loop, split_patch_loop
 
 
@@ -53,7 +53,7 @@ def test_partition_computes_one_distance_matrix(rng):
 def test_two_point_split():
     X = np.array([[0.0], [1.0]])
     gm = geodesic_distances(X, k=1)
-    left, right = split_patch(np.arange(2), gm, kprime=1)
+    left, right = split_one_patch(np.arange(2), gm, kprime=1)
     assert list(left) == [0] and list(right) == [1]
 
 
@@ -61,7 +61,7 @@ def test_four_collinear_split_hand_trace():
     # seeds are the endpoints; each side absorbs its nearest middle point
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     gm = geodesic_distances(X, k=1)
-    left, right = split_patch(np.arange(4), gm, kprime=1)
+    left, right = split_one_patch(np.arange(4), gm, kprime=1)
     assert list(left) == [0, 1] and list(right) == [2, 3]
 
 
@@ -82,7 +82,7 @@ def test_split_outputs_partition_the_patch(rng):
         if not np.isfinite(gm.geodesic).all():
             continue
         members = np.arange(n)
-        left, right = split_patch(members, gm, kprime=3)
+        left, right = split_one_patch(members, gm, kprime=3)
         assert np.array_equal(np.sort(np.concatenate([left, right])), members)
         assert len(np.intersect1d(left, right)) == 0
         assert len(left) >= 1 and len(right) >= 1
@@ -217,6 +217,45 @@ def test_partition_classes_equals_per_class_oracle(case):
         check_invariants(part, X.shape[0], max_patch)
 
 
+@st.composite
+def component_cases(draw):
+    """1-3 classes whose k'-NN graphs fall apart or tie: clusters 1e6 apart,
+    duplicate rows, rows x 1e200 (most distances overflow to +inf) and
+    integer grids, with one k' and M."""
+    d = draw(st.integers(1, 3))
+    blocks = []
+    for shape in draw(st.lists(st.sampled_from(("clusters", "duplicates", "huge", "grid")),
+                               min_size=1, max_size=3)):
+        n = draw(st.integers(1, 50))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if shape == "clusters":
+            X = rng.normal(size=(n, d)) + 1e6 * rng.integers(0, 4, size=(n, 1))
+        elif shape == "duplicates":
+            X = rng.normal(size=(max(1, n // 3), d))[rng.integers(0, max(1, n // 3), size=n)]
+        elif shape == "huge":
+            X = rng.normal(size=(n, d)) * 1e200
+        else:
+            X = rng.integers(0, 4, size=(n, d)).astype(np.float64)
+        blocks.append(X)
+    return blocks, draw(st.integers(1, 6)), draw(st.integers(1, 11))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(component_cases())
+def test_every_patch_lies_in_one_component(case):
+    # the roots are the k'-NN graph's components and a split only divides
+    # a patch, so no patch holds an infinite geodesic
+    blocks, kprime, max_patch = case
+    with np.errstate(over="ignore"):
+        parts = partition_classes(blocks, kprime, max_patch)
+        for X, part in zip(blocks, parts):
+            check_invariants(part, len(X), max_patch)
+            if len(X) > 1:
+                G = geodesic_distances(X, min(kprime, len(X) - 1)).geodesic
+                for members in part.patches:
+                    assert np.isfinite(G[np.ix_(members, members)]).all()
+
+
 # with its mirror image, a class whose split sides grow as mirror images
 MIRRORED = np.array([[-1.0, 0.2], [0.3, -0.5], [-0.6, 0.5], [-1.7, -1.3], [0.2, 0.8], [0.6, -0.2]])
 
@@ -233,7 +272,7 @@ def test_batching_cannot_change_a_split(rng, monkeypatch):
     # the mirrored tie class, a chain with steps near 5e153 and a 120-point
     # curve give the same partitions alone, batched together (padded to
     # the curve's patches), in small class batches, and split by split
-    # through split_patch, every split of the batched call being rechecked
+    # through the one-patch growth, every split of the batched call being rechecked
     chain = np.column_stack([np.arange(40) + rng.normal(0, 0.2, 40), rng.normal(0, 0.3, 40)])
     t = rng.uniform(0, 3 * np.pi, 120)
     curve = np.column_stack([np.cos(t), np.sin(t), 0.3 * t]) + rng.normal(0, 0.05, (120, 3))
@@ -258,7 +297,7 @@ def test_batching_cannot_change_a_split(rng, monkeypatch):
         small = partition_classes(blocks, *args)
         assert len({id(dist) for _, dist, _ in splits}) == 3  # every class was split
         for members, dist, halves in splits:
-            for got, want in zip(split_patch(members, dist, kprime=2), halves):
+            for got, want in zip(split_one_patch(members, dist, kprime=2), halves):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     for want, *got in zip(alone, together, small):
         for part in got:
@@ -277,7 +316,7 @@ def test_split_patch_adds_in_the_one_summation_order():
         DG = DE * (1.0 + rng.integers(0, 8, size=(n, n)) * np.finfo(float).eps)
         gm = GeodesicMatrix(DG, DE)
         for kprime in (2, 4, 6):
-            got = split_patch(np.arange(n), gm, kprime)
+            got = split_one_patch(np.arange(n), gm, kprime)
             want = split_patch_loop(np.arange(n), gm, kprime)
             assert [g.tolist() for g in got] == [w.tolist() for w in want]
 
@@ -296,7 +335,7 @@ def test_unweighted_infinite_ratios_add_nothing():
         with np.errstate(over="ignore"):
             gm = GeodesicMatrix(DG, DE)
             for kprime in (2, 4):
-                got = split_patch(np.arange(n), gm, kprime)
+                got = split_one_patch(np.arange(n), gm, kprime)
                 want = split_patch_loop(np.arange(n), gm, kprime)
                 assert [g.tolist() for g in got] == [w.tolist() for w in want]
 

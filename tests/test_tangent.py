@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import mpda.tangent
 from conftest import one_basis
 from mpda.baselines import fit_pca
+from mpda.errors import LengthMismatchError
 from mpda.model import solve_gep
 from mpda.tangent import _signed, patch_bases, per_point_bases
 from tangent_oracles import fit_tangent_basis_loop, per_point_bases_loop, stack
@@ -213,6 +214,22 @@ def test_patch_bases_in_blocks_bit_identical_to_one_fit_per_patch(rng, monkeypat
     for tb, m, p in zip(T, dims, patches):
         assert same_bytes(tb[:, :m], one_basis(X[p], 0.9))
     assert dims[-1] == 0
+
+
+def test_patch_bases_rejects_a_member_outside_the_rows(rng):
+    # a member of -1 would read the last row, silently
+    X = rng.normal(size=(10, 3))
+    for bad in (-1, 10):
+        with pytest.raises(ValueError, match="not a row of X"):
+            patch_bases(X, [np.arange(4), np.array([2, 5, bad])])
+
+
+def test_per_point_bases_needs_one_label_per_row(rng):
+    # 8 labels for 10 rows gave a stack of 8 bases
+    X = rng.normal(size=(10, 3))
+    for n_labels in (8, 12):
+        with pytest.raises(LengthMismatchError, match="one label per row"):
+            per_point_bases(X, np.repeat([1, 2], n_labels // 2), 2)
 
 
 @pytest.mark.parametrize("energy", [0.0, -0.1, 1.5])
