@@ -8,7 +8,7 @@ benchmark harness in ``mpda.evaluation``.
 from .baselines import fit_lda, fit_pca
 from .dataset import LabeledDataset, load_dataset, train_test_split
 from .evaluation import benchmark, cross_validate, error_rate, nn_classify
-from .geodesy import GeodesicMatrix, geodesic_distances
+from .geodesy import geodesic_distances
 from .graph import NeighborLists, between_class_form, knn_neighbors, within_class_graph
 from .model import (
     EmbeddingModel,
@@ -27,7 +27,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EmbeddingModel",
-    "GeodesicMatrix",
     "LabeledDataset",
     "NeighborLists",
     "Partition",

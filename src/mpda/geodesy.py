@@ -1,17 +1,14 @@
 """Geodesic distances on neighbor graphs and patch linearity scores.
 
-Geodesics, from ``geodesic_distances(X, k)``, are exact shortest paths on
-the undirected k'-NN graph of ``NeighborLists.edges`` with Euclidean edge
-lengths.  The linearity of a point set is the mean ratio of geodesic to
-straight-line distance over all its pairs (1 means the set lies along a
-straight path, larger means more tortuous): ``mean_ratios`` of the
-members' block of ``GeodesicMatrix.tortuosity``, for many sets at once.
+``geodesic_distances(X, k)`` returns ``(geodesic, euclidean)``: exact
+shortest paths on the undirected k'-NN graph of ``NeighborLists.edges``
+with Euclidean edge lengths, and X's Euclidean distances.  The linearity
+of a point set is the mean geodesic/Euclidean ratio (``tortuosity``) over
+all its pairs (1 means the set lies along a straight path, larger means
+more tortuous): ``mean_ratios`` of the members' ratio blocks.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
@@ -20,44 +17,15 @@ from scipy.spatial.distance import cdist
 from .graph import NeighborLists, _check_k, _finite, _nearest, _symmetric
 
 
-@dataclass(frozen=True)
-class GeodesicMatrix:
-    """Shortest-path lengths paired with the companion Euclidean distances.
+def geodesic_distances(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(geodesic, euclidean)``: all-pairs shortest paths on the k-NN graph of X
+    and X's Euclidean distances.
 
-    ``geodesic[i, j]`` is +inf when j cannot be reached from i in the
-    neighbor graph.
-    """
-
-    geodesic: np.ndarray
-    euclidean: np.ndarray
-
-    @cached_property
-    def tortuosity(self) -> np.ndarray:
-        """Geodesic/Euclidean ratio of every pair, built on first use.
-
-        1 on the diagonal and for coincident points (a zero-length path is
-        trivially straight), +inf wherever the geodesic is.
-        """
-        DG, DE = self.geodesic, self.euclidean
-        R = np.divide(DG, DE, out=np.ones_like(DG), where=np.isfinite(DG) & (DE > 0))
-        np.fill_diagonal(R, 1.0)
-        R[np.isinf(DG)] = np.inf
-        return R
-
-    def components(self) -> np.ndarray:
-        """Connected-component label per point: two points share one iff their
-        geodesic is finite; labels follow each component's lowest member."""
-        lowest = np.isfinite(self.geodesic).argmax(axis=1)
-        return np.unique(lowest, return_inverse=True)[1]
-
-
-def geodesic_distances(X: np.ndarray, k: int) -> GeodesicMatrix:
-    """All-pairs shortest paths on the k-NN graph of X, plus Euclidean distances.
-
-    The k-NN lists are ranked in place in X's one ``cdist`` matrix, returned as
-    ``euclidean``; the edge matrix is symmetric, so a directed Dijkstra suffices.
-    Unreachable pairs are +inf, which is data for the partitioner, not an
-    error.  Raises ``KTooLargeError`` unless 1 <= k < n; X must be finite.
+    The k-NN lists are ranked in place in X's one ``cdist`` matrix, returned
+    as ``euclidean``; the edge matrix is symmetric, so a directed Dijkstra
+    suffices.  Unreachable pairs are +inf, which is data for the
+    partitioner, not an error.  Raises ``KTooLargeError`` unless 1 <= k < n;
+    X must be finite.
     """
     X = _finite(X)
     _check_k(k, X.shape[0])
@@ -66,7 +34,17 @@ def geodesic_distances(X: np.ndarray, k: int) -> GeodesicMatrix:
     # zero-length edges (coincident points) stay as explicit zeros, so
     # Dijkstra treats them as traversable
     graph = _symmetric(*nb.edges, nb.n)
-    return GeodesicMatrix(geodesic=dijkstra(graph, directed=True), euclidean=DE)
+    return dijkstra(graph, directed=True), DE
+
+
+def tortuosity(G: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Turn geodesics G into ratios to the Euclidean distances E in place, and
+    return G: G/E where E > 0, 1 where E == 0 (a zero-length path is
+    trivially straight), +inf wherever G is."""
+    finite = np.isfinite(G)
+    np.divide(G, E, out=G, where=finite & (E > 0))
+    np.copyto(G, 1.0, where=finite & (E == 0))
+    return G
 
 
 def mean_ratios(blocks: np.ndarray) -> np.ndarray:

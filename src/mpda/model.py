@@ -48,6 +48,7 @@ from scipy.sparse.linalg import splu
 
 from .dataset import LabeledDataset
 from .errors import (
+    DataError,
     DimensionMismatchError,
     LayoutMismatchError,
     ParseError,
@@ -438,9 +439,12 @@ def staged_fits(kind: str, train: LabeledDataset, m: int, params_list: list[dict
     that and the eigen-solve once per alpha.  Each stage computes what a
     single fit computes, so every model is bit-identical to fitting its
     entry alone.  A width m outside 1..d, a k below 1, a gamma that is
-    negative or not finite, or an alpha that is not positive and finite,
-    raises ``ValueError`` before any stage runs.
+    negative or not finite, an alpha that is not positive and finite, or an
+    energy outside (0, 1], raises ``ValueError`` before any stage runs, and
+    a training set of fewer than two rows raises ``DataError``.
     """
+    if train.n < 2:
+        raise DataError(f"{kind} needs at least two training rows, got {train.n}")
     if not 0 < m <= train.d:
         raise ValueError(f"m must lie in 1..{train.d}")
     fit, bases_stage = {"mpda": (fit_mpda, _patch_bases), "pmpda": (fit_pmpda, _point_bases)}[kind]
@@ -456,6 +460,8 @@ def staged_fits(kind: str, train: LabeledDataset, m: int, params_list: list[dict
             raise ValueError("gamma must be nonnegative")
         if not 0 < bound.arguments["alpha"] < np.inf:
             raise ValueError("alpha must be positive")
+        if not 0 < bound.arguments["energy"] <= 1:
+            raise ValueError("energy must lie in (0, 1]")
         hp.append({n: v for n, v in bound.arguments.items() if n != "train"})
 
     tree: dict = {}  # bases key -> k -> gamma -> alpha -> entry indices

@@ -8,14 +8,15 @@ linearity*size product.  Splitting stops once no patch exceeds M.
 
 All geodesic information is computed once per class, by one
 ``geodesic_distances`` call, and never refreshed after splits; the
-initial components and every split read that frozen matrix.  A split
+initial components and every split read those frozen matrices, turning
+only the values a split reads into ratios (``tortuosity``).  A split
 therefore reads only its own members and its class's matrices, so the
 final patches do not depend on the order of the splits.  The roots are
 the components of the class's k'-NN graph, so no patch spans two and
 every geodesic inside a patch is finite.  Each class's patches are
 numbered in ascending order of their smallest member, and only these
 final patches get a linearity, the mean geodesic/Euclidean ratio of
-their pairs: one call per leaf size.
+their pairs, from the class's geodesics turned into ratios in place.
 
 ``partition_classes`` is the one entry point (one class is a one-block
 list).  It splits every oversize patch of a batch of classes together,
@@ -33,13 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geodesy import GeodesicMatrix, geodesic_distances, mean_ratios
+from .geodesy import geodesic_distances, mean_ratios, tortuosity
 from .graph import _finite, _smallest
 
 DEFAULT_KPRIME = 6
 DEFAULT_MAX_PATCH = 10
-# padded n x n matrix values (count x the largest) of the classes partitioned
-# together, each of which holds three such matrices; results do not depend on it
+# padded n x n values (count x the largest n^2) of the classes partitioned
+# together, a count of values, not of matrices; results do not depend on it
 CLASS_BATCH_VALUES = 2**20
 
 
@@ -64,34 +65,34 @@ class _ClassTree:
     """One class's patches: ``members`` holds the current leaves of its split tree.
 
     The roots are the class's initial patches, the components of its k'-NN
-    graph; a split replaces its patch's members with the left half and
-    appends the right half.
+    graph: two points share one iff their geodesic is finite, and each is
+    found by its lowest member.  A split replaces its patch's members with
+    the left half and appends the right half.
     """
 
     def __init__(self, Xc: np.ndarray, kprime: int):
         self.n = n = Xc.shape[0]
-        self.members = [np.arange(n, dtype=np.int64)]
-        self.dist: GeodesicMatrix | None = None
-        if n > 1:
-            self.dist = geodesic_distances(Xc, min(kprime, n - 1))
-            comp = self.dist.components()
-            self.members = [np.flatnonzero(comp == c) for c in range(comp.max() + 1)]
+        one = (np.zeros((1, 1)), np.zeros((1, 1)))  # a one-point class: one zero-length path
+        self.geodesic, self.euclidean = geodesic_distances(Xc, min(kprime, n - 1)) if n > 1 else one
+        lowest = np.isfinite(self.geodesic).argmax(axis=1)
+        self.members = [np.flatnonzero(lowest == c) for c in np.unique(lowest)]
 
     def partition(self) -> Partition:
         """The leaves, numbered in ascending order of their smallest member.
 
-        Each leaf's linearity comes from one ``mean_ratios`` call per leaf
-        size (disjoint leaves: at most 2 n^2 values and indices); a
-        one-point class's is 1.0.
+        Call it once the growth is done: it turns the class's geodesic
+        matrix into ratios in place.  Each leaf's linearity comes from one
+        ``mean_ratios`` call per leaf size (disjoint leaves: at most 2 n^2
+        values and indices).
         """
+        R = tortuosity(self.geodesic, self.euclidean)
         patches = sorted(self.members, key=lambda m: m[0])
         sizes = np.array([len(m) for m in patches])
-        linearity = np.ones(len(patches))
-        if self.dist is not None:
-            for N in np.unique(sizes):
-                group = np.flatnonzero(sizes == N)
-                sub = np.stack([patches[k] for k in group])
-                linearity[group] = mean_ratios(_blocks(self.dist.tortuosity, sub))
+        linearity = np.empty(len(patches))
+        for N in np.unique(sizes):
+            group = np.flatnonzero(sizes == N)
+            sub = np.stack([patches[k] for k in group])
+            linearity[group] = mean_ratios(_blocks(R, sub))
         patch_of = np.empty(self.n, dtype=np.int64)
         patch_of[np.concatenate(patches)] = np.repeat(np.arange(len(patches)), sizes)
         return Partition(patches=patches, patch_of=patch_of, linearity=linearity)
@@ -113,12 +114,12 @@ def _chunks(sizes: list[int], cost, budget: int) -> list[tuple[int, int]]:
     return runs
 
 
-def _spans(dists: list[GeodesicMatrix]) -> list[tuple[GeodesicMatrix, int, int]]:
-    """(matrices, start, stop) of each run of consecutive items from one class."""
+def _spans(trees: list[_ClassTree]) -> list[tuple[np.ndarray, np.ndarray, int, int]]:
+    """(geodesic, euclidean, start, stop) of each run of consecutive items from one class."""
     spans, start = [], 0
-    for i in range(1, len(dists) + 1):
-        if i == len(dists) or dists[i] is not dists[start]:
-            spans.append((dists[start], start, i))
+    for i in range(1, len(trees) + 1):
+        if i == len(trees) or trees[i] is not trees[start]:
+            spans.append((trees[start].geodesic, trees[start].euclidean, start, i))
             start = i
     return spans
 
@@ -148,10 +149,10 @@ def _seeds(spans, idx: np.ndarray, budget: int) -> np.ndarray:
     """
     P, S = idx.shape
     seeds = np.empty((P, 2), dtype=np.int64)
-    for dist, a, b in spans:
+    for G, _, a, b in spans:
         for lo, hi in _chunks([S] * (b - a), lambda s: 2 * s * s, budget):
             lo, hi = a + lo, a + hi
-            block = _blocks(dist.geodesic, idx[lo:hi]).reshape(hi - lo, S * S)
+            block = _blocks(G, idx[lo:hi]).reshape(hi - lo, S * S)
             seeds[lo:hi] = np.stack(np.divmod(block.argmax(axis=1), S), axis=1)
     coincident = seeds[:, 0] == seeds[:, 1]  # all-zero geodesics
     seeds.sort(axis=1)
@@ -170,9 +171,10 @@ def _grow(spans, idx: np.ndarray, sizes: np.ndarray, kprime: int, budget: int) -
     distance, then index), pool members before all others even at +inf.
     Each side absorbs its sole picks; the joint picks then go to the side
     with the smaller sum/count, to the left side on a tie.  Only the picked
-    rows of each class's ratio and distance matrices are read; the distance
-    matrix is bitwise symmetric, so a row serves as the column of a nearest
-    distance.
+    rows of each class's geodesic and distance matrices are read, and each
+    round's geodesic rows become ratios by ``tortuosity`` in one call; the
+    distance matrix is bitwise symmetric, so a row serves as the column of
+    a nearest distance.
 
     One summation order, which padding, chunking and the BLAS thread count
     cannot change, makes the sums: an absorption adds to its side's sum one
@@ -186,7 +188,7 @@ def _grow(spans, idx: np.ndarray, sizes: np.ndarray, kprime: int, budget: int) -
     P, S = idx.shape
     Q = 2 * P  # one row per side: row 2p + s is side s of patch p
     kk = min(kprime, S - 1)  # picks per side (the pool never exceeds S - 2)
-    n = np.array([dist.euclidean.shape[0] for dist, a, b in spans for _ in range(a, b)])
+    n = np.array([E.shape[0] for _, E, a, b in spans for _ in range(a, b)])
     seeds = _seeds(spans, idx, budget)
     side = np.zeros((P, 2, S), dtype=bool)
     side[np.arange(P)[:, None], [0, 1], seeds] = True
@@ -196,9 +198,9 @@ def _grow(spans, idx: np.ndarray, sizes: np.ndarray, kprime: int, budget: int) -
     near = np.empty((Q, S))
     own = np.repeat(idx, 2, axis=0)  # side q's patch members (class-local)
     flat = (own.take(seeds.ravel() + np.arange(Q) * S) * np.repeat(n, 2))[:, None] + own
-    for dist, a, b in spans:
+    for _, E, a, b in spans:
         rows = slice(2 * a, 2 * b)
-        np.take(dist.euclidean.reshape(-1), flat[rows], out=near[rows], mode="clip")
+        np.take(E.reshape(-1), flat[rows], out=near[rows], mode="clip")
     sums = np.ones(Q)  # each side starts as one point with ratio 1
     counts = np.ones(Q, dtype=np.int64)
 
@@ -221,10 +223,11 @@ def _grow(spans, idx: np.ndarray, sizes: np.ndarray, kprime: int, budget: int) -
         only_row = picked & ~joint_row
 
         np.add((idx.take(at) * scale[:, :, 0])[:, :, None], own[:, None, :], out=flat)
-        for dist, a, b in spans:
+        for G, E, a, b in spans:
             rows = slice(2 * a, 2 * b)
-            np.take(dist.tortuosity.reshape(-1), flat[rows], out=ratios[rows], mode="clip")
-            np.take(dist.euclidean.reshape(-1), flat[rows], out=dists[rows], mode="clip")
+            np.take(G.reshape(-1), flat[rows], out=ratios[rows], mode="clip")
+            np.take(E.reshape(-1), flat[rows], out=dists[rows], mode="clip")
+        tortuosity(ratios, dists)
         # a sole pick's row weighs the side 2 and the sole picks 1; a joint
         # pick's row, if awarded, the side and its sole picks 2 and the
         # joint picks 1
@@ -268,7 +271,7 @@ def _grow_trees(trees: list[_ClassTree], kprime: int, max_patch: int, budget: in
         for a, b in _chunks(sizes, lambda s: (6 * min(kprime, s) + 16) * s, budget):
             chunk = jobs[a:b]
             idx, n_members = _padded([tree.members[k] for tree, k in chunk])
-            parts = _grow(_spans([tree.dist for tree, _ in chunk]), idx, n_members, kprime, budget)
+            parts = _grow(_spans([tree for tree, _ in chunk]), idx, n_members, kprime, budget)
             for i, (tree, k) in enumerate(chunk):
                 new += [(tree, k), (tree, len(tree.members))]
                 tree.members[k] = parts[2 * i]
@@ -306,8 +309,7 @@ def partition_classes(
     parts: list[Partition] = []
     for a, b in _chunks([Xc.shape[0] for Xc in blocks], lambda n: n * n, CLASS_BATCH_VALUES):
         trees = [_ClassTree(Xc, kprime) for Xc in blocks[a:b]]
-        # the most any step holds at once: what the largest class's three
-        # n x n matrices take
+        # values any step may hold at once: three times the largest class's n^2
         budget = 3 * max(tree.n for tree in trees) ** 2
         _grow_trees(trees, kprime, max_patch, budget)
         parts += [tree.partition() for tree in trees]

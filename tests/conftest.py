@@ -41,13 +41,15 @@ def one_partition(Xc, kprime, max_patch):
     return partition_classes([Xc], kprime, max_patch)[0]
 
 
-def split_one_patch(members, dist, kprime):
-    """The two halves of one patch (sorted member indices of ``dist``'s class):
-    the one-patch call of ``partition._grow``, which makes every split of
-    ``partition_classes``, with the budget of the class's three n x n matrices."""
+def split_one_patch(members, dists, kprime):
+    """The two halves of one patch (sorted member indices of the class whose
+    ``(geodesic, euclidean)`` pair is ``dists``): the one-patch call of
+    ``partition._grow``, which makes every split of ``partition_classes``,
+    with the class's budget of 3 n^2 values."""
     members = np.asarray(members, dtype=np.int64)
-    n = dist.euclidean.shape[0]
-    return _grow([(dist, 0, 1)], members[None], np.array([members.size]), kprime, 3 * n * n)
+    G, E = dists
+    n = E.shape[0]
+    return _grow([(G, E, 0, 1)], members[None], np.array([members.size]), kprime, 3 * n * n)
 
 
 def one_basis(P, energy=DEFAULT_ENERGY):

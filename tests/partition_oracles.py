@@ -12,7 +12,11 @@ stable argsort of each cdist row, and its components from scipy's
 linearity is the sum of its own ratio block over N^2.  The finished
 patches are numbered in ascending order of their smallest member.  The
 outputs define the partitions the production code must reproduce
-bit for bit.
+bit for bit.  A class's distances travel as the pair ``(geodesic,
+euclidean)`` that ``geodesic_distances`` returns.
+
+``ratio_matrix`` is the former cached ratio matrix of every pair, the
+oracle of ``geodesy.tortuosity``.
 """
 
 import numpy as np
@@ -20,7 +24,6 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial.distance import cdist
 
-from mpda.geodesy import GeodesicMatrix
 from mpda.partition import Partition
 
 
@@ -43,12 +46,22 @@ def knn_edge_matrix(D, k):
     )
 
 
+def ratio_matrix(DG, DE):
+    """Geodesic/Euclidean ratio of every pair: DG/DE where the geodesic is
+    finite and DE > 0, 1 elsewhere and on the diagonal, +inf wherever the
+    geodesic is +inf."""
+    R = np.divide(DG, DE, out=np.ones_like(DG), where=np.isfinite(DG) & (DE > 0))
+    np.fill_diagonal(R, 1.0)
+    R[np.isinf(DG)] = np.inf
+    return R
+
+
 def ratio_block(members, dist):
     """Geodesic/Euclidean ratio of every pair of members: 1 on the diagonal
     and for coincident points.  A patch lies in one component of its
     class's k'-NN graph, so every geodesic in it must be finite."""
-    DG = dist.geodesic[np.ix_(members, members)]
-    DE = dist.euclidean[np.ix_(members, members)]
+    DG = dist[0][np.ix_(members, members)]
+    DE = dist[1][np.ix_(members, members)]
     assert np.isfinite(DG).all(), "patch spans two components"
     R = np.ones_like(DG)
     positive = ~np.eye(len(members), dtype=bool) & (DE > 0)
@@ -67,8 +80,8 @@ def split_patch_loop(members, dist, kprime):
     s = members.size
     if s < 2:
         raise ValueError("cannot split a patch with fewer than 2 points")
-    DG = dist.geodesic[np.ix_(members, members)]
-    DE = dist.euclidean[np.ix_(members, members)]
+    DG = dist[0][np.ix_(members, members)]
+    DE = dist[1][np.ix_(members, members)]
     R = ratio_block(members, dist)
 
     flat = int(np.argmax(DG))  # row-major first occurrence = lowest (i, j)
@@ -140,7 +153,7 @@ def partition_class_loop(Xc, kprime, max_patch):
     DE = cdist(Xc, Xc)
     np.fill_diagonal(DE, 0.0)
     G = knn_edge_matrix(DE, min(kprime, n - 1))
-    dist = GeodesicMatrix(geodesic=dijkstra(G, directed=False), euclidean=DE)
+    dist = dijkstra(G, directed=False), DE
     # only a finite edge links two points; a zero-length edge stays a link
     F = G.copy()
     F.data = np.isfinite(F.data).astype(np.float64)

@@ -26,7 +26,7 @@ from mpda.evaluation import (
     nn_classify,
     parameter_sweep,
 )
-from mpda.geodesy import geodesic_distances
+from mpda.geodesy import geodesic_distances, tortuosity
 from mpda.graph import knn_neighbors
 from mpda.model import (
     fit_mpda,
@@ -162,9 +162,9 @@ def test_criterion_3_structural_invariants():
     worst_ratio = np.inf
     for _ in range(20):
         X = rng.normal(size=(25, 3))
-        gm = geodesic_distances(X, k=6)
-        if np.isfinite(gm.geodesic).all():
-            R = gm.tortuosity
+        G, E = geodesic_distances(X, k=6)
+        if np.isfinite(G).all():
+            R = tortuosity(G, E)
             worst_ratio = min(worst_ratio, float(R.min()))
     ok = ok and worst_ratio >= 1.0 - 1e-9
     detail.append(f"min ratio {worst_ratio:.6f}")
@@ -203,11 +203,11 @@ def test_criterion_4_oracle_equivalences():
         n = int(rng.integers(10, 41))
         X = rng.normal(size=(n, 3))
         nb = knn_neighbors(X, 4)
-        gm = geodesic_distances(X, 4)
+        G, _ = geodesic_distances(X, 4)
         ref = floyd_warshall(edges_of(nb), n)
         finite = np.isfinite(ref)
-        ok = ok and np.array_equal(np.isfinite(gm.geodesic), finite)
-        worst_geo = max(worst_geo, float(np.max(np.abs(gm.geodesic[finite] - ref[finite]))))
+        ok = ok and np.array_equal(np.isfinite(G), finite)
+        worst_geo = max(worst_geo, float(np.max(np.abs(G[finite] - ref[finite]))))
     ok = ok and worst_geo < 1e-10
 
     # 1-NN vs exhaustive scan (exact agreement)

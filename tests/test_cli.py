@@ -93,6 +93,20 @@ def test_malformed_data_is_data_error(tmp_path, capsys):
         assert message == f"line 1: label {label!r} is not an integer"
 
 
+@pytest.mark.parametrize("algo", ["mpda", "pmpda"])
+def test_one_row_training_set_is_data_error(tmp_path, capsys, algo):
+    one = tmp_path / "one.csv"
+    one.write_text("1,0.5,2.0\n")
+    out = tmp_path / "m.bin"
+    rc = run(["fit", "--algo", algo, "--data", str(one), "--m", "1", "--out", str(out)])
+    assert rc == 3 and not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0]) == {
+        "error": "DataError", "message": f"{algo} needs at least two training rows, got 1",
+    }
+
+
 def test_partition_inspect_json(tmp_path, data_csv):
     path, ds = data_csv
     out = tmp_path / "patches.json"

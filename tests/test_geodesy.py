@@ -6,13 +6,16 @@ from scipy.spatial.distance import cdist
 
 from conftest import split_one_patch
 from mpda.errors import KTooLargeError
-from mpda.geodesy import GeodesicMatrix, geodesic_distances, mean_ratios
+from mpda.geodesy import geodesic_distances, mean_ratios, tortuosity
 from mpda.graph import knn_neighbors
+from mpda.partition import partition_classes
+from partition_oracles import ratio_matrix
 
 
-def linearity(dist, members):
+def linearity(dists, members):
     """Mean ratio of one point set, as the partitioner sums it."""
-    return float(mean_ratios(dist.tortuosity[np.ix_(members, members)][None])[0])
+    ix = np.ix_(members, members)
+    return float(mean_ratios(tortuosity(dists[0][ix], dists[1][ix])[None])[0])
 
 
 def floyd_warshall(edges, n):
@@ -67,18 +70,22 @@ def test_edge_matrix_matches_dict_loop_on_duplicates_and_gaps(rng):
         old = dict_loop_graph_matrix(knn_neighbors(X, k))
         # zero-length edges stay explicit, so the duplicates are reachable
         assert np.any(old.data == 0.0)
-        gm = geodesic_distances(X, k)
-        assert np.array_equal(gm.geodesic, dijkstra(old, directed=False))
-        assert np.array_equal(gm.components(), connected_components(old, directed=False)[1])
+        G, _ = geodesic_distances(X, k)
+        assert np.array_equal(G, dijkstra(old, directed=False))
+        # the partitioner's roots are the graph's components, in the order
+        # of their lowest members; a size cap of n splits none of them
+        comp = connected_components(old, directed=False)[1]
+        roots = partition_classes([X], k, len(X))[0].patches
+        assert [r.tolist() for r in roots] == [np.flatnonzero(comp == c).tolist() for c in range(comp.max() + 1)]
         if trial == 0:
-            assert np.isinf(gm.geodesic).any()
+            assert np.isinf(G).any()
 
 
 def test_euclidean_is_cdist_with_an_exact_zero_diagonal(rng):
     for scale in (1.0, 1e-200, 1e200):
         X = rng.integers(0, 4, size=(30, 3)) * scale + rng.normal(size=(30, 3)) * scale
         X[10] = X[3]  # a duplicate row
-        DE = geodesic_distances(X, 4).euclidean
+        _, DE = geodesic_distances(X, 4)
         assert DE.tobytes() == cdist(X, X).tobytes()
         assert np.all(np.diag(DE) == 0.0) and DE[3, 10] == 0.0
 
@@ -93,40 +100,40 @@ def test_k_out_of_range_raises():
 
 def test_chain_path_sum():
     X = np.array([[0.0], [1.0], [2.0]])
-    gm = geodesic_distances(X, k=1)
-    assert gm.geodesic[0, 2] == 2.0
+    G, _ = geodesic_distances(X, k=1)
+    assert G[0, 2] == 2.0
 
 
 def test_disconnected_is_infinite():
     # two tight pairs far apart; k=1 keeps them separate components
     X = np.array([[0.0], [0.1], [100.0], [100.1]])
-    gm = geodesic_distances(X, k=1)
-    assert np.isinf(gm.geodesic[0, 2])
-    assert gm.geodesic[0, 1] == pytest.approx(0.1)
+    G, _ = geodesic_distances(X, k=1)
+    assert np.isinf(G[0, 2])
+    assert G[0, 1] == pytest.approx(0.1)
 
 
 def test_matches_floyd_warshall(rng):
     X = rng.normal(size=(30, 3))
     nb = knn_neighbors(X, 4)
-    gm = geodesic_distances(X, 4)
+    G, _ = geodesic_distances(X, 4)
     ref = floyd_warshall(edges_of(nb), 30)
     finite = np.isfinite(ref)
-    assert np.array_equal(np.isfinite(gm.geodesic), finite)
-    assert np.max(np.abs(gm.geodesic[finite] - ref[finite])) < 1e-10
+    assert np.array_equal(np.isfinite(G), finite)
+    assert np.max(np.abs(G[finite] - ref[finite])) < 1e-10
 
 
 def test_geodesic_dominates_euclidean(rng):
     X = rng.normal(size=(25, 4))
-    gm = geodesic_distances(X, k=4)
-    finite = np.isfinite(gm.geodesic)
-    assert np.all(gm.geodesic[finite] >= gm.euclidean[finite] - 1e-9)
+    G, E = geodesic_distances(X, k=4)
+    finite = np.isfinite(G)
+    assert np.all(G[finite] >= E[finite] - 1e-9)
 
 
 def test_adding_edges_never_increases_distances(rng):
     # monotonicity: k+1-NN graph is a supergraph of the k-NN graph
     X = rng.normal(size=(20, 3))
-    small = geodesic_distances(X, k=2).geodesic
-    large = geodesic_distances(X, k=3).geodesic
+    small, _ = geodesic_distances(X, k=2)
+    large, _ = geodesic_distances(X, k=3)
     both = np.isfinite(small)
     assert np.all(large[both] <= small[both] + 1e-12)
     assert np.all(np.isfinite(large[both]))
@@ -163,26 +170,42 @@ def test_linearity_coincident_points():
 def test_tortuosity_matrix_is_the_pairwise_ratio_rule():
     # two components: a chain 0-1-2 with a duplicate of 0 at 3, and a pair 4-5
     X = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0], [9.0, 9.0], [9.0, 9.5]])
-    gm = geodesic_distances(X, k=1)
-    R = gm.tortuosity
-    assert R is gm.tortuosity  # built once
+    G, E = geodesic_distances(X, k=1)
+    R = G.copy()
+    assert tortuosity(R, E) is R  # in place
     for i in range(6):
         for j in range(6):
-            DG, DE = gm.geodesic[i, j], gm.euclidean[i, j]
+            DG, DE = G[i, j], E[i, j]
             want = np.inf if np.isinf(DG) else (DG / DE if i != j and DE > 0 else 1.0)
             assert R[i, j] == want
     assert R[0, 3] == 1.0 and np.isinf(R[0, 4])
-    # hand-built: an unreachable coincident pair, and a diagonal that is 1
-    # whatever the Euclidean matrix holds there
-    hand = GeodesicMatrix(np.array([[0.0, np.inf], [np.inf, 0.0]]), np.array([[2.0, 0.0], [0.0, 2.0]]))
-    assert np.array_equal(hand.tortuosity, [[1.0, np.inf], [np.inf, 1.0]])
+    # hand-built: an unreachable coincident pair
+    hand = tortuosity(np.array([[0.0, np.inf], [np.inf, 0.0]]), np.zeros((2, 2)))
+    assert np.array_equal(hand, [[1.0, np.inf], [np.inf, 1.0]])
     # a finite geodesic over a distance near the underflow limit overflows
     # to an infinite ratio without raising
-    tiny = GeodesicMatrix(np.array([[0.0, 4.0], [4.0, 0.0]]), np.array([[0.0, 1e-308], [1e-308, 0.0]]))
+    tiny = np.array([[0.0, 4.0], [4.0, 0.0]]), np.array([[0.0, 1e-308], [1e-308, 0.0]])
     with np.errstate(over="ignore"):
         left, right = split_one_patch(np.arange(2), tiny, kprime=1)
-        assert np.array_equal(tiny.tortuosity, [[1.0, np.inf], [np.inf, 1.0]])
+        assert np.array_equal(tortuosity(tiny[0].copy(), tiny[1]), [[1.0, np.inf], [np.inf, 1.0]])
     assert list(left) == [0] and list(right) == [1]
+
+
+def test_tortuosity_equals_the_former_ratio_matrix(rng):
+    # geodesic_distances output with coincident points (duplicates, and
+    # rows so small that their squared differences underflow to 0),
+    # unreachable pairs (clusters 1e3 apart) and distances near the
+    # underflow limit, where a ratio can overflow
+    for trial in range(60):
+        n, d = int(rng.integers(2, 30)), int(rng.integers(1, 4))
+        X = rng.normal(size=(n, d)) + 1e3 * rng.integers(0, 3, size=(n, 1))
+        X = X[rng.integers(0, n, size=n)] if trial % 3 == 0 else X
+        X = X * (1.0, 1e-155, 1e-160, 1e-200)[trial % 4]
+        G, E = geodesic_distances(X, int(rng.integers(1, n)))
+        with np.errstate(over="ignore"):
+            want = ratio_matrix(G, E)
+            got = tortuosity(G.copy(), E)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_ratios_at_least_one(rng):
@@ -190,6 +213,6 @@ def test_ratios_at_least_one(rng):
         X = rng.normal(size=(25, 3))
         gm = geodesic_distances(X, k=5)
         members = np.arange(25)
-        if np.isfinite(gm.geodesic).all():
+        if np.isfinite(gm[0]).all():
             R = linearity(gm, members)
             assert R >= 1.0 - 1e-9

@@ -17,6 +17,7 @@ from graph_oracles import between_class_graph, laplacian
 from model_oracles import basis, dense_within, edge_within, loop_within
 from mpda.dataset import LabeledDataset
 from mpda.errors import (
+    DataError,
     DimensionMismatchError,
     LayoutMismatchError,
     ParseError,
@@ -389,6 +390,36 @@ def test_k_below_one_fails_before_any_stage(rng):
             with pytest.raises(ValueError, match="k must be at least 1"):
                 cross_validate(ds, "mpda", grid={"k": [3, k]}, m_grid=[1])
     assert parts.call_count == 0 and hoods.call_count == 0
+
+
+def stage_spies():
+    """Spies on the partitioner and on the class k-NN searches of the point bases."""
+    return (
+        mock.patch.object(mpda.model, "partition_classes", wraps=partition_classes),
+        mock.patch.object(mpda.tangent, "knn_neighbors", wraps=knn_neighbors),
+    )
+
+
+def test_energy_outside_its_range_fails_before_any_stage(rng):
+    ds = random_labeled(rng, min_per_class=4)
+    parts_spy, knn_spy = stage_spies()
+    with parts_spy as parts, knn_spy as searches:
+        for energy in (0.0, -0.5, 1.5, np.nan):
+            with pytest.raises(ValueError, match=r"energy must lie in \(0, 1\]"):
+                fit_mpda(ds, m=1, energy=energy)
+            with pytest.raises(ValueError, match=r"energy must lie in \(0, 1\]"):
+                fit_pmpda(ds, m=1, energy=energy)
+    assert parts.call_count == 0 and searches.call_count == 0
+
+
+def test_one_row_training_set_is_a_data_error_before_any_stage():
+    ds = LabeledDataset(np.array([[0.5, 2.0]]), np.array([1]))
+    parts_spy, knn_spy = stage_spies()
+    with parts_spy as parts, knn_spy as searches:
+        for kind, fit in (("mpda", fit_mpda), ("pmpda", fit_pmpda)):
+            with pytest.raises(DataError, match=f"^{kind} needs at least two training rows, got 1$"):
+                fit(ds, m=1)
+    assert parts.call_count == 0 and searches.call_count == 0
 
 
 def test_block_layout_derives_its_offsets():

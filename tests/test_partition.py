@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.spatial.distance import cdist
 import mpda.geodesy
 import mpda.partition
 from conftest import one_partition, split_one_patch
-from mpda.geodesy import GeodesicMatrix, geodesic_distances, mean_ratios
+from mpda.geodesy import geodesic_distances, mean_ratios
 from mpda.partition import partition_classes
 from partition_oracles import partition_class_loop, split_patch_loop
 
@@ -79,7 +80,7 @@ def test_split_outputs_partition_the_patch(rng):
         n = int(rng.integers(4, 30))
         X = rng.normal(size=(n, 3))
         gm = geodesic_distances(X, k=min(4, n - 1))
-        if not np.isfinite(gm.geodesic).all():
+        if not np.isfinite(gm[0]).all():
             continue
         members = np.arange(n)
         left, right = split_one_patch(members, gm, kprime=3)
@@ -185,7 +186,8 @@ def test_linearity_computed_once_per_patch(rng):
     # two far-apart clusters: two components, each split many times
     X = np.vstack([rng.normal(size=(100, 3)), rng.normal(size=(100, 3)) + 1e3])
     kprime, max_patch = 6, 10
-    components = geodesic_distances(X, kprime).components().max() + 1
+    G, _ = geodesic_distances(X, kprime)
+    components = np.unique(np.isfinite(G).argmax(axis=1)).size
     with mock.patch.object(mpda.partition, "mean_ratios", wraps=mean_ratios) as lin:
         part = one_partition(X, kprime, max_patch)
     check_invariants(part, 200, max_patch)
@@ -251,7 +253,7 @@ def test_every_patch_lies_in_one_component(case):
         for X, part in zip(blocks, parts):
             check_invariants(part, len(X), max_patch)
             if len(X) > 1:
-                G = geodesic_distances(X, min(kprime, len(X) - 1)).geodesic
+                G, _ = geodesic_distances(X, min(kprime, len(X) - 1))
                 for members in part.patches:
                     assert np.isfinite(G[np.ix_(members, members)]).all()
 
@@ -279,11 +281,13 @@ def test_batching_cannot_change_a_split(rng, monkeypatch):
     blocks = [np.vstack([MIRRORED, -MIRRORED]), chain[rng.permutation(40)] * 5e153, curve]
     args = (2, 4)  # kprime, max_patch
     splits = []
+    geodesics = {}  # copies: the partitioner turns its geodesics into ratios once grown
     grow = mpda.partition._grow
 
     def record(spans, idx, sizes, *rest):
         halves = grow(spans, idx, sizes, *rest)
-        for dist, a, b in spans:
+        for G, E, a, b in spans:
+            dist = geodesics.setdefault(id(G), (G.copy(), E))
             splits.extend((idx[p, : sizes[p]], dist, halves[2 * p : 2 * p + 2]) for p in range(a, b))
         return halves
 
@@ -295,7 +299,7 @@ def test_batching_cannot_change_a_split(rng, monkeypatch):
             together = partition_classes(blocks, *args)
         monkeypatch.setattr(mpda.partition, "CLASS_BATCH_VALUES", 2 * 40**2)  # (tie, chain), (curve)
         small = partition_classes(blocks, *args)
-        assert len({id(dist) for _, dist, _ in splits}) == 3  # every class was split
+        assert len(geodesics) == 3  # every class was split
         for members, dist, halves in splits:
             for got, want in zip(split_one_patch(members, dist, kprime=2), halves):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -314,7 +318,7 @@ def test_split_patch_adds_in_the_one_summation_order():
         Y = rng.normal(size=(n, 2))
         DE = cdist(Y, Y)
         DG = DE * (1.0 + rng.integers(0, 8, size=(n, n)) * np.finfo(float).eps)
-        gm = GeodesicMatrix(DG, DE)
+        gm = DG, DE
         for kprime in (2, 4, 6):
             got = split_one_patch(np.arange(n), gm, kprime)
             want = split_patch_loop(np.arange(n), gm, kprime)
@@ -333,7 +337,7 @@ def test_unweighted_infinite_ratios_add_nothing():
         i, j = rng.integers(0, n, size=(2, 3))
         DE[i, j] = DE[j, i] = np.where(i == j, 0.0, 1e-310)
         with np.errstate(over="ignore"):
-            gm = GeodesicMatrix(DG, DE)
+            gm = DG, DE
             for kprime in (2, 4):
                 got = split_one_patch(np.arange(n), gm, kprime)
                 want = split_patch_loop(np.arange(n), gm, kprime)
@@ -388,3 +392,24 @@ def test_three_curved_classes_match_the_oracle(rng, monkeypatch, batch_values):
     for X, part in zip(blocks, parts):
         assert part.n_patches >= 15
         assert_same_partition(part, partition_class_loop(X, 5, 8))
+
+
+def test_partition_peak_memory_is_two_matrices_per_class():
+    # ten 200-row classes of a curved 2-D manifold in 50 columns, batched
+    # together: each class holds its geodesics and its distances, and the
+    # growth's and seed search's buffers stay within a fraction of one more
+    rng = np.random.default_rng(3)
+    blocks = []
+    for c in range(10):
+        latent = rng.uniform(0.0, 3.0, size=(200, 2))
+        A = rng.normal(size=(2, 50))
+        blocks.append(np.sin(latent @ A + rng.uniform(0, 2 * np.pi, 50)) + 0.01 * rng.normal(size=(200, 50)))
+    values = sum(len(X) ** 2 for X in blocks)
+    tracemalloc.start()
+    try:
+        parts = partition_classes(blocks, 6, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(part.n_patches >= 20 for part in parts)
+    assert peak < 2.75 * 8 * values
