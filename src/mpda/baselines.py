@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import LabeledDataset
-from .errors import SolverFailureError
+from .errors import DataError, SolverFailureError
 from .graph import _finite, class_scatters
 from .model import EmbeddingModel, solve_gep
 from .tangent import _energy_rank, _signed
@@ -44,16 +44,17 @@ def fit_pca(X: np.ndarray, m: int | None = None, energy: float | None = None) ->
     equal those of the centred rows' own thin SVD bit for bit; for smaller
     n >= d they differ from it in the last bits.  With fewer rows than
     columns the full ``Vt`` of the centred rows supplies the null-space
-    directions an ``m`` above n reads.  X must be finite.  Raises ``SolverFailureError``
-    when the centred rows (checked before the SVD) or their squared
-    singular values are not finite, as when finite rows overflow.
+    directions an ``m`` above n reads.  X must be finite, with two rows or
+    more (else ``DataError``).  Raises ``SolverFailureError`` when the
+    centred rows (checked before the SVD) or their squared singular values
+    are not finite, as when finite rows overflow.
     """
     if (m is None) == (energy is None):
         raise ValueError("specify exactly one of m and energy")
     X = _finite(X)
     n, d = X.shape
     if n < 2:
-        raise ValueError("PCA needs at least two rows")
+        raise DataError(f"pca needs at least two training rows, got {n}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         mean = X.mean(axis=0)
         centered = X - mean

@@ -25,6 +25,7 @@ from .errors import DataError, MpdaError
 from .evaluation import (
     ALGORITHMS,
     DEFAULT_GRIDS,
+    _FITS,
     benchmark,
     default_m_grid,
     dimension_sweep,
@@ -32,7 +33,7 @@ from .evaluation import (
     parameter_sweep,
 )
 from .model import (
-    DEFAULT_ALPHA, DEFAULT_GAMMA, DEFAULT_K, fit_mpda, fit_pmpda, load_model,
+    DEFAULT_ALPHA, DEFAULT_GAMMA, DEFAULT_K, load_model,
     merge_class_partitions, save_model, transform,
 )
 from .partition import DEFAULT_KPRIME, DEFAULT_MAX_PATCH
@@ -182,10 +183,8 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
 
 
 def _hyperparams(args) -> dict:
-    """The fit keywords of ``args.algo``, named by its fit's parameters after
-    ``(train, m)``; LDA and PCA take none."""
-    fit = {"mpda": fit_mpda, "pmpda": fit_pmpda}.get(args.algo)
-    names = list(inspect.signature(fit).parameters)[2:] if fit else []
+    """The fit keywords of ``args.algo``: its fit's parameters after ``(train, m)``."""
+    names = list(inspect.signature(_FITS[args.algo]).parameters)[2:]
     return {name: getattr(args, name) for name in names}
 
 

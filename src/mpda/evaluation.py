@@ -32,7 +32,12 @@ from .errors import (
 from .graph import KNN_BLOCK_ROWS, _finite
 from .model import EmbeddingModel, fit_mpda, fit_pmpda, staged_fits, transform
 
-ALGORITHMS = ("mpda", "pmpda", "lda", "pca")
+# algorithm id -> fit(train, m, **params); the CLI reads its keywords after (train, m)
+_FITS = {
+    "mpda": fit_mpda, "pmpda": fit_pmpda, "lda": fit_lda,
+    "pca": lambda train, m: fit_pca(train.features, m=m),
+}
+ALGORITHMS = tuple(_FITS)
 
 # default hyperparameter grids for cross-validation; mpda and pmpda share one
 DEFAULT_GRIDS: dict[str, dict[str, list]] = {
@@ -53,11 +58,10 @@ def nn_classify(
     """Label of the single nearest training row per test row.
 
     Euclidean metric; exact distance ties resolve to the lowest training
-    index.  The test rows are scored in blocks of ``KNN_BLOCK_ROWS``, one
-    ``cdist`` each, so memory is O(``KNN_BLOCK_ROWS`` n_train); every
-    row's distances are those of the full matrix, so the labels do not
-    depend on the block.  Raises ``ValueError`` on a non-finite embedding
-    and ``LengthMismatchError`` unless there is one label per training row.
+    index.  This is ``_nn_labels`` at the full width: one ``cdist`` per
+    block of ``KNN_BLOCK_ROWS`` test rows.  Raises ``ValueError`` on a
+    non-finite embedding and ``LengthMismatchError`` unless there is one
+    label per training row.
     """
     train_emb = np.atleast_2d(_finite(train_emb))
     test_emb = np.atleast_2d(_finite(test_emb))
@@ -68,11 +72,7 @@ def nn_classify(
         raise DimensionMismatchError("train and test embeddings differ in width")
     if train_labels.shape[:1] != train_emb.shape[:1]:
         raise LengthMismatchError("need one label per training row")
-    nearest = np.empty(test_emb.shape[0], dtype=np.intp)
-    for start in range(0, test_emb.shape[0], KNN_BLOCK_ROWS):
-        rows = slice(start, start + KNN_BLOCK_ROWS)
-        nearest[rows] = np.argmin(cdist(test_emb[rows], train_emb, "sqeuclidean"), axis=1)
-    return train_labels[nearest]
+    return _nn_labels(train_emb, train_labels, test_emb, [train_emb.shape[1]])[0]
 
 
 def error_rate(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -101,15 +101,33 @@ def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> np.ndarray:
 
 def fit_algorithm(algorithm: str, train: LabeledDataset, m: int, params: dict) -> EmbeddingModel:
     """Dispatch a fit by algorithm id; a name its fit does not take raises TypeError."""
-    if algorithm == "mpda":
-        return fit_mpda(train, m=m, **params)
-    if algorithm == "pmpda":
-        return fit_pmpda(train, m=m, **params)
-    if algorithm == "lda":
-        return fit_lda(train, m=m, **params)
-    if algorithm == "pca":
-        return fit_pca(train.features, m=m, **params)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    if algorithm not in _FITS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    return _FITS[algorithm](train, m=m, **params)
+
+
+def _nn_labels(
+    train_emb: np.ndarray, train_labels: np.ndarray, test_emb: np.ndarray, widths: list[int]
+) -> np.ndarray:
+    """1-NN labels of the test rows on their first w columns, one row per w
+    of the ascending ``widths``, in blocks of ``KNN_BLOCK_ROWS`` test rows
+    (memory O(``KNN_BLOCK_ROWS`` n_train)).  A block's squared distances are
+    one ``cdist`` at the first width, then each later column's squares added
+    in column order, ``cdist``'s own sum: every width's distances, and its
+    ties to the lowest training index, are those of its full ``cdist``."""
+    nearest = np.empty((len(widths), test_emb.shape[0]), dtype=np.intp)
+    for start in range(0, test_emb.shape[0], KNN_BLOCK_ROWS):
+        block = test_emb[start : start + KNN_BLOCK_ROWS]
+        D2 = cdist(block[:, : widths[0]], train_emb[:, : widths[0]], "sqeuclidean")
+        sq = np.empty_like(D2) if len(widths) > 1 else None
+        for i, w in enumerate(widths):
+            for c in range(widths[max(i - 1, 0)], w):
+                np.subtract(block[:, c, None], train_emb[None, :, c], out=sq)
+                np.multiply(sq, sq, out=sq)
+                D2 += sq
+            nearest[i, start : start + KNN_BLOCK_ROWS] = np.argmin(D2, axis=1)
+        del D2, sq  # free this block's rows before the next block's cdist
+    return train_labels[nearest]
 
 
 def _nn_errors_over_dims(
@@ -119,31 +137,12 @@ def _nn_errors_over_dims(
     test_labels: np.ndarray,
     m_values: list[int],
 ) -> dict[int, float]:
-    """1-NN error for every prefix width in ``m_values`` (one distance pass per block).
-
-    The test rows are taken in blocks of ``KNN_BLOCK_ROWS``.  Per block,
-    squared distances accumulate column by column, so evaluating a whole
-    m-grid costs the same as one full-width scan, and memory is
-    O(``KNN_BLOCK_ROWS`` n_train).  Mismatches are counted per width over
-    the blocks and divided once by the row count, so the errors do not
-    depend on the block.
-    """
+    """1-NN error at every width in ``m_values``: ``_nn_labels``' mismatches
+    per width over the row count, as ``error_rate`` divides them."""
     m_values = sorted(set(m_values))
-    want = set(m_values)
-    wrong = dict.fromkeys(m_values, 0)
-    for start in range(0, test_emb.shape[0], KNN_BLOCK_ROWS):
-        rows = slice(start, start + KNN_BLOCK_ROWS)
-        block = test_emb[rows]
-        D2 = np.zeros((block.shape[0], train_emb.shape[0]))
-        sq = np.empty_like(D2)
-        for m in range(1, m_values[-1] + 1):
-            np.subtract(block[:, m - 1, None], train_emb[None, :, m - 1], out=sq)
-            np.multiply(sq, sq, out=sq)
-            D2 += sq
-            if m in want:
-                wrong[m] += np.count_nonzero(train_labels[np.argmin(D2, axis=1)] != test_labels[rows])
-    # error_rate's double
-    return {m: wrong[m] / test_emb.shape[0] for m in m_values}
+    labels = _nn_labels(train_emb, train_labels, test_emb, m_values)
+    wrong = np.count_nonzero(labels != test_labels, axis=1).tolist()
+    return {m: w / test_emb.shape[0] for m, w in zip(m_values, wrong)}
 
 
 def _grid_combos(grid: dict[str, list]) -> list[dict]:

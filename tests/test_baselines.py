@@ -6,7 +6,7 @@ from conftest import lda_scatters, random_labeled
 from graph_oracles import laplacian, lda_graphs
 from mpda.baselines import LDA_SHRINKAGE, fit_lda, fit_pca
 from mpda.dataset import LabeledDataset
-from mpda.errors import SolverFailureError
+from mpda.errors import DataError, SolverFailureError
 from mpda.model import transform
 from mpda.tangent import _signed
 
@@ -247,6 +247,13 @@ def test_pca_rejects_energy_outside_unit_interval(rng, energy):
     X = rng.normal(size=(8, 3))
     with pytest.raises(ValueError, match=r"energy must lie in \(0, 1\]"):
         fit_pca(X, energy=energy)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_pca_on_fewer_than_two_rows_is_a_data_error(rng, n):
+    # a property of the data, as for the tangent-space fits, not a usage error
+    with pytest.raises(DataError, match=f"^pca needs at least two training rows, got {n}$"):
+        fit_pca(rng.normal(size=(n, 3)), m=1)
 
 
 def test_pca_rejects_bad_args(rng):

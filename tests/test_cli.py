@@ -12,7 +12,7 @@ import mpda
 from mpda.cli import run
 from mpda.dataset import LabeledDataset
 from mpda.evaluation import nn_classify  # noqa: F401  (import sanity)
-from mpda.model import fit_mpda, transform
+from mpda.model import fit_mpda, load_model, transform
 
 
 @pytest.fixture
@@ -93,7 +93,7 @@ def test_malformed_data_is_data_error(tmp_path, capsys):
         assert message == f"line 1: label {label!r} is not an integer"
 
 
-@pytest.mark.parametrize("algo", ["mpda", "pmpda"])
+@pytest.mark.parametrize("algo", ["mpda", "pmpda", "pca"])
 def test_one_row_training_set_is_data_error(tmp_path, capsys, algo):
     one = tmp_path / "one.csv"
     one.write_text("1,0.5,2.0\n")
@@ -524,6 +524,25 @@ def test_undecodable_data_file_is_data_error(tmp_path, capsys):
     assert rc == 3
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "UnicodeDecodeError"
+
+
+@pytest.mark.parametrize("algo,names", [
+    ("mpda", ["k", "kprime", "max_patch", "gamma", "alpha", "energy"]),
+    ("pmpda", ["k", "gamma", "alpha", "energy"]),
+    ("lda", []),
+    ("pca", []),
+])
+def test_fit_passes_each_algorithm_its_own_keywords(tmp_path, data_csv, algo, names):
+    # the CLI reads the keywords from the protocol's fit table; PCA fits at
+    # --m and takes no --energy, even though the flag is always parsed
+    from mpda.cli import _hyperparams, build_parser
+
+    path, _ = data_csv
+    argv = ["fit", "--algo", algo, "--data", path, "--m", "1", "--out", str(tmp_path / "m.bin")]
+    args = build_parser().parse_args(argv + ["--energy", "0.5"])
+    assert list(_hyperparams(args)) == names
+    assert run(argv + ["--energy", "0.5"]) == 0
+    assert load_model(str(tmp_path / "m.bin")).hyperparams == {"m": 1, **_hyperparams(args)}
 
 
 def test_hyper_flag_defaults_are_the_fit_defaults():

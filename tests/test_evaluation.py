@@ -20,16 +20,20 @@ from mpda.errors import (
     EmptyTrainSetError,
     LengthMismatchError,
 )
+from mpda.baselines import fit_lda, fit_pca
 from mpda.evaluation import (
     _nn_errors_over_dims,
+    _nn_labels,
     benchmark,
     cross_validate,
     dimension_sweep,
     error_rate,
+    fit_algorithm,
     nn_classify,
     parameter_sweep,
     stratified_folds,
 )
+from mpda.model import fit_mpda, fit_pmpda
 
 
 def two_gaussians(rng, n_per=30, d=4, gap=8.0):
@@ -134,6 +138,50 @@ def test_blocked_scorers_equal_the_full_matrix_oracles(case):
         assert np.array_equal(pick, full_matrix_nn_classify(tr[:, :m], ids, te[:, :m]))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scorer_inputs(max_test=40), st.data())
+def test_any_width_grid_equals_the_full_matrix_oracles(case, data):
+    # grids that start above 1, skip widths or hold one width: the first
+    # width's cdist plus the later columns' sums must give every width the
+    # picks of its own full matrix, ties included, over three-row blocks
+    tr, ytr, te, yte = case
+    widths = sorted(data.draw(st.sets(st.integers(1, tr.shape[1]), min_size=1)))
+    ids = np.arange(tr.shape[0])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mpda.evaluation, "KNN_BLOCK_ROWS", 3)
+        errs = _nn_errors_over_dims(tr, ytr, te, yte, widths)
+        picks = _nn_labels(tr, ids, te, widths)
+        single = {m: _nn_errors_over_dims(tr, ytr, te, yte, [m]) for m in widths}
+        classified = {m: error_rate(nn_classify(tr[:, :m], ytr, te[:, :m]), yte) for m in widths}
+    assert errs == one_pass_nn_errors_over_dims(tr, ytr, te, yte, widths)
+    for m, pick in zip(widths, picks):
+        assert np.array_equal(pick, full_matrix_nn_classify(tr[:, :m], ids, te[:, :m]))
+        assert single[m] == {m: errs[m]} and classified[m] == errs[m]
+
+
+@pytest.mark.parametrize("widths", [[3, 5, 9], [2, 4, 7, 8], [9], [1], [1, 9]])
+@pytest.mark.parametrize("grid", ["integer", "duplicate rows"])
+def test_gapped_and_single_width_grids_score_as_their_full_matrices(widths, grid):
+    # 23 test rows in three-row blocks against 17 training rows of width 9:
+    # the integer grid ties many distances exactly, and duplicate rows tie
+    # whole rows, so every width's first-minimum rule is exercised
+    rng = np.random.default_rng(11)
+    rows = rng.integers(-2, 3, size=(40, 9)).astype(np.float64)
+    if grid == "duplicate rows":
+        rows = rows[rng.integers(0, 12, size=40)] + 1e8
+    tr, te = rows[:17], rows[17:]
+    ytr, yte = rng.integers(1, 4, size=17), rng.integers(1, 4, size=23)
+    ids = np.arange(17)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mpda.evaluation, "KNN_BLOCK_ROWS", 3)
+        errs = _nn_errors_over_dims(tr, ytr, te, yte, widths)
+        picks = _nn_labels(tr, ids, te, widths)
+    assert errs == one_pass_nn_errors_over_dims(tr, ytr, te, yte, widths)
+    for m, pick in zip(widths, picks):
+        assert np.array_equal(pick, full_matrix_nn_classify(tr[:, :m], ids, te[:, :m]))
+        assert errs[m] == error_rate(full_matrix_nn_classify(tr[:, :m], ytr, te[:, :m]), yte)
+
+
 def _traced_peak(f, *args):
     tracemalloc.start()
     try:
@@ -145,16 +193,18 @@ def _traced_peak(f, *args):
 
 
 def test_scorers_hold_row_blocks_not_the_distance_matrix():
-    # each scorer holds a few KNN_BLOCK_ROWS x n_train blocks, never the whole
+    # each scorer holds one 128 x n_train block of distances, plus the squares
+    # of one column when it scores more than one width, never the whole
     # n_test x n_train matrix (48 MB and 72 MB for the one-pass scorers here)
     rng = np.random.default_rng(5)
     tr, te = rng.normal(size=(2000, 10)), rng.normal(size=(3000, 10))
     ytr = rng.integers(1, 4, size=2000)
-    assert _traced_peak(nn_classify, tr, ytr, te) < 4 * 256 * 2000 * 8
+    assert _traced_peak(nn_classify, tr, ytr, te) < 2 * 128 * 2000 * 8
     tr, te = rng.normal(size=(3000, 18)), rng.normal(size=(1500, 18))
     ytr, yte = rng.integers(1, 4, size=3000), rng.integers(1, 4, size=1500)
     widths = list(range(1, 19))
-    assert _traced_peak(_nn_errors_over_dims, tr, ytr, te, yte, widths) < 4 * 256 * 3000 * 8
+    assert _traced_peak(_nn_errors_over_dims, tr, ytr, te, yte, widths) < 3 * 128 * 3000 * 8
+    assert _traced_peak(_nn_errors_over_dims, tr, ytr, te, yte, [9]) < 2 * 128 * 3000 * 8
 
 
 def test_error_rate_values():
@@ -180,6 +230,23 @@ def test_cv_single_point_grid(rng):
     res = cross_validate(ds, "pca", grid={}, m_grid=[2], folds=4, seed=0)
     assert res.best_params == {"m": 2}
     assert len(res.table) == 1
+
+
+@pytest.mark.parametrize("algorithm,fit,foreign", [
+    ("mpda", fit_mpda, "nonsense"), ("pmpda", fit_pmpda, "kprime"), ("lda", fit_lda, "energy"),
+    ("pca", lambda train, m: fit_pca(train.features, m=m), "energy"),
+])
+def test_fit_algorithm_is_each_algorithms_own_fit(rng, algorithm, fit, foreign):
+    ds = two_gaussians(rng)
+    model, ref = fit_algorithm(algorithm, ds, 2, {}), fit(ds, 2)
+    assert model.kind == ref.kind and model.hyperparams == ref.hyperparams
+    assert np.array_equal(model.projection, ref.projection)
+    # a name the fit does not take is a TypeError for every algorithm, PCA's
+    # energy included: the protocol fits PCA at a width, not an energy target
+    with pytest.raises(TypeError):
+        fit_algorithm(algorithm, ds, 2, {foreign: 0.9})
+    with pytest.raises(ValueError, match="unknown algorithm 'svm'"):
+        fit_algorithm("svm", ds, 2, {})
 
 
 def test_cv_baselines_reject_names_their_fit_does_not_take(rng):
