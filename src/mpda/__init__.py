@@ -21,7 +21,7 @@ from .model import (
     solve_gep,
     transform,
 )
-from .partition import Partition, partition_classes
+from .partition import partition_classes
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,6 @@ __all__ = [
     "EmbeddingModel",
     "LabeledDataset",
     "NeighborLists",
-    "Partition",
     "assemble_between",
     "assemble_within",
     "benchmark",

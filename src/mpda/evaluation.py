@@ -255,10 +255,10 @@ def default_m_grid(algorithm: str, train: LabeledDataset) -> list[int]:
 
 
 def pca_preprocess(
-    train: LabeledDataset, test: LabeledDataset, energy: float = PCA_PREPROCESS_ENERGY
+    train: LabeledDataset, test: LabeledDataset
 ) -> tuple[LabeledDataset, LabeledDataset, EmbeddingModel]:
-    """Project both sets onto the training PCA directions holding ``energy``."""
-    pca = fit_pca(train.features, energy=energy)
+    """Project both sets onto the training PCA directions holding ``PCA_PREPROCESS_ENERGY``."""
+    pca = fit_pca(train.features, energy=PCA_PREPROCESS_ENERGY)
     tr = LabeledDataset(transform(pca, train.features), train.labels, dict(train.label_names))
     te = LabeledDataset(transform(pca, test.features), test.labels, dict(test.label_names))
     return tr, te, pca

@@ -105,9 +105,10 @@ def _tangent_part(p, q, ws, T, dims, off, total) -> sp.csc_matrix:
 
     A pair adds four blocks: ws I at (p, p), -ws C at (p, q), -ws C' at
     (q, p) and ws C'C at (q, q), with C = T_p' T_q.  Their triplets go
-    straight into three arrays allocated once: part by part, then pair by
-    pair, then row-major within a block, the order in which the one COO to
-    CSC conversion sums duplicates.  The pairs go in chunks, and a chunk's
+    straight into three arrays allocated once, the rows and columns int32
+    as in the CSC result (``total`` is far below 2^31): part by part, then
+    pair by pair, then row-major within a block, the order in which the one
+    COO to CSC conversion sums duplicates.  The pairs go in chunks, and a chunk's
     C and C'C are one stacked product each, so no value depends on them.
     """
     _, d, r = T.shape
@@ -116,7 +117,7 @@ def _tangent_part(p, q, ws, T, dims, off, total) -> sp.csc_matrix:
     counts = np.stack([dp, dp * dq, dq * dp, dq * dq])
     start = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
     nnz = int(counts.sum())
-    rows, cols, vals = np.empty(nnz, dtype=np.int64), np.empty(nnz, dtype=np.int64), np.empty(nnz)
+    rows, cols, vals = np.empty(nnz, dtype=np.int32), np.empty(nnz, dtype=np.int32), np.empty(nnz)
     step = _pairs_per_chunk(nnz, d, r)
     for lo in range(0, p.size, step):
         e = slice(lo, lo + step)
@@ -185,13 +186,14 @@ def _pairwise_part(X, rows, cols, w, p_j, T, dims, off, total) -> sp.csc_matrix:
     band[:, :d] = A
     # S_diff straight in CSC form: t-column j holds band[:, j] and then
     # band[j, d:]; a v-column of patch q holds band's column and then its
-    # column of T_q' M_q T_q, kept to the first dims[q] rows
+    # column of T_q' M_q T_q, kept to the first dims[q] rows; int32 indices,
+    # as scipy keeps them
     v_patch = np.repeat(np.arange(P), dims)
     indptr = np.cumsum(np.concatenate([[0], np.full(d, total), d + dims[v_patch]]))
-    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int64)
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
     t_data, t_rows = data[: d * total].reshape(d, total), indices[: d * total].reshape(d, total)
     t_data[:, :d], t_data[:, d:], t_rows[:] = band[:, :d].T, band[:, d:], np.arange(total)
-    v_data, v_rows = np.empty((total - d, d + r)), np.empty((total - d, d + r), dtype=np.int64)
+    v_data, v_rows = np.empty((total - d, d + r)), np.empty((total - d, d + r), dtype=np.int32)
     v_data[:, :d], v_data[:, d:] = band[:, d:].T, VV[v_patch, :, np.arange(d, total) - off[v_patch]]
     v_rows[:, :d], v_rows[:, d:] = np.arange(d), off[v_patch, None] + np.arange(r)
     v_kept = np.arange(d + r) < d + dims[v_patch, None]
@@ -380,11 +382,11 @@ def merge_class_partitions(
     """
     class_rows = [ds.class_indices(int(c)) for c in np.unique(ds.labels)]
     parts = partition_classes([ds.features[rows] for rows in class_rows], kprime, max_patch)
-    members = [rows[p] for rows, part in zip(class_rows, parts) for p in part.patches]
-    patch_of = np.full(ds.n, -1, dtype=np.int64)
-    for pid, m in enumerate(members):
-        patch_of[m] = pid
-    return patch_of, members, np.concatenate([part.linearity for part in parts])
+    members = [rows[p] for rows, (patches, _) in zip(class_rows, parts) for p in patches]
+    sizes = [len(m) for m in members]
+    patch_of = np.empty(ds.n, dtype=np.int64)
+    patch_of[np.concatenate(members)] = np.repeat(np.arange(len(members)), sizes)
+    return patch_of, members, np.concatenate([linearity for _, linearity in parts])
 
 
 # --- fit stages ---------------------------------------------------------------

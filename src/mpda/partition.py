@@ -30,8 +30,6 @@ class batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geodesy import geodesic_distances, mean_ratios, tortuosity
@@ -42,23 +40,6 @@ DEFAULT_MAX_PATCH = 10
 # padded n x n values (count x the largest n^2) of the classes partitioned
 # together, a count of values, not of matrices; results do not depend on it
 CLASS_BATCH_VALUES = 2**20
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint cover of one class's points by near-linear patches."""
-
-    patches: list[np.ndarray]  # sorted member indices per patch
-    patch_of: np.ndarray  # point index -> patch id
-    linearity: np.ndarray  # R score per patch, the mean ratio of its pairs
-
-    @property
-    def n_patches(self) -> int:
-        return len(self.patches)
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.array([len(p) for p in self.patches], dtype=np.int64)
 
 
 class _ClassTree:
@@ -77,8 +58,8 @@ class _ClassTree:
         lowest = np.isfinite(self.geodesic).argmax(axis=1)
         self.members = [np.flatnonzero(lowest == c) for c in np.unique(lowest)]
 
-    def partition(self) -> Partition:
-        """The leaves, numbered in ascending order of their smallest member.
+    def partition(self) -> tuple[list[np.ndarray], np.ndarray]:
+        """The leaves and their linearities, in ascending order of their smallest member.
 
         Call it once the growth is done: it turns the class's geodesic
         matrix into ratios in place.  Each leaf's linearity comes from one
@@ -93,9 +74,7 @@ class _ClassTree:
             group = np.flatnonzero(sizes == N)
             sub = np.stack([patches[k] for k in group])
             linearity[group] = mean_ratios(_blocks(R, sub))
-        patch_of = np.empty(self.n, dtype=np.int64)
-        patch_of[np.concatenate(patches)] = np.repeat(np.arange(len(patches)), sizes)
-        return Partition(patches=patches, patch_of=patch_of, linearity=linearity)
+        return patches, linearity
 
 
 def _chunks(sizes: list[int], cost, budget: int) -> list[tuple[int, int]]:
@@ -282,17 +261,17 @@ def partition_classes(
     blocks: list[np.ndarray],
     kprime: int = DEFAULT_KPRIME,
     max_patch: int = DEFAULT_MAX_PATCH,
-) -> list[Partition]:
+) -> list[tuple[list[np.ndarray], np.ndarray]]:
     """Partition each class's points into patches of at most ``max_patch`` members.
 
-    ``blocks`` holds one feature matrix per class; the result holds one
-    ``Partition`` per block, each equal to partitioning that class alone.
-    Consecutive classes are split together while their count times the
-    largest class's n x n values is at most ``CLASS_BATCH_VALUES``.
+    ``blocks`` holds one feature matrix per class; the result holds one pair
+    per block, each equal to partitioning that class alone.  Consecutive
+    classes are split together while their count times the largest class's
+    n x n values is at most ``CLASS_BATCH_VALUES``.
 
-    Each class's patches are numbered in ascending order of their smallest
-    member, and each gets its linearity, the mean geodesic/Euclidean ratio
-    of its pairs.
+    A class's pair is ``(patches, linearity)``: the sorted member indices of
+    each patch, numbered in ascending order of their smallest member, and a
+    float64 array of each patch's mean geodesic/Euclidean ratio of its pairs.
 
     Disconnected components of the k'-NN graph are separated up front, since
     tortuosity is meaningless across components.  Every block must be finite
@@ -306,7 +285,7 @@ def partition_classes(
     for c, Xc in enumerate(blocks):
         if Xc.shape[0] == 0:
             raise ValueError(f"class block {c} has no points")
-    parts: list[Partition] = []
+    parts = []
     for a, b in _chunks([Xc.shape[0] for Xc in blocks], lambda n: n * n, CLASS_BATCH_VALUES):
         trees = [_ClassTree(Xc, kprime) for Xc in blocks[a:b]]
         # values any step may hold at once: three times the largest class's n^2

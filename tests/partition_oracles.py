@@ -10,9 +10,10 @@ geodesics come from a k'-NN graph built here, one edge at a time, from a
 stable argsort of each cdist row, and its components from scipy's
 ``connected_components`` over its finite edges, and each patch's
 linearity is the sum of its own ratio block over N^2.  The finished
-patches are numbered in ascending order of their smallest member.  The
-outputs define the partitions the production code must reproduce
-bit for bit.  A class's distances travel as the pair ``(geodesic,
+patches are numbered in ascending order of their smallest member, and
+``partition_class_loop`` returns them with their linearities as the pair
+``(patches, linearity)`` of ``partition_classes``.  The outputs define
+the partitions the production code must reproduce bit for bit.  A class's distances travel as the pair ``(geodesic,
 euclidean)`` that ``geodesic_distances`` returns.
 
 ``ratio_matrix`` is the former cached ratio matrix of every pair, the
@@ -23,8 +24,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial.distance import cdist
-
-from mpda.partition import Partition
 
 
 def knn_edge_matrix(D, k):
@@ -146,9 +145,7 @@ def partition_class_loop(Xc, kprime, max_patch):
     Xc = np.atleast_2d(np.asarray(Xc, dtype=np.float64))
     n = Xc.shape[0]
     if n == 1:
-        return Partition(
-            patches=[np.array([0])], patch_of=np.zeros(1, dtype=np.int64), linearity=np.ones(1)
-        )
+        return [np.array([0])], np.ones(1)
 
     DE = cdist(Xc, Xc)
     np.fill_diagonal(DE, 0.0)
@@ -172,8 +169,4 @@ def partition_class_loop(Xc, kprime, max_patch):
         patches.append(right)
     patches.sort(key=lambda m: m[0])  # ids follow each patch's smallest member
 
-    patch_of = np.empty(n, dtype=np.int64)
-    for pid, m in enumerate(patches):
-        patch_of[m] = pid
-    linearity = np.array([mean_ratio(m, dist) for m in patches])
-    return Partition(patches=patches, patch_of=patch_of, linearity=linearity)
+    return patches, np.array([mean_ratio(m, dist) for m in patches])

@@ -131,9 +131,9 @@ def test_criterion_3_structural_invariants():
     for _ in range(100):
         n = int(rng.integers(2, 60))
         X = rng.normal(size=(n, int(rng.integers(1, 6))))
-        part = one_partition(X, kprime=6, max_patch=10)
-        cover = np.array_equal(np.sort(np.concatenate(part.patches)), np.arange(n))
-        ok = ok and cover and part.sizes.max() <= 10
+        patches, _ = one_partition(X, kprime=6, max_patch=10)
+        cover = np.array_equal(np.sort(np.concatenate(patches)), np.arange(n))
+        ok = ok and cover and max(len(p) for p in patches) <= 10
     detail.append("partition")
 
     # tangent orthonormality

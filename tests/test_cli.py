@@ -154,13 +154,12 @@ def test_partition_inspect_makes_one_call_with_the_per_class_output(tmp_path, rn
     expected = []
     for c in sorted(ds.class_counts):
         rows = ds.class_indices(c)
-        part = partition_class_loop(ds.features[rows], 3, 4)
+        patches, linearity = partition_class_loop(ds.features[rows], 3, 4)
         expected.append({
             "class": ds.label_names.get(c, c),
             "patches": [
-                {"size": int(len(m)), "linearity": float(part.linearity[pid]),
-                 "members": [int(rows[i]) for i in m]}
-                for pid, m in enumerate(part.patches)
+                {"size": int(len(m)), "linearity": float(lin), "members": [int(rows[i]) for i in m]}
+                for m, lin in zip(patches, linearity)
             ],
         })
     assert out.read_text() == json.dumps(expected, indent=2) + "\n"

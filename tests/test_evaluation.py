@@ -422,6 +422,21 @@ def test_benchmark_wide_data_gets_pca_pass(rng):
     assert narrow.preprocessed_dim == [4]  # d <= 100 stays untouched
 
 
+def test_pca_preprocess_keeps_the_module_energy(rng, monkeypatch):
+    # the pass reads PCA_PREPROCESS_ENERGY at call time and takes no energy
+    # of its own: both sets go through the training set's fit_pca model
+    tr, te = two_gaussians(rng, d=6), two_gaussians(rng, d=6)
+    for energy in (0.95, 0.5):
+        monkeypatch.setattr(mpda.evaluation, "PCA_PREPROCESS_ENERGY", energy)
+        got_tr, got_te, pca = mpda.evaluation.pca_preprocess(tr, te)
+        want = fit_pca(tr.features, energy=energy)
+        assert pca.hyperparams == want.hyperparams and pca.projection.tobytes() == want.projection.tobytes()
+        assert got_tr.features.tobytes() == mpda.transform(want, tr.features).tobytes()
+        assert got_te.features.tobytes() == mpda.transform(want, te.features).tobytes()
+    with pytest.raises(TypeError):
+        mpda.evaluation.pca_preprocess(tr, te, energy=0.9)
+
+
 def test_dimension_sweep_rows_and_isometry(rng):
     ds = two_gaussians(rng, n_per=25, d=5)
     rows = dimension_sweep(ds, "pca", list(range(1, 6)), splits=2, train_fraction=0.6, seed=4)

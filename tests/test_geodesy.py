@@ -75,7 +75,7 @@ def test_edge_matrix_matches_dict_loop_on_duplicates_and_gaps(rng):
         # the partitioner's roots are the graph's components, in the order
         # of their lowest members; a size cap of n splits none of them
         comp = connected_components(old, directed=False)[1]
-        roots = partition_classes([X], k, len(X))[0].patches
+        roots, _ = partition_classes([X], k, len(X))[0]
         assert [r.tolist() for r in roots] == [np.flatnonzero(comp == c).tolist() for c in range(comp.max() + 1)]
         if trial == 0:
             assert np.isinf(G).any()

@@ -40,6 +40,7 @@ from mpda.model import (
 )
 from mpda.partition import partition_classes
 from mpda.tangent import patch_bases, per_point_bases
+from partition_oracles import partition_class_loop
 from test_solve import degenerate_datasets
 
 
@@ -312,20 +313,24 @@ def test_tangent_part_does_not_depend_on_its_chunks(rng, monkeypatch, case):
         assert csc_bytes(assemble_within(X, W, patch_of, bases)[1]) == want
 
 
-def test_tangent_part_holds_no_gather_of_every_pair():
-    # PMPDA on 1500 rows in 120 dimensions: a sheet of rank-2 bases and a
-    # small blob whose bases reach rank 4, some 14,000 ordered point pairs.
-    # Gathering every pair's padded bases at once takes two (pairs, d, r)
-    # arrays; the chunked form peaks below one
+def sheet_and_blob():
+    """PMPDA's inputs on 1500 rows in 120 dimensions: a sheet of rank-2 bases
+    and a small blob whose bases reach rank 4, some 14,000 ordered point
+    pairs.  Returns (X, W, bases)."""
     rng = np.random.default_rng(7)
     n, d, k = 1500, 120, 8
     s = rng.uniform(-1.0, 1.0, size=(n, 4))
     s[: n - 100, 2:] = 0.0
     X = s @ np.linalg.qr(rng.normal(size=(d, 4)))[0].T + 1e-4 * rng.normal(size=(n, d))
     y = np.r_[np.ones(n - 100, dtype=int), np.full(100, 2)]
-    bases = per_point_bases(X, y, k)
-    W = within_class_graph(knn_neighbors(X, k), y)
-    Wc = sp.coo_matrix(W)
+    return X, within_class_graph(knn_neighbors(X, k), y), per_point_bases(X, y, k)
+
+
+def test_tangent_part_holds_no_gather_of_every_pair():
+    # gathering every pair's padded bases at once takes two (pairs, d, r)
+    # arrays; the chunked form peaks below one
+    X, W, bases = sheet_and_blob()
+    (n, d), Wc = X.shape, sp.coo_matrix(W)
     pairs = np.unique(Wc.row * n + Wc.col).size
     r = int(bases[1].max())
     assert pairs > 10_000 and r == 4
@@ -336,6 +341,41 @@ def test_tangent_part_holds_no_gather_of_every_pair():
     finally:
         tracemalloc.stop()
     assert peak < pairs * d * r * 8
+
+
+def test_within_parts_stage_their_indices_at_csc_width():
+    # each part stages its row and column indices as int32, the width of
+    # its CSC result's indices, not as int64 that scipy then copies: per
+    # stored value of S_diff, and per triplet of S_tan, the peak above the
+    # part's inputs is 31.5 and 46.8 bytes, against 39.5 and 54.8 with int64
+    X, W, bases = sheet_and_blob()
+    per_item = {}
+
+    def measured(part, items):
+        def run(*args):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            S = part(*args)
+            per_item[part.__name__] = (tracemalloc.get_traced_memory()[1] - start) / items(S, *args)
+            assert S.indices.dtype == np.int32
+            return S
+        return run
+
+    def triplets(S, p, q, ws, T, dims, *rest):
+        dp, dq = dims[p], dims[q]
+        return int((dp + 2 * dp * dq + dq * dq).sum())
+
+    tracemalloc.start()
+    try:
+        with mock.patch.object(mpda.model, "_pairwise_part",
+                               measured(mpda.model._pairwise_part, lambda S, *_: S.nnz)), \
+                mock.patch.object(mpda.model, "_tangent_part",
+                                  measured(mpda.model._tangent_part, triplets)):
+            assemble_within(X, W, np.arange(len(X)), bases)
+    finally:
+        tracemalloc.stop()
+    assert per_item["_pairwise_part"] < 35.0
+    assert per_item["_tangent_part"] < 51.0
 
 
 def test_negative_gamma_fails_before_any_stage(rng, monkeypatch):
@@ -557,6 +597,27 @@ def test_pmpda_vblock_size(rng):
     model = fit_pmpda(ds, m=2, k=3)
     expected = per_point_bases(X, y, k=3)[1].sum()
     assert model.layout.total == 4 + expected
+
+
+def test_merge_numbers_every_class_patch_globally(rng):
+    # interleaved classes with labels that are not 1..C: global ids run over
+    # the classes in ascending label order, each class's patches in its
+    # oracle order, and every point's id names the patch that holds it
+    labels = rng.permutation(np.repeat([7, 2, 5, 9], [30, 25, 12, 1]))
+    ds = LabeledDataset(rng.normal(size=(labels.size, 3)) + labels[:, None], labels)
+    patch_of, members, linearity = merge_class_partitions(ds, 3, 4)
+    want_members, want_linearity = [], []
+    for c in (2, 5, 7, 9):
+        rows = ds.class_indices(c)
+        patches, lin = partition_class_loop(ds.features[rows], 3, 4)
+        want_members += [rows[m] for m in patches]
+        want_linearity.append(lin)
+    assert [m.tolist() for m in members] == [m.tolist() for m in want_members]
+    assert linearity.tobytes() == np.concatenate(want_linearity).tobytes()
+    want_patch_of = np.full(ds.n, -1, dtype=np.int64)
+    for pid, m in enumerate(want_members):
+        want_patch_of[m] = pid
+    assert patch_of.dtype == np.int64 and patch_of.tobytes() == want_patch_of.tobytes()
 
 
 def test_pmpda_matches_mpda_on_tiny_class(rng):

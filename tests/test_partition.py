@@ -16,31 +16,33 @@ from partition_oracles import partition_class_loop, split_patch_loop
 
 
 def assert_same_partition(part, ref):
-    assert len(part.patches) == len(ref.patches)
-    for got, want in zip(part.patches, ref.patches):
+    (patches, linearity), (ref_patches, ref_linearity) = part, ref
+    assert len(patches) == len(ref_patches)
+    for got, want in zip(patches, ref_patches):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert np.array_equal(part.patch_of, ref.patch_of)
-    assert part.linearity.tobytes() == ref.linearity.tobytes()
+    assert linearity.tobytes() == ref_linearity.tobytes()
 
 
 def check_invariants(part, n, max_patch):
-    all_members = np.sort(np.concatenate(part.patches))
+    patches, linearity = part
+    all_members = np.sort(np.concatenate(patches))
     assert np.array_equal(all_members, np.arange(n))  # disjoint cover
-    assert part.sizes.max() <= max_patch
-    for pid, members in enumerate(part.patches):
-        assert np.all(part.patch_of[members] == pid)
+    assert max(len(members) for members in patches) <= max_patch
+    assert linearity.dtype == np.float64 and linearity.shape == (len(patches),)
+    for members in patches:
+        assert np.all(np.diff(members) > 0)  # sorted member lists
 
 
 def test_small_class_single_patch(rng):
     X = rng.normal(size=(7, 3))
-    part = one_partition(X, kprime=2, max_patch=10)
-    assert part.n_patches == 1
-    assert np.array_equal(part.patches[0], np.arange(7))
+    patches, _ = one_partition(X, kprime=2, max_patch=10)
+    assert len(patches) == 1
+    assert np.array_equal(patches[0], np.arange(7))
 
 
 def test_singleton_class():
-    part = one_partition(np.array([[1.0, 2.0]]), kprime=3, max_patch=5)
-    assert part.n_patches == 1 and part.linearity[0] == 1.0
+    patches, linearity = one_partition(np.array([[1.0, 2.0]]), kprime=3, max_patch=5)
+    assert len(patches) == 1 and linearity[0] == 1.0
 
 
 def test_partition_computes_one_distance_matrix(rng):
@@ -69,9 +71,9 @@ def test_four_collinear_split_hand_trace():
 def test_collinear_even_split_at_middle():
     for M in (3, 5):
         X = np.arange(2 * M, dtype=float)[:, None]
-        part = one_partition(X, kprime=2, max_patch=M)
-        assert part.n_patches == 2
-        got = sorted(tuple(p) for p in part.patches)
+        patches, _ = one_partition(X, kprime=2, max_patch=M)
+        assert len(patches) == 2
+        got = sorted(tuple(p) for p in patches)
         assert got == [tuple(range(M)), tuple(range(M, 2 * M))]
 
 
@@ -95,15 +97,15 @@ def test_partition_invariants_random(rng):
         X = rng.normal(size=(n, int(rng.integers(1, 5))))
         part = one_partition(X, kprime=6, max_patch=10)
         check_invariants(part, n, 10)
-        assert np.all(np.diff([p[0] for p in part.patches]) > 0)  # ids follow the smallest member
+        assert np.all(np.diff([p[0] for p in part[0]]) > 0)  # ids follow the smallest member
 
 
 def test_partition_deterministic(rng):
     X = rng.normal(size=(37, 4))
-    a = one_partition(X, kprime=4, max_patch=6)
-    b = one_partition(X, kprime=4, max_patch=6)
-    assert len(a.patches) == len(b.patches)
-    for pa, pb in zip(a.patches, b.patches):
+    a, _ = one_partition(X, kprime=4, max_patch=6)
+    b, _ = one_partition(X, kprime=4, max_patch=6)
+    assert len(a) == len(b)
+    for pa, pb in zip(a, b):
         assert np.array_equal(pa, pb)
 
 
@@ -111,8 +113,8 @@ def test_disconnected_components_become_separate_patches():
     # two clusters out of mutual k-NN reach must never share a patch
     X = np.vstack([np.random.default_rng(0).normal(0, 0.1, size=(8, 2)),
                    np.random.default_rng(1).normal(100, 0.1, size=(8, 2))])
-    part = one_partition(X, kprime=2, max_patch=20)
-    for members in part.patches:
+    patches, _ = one_partition(X, kprime=2, max_patch=20)
+    for members in patches:
         assert set(members) <= set(range(8)) or set(members) <= set(range(8, 16))
 
 
@@ -161,12 +163,7 @@ def class_points(draw):
 def test_partition_bit_identical_to_rescanning_oracle(case):
     X, kprime, max_patch = case
     part = one_partition(X, kprime, max_patch)
-    ref = partition_class_loop(X, kprime, max_patch)
-    assert len(part.patches) == len(ref.patches)
-    for got, want in zip(part.patches, ref.patches):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert np.array_equal(part.patch_of, ref.patch_of)
-    assert part.linearity.tobytes() == ref.linearity.tobytes()
+    assert_same_partition(part, partition_class_loop(X, kprime, max_patch))
     check_invariants(part, X.shape[0], max_patch)
 
 
@@ -176,10 +173,11 @@ def test_partition_joint_award_at_a_rounding_tie():
     # joint award turns on the order in which the ratio sums are added
     P = np.array([[-1.0, 0.2], [0.3, -0.5], [-0.6, 0.5], [-1.7, -1.3], [0.2, 0.8], [0.6, -0.2]])
     X = np.vstack([P, -P])
-    part = one_partition(X, kprime=2, max_patch=4)
-    ref = partition_class_loop(X, kprime=2, max_patch=4)
-    assert [p.tolist() for p in part.patches] == [p.tolist() for p in ref.patches]
-    assert part.linearity.tobytes() == ref.linearity.tobytes()
+    (patches, linearity), (ref_patches, ref_linearity) = (
+        one_partition(X, kprime=2, max_patch=4), partition_class_loop(X, kprime=2, max_patch=4)
+    )
+    assert [p.tolist() for p in patches] == [p.tolist() for p in ref_patches]
+    assert linearity.tobytes() == ref_linearity.tobytes()
 
 
 def test_linearity_computed_once_per_patch(rng):
@@ -191,10 +189,10 @@ def test_linearity_computed_once_per_patch(rng):
     with mock.patch.object(mpda.partition, "mean_ratios", wraps=mean_ratios) as lin:
         part = one_partition(X, kprime, max_patch)
     check_invariants(part, 200, max_patch)
-    splits = part.n_patches - components
+    splits = len(part[0]) - components
     assert components == 2 and splits > 0
     # one linearity per final patch, none for the patches that were split
-    assert sum(call.args[0].shape[0] for call in lin.call_args_list) == part.n_patches
+    assert sum(call.args[0].shape[0] for call in lin.call_args_list) == len(part[0])
 
 
 @st.composite
@@ -254,7 +252,7 @@ def test_every_patch_lies_in_one_component(case):
             check_invariants(part, len(X), max_patch)
             if len(X) > 1:
                 G, _ = geodesic_distances(X, min(kprime, len(X) - 1))
-                for members in part.patches:
+                for members in part[0]:
                     assert np.isfinite(G[np.ix_(members, members)]).all()
 
 
@@ -365,7 +363,7 @@ def test_rows_whose_distances_all_overflow_split_without_a_warning(rng):
     X = rng.normal(size=(20, 2)) * 1e200
     with np.errstate(all="raise"):
         exact = one_partition(X, kprime=3, max_patch=5)
-    assert [p.tolist() for p in exact.patches] == [[i] for i in range(20)]
+    assert [p.tolist() for p in exact[0]] == [[i] for i in range(20)]
     assert_same_partition(exact, partition_class_loop(X, kprime=3, max_patch=5))
 
 
@@ -390,7 +388,7 @@ def test_three_curved_classes_match_the_oracle(rng, monkeypatch, batch_values):
         blocks.append(curve + rng.normal(0, 0.05, (n, 3)))
     parts = partition_classes(blocks, kprime=5, max_patch=8)
     for X, part in zip(blocks, parts):
-        assert part.n_patches >= 15
+        assert len(part[0]) >= 15
         assert_same_partition(part, partition_class_loop(X, 5, 8))
 
 
@@ -411,5 +409,5 @@ def test_partition_peak_memory_is_two_matrices_per_class():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(part.n_patches >= 20 for part in parts)
+    assert all(len(patches) >= 20 for patches, _ in parts)
     assert peak < 2.75 * 8 * values
