@@ -41,7 +41,11 @@ class LabeledDataset:
 
     def __post_init__(self):
         X = np.asarray(self.features, dtype=np.float64)
-        y = np.asarray(self.labels, dtype=np.int64)
+        y = np.asarray(self.labels)
+        # the int64 cast would truncate 1.9 to 1 and make garbage of NaN, inf or 1e30
+        if y.dtype.kind == "f" and not np.all((y == np.trunc(y)) & (np.abs(y) < 2.0**63)):
+            raise ParseError("labels must be integers")
+        y = y.astype(np.int64, copy=False)
         if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
             raise EmptyDatasetError("dataset must have at least one row and one column")
         if y.shape != (X.shape[0],):

@@ -5,7 +5,8 @@ shortest paths on the undirected k'-NN graph of ``NeighborLists.edges``
 with Euclidean edge lengths, and X's Euclidean distances.  The linearity
 of a point set is the mean geodesic/Euclidean ratio (``tortuosity``) over
 all its pairs (1 means the set lies along a straight path, larger means
-more tortuous): ``mean_ratios`` of the members' ratio blocks.
+more tortuous): ``mean_ratios`` of the members' ratio blocks.  These are
+internal to the fit; the package exports none of them.
 """
 
 from __future__ import annotations

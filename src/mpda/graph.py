@@ -9,6 +9,7 @@ from one matrix product, then re-ranks a candidate set with cdist's own
 arithmetic under a per-row rounding certificate, so its lists equal those
 of the full cdist matrix bit for bit, whatever the number of BLAS threads.
 Every kernel takes finite points: ``_finite`` rejects NaN and Inf for all.
+The kernels are internal to the fit; the package exports none of them.
 """
 
 from __future__ import annotations

@@ -32,6 +32,8 @@ pencil in O(d^3) instead of O(total^3), and back-substitutes v.
 
 The pairwise variant uses the exact same assembly with one "patch" per
 point, whose basis comes from the point's within-class neighborhood.
+``assemble_within``, ``assemble_between`` and ``solve_gep`` are internal to
+the fit; the package exports the fits, ``transform`` and the model files.
 """
 
 from __future__ import annotations
@@ -330,10 +332,11 @@ def solve_gep(
 
 @dataclass(frozen=True)
 class EmbeddingModel:
-    """Fitted linear embedding with its diagnostics.
+    """Fitted linear embedding: projection, eigenvalues and hyperparameters.
 
-    ``projection`` is d x m; ``eigenvectors`` keeps the full stacked
-    solutions so per-patch tangent vectors stay inspectable.
+    ``projection`` is d x m.  An MPDA/PMPDA fit also holds its block
+    ``layout`` and the stacked ``eigenvectors``, so per-patch tangent vectors
+    stay inspectable; a PCA model holds the training ``mean``.
     """
 
     kind: str  # "mpda" | "pmpda" | "lda" | "pca"

@@ -18,9 +18,10 @@ numbered in ascending order of their smallest member, and only these
 final patches get a linearity, the mean geodesic/Euclidean ratio of
 their pairs, from the class's geodesics turned into ratios in place.
 
-``partition_classes`` is the one entry point (one class is a one-block
-list).  It splits every oversize patch of a batch of classes together,
-one tree level at a time, on padded (patches x 2 sides x size) arrays.
+``partition_classes``, internal to the fit, is the one entry point (one
+class is a one-block list).  It splits every oversize patch of a batch of
+classes together, one tree level at a time, on padded (patches x 2 sides
+x size) arrays.
 Every growth step, class batches included, is sized by one padded rule
 (``_chunks``).  The ratio sums behind each joint award add in one fixed
 order (see ``_grow``) that padding, chunking and the BLAS thread count

@@ -10,8 +10,8 @@ the origin of the local chart.  ``_signed`` owns the one sign rule of these
 bases, the PCA baseline's directions and the eigen-solve's vectors.
 ``patch_bases`` is the one entry point and the one stacked-SVD driver
 (one point set is a one-patch list): ``per_point_bases`` hands it one
-neighborhood per point.  Both return the padded stack (T, dims) that the
-assembly reads.
+neighborhood per point.  Both, internal to the fit, return the padded
+stack (T, dims) that the assembly reads.
 """
 
 from __future__ import annotations

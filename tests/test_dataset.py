@@ -239,3 +239,19 @@ def test_subset_keeps_label_space():
     ds = LabeledDataset(np.arange(12.0).reshape(6, 2), np.array([1, 1, 2, 2, 3, 3]))
     sub = ds.subset(np.array([0, 4, 5]))
     assert list(sub.labels) == [1, 3, 3]
+
+
+@pytest.mark.parametrize("labels", [
+    [1.2, 1.9, 2.5, 2.0],  # a cast would put 1.9 in class 1
+    [1.0, np.nan, 2.0, 2.0],
+    [1.0, np.inf, 2.0, 2.0],
+    [1.0, 1e30, 2.0, 2.0],
+])
+def test_dataset_rejects_non_integral_labels(labels):
+    with pytest.raises(ParseError, match="labels must be integers"):
+        LabeledDataset(np.zeros((4, 2)), np.array(labels))
+
+
+def test_dataset_accepts_integral_float_labels():
+    ds = LabeledDataset(np.zeros((4, 2)), np.array([1.0, 2.0, 2.0, 1.0]))
+    assert ds.labels.dtype == np.int64 and list(ds.labels) == [1, 2, 2, 1]
