@@ -32,11 +32,8 @@ from .evaluation import (
     fit_algorithm,
     parameter_sweep,
 )
-from .model import (
-    DEFAULT_ALPHA, DEFAULT_GAMMA, DEFAULT_K, load_model,
-    merge_class_partitions, save_model, transform,
-)
-from .partition import DEFAULT_KPRIME, DEFAULT_MAX_PATCH
+from .model import DEFAULT_ALPHA, DEFAULT_GAMMA, DEFAULT_K, load_model, save_model, transform
+from .partition import DEFAULT_KPRIME, DEFAULT_MAX_PATCH, partition_classes
 from .tangent import DEFAULT_ENERGY
 
 EXIT_OK = 0
@@ -275,17 +272,18 @@ def cmd_sweep(args) -> int:
 
 def cmd_partition_inspect(args) -> int:
     ds = load_dataset(args.data, args.format, args.header)
-    _, members, linearity = merge_class_partitions(ds, args.kprime, args.max_patch)
+    labels = sorted(ds.class_counts)
+    class_rows = [ds.class_indices(c) for c in labels]
+    parts = partition_classes([ds.features[rows] for rows in class_rows], args.kprime, args.max_patch)
     out = [
         {
             "class": ds.label_names.get(c, c),
             "patches": [
-                {"size": len(m), "linearity": float(lin), "members": m.tolist()}
-                for m, lin in zip(members, linearity)
-                if ds.labels[m[0]] == c
+                {"size": len(m), "linearity": float(lin), "members": rows[m].tolist()}
+                for m, lin in zip(patches, linearity)
             ],
         }
-        for c in sorted(ds.class_counts)
+        for c, rows, (patches, linearity) in zip(labels, class_rows, parts)
     ]
     text = json.dumps(out, indent=2)
     if args.out:

@@ -32,7 +32,8 @@ class LabeledDataset:
     """Feature matrix with one integer class label per row.
 
     ``labels`` are contiguous in ``1..C``; ``label_names`` maps each
-    internal label back to the value found in the source file.
+    internal label back to the value found in the source file.  Left
+    empty, it maps each label present to itself.
     """
 
     features: np.ndarray
@@ -59,8 +60,7 @@ class LabeledDataset:
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", y)
         if not self.label_names:
-            C = int(y.max())
-            object.__setattr__(self, "label_names", {c: c for c in range(1, C + 1)})
+            object.__setattr__(self, "label_names", {int(c): int(c) for c in np.unique(y)})
 
     @property
     def n(self) -> int:
@@ -72,7 +72,8 @@ class LabeledDataset:
 
     @property
     def n_classes(self) -> int:
-        return int(self.labels.max())
+        """Classes of the label space: a subset counts its parent's classes."""
+        return len(self.label_names)
 
     @property
     def class_counts(self) -> dict[int, int]:

@@ -376,12 +376,11 @@ def transform(model: EmbeddingModel, X: np.ndarray) -> np.ndarray:
 
 def merge_class_partitions(
     ds: LabeledDataset, kprime: int, max_patch: int
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Partition every class independently and merge into global patch ids.
 
-    Returns the per-point patch assignment, the global member lists
-    (classes in ascending label order, each list ascending) and each
-    patch's linearity.
+    Returns the per-point patch assignment and the global member lists
+    (classes in ascending label order, each list ascending).
     """
     class_rows = [ds.class_indices(int(c)) for c in np.unique(ds.labels)]
     parts = partition_classes([ds.features[rows] for rows in class_rows], kprime, max_patch)
@@ -389,7 +388,7 @@ def merge_class_partitions(
     sizes = [len(m) for m in members]
     patch_of = np.empty(ds.n, dtype=np.int64)
     patch_of[np.concatenate(members)] = np.repeat(np.arange(len(members)), sizes)
-    return patch_of, members, np.concatenate([linearity for _, linearity in parts])
+    return patch_of, members
 
 
 # --- fit stages ---------------------------------------------------------------
@@ -406,7 +405,7 @@ def _patch_bases(
     train: LabeledDataset, kprime: int, max_patch: int, energy: float
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """MPDA bases stage: per-class partition, then one tangent basis per patch."""
-    patch_of, members, _ = merge_class_partitions(train, kprime, max_patch)
+    patch_of, members = merge_class_partitions(train, kprime, max_patch)
     return patch_of, patch_bases(train.features, members, energy)
 
 

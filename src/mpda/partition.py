@@ -16,12 +16,15 @@ the components of the class's k'-NN graph, so no patch spans two and
 every geodesic inside a patch is finite.  Each class's patches are
 numbered in ascending order of their smallest member, and only these
 final patches get a linearity, the mean geodesic/Euclidean ratio of
-their pairs, from the class's geodesics turned into ratios in place.
+their pairs, from the geodesics turned into ratios in place.
 
 ``partition_classes``, internal to the fit, is the one entry point (one
-class is a one-block list).  It splits every oversize patch of a batch of
-classes together, one tree level at a time, on padded (patches x 2 sides
-x size) arrays.
+class is a one-block list).  A batch of classes is held as one pair of
+flat buffers, geodesics and distances, each class's n x n matrices
+row-major at its own offset, and every read indexes through (offset,
+n).  Every oversize patch of the batch is split together, one tree level
+at a time, on padded (patches x 2 sides x size) arrays, so a growth
+round makes one gather per buffer for its whole chunk.
 Every growth step, class batches included, is sized by one padded rule
 (``_chunks``).  The ratio sums behind each joint award add in one fixed
 order (see ``_grow``) that padding, chunking and the BLAS thread count
@@ -43,41 +46,6 @@ DEFAULT_MAX_PATCH = 10
 CLASS_BATCH_VALUES = 2**20
 
 
-class _ClassTree:
-    """One class's patches: ``members`` holds the current leaves of its split tree.
-
-    The roots are the class's initial patches, the components of its k'-NN
-    graph: two points share one iff their geodesic is finite, and each is
-    found by its lowest member.  A split replaces its patch's members with
-    the left half and appends the right half.
-    """
-
-    def __init__(self, Xc: np.ndarray, kprime: int):
-        self.n = n = Xc.shape[0]
-        one = (np.zeros((1, 1)), np.zeros((1, 1)))  # a one-point class: one zero-length path
-        self.geodesic, self.euclidean = geodesic_distances(Xc, min(kprime, n - 1)) if n > 1 else one
-        lowest = np.isfinite(self.geodesic).argmax(axis=1)
-        self.members = [np.flatnonzero(lowest == c) for c in np.unique(lowest)]
-
-    def partition(self) -> tuple[list[np.ndarray], np.ndarray]:
-        """The leaves and their linearities, in ascending order of their smallest member.
-
-        Call it once the growth is done: it turns the class's geodesic
-        matrix into ratios in place.  Each leaf's linearity comes from one
-        ``mean_ratios`` call per leaf size (disjoint leaves: at most 2 n^2
-        values and indices).
-        """
-        R = tortuosity(self.geodesic, self.euclidean)
-        patches = sorted(self.members, key=lambda m: m[0])
-        sizes = np.array([len(m) for m in patches])
-        linearity = np.empty(len(patches))
-        for N in np.unique(sizes):
-            group = np.flatnonzero(sizes == N)
-            sub = np.stack([patches[k] for k in group])
-            linearity[group] = mean_ratios(_blocks(R, sub))
-        return patches, linearity
-
-
 def _chunks(sizes: list[int], cost, budget: int) -> list[tuple[int, int]]:
     """Consecutive runs of items whose padded cost, count * cost(largest), fits the budget.
 
@@ -94,19 +62,10 @@ def _chunks(sizes: list[int], cost, budget: int) -> list[tuple[int, int]]:
     return runs
 
 
-def _spans(trees: list[_ClassTree]) -> list[tuple[np.ndarray, np.ndarray, int, int]]:
-    """(geodesic, euclidean, start, stop) of each run of consecutive items from one class."""
-    spans, start = [], 0
-    for i in range(1, len(trees) + 1):
-        if i == len(trees) or trees[i] is not trees[start]:
-            spans.append((trees[start].geodesic, trees[start].euclidean, start, i))
-            start = i
-    return spans
-
-
-def _blocks(M: np.ndarray, sub: np.ndarray) -> np.ndarray:
-    """The (B, S, S) blocks of the class matrix M over each row of ``sub``, in one take."""
-    return M.reshape(-1).take(sub[:, :, None] * M.shape[0] + sub[:, None, :])
+def _gather(M: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The (B, S, S) blocks of the flat buffer M at row offsets ``rows`` and
+    columns ``cols``, both (B, S), in one take."""
+    return M.take(rows[:, :, None] + cols[:, None, :])
 
 
 def _padded(members: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -117,7 +76,7 @@ def _padded(members: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(members)[(np.cumsum(sizes) - sizes)[:, None] + pos], sizes
 
 
-def _seeds(spans, idx: np.ndarray, budget: int) -> np.ndarray:
+def _seeds(G: np.ndarray, rows: np.ndarray, idx: np.ndarray, budget: int) -> np.ndarray:
     """Each patch's two seed positions, in ascending order: its first pair, in
     row-major order, at maximal geodesic distance, or (0, 1) when every
     geodesic is 0.
@@ -129,18 +88,19 @@ def _seeds(spans, idx: np.ndarray, budget: int) -> np.ndarray:
     """
     P, S = idx.shape
     seeds = np.empty((P, 2), dtype=np.int64)
-    for G, _, a, b in spans:
-        for lo, hi in _chunks([S] * (b - a), lambda s: 2 * s * s, budget):
-            lo, hi = a + lo, a + hi
-            block = _blocks(G, idx[lo:hi]).reshape(hi - lo, S * S)
-            seeds[lo:hi] = np.stack(np.divmod(block.argmax(axis=1), S), axis=1)
+    for lo, hi in _chunks([S] * P, lambda s: 2 * s * s, budget):
+        block = _gather(G, rows[lo:hi], idx[lo:hi]).reshape(hi - lo, S * S)
+        seeds[lo:hi] = np.stack(np.divmod(block.argmax(axis=1), S), axis=1)
     coincident = seeds[:, 0] == seeds[:, 1]  # all-zero geodesics
     seeds.sort(axis=1)
     seeds[coincident] = (0, 1)
     return seeds
 
 
-def _grow(spans, idx: np.ndarray, sizes: np.ndarray, kprime: int, budget: int) -> list[np.ndarray]:
+def _grow(
+    G: np.ndarray, E: np.ndarray, base: np.ndarray, n: np.ndarray,
+    idx: np.ndarray, sizes: np.ndarray, kprime: int, budget: int,
+) -> list[np.ndarray]:
     """Split every patch of one chunk, growing both sides of all of them
     together, one round at a time.
 
@@ -150,11 +110,12 @@ def _grow(spans, idx: np.ndarray, sizes: np.ndarray, kprime: int, budget: int) -
     round both sides pick their k' nearest pool members (``_smallest``: by
     distance, then index), pool members before all others even at +inf.
     Each side absorbs its sole picks; the joint picks then go to the side
-    with the smaller sum/count, to the left side on a tie.  Only the picked
-    rows of each class's geodesic and distance matrices are read, and each
-    round's geodesic rows become ratios by ``tortuosity`` in one call; the
-    distance matrix is bitwise symmetric, so a row serves as the column of
-    a nearest distance.
+    with the smaller sum/count, to the left side on a tie.  Patch p's class
+    matrices sit row-major at offset ``base[p]`` of the flat buffers G and
+    E, with ``n[p]`` rows.  Only the picked rows are read, one take per
+    buffer per round for every patch, and each round's geodesic rows
+    become ratios by ``tortuosity`` in one call; a distance matrix is
+    bitwise symmetric, so a row serves as the column of a nearest distance.
 
     One summation order, which padding, chunking and the BLAS thread count
     cannot change, makes the sums: an absorption adds to its side's sum one
@@ -168,25 +129,20 @@ def _grow(spans, idx: np.ndarray, sizes: np.ndarray, kprime: int, budget: int) -
     P, S = idx.shape
     Q = 2 * P  # one row per side: row 2p + s is side s of patch p
     kk = min(kprime, S - 1)  # picks per side (the pool never exceeds S - 2)
-    n = np.array([E.shape[0] for _, E, a, b in spans for _ in range(a, b)])
-    seeds = _seeds(spans, idx, budget)
+    rows = idx * n[:, None] + base[:, None]  # each member's row offset in the buffers
+    seeds = _seeds(G, rows, idx, budget)
     side = np.zeros((P, 2, S), dtype=bool)
     side[np.arange(P)[:, None], [0, 1], seeds] = True
     pool = (np.arange(S) < sizes[:, None]) & ~side.any(axis=1)
 
     # near[q]: each member's distance to the nearest point on side q
-    near = np.empty((Q, S))
     own = np.repeat(idx, 2, axis=0)  # side q's patch members (class-local)
-    flat = (own.take(seeds.ravel() + np.arange(Q) * S) * np.repeat(n, 2))[:, None] + own
-    for _, E, a, b in spans:
-        rows = slice(2 * a, 2 * b)
-        np.take(E.reshape(-1), flat[rows], out=near[rows], mode="clip")
+    near = E.take(np.repeat(rows, 2, axis=0).take(seeds.ravel() + np.arange(Q) * S)[:, None] + own)
     sums = np.ones(Q)  # each side starts as one point with ratio 1
     counts = np.ones(Q, dtype=np.int64)
 
     row_at = np.arange(Q)[:, None] * S  # offset of row q in a (Q, S) array
     patch_at = row_at // 2 // S * S  # offset of row q's patch in a (P, S) array
-    scale = np.repeat(n, 2)[:, None, None]
     flat = np.empty((Q, kk, S), dtype=np.int64)
     ratios = np.empty((Q, kk, S))  # the picked rows of each side
     dists = np.empty((Q, kk, S))
@@ -202,11 +158,9 @@ def _grow(spans, idx: np.ndarray, sizes: np.ndarray, kprime: int, budget: int) -
         joint_row = picked & joint.take(at)
         only_row = picked & ~joint_row
 
-        np.add((idx.take(at) * scale[:, :, 0])[:, :, None], own[:, None, :], out=flat)
-        for G, E, a, b in spans:
-            rows = slice(2 * a, 2 * b)
-            np.take(G.reshape(-1), flat[rows], out=ratios[rows], mode="clip")
-            np.take(E.reshape(-1), flat[rows], out=dists[rows], mode="clip")
+        np.add(rows.take(at)[:, :, None], own[:, None, :], out=flat)
+        G.take(flat, out=ratios, mode="clip")
+        E.take(flat, out=dists, mode="clip")
         tortuosity(ratios, dists)
         # a sole pick's row weighs the side 2 and the sole picks 1; a joint
         # pick's row, if awarded, the side and its sole picks 2 and the
@@ -238,24 +192,56 @@ def _grow(spans, idx: np.ndarray, sizes: np.ndarray, kprime: int, budget: int) -
     return np.split(idx[p, c], np.cumsum(side.sum(axis=2).ravel())[:-1])
 
 
-def _grow_trees(trees: list[_ClassTree], kprime: int, max_patch: int, budget: int) -> None:
-    """Split every oversize patch of the classes, one tree level at a time,
-    ``_grow`` taking a level's patches together in chunks."""
-    new = [(tree, k) for tree in trees for k in range(len(tree.members))]
-    while new:
-        jobs = [(tree, k) for tree, k in new if len(tree.members[k]) > max_patch]
-        new = []
+def _partition_batch(
+    blocks: list[np.ndarray], kprime: int, max_patch: int
+) -> list[tuple[list[np.ndarray], np.ndarray]]:
+    """``partition_classes`` on one class batch, held as one buffer pair.
+
+    Class b's geodesics and distances sit row-major at offset ``base[b]`` of
+    the flat buffers G and E.  Its roots are the components of its k'-NN
+    graph: two points share one iff their geodesic is finite, and each is
+    found by its lowest member.  Every oversize leaf of every class is
+    split at each tree level, ``_grow`` taking a level's patches together
+    in chunks, and then G becomes its ratios in place for one
+    ``mean_ratios`` call per leaf size and chunk.
+    """
+    n = np.array([Xc.shape[0] for Xc in blocks])
+    base = np.cumsum(n * n) - n * n
+    G, E = np.empty(int(n @ n)), np.empty(int(n @ n))
+    leaves = []  # each class's leaves: sorted class-local member indices
+    for b, Xc in enumerate(blocks):
+        g, e = (M[base[b] : base[b] + n[b] ** 2].reshape(n[b], n[b]) for M in (G, E))
+        # a one-point class: one zero-length path
+        g[...], e[...] = geodesic_distances(Xc, min(kprime, n[b] - 1)) if n[b] > 1 else (0.0, 0.0)
+        lowest = np.isfinite(g).argmax(axis=1)
+        leaves.append([np.flatnonzero(lowest == c) for c in np.unique(lowest)])
+    # values any step may hold at once: three times the largest class's n^2
+    budget = 3 * int(n.max()) ** 2
+    while jobs := [(b, k) for b, ms in enumerate(leaves) for k, m in enumerate(ms) if len(m) > max_patch]:
         # a round holds, per padded patch of size S, three (2, k', S) row
         # buffers and about sixteen size-S rows of values
-        sizes = [len(tree.members[k]) for tree, k in jobs]
-        for a, b in _chunks(sizes, lambda s: (6 * min(kprime, s) + 16) * s, budget):
-            chunk = jobs[a:b]
-            idx, n_members = _padded([tree.members[k] for tree, k in chunk])
-            parts = _grow(_spans([tree for tree, _ in chunk]), idx, n_members, kprime, budget)
-            for i, (tree, k) in enumerate(chunk):
-                new += [(tree, k), (tree, len(tree.members))]
-                tree.members[k] = parts[2 * i]
-                tree.members.append(parts[2 * i + 1])
+        sizes = [len(leaves[b][k]) for b, k in jobs]
+        for lo, hi in _chunks(sizes, lambda s: (6 * min(kprime, s) + 16) * s, budget):
+            cls = np.array([b for b, _ in jobs[lo:hi]])
+            idx, counts = _padded([leaves[b][k] for b, k in jobs[lo:hi]])
+            halves = _grow(G, E, base[cls], n[cls], idx, counts, kprime, budget)
+            for (b, k), left, right in zip(jobs[lo:hi], halves[::2], halves[1::2]):
+                leaves[b][k] = left
+                leaves[b].append(right)
+
+    R = tortuosity(G, E)
+    leaves = [sorted(ms, key=lambda m: m[0]) for ms in leaves]
+    cls = np.repeat(np.arange(len(blocks)), [len(ms) for ms in leaves])
+    flat = [m for ms in leaves for m in ms]
+    sizes = np.array([len(m) for m in flat])
+    linearity = np.empty(len(flat))
+    for N in np.unique(sizes):
+        group = np.flatnonzero(sizes == N)
+        sub = np.stack([flat[k] for k in group])
+        rows = sub * n[cls[group], None] + base[cls[group], None]
+        for lo, hi in _chunks([N] * len(group), lambda s: 2 * s * s, budget):
+            linearity[group[lo:hi]] = mean_ratios(_gather(R, rows[lo:hi], sub[lo:hi]))
+    return list(zip(leaves, np.split(linearity, np.cumsum([len(ms) for ms in leaves])[:-1])))
 
 
 def partition_classes(
@@ -288,9 +274,5 @@ def partition_classes(
             raise ValueError(f"class block {c} has no points")
     parts = []
     for a, b in _chunks([Xc.shape[0] for Xc in blocks], lambda n: n * n, CLASS_BATCH_VALUES):
-        trees = [_ClassTree(Xc, kprime) for Xc in blocks[a:b]]
-        # values any step may hold at once: three times the largest class's n^2
-        budget = 3 * max(tree.n for tree in trees) ** 2
-        _grow_trees(trees, kprime, max_patch, budget)
-        parts += [tree.partition() for tree in trees]
+        parts += _partition_batch(blocks[a:b], kprime, max_patch)
     return parts

@@ -49,7 +49,11 @@ def split_one_patch(members, dists, kprime):
     members = np.asarray(members, dtype=np.int64)
     G, E = dists
     n = E.shape[0]
-    return _grow([(G, E, 0, 1)], members[None], np.array([members.size]), kprime, 3 * n * n)
+    # the class alone in a buffer pair: offset 0, size n
+    return _grow(
+        G.ravel(), E.ravel(), np.array([0]), np.array([n]),
+        members[None], np.array([members.size]), kprime, 3 * n * n,
+    )
 
 
 def one_basis(P, energy=DEFAULT_ENERGY):

@@ -126,9 +126,9 @@ def test_partition_inspect_json(tmp_path, data_csv):
 
 def test_partition_inspect_makes_one_call_with_the_per_class_output(tmp_path, rng, monkeypatch):
     # three interleaved classes with labels that are not 1..C; the JSON must
-    # be what partitioning each class alone gives, through the one
-    # partitioner call that merge_class_partitions makes
-    import mpda.model
+    # be what partitioning each class alone gives, through one partitioner
+    # call over the class blocks
+    import mpda.cli
     from mpda.dataset import load_dataset
     from mpda.partition import partition_classes
     from partition_oracles import partition_class_loop
@@ -145,7 +145,7 @@ def test_partition_inspect_makes_one_call_with_the_per_class_output(tmp_path, rn
         calls.append(len(blocks))
         return partition_classes(blocks, *args)
 
-    monkeypatch.setattr(mpda.model, "partition_classes", spy)
+    monkeypatch.setattr(mpda.cli, "partition_classes", spy)
     out = tmp_path / "patches.json"
     assert run(["partition-inspect", "--data", str(path), "--kprime", "3", "--max-patch", "4",
                 "--out", str(out)]) == 0

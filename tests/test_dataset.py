@@ -241,6 +241,21 @@ def test_subset_keeps_label_space():
     assert list(sub.labels) == [1, 3, 3]
 
 
+def test_default_label_names_are_the_labels_present():
+    # the names and the class count follow the labels present, not the
+    # largest label: one entry per class, not a million
+    ds = LabeledDataset(np.zeros((2, 1)), np.array([1, 10**6]))
+    assert ds.label_names == {1: 1, 10**6: 10**6}
+    assert ds.n_classes == 2
+
+
+def test_subset_counts_the_parent_classes():
+    ds = LabeledDataset(np.zeros((4, 1)), np.array([1, 2, 1, 2]))
+    sub = ds.subset(np.array([0, 2]))
+    assert list(sub.labels) == [1, 1]
+    assert sub.n_classes == len(sub.label_names) == 2
+
+
 @pytest.mark.parametrize("labels", [
     [1.2, 1.9, 2.5, 2.0],  # a cast would put 1.9 in class 1
     [1.0, np.nan, 2.0, 2.0],

@@ -76,7 +76,7 @@ def between_objective(X, Wp, t):
 
 def build_instance(ds, k=3, kprime=3, max_patch=5, energy=0.95):
     X, y = ds.features, ds.labels
-    patch_of, members, _ = merge_class_partitions(ds, kprime, max_patch)
+    patch_of, members = merge_class_partitions(ds, kprime, max_patch)
     bases = patch_bases(X, members, energy)
     layout = layout_for(ds.d, bases[1])
     nb = knn_neighbors(X, min(k, ds.n - 1))
@@ -234,7 +234,7 @@ def test_within_parts_match_dense_and_edge_oracles(data, kind, max_patch, flat):
     ds, k = data
     X, y = ds.features, ds.labels
     if kind == "mpda":
-        patch_of, members, _ = merge_class_partitions(ds, min(3, k), max_patch)
+        patch_of, members = merge_class_partitions(ds, min(3, k), max_patch)
         bases = patch_bases(X, members)
     else:
         patch_of, bases = np.arange(ds.n), per_point_bases(X, y, k)
@@ -605,15 +605,13 @@ def test_merge_numbers_every_class_patch_globally(rng):
     # oracle order, and every point's id names the patch that holds it
     labels = rng.permutation(np.repeat([7, 2, 5, 9], [30, 25, 12, 1]))
     ds = LabeledDataset(rng.normal(size=(labels.size, 3)) + labels[:, None], labels)
-    patch_of, members, linearity = merge_class_partitions(ds, 3, 4)
-    want_members, want_linearity = [], []
+    patch_of, members = merge_class_partitions(ds, 3, 4)
+    want_members = []
     for c in (2, 5, 7, 9):
         rows = ds.class_indices(c)
-        patches, lin = partition_class_loop(ds.features[rows], 3, 4)
+        patches, _ = partition_class_loop(ds.features[rows], 3, 4)
         want_members += [rows[m] for m in patches]
-        want_linearity.append(lin)
     assert [m.tolist() for m in members] == [m.tolist() for m in want_members]
-    assert linearity.tobytes() == np.concatenate(want_linearity).tobytes()
     want_patch_of = np.full(ds.n, -1, dtype=np.int64)
     for pid, m in enumerate(want_members):
         want_patch_of[m] = pid
@@ -627,7 +625,7 @@ def test_pmpda_matches_mpda_on_tiny_class(rng):
     X = rng.normal(size=(3, 4))
     y = np.ones(3, dtype=int)
     ds = LabeledDataset(X, y)
-    patch_of, members, _ = merge_class_partitions(ds, 2, 10)
+    patch_of, members = merge_class_partitions(ds, 2, 10)
     whole = patch_bases(X, members, 0.95)
     point_bases = per_point_bases(X, y, k=2)
     assert (point_bases[1] == whole[1][0]).all()

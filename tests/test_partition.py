@@ -282,11 +282,11 @@ def test_batching_cannot_change_a_split(rng, monkeypatch):
     geodesics = {}  # copies: the partitioner turns its geodesics into ratios once grown
     grow = mpda.partition._grow
 
-    def record(spans, idx, sizes, *rest):
-        halves = grow(spans, idx, sizes, *rest)
-        for G, E, a, b in spans:
-            dist = geodesics.setdefault(id(G), (G.copy(), E))
-            splits.extend((idx[p, : sizes[p]], dist, halves[2 * p : 2 * p + 2]) for p in range(a, b))
+    def record(G, E, base, n, idx, sizes, *rest):
+        halves = grow(G, E, base, n, idx, sizes, *rest)
+        for p, (at, m) in enumerate(zip(base, n)):
+            dist = geodesics.setdefault(at, tuple(M[at : at + m * m].reshape(m, m).copy() for M in (G, E)))
+            splits.append((idx[p, : sizes[p]], dist, halves[2 * p : 2 * p + 2]))
         return halves
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -392,22 +392,54 @@ def test_three_curved_classes_match_the_oracle(rng, monkeypatch, batch_values):
         assert_same_partition(part, partition_class_loop(X, 5, 8))
 
 
+def curved_blocks(seed, sizes, columns):
+    """One class per size: a curved 2-D manifold in ``columns`` columns."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for n in sizes:
+        latent = rng.uniform(0.0, 3.0, size=(n, 2))
+        A = rng.normal(size=(2, columns))
+        phase = rng.uniform(0, 2 * np.pi, columns)
+        blocks.append(np.sin(latent @ A + phase) + 0.01 * rng.normal(size=(n, columns)))
+    return blocks
+
+
+def partition_peak(blocks, max_patch):
+    """``partition_classes(blocks, 6, max_patch)`` and its tracemalloc peak
+    over 8 bytes times the classes' Σn^2."""
+    tracemalloc.start()
+    try:
+        parts = partition_classes(blocks, 6, max_patch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return parts, peak / (8 * sum(len(X) ** 2 for X in blocks))
+
+
 def test_partition_peak_memory_is_two_matrices_per_class():
     # ten 200-row classes of a curved 2-D manifold in 50 columns, batched
     # together: each class holds its geodesics and its distances, and the
     # growth's and seed search's buffers stay within a fraction of one more
-    rng = np.random.default_rng(3)
-    blocks = []
-    for c in range(10):
-        latent = rng.uniform(0.0, 3.0, size=(200, 2))
-        A = rng.normal(size=(2, 50))
-        blocks.append(np.sin(latent @ A + rng.uniform(0, 2 * np.pi, 50)) + 0.01 * rng.normal(size=(200, 50)))
-    values = sum(len(X) ** 2 for X in blocks)
-    tracemalloc.start()
-    try:
-        parts = partition_classes(blocks, 6, 10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    parts, ratio = partition_peak(curved_blocks(3, [200] * 10, 50), 10)
     assert all(len(patches) >= 20 for patches, _ in parts)
-    assert peak < 2.75 * 8 * values
+    assert ratio < 2.75
+
+
+def test_unsplit_classes_take_their_linearity_blocks_under_the_budget():
+    # with M above every class size each class is one leaf; its linearity
+    # block and index are taken under the batch's budget, not all ten at
+    # once, which would lift the peak from 2.26 to 4.02 times
+    parts, ratio = partition_peak(curved_blocks(3, [200] * 10, 50), 1000)
+    assert all(len(patches) == 1 for patches, _ in parts)
+    assert ratio < 2.75
+
+
+def test_partition_peak_memory_of_a_mixed_size_batch():
+    # classes of 300, 120, 40 and 1 rows batched together hold exactly their
+    # own n^2 values per matrix: the peak is 4.60 times the Σn^2 float64
+    # values (4.59 when each class held its own two matrices), while the
+    # same buffers padded to a (B, N, N) stack of the largest class peak
+    # at 9.39 times; the bound leaves a 9% margin
+    parts, ratio = partition_peak(curved_blocks(4, [300, 120, 40, 1], 5), 10)
+    assert [sum(map(len, patches)) for patches, _ in parts] == [300, 120, 40, 1]
+    assert ratio < 5.0
