@@ -141,7 +141,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     command = next((tok for tok in rest if not tok.startswith("-")), None)
     choices = parser._subparsers._group_actions[0].choices  # type: ignore[union-attr]
     if command not in choices:
-        raise DataError("--config requires a known subcommand on the command line")
+        parser.error("--config requires a known subcommand on the command line")
     option_map = {
         opt: action for action in choices[command]._actions for opt in action.option_strings
     }

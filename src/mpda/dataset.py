@@ -85,8 +85,9 @@ class LabeledDataset:
         return np.flatnonzero(self.labels == c)
 
     def subset(self, rows: np.ndarray) -> "LabeledDataset":
-        """Rows selected by index; labels keep the parent's numbering."""
-        rows = np.asarray(rows, dtype=np.int64)
+        """Rows picked by numpy's rule: indices, or a boolean mask of length n.
+        Labels keep the parent's numbering; no rows is ``EmptyDatasetError``."""
+        rows = np.asarray(rows) if np.size(rows) else np.empty(0, dtype=np.intp)
         return LabeledDataset(self.features[rows], self.labels[rows], dict(self.label_names))
 
 

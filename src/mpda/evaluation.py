@@ -206,12 +206,12 @@ def cross_validate(
     ``model.staged_fits``, which runs every fit stage once per distinct
     input it reads: the partition and its tangent bases once per
     (kprime, max_patch, energy), PMPDA's per-point bases once per
-    (k, energy), the k-NN graphs once per k, the between form and the
-    within form's parts S_diff, S_tan once per (k, bases),
-    each gamma one sparse sum S_diff + gamma * S_tan, and only the
-    eigen-solve once per combination.  Each stage computes exactly what a
-    separate fit of that combination computes, so the table is the same as
-    fitting every combination from scratch.
+    (k, energy), one k-NN search at the grid's largest k, the graphs (from
+    its head), the between form and the within parts S_diff, S_tan once
+    per (k, bases), each gamma one sparse sum S_diff + gamma * S_tan, and
+    only the eigen-solve once per combination.  Each stage computes exactly
+    what a separate fit of that combination computes, so the table is the
+    same as fitting every combination from scratch.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")

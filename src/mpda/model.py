@@ -57,7 +57,7 @@ from .errors import (
     ResourceLimitError,
     SolverFailureError,
 )
-from .graph import between_class_form, knn_neighbors, within_class_graph
+from .graph import NeighborLists, between_class_form, knn_neighbors, within_class_graph
 from .partition import DEFAULT_KPRIME, DEFAULT_MAX_PATCH, partition_classes
 from .tangent import DEFAULT_ENERGY, _signed, patch_bases, per_point_bases
 
@@ -395,10 +395,11 @@ def merge_class_partitions(
 #
 # A fit runs four stages, each reading only the hyperparameters it takes: a
 # bases stage (``_patch_bases`` or ``_point_bases``, reading the names its
-# signature gives after ``train``), ``_graphs`` (k) with the between form
-# over the bases' layout, ``assemble_within`` (no hyperparameter: gamma only
-# weighs its second part) and ``solve_gep`` (alpha, m).  ``staged_fits`` runs
-# each once per distinct input, so a stage must depend on nothing else.
+# signature gives after ``train``), the graphs (k, from the head of one k-NN
+# search per training set) with the between form over the bases' layout,
+# ``assemble_within`` (no hyperparameter: gamma only weighs its second part)
+# and ``solve_gep`` (alpha, m).  ``staged_fits`` runs each once per distinct
+# input, so a stage must depend on nothing else.
 
 
 def _patch_bases(
@@ -420,16 +421,6 @@ def _point_bases(
     return np.arange(train.n, dtype=np.int64), bases
 
 
-def _graphs(train: LabeledDataset, k: int) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Graphs stage: the within-class graph and the d x d between-class form
-    X' L' X, both from one k-NN search."""
-    nb = knn_neighbors(train.features, min(k, train.n - 1))
-    return (
-        within_class_graph(nb, train.labels),
-        between_class_form(train.features, train.labels, nb),
-    )
-
-
 def staged_fits(kind: str, train: LabeledDataset, m: int, params_list: list[dict]):
     """Fit ``kind`` ("mpda" or "pmpda") at width m once per dict of ``params_list``.
 
@@ -437,15 +428,17 @@ def staged_fits(kind: str, train: LabeledDataset, m: int, params_list: list[dict
     list order.  Each entry holds keyword hyperparameters of the kind's fit
     function, whose defaults fill the rest; an unknown name raises
     ``TypeError`` as that call would.  Entries share every stage whose input
-    they share: the bases stage runs once per distinct bases key, the graphs
-    once per k, the between form and both parts of the within form once per
-    (k, bases key), their sum S_diff + gamma * S_tan once per gamma within
-    that and the eigen-solve once per alpha.  Each stage computes what a
-    single fit computes, so every model is bit-identical to fitting its
-    entry alone.  A width m outside 1..d, a k below 1, a gamma that is
-    negative or not finite, an alpha that is not positive and finite, or an
-    energy outside (0, 1], raises ``ValueError`` before any stage runs, and
-    a training set of fewer than two rows raises ``DataError``.
+    they share: the bases stage runs once per distinct bases key, the k-NN
+    search once at the largest k, whose first k neighbors per row (a search
+    at k gives the same) build the graphs, the between form and both parts
+    of the within form once per (bases key, k), their sum S_diff + gamma *
+    S_tan once per gamma within that and the eigen-solve once per alpha.
+    Each stage computes what a single fit computes, so every model is
+    bit-identical to fitting its entry alone.  A width m outside 1..d, a k
+    below 1, a negative or non-finite gamma, an alpha that is not positive
+    and finite, or an energy outside (0, 1], raises ``ValueError`` before
+    any stage runs, and a training set of fewer than two rows raises
+    ``DataError``.
     """
     if train.n < 2:
         raise DataError(f"{kind} needs at least two training rows, got {train.n}")
@@ -475,17 +468,17 @@ def staged_fits(kind: str, train: LabeledDataset, m: int, params_list: list[dict
             node = node.setdefault(key, {})
         node.setdefault(h["alpha"], []).append(i)
 
-    graphs: dict = {}  # k -> (W, X' L' X), small beside a set of bases
+    X, y, nb = train.features, train.labels, None
     for key, by_k in tree.items():
         patch_of, B = bases_stage(train, *key)
         layout = layout_for(train.d, B[1])
         for k, by_gamma in by_k.items():
             with np.errstate(over="ignore", invalid="ignore"):
-                if k not in graphs:
-                    graphs[k] = _graphs(train, k)
-                W, XtLX = graphs[k]
-                Sp = assemble_between(XtLX, layout)
-                S_diff, S_tan = assemble_within(train.features, W, patch_of, B)
+                if nb is None:  # one search, at the largest k: a list at k is its head
+                    nb = knn_neighbors(X, min(max(h["k"] for h in hp), train.n - 1))
+                head = NeighborLists(nb.indices[:, :k], nb.distances[:, :k], min(k, nb.k))
+                Sp = assemble_between(between_class_form(X, y, head), layout)
+                S_diff, S_tan = assemble_within(X, within_class_graph(head, y), patch_of, B)
             for gamma, by_alpha in by_gamma.items():
                 S = S_diff + gamma * S_tan
                 for alpha, idx in by_alpha.items():
@@ -607,9 +600,9 @@ def load_model(path: str) -> EmbeddingModel:
             raise ValueError
     except (KeyError, TypeError, ValueError, OverflowError):
         raise ParseError(f"{path}: malformed model header") from None
-    arr = np.frombuffer(blob, dtype="<f8")
-    if arr.size != d * m + n_eig + (d if has_mean else 0):
+    if len(blob) != 8 * (d * m + n_eig + (d if has_mean else 0)):
         raise ParseError(f"{path}: truncated model payload")
+    arr = np.frombuffer(blob, dtype="<f8")
     proj = arr[: d * m].reshape(d, m).copy()
     eig = arr[d * m : d * m + n_eig].copy()
     mean = arr[d * m + n_eig :].copy() if has_mean else None

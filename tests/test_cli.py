@@ -557,3 +557,93 @@ def test_hyper_flag_defaults_are_the_fit_defaults():
     ):
         args = build_parser().parse_args(argv)
         assert {n: getattr(args, n) for n in names} == {n: fit_defaults[n] for n in names}
+
+
+def data_error(capsys, argv):
+    """Run argv, require exit 3 with one JSON line on stderr, return its payload."""
+    rc = run(argv)
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 3 and len(lines) == 1
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize("command", [[], ["nosuchcmd"]])
+def test_config_without_a_known_subcommand_is_usage_error(tmp_path, capsys, command):
+    argv = ["--config", str(tmp_path / "c.cfg"), *command]
+    assert usage_error(capsys, argv) == "--config requires a known subcommand on the command line"
+
+
+@pytest.mark.parametrize("value,rc", [("yes", 0), ("no", 3)])
+def test_config_boolean_values(tmp_path, data_csv, capsys, value, rc):
+    # "yes" skips the title line; with "no" it is a row whose label is not an integer
+    path, _ = data_csv
+    titled = tmp_path / "titled.csv"
+    titled.write_text("label,a,b,c\n" + Path(path).read_text())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"header = {value}\n")
+    assert run(["--config", str(cfg), "fit", "--algo", "pca", "--data", str(titled), "--m", "1",
+                "--out", str(tmp_path / "m.bin")]) == rc
+
+
+def test_config_boolean_of_another_word_is_data_error(tmp_path, data_csv, capsys):
+    path, _ = data_csv
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a comment\nheader = maybe\n")
+    payload = data_error(capsys, ["--config", str(cfg), "fit", "--algo", "pca", "--data", path,
+                                  "--m", "1", "--out", str(tmp_path / "m.bin")])
+    assert payload["message"] == "config line 2: 'header' must be a boolean"
+
+
+def test_config_list_key_reaches_the_cv_grid(tmp_path, data_csv, monkeypatch):
+    path, _ = data_csv
+    grids = []
+    real = mpda.cli.benchmark
+    monkeypatch.setattr(mpda.cli, "benchmark",
+                        lambda ds, algo, **kw: grids.append(kw["grid"]) or real(ds, algo, **kw))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid-k = 3 5\ngrid_gamma = 1\ngrid-alpha = 1e-3\n")
+    out = tmp_path / "report.json"
+    rc = run(["--config", str(cfg), "benchmark", "--algo", "mpda", "--data", path,
+              "--splits", "1", "--m", "1", "--out-json", str(out)])
+    assert rc == 0 and grids == [{"k": [3, 5], "gamma": [1.0], "alpha": [1e-3]}]
+    assert json.loads(out.read_text())["per_split_params"][0]["k"] in (3, 5)
+
+
+def test_config_skips_blank_and_comment_lines(tmp_path, data_csv):
+    path, _ = data_csv
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n# only a comment\n   \ngamma = 5  # trailing comment\n\n")
+    model_path = tmp_path / "m.bin"
+    rc = run(["--config", str(cfg), "fit", "--algo", "mpda", "--data", path, "--m", "1",
+              "--out", str(model_path)])
+    assert rc == 0 and load_model(str(model_path)).hyperparams["gamma"] == 5.0
+
+
+def test_config_line_without_a_value_is_data_error(tmp_path, data_csv, capsys):
+    path, _ = data_csv
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gamma = 5\ngamma 6\n")
+    payload = data_error(capsys, ["--config", str(cfg), "fit", "--algo", "mpda", "--data", path,
+                                  "--m", "1", "--out", str(tmp_path / "m.bin")])
+    assert payload["message"] == "config line 2: expected key=value"
+
+
+def test_unreadable_config_is_data_error(tmp_path, data_csv, capsys):
+    path, _ = data_csv
+    missing = tmp_path / "missing.cfg"
+    payload = data_error(capsys, ["--config", str(missing), "fit", "--algo", "mpda", "--data", path,
+                                  "--m", "1", "--out", str(tmp_path / "m.bin")])
+    assert payload["error"] == "DataError"
+    assert payload["message"].startswith(f"cannot read config {missing}: ")
+
+
+@pytest.mark.parametrize("short", [3, 8])
+def test_transform_with_a_model_cut_short_is_data_error(tmp_path, data_csv, capsys, short):
+    path, _ = data_csv
+    model_path = tmp_path / "m.bin"
+    assert run(["fit", "--algo", "pca", "--data", path, "--m", "2", "--out", str(model_path)]) == 0
+    model_path.write_bytes(model_path.read_bytes()[:-short])
+    capsys.readouterr()
+    payload = data_error(capsys, ["transform", "--model", str(model_path), "--data", path,
+                                  "--out", str(tmp_path / "emb.csv")])
+    assert payload == {"error": "ParseError", "message": f"{model_path}: truncated model payload"}

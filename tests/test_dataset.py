@@ -270,3 +270,73 @@ def test_dataset_rejects_non_integral_labels(labels):
 def test_dataset_accepts_integral_float_labels():
     ds = LabeledDataset(np.zeros((4, 2)), np.array([1.0, 2.0, 2.0, 1.0]))
     assert ds.labels.dtype == np.int64 and list(ds.labels) == [1, 2, 2, 1]
+
+
+def test_subset_takes_a_boolean_mask_as_a_mask():
+    ds = LabeledDataset(np.arange(4.0)[:, None], np.array([1, 1, 2, 2]))
+    sub = ds.subset(np.array([False, False, True, True]))
+    assert list(sub.features[:, 0]) == [2.0, 3.0] and list(sub.labels) == [2, 2]
+    assert list(ds.subset([True, False, True, False]).features[:, 0]) == [0.0, 2.0]
+
+
+@pytest.mark.parametrize("rows", [
+    np.array([0.9, 2.7]),  # a cast would pick rows 0 and 2
+    np.array([True, False]),  # a mask of another length
+])
+def test_subset_rejects_non_integer_indices_and_misfit_masks(rows):
+    ds = LabeledDataset(np.arange(4.0)[:, None], np.array([1, 1, 2, 2]))
+    with pytest.raises(IndexError):
+        ds.subset(rows)
+
+
+@pytest.mark.parametrize("rows", [[], np.array([], dtype=np.int64), np.zeros(4, dtype=bool)])
+def test_subset_of_no_rows_is_empty(rows):
+    ds = LabeledDataset(np.arange(4.0)[:, None], np.array([1, 1, 2, 2]))
+    with pytest.raises(EmptyDatasetError):
+        ds.subset(rows)
+
+
+def test_dataset_rejects_labels_that_do_not_align_with_the_rows():
+    with pytest.raises(ParseError, match="labels must align with feature rows"):
+        LabeledDataset(np.zeros((3, 2)), np.array([1, 2]))
+
+
+def test_dataset_rejects_label_zero():
+    with pytest.raises(ParseError, match="labels must be positive integers"):
+        LabeledDataset(np.zeros((2, 2)), np.array([0, 1]))
+
+
+def test_dataset_rejects_rows_without_columns():
+    with pytest.raises(EmptyDatasetError):
+        LabeledDataset(np.zeros((3, 0)), np.array([1, 1, 2]))
+
+
+def test_load_csv_rejects_a_label_without_features(tmp_path):
+    with pytest.raises(ParseError, match="^line 1: need a label and at least one feature$"):
+        load_dataset(write(tmp_path, "1\n2\n"))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1 1:0.5\n2 2-1.0\n", "^line 2: bad sparse entry '2-1.0'$"),
+    ("1 0:0.5\n", "^line 1: indices are 1-based, got 0$"),
+    ("1\n2\n", "no feature entries found$"),
+])
+def test_load_libsvm_rejects_bad_entries(tmp_path, text, message):
+    with pytest.raises(ParseError, match=message):
+        load_dataset(write(tmp_path, text, name="data.svm"), format="libsvm")
+
+
+def test_load_libsvm_without_data_rows_is_empty(tmp_path):
+    with pytest.raises(EmptyDatasetError, match="no data rows$"):
+        load_dataset(write(tmp_path, "# only a comment\n\n", name="data.svm"), format="libsvm")
+
+
+def test_load_rejects_an_unknown_format(tmp_path):
+    with pytest.raises(ValueError, match="^unknown format 'x'$"):
+        load_dataset(write(tmp_path, "1,0.5\n"), format="x")
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0])
+def test_split_fraction_must_lie_strictly_inside_the_unit_interval(fraction):
+    with pytest.raises(ValueError, match=r"train_fraction must lie in \(0, 1\)"):
+        split_indices(np.array([1, 1, 2, 2]), fraction, seed=0)

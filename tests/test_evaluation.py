@@ -545,3 +545,21 @@ def test_nn_invariant_under_rotation(rng):
     for _ in range(5):
         Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
         assert np.array_equal(nn_classify(train @ Q, labels, test @ Q), base)
+
+
+@pytest.mark.parametrize("algorithm,grid,d,widths", [
+    ("mpda", {"k": [3]}, 5, [1, 2, 3, 4, 5]),  # 1..d below 60
+    ("pca", {}, 70, list(range(1, 61))),  # capped at 60
+    ("lda", {}, 5, [1, 2]),  # 1..C - 1 for three classes
+])
+def test_cv_without_a_width_grid_sweeps_the_default_widths(rng, algorithm, grid, d, widths):
+    X = rng.normal(size=(36, d)) + np.repeat([0.0, 4.0, 8.0], 12)[:, None]
+    ds = LabeledDataset(X, np.repeat([1, 2, 3], 12))
+    res = cross_validate(ds, algorithm, grid=grid, folds=3, seed=0)
+    assert [row["m"] for row in res.table] == widths
+
+
+@pytest.mark.parametrize("folds", [1, 0, -2])
+def test_stratified_folds_need_at_least_two_folds(folds):
+    with pytest.raises(ValueError, match="need at least 2 folds"):
+        stratified_folds(np.array([1, 1, 2, 2]), folds=folds, seed=0)

@@ -128,6 +128,25 @@ def test_knn_bit_identical_to_full_stable_argsort_on_real_valued_data(case):
     assert nb.distances.tobytes() == ref.distances.tobytes()
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(tie_heavy_points(), real_valued_points()), st.integers(0, 2**32 - 1))
+def test_knn_at_k_is_the_head_of_any_larger_search(case, seed):
+    # staged fits search once, at the largest k of a grid, and build each
+    # smaller k's graphs from the head of that search's lists
+    X, K = case
+    y = np.random.default_rng(seed).integers(1, 4, size=len(X))
+    big = knn_neighbors(X, K)
+    for k in sorted({1, 2, K // 2, K - 1} & set(range(1, K))):
+        nb = knn_neighbors(X, k)
+        head = mpda.graph.NeighborLists(big.indices[:, :k], big.distances[:, :k], k)
+        assert head.indices.tobytes() == nb.indices.tobytes()
+        assert head.distances.tobytes() == nb.distances.tobytes()
+        W, W_head = within_class_graph(nb, y), within_class_graph(head, y)
+        for part in ("data", "indices", "indptr"):
+            assert getattr(W, part).tobytes() == getattr(W_head, part).tobytes()
+        assert between_class_form(X, y, head).tobytes() == between_class_form(X, y, nb).tobytes()
+
+
 def test_knn_full_row_fallback_only_for_overflowing_rows(rng, monkeypatch):
     X = rng.normal(size=(KNN_BLOCK_ROWS + 60, 5)) + 1e4
     ranked_whole = []
@@ -321,6 +340,15 @@ def test_edges_list_each_linked_pair_once_and_feed_the_within_graph(rng):
         if k == 1:
             far = X[:, 0] > 500
             assert not np.any(far[lo] != far[hi])
+
+
+def test_graph_builders_reject_a_label_count_that_does_not_match(rng):
+    X = rng.normal(size=(6, 2))
+    nb, y = knn_neighbors(X, 2), np.array([1, 1, 1, 2, 2])
+    with pytest.raises(ValueError, match="labels length must match the neighbor structure"):
+        within_class_graph(nb, y)
+    with pytest.raises(ValueError, match="X and labels must match the neighbor structure"):
+        between_class_form(X, y, nb)
 
 
 def test_within_graph_rules():

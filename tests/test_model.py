@@ -26,7 +26,6 @@ from mpda.errors import (
 from mpda.graph import between_class_form, knn_neighbors, within_class_graph
 from mpda.model import (
     BlockLayout,
-    _graphs,
     assemble_between,
     assemble_within,
     fit_mpda,
@@ -385,7 +384,7 @@ def test_negative_gamma_fails_before_any_stage(rng, monkeypatch):
     def stage(*args, **kwargs):
         raise AssertionError("a fit stage ran")
 
-    for name in ("_patch_bases", "_point_bases", "_graphs"):
+    for name in ("_patch_bases", "_point_bases", "knn_neighbors"):
         monkeypatch.setattr(mpda.model, name, stage)
     ds = random_labeled(rng, min_per_class=4)
     for gamma in (-1, np.nan, np.inf):  # NaN compares false, so it needs the same check
@@ -404,7 +403,7 @@ def test_nonpositive_alpha_fails_before_any_stage(rng, monkeypatch):
     def stage(*args, **kwargs):
         raise AssertionError("a fit stage ran")
 
-    for name in ("_patch_bases", "_point_bases", "_graphs"):
+    for name in ("_patch_bases", "_point_bases", "knn_neighbors"):
         monkeypatch.setattr(mpda.model, name, stage)
     ds = random_labeled(rng, min_per_class=4)
     for alpha in (0, -1, np.nan, np.inf):
@@ -492,7 +491,8 @@ def test_graphs_stage_holds_no_n_by_n_array():
     ds = LabeledDataset(rng.normal(size=(n, 3)), rng.integers(1, 4, size=n))
     tracemalloc.start()
     try:
-        W, XtLX = _graphs(ds, 5)
+        nb = knn_neighbors(ds.features, 5)
+        W, XtLX = within_class_graph(nb, ds.labels), between_class_form(ds.features, ds.labels, nb)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -752,6 +752,25 @@ def test_model_file_rejects_garbage(tmp_path):
         p.write_bytes(json.dumps(header).encode() + b"\n" + np.ones(floats).tobytes())
         with pytest.raises(ParseError, match="not a model file|malformed model header"):
             load_model(str(p))
+
+
+def test_model_file_of_another_version_is_refused(tmp_path):
+    p = tmp_path / "v2.bin"
+    header = {"format": "mpda-model", "version": 2, "kind": "pca", "d": 1, "m": 1,
+              "n_eigenvalues": 0, "has_mean": False}
+    p.write_bytes(json.dumps(header).encode() + b"\n" + np.ones(1).tobytes())
+    with pytest.raises(ParseError, match="unsupported model version 2$"):
+        load_model(str(p))
+
+
+@pytest.mark.parametrize("short", [3, 8])
+def test_model_file_cut_mid_value_is_truncated(tmp_path, rng, short):
+    # a cut inside the last float64 reads as truncated, as a cut between values does
+    p = tmp_path / "model.bin"
+    save_model(fit_mpda(random_labeled(rng, min_per_class=4), m=1), str(p))
+    p.write_bytes(p.read_bytes()[:-short])
+    with pytest.raises(ParseError, match="truncated model payload$"):
+        load_model(str(p))
 
 
 def multimodal_xor(seed, n_per_cluster=30, d=6):

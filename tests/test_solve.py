@@ -190,6 +190,15 @@ def test_rejects_non_finite_forms_before_alpha(rng):
             solve_gep(np.eye(4), S_bad, np.inf, 1)
 
 
+def test_lapack_failure_is_a_solver_failure(rng, monkeypatch):
+    def eigh(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("the leading minor of order 2 is not positive")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", eigh)
+    with pytest.raises(SolverFailureError, match="^generalized eigensolver failed: the leading minor"):
+        solve_gep(np.diag([1.0, 1.0, 0.0, 0.0]), random_spd(rng, 4), 1e-3, 1, t_dim=2)
+
+
 # --- property tests over random fitted MPDA / PMPDA instances ---------------
 
 

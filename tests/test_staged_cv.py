@@ -156,3 +156,15 @@ def test_staged_cv_assembles_within_once_per_k_and_bases(rng, algorithm, grid_in
     }
     assert within_spy.call_count == folds * len(within_inputs)  # folds x k x bases
     assert solve_spy.call_count == folds * len(combos)
+
+
+@pytest.mark.parametrize("algorithm", ["mpda", "pmpda"])
+def test_staged_cv_searches_once_per_fold_at_the_largest_k(rng, algorithm):
+    import mpda.model
+    from mpda.graph import knn_neighbors
+
+    ds = curved_classes(rng)
+    # PMPDA's per-class neighborhoods search through mpda.tangent, not counted here
+    with mock.patch.object(mpda.model, "knn_neighbors", wraps=knn_neighbors) as search:
+        cross_validate(ds, algorithm, grid={"k": [3, 5, 7]}, m_grid=[1], folds=4, seed=0)
+    assert [c.args[1] for c in search.call_args_list] == [7] * 4
